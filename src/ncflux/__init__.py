@@ -12,7 +12,7 @@ convergence studies from the command line.
 from .analysis import (LevelRecord, StudyConfig, StudyResult, emit_report,
                        fit_order, l2_error, run_study)
 from .assembly import LinearSystem, NcrtField, assemble, reconstruct_field
-from .cr import (CRField, CRSystem, EdgeMidpointField, TriRT, VertexField,
+from .cr import (CRField, EdgeMidpointField, TriRT, VertexField,
                  assemble_cr, corrected_flux_cr, edge_midpoint_average,
                  max_normal_jump_tri, rt_interpolate_tri, vertex_average)
 from .elements import BrokenRT
@@ -26,7 +26,7 @@ from .sparse_solve import SolveReport, SolverError, dense_lu, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrokenRT", "CRField", "CRSystem", "EdgeMidpointField", "LevelRecord",
+    "BrokenRT", "CRField", "EdgeMidpointField", "LevelRecord",
     "LinearSystem", "MidpointFlux", "NcrtField", "Problem", "REGISTRY",
     "SolveReport", "SolverError", "StudyConfig", "StudyResult", "TensorMesh",
     "TriMesh", "TriRT", "VertexField", "assemble", "assemble_cr",

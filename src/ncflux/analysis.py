@@ -193,6 +193,15 @@ def _tensor_meshes(problem: Problem, config: StudyConfig):
         yield mesh
 
 
+def _tri_meshes(config: StudyConfig):
+    if config.perturb > 0.0:
+        warnings.warn("gridline perturbation does not apply to "
+                      "triangular studies; ignoring it", stacklevel=3)
+    for k in range(config.levels):
+        n = config.cr_initial * 2 ** k
+        yield build_uniform_parallel(n, n)
+
+
 def _exact_flux(problem: Problem):
     def flux(pts):
         return problem.a(pts)[..., None] * problem.grad_u(pts)
@@ -249,26 +258,16 @@ def run_study(config: StudyConfig,
     problem = _resolve_problem(config)
     skip = _check_config(config, problem)
 
+    meshes = (_tri_meshes(config) if config.element == "cr"
+              else _tensor_meshes(problem, config))
     records, reports = [], []
-    if config.element == "cr":
-        if config.perturb > 0.0:
-            warnings.warn("gridline perturbation does not apply to "
-                          "triangular studies; ignoring it", stacklevel=2)
-        for k in range(config.levels):
-            n = config.cr_initial * 2 ** k
-            mesh = build_uniform_parallel(n, n)
-            record, report = _cr_level(mesh, problem, config)
-            records.append(record)
-            reports.append(report)
-            if progress is not None:
-                progress(record)
-    else:
-        for mesh in _tensor_meshes(problem, config):
-            record, report = _tensor_level(mesh, problem, config)
-            records.append(record)
-            reports.append(report)
-            if progress is not None:
-                progress(record)
+    for mesh in meshes:
+        level = _cr_level if isinstance(mesh, TriMesh) else _tensor_level
+        record, report = level(mesh, problem, config)
+        records.append(record)
+        reports.append(report)
+        if progress is not None:
+            progress(record)
 
     orders = {}
     if len(records) - skip >= 2:

@@ -1,9 +1,14 @@
-"""Assembly of the nonconforming method on box meshes.
+"""Dof numbering, Dirichlet lifting and the sparse scatter, shared by box
+and triangular meshes, and the element kernel of the box method.
 
-Degrees of freedom are facet means. Dirichlet data enters by lifting:
-boundary dofs are fixed to facet means of g and their coupling columns
-are folded into the right-hand side, so the assembled system only
-carries interior unknowns.
+Degrees of freedom are facet means (edge means on triangles). Dirichlet
+data enters by lifting: boundary dofs are fixed to facet means of g and
+their coupling columns are folded into the right-hand side, so the
+assembled system only carries interior unknowns. Both mesh families
+expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
+``boundary_facets``), so numbering, lifting and scatter exist once here;
+only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
+are mesh-specific.
 
 Element loops are chunked so the (chunk, nq, dim, ndof) gradient
 tensors stay small regardless of mesh size.
@@ -19,7 +24,7 @@ import scipy.sparse as sp
 from .elements import (BrokenRT, basis_gradients, basis_values,
                        cell_quadrature, facet_quadrature, nc_basis,
                        row_blocks, span_gradients, span_values)
-from .mesh import TensorMesh
+from .mesh import TensorMesh, TriMesh
 from .problems import Problem
 
 CHUNK = 2048
@@ -29,7 +34,7 @@ CHUNK = 2048
 class DofMap:
     """Facet-based dof numbering: interior facets are unknowns."""
 
-    mesh: TensorMesh
+    mesh: TensorMesh | TriMesh
     unknown: np.ndarray          # (nf,) unknown index, -1 on the boundary
     interior: np.ndarray         # (n_unknown,) facet ids
     boundary: np.ndarray         # (nb,) facet ids
@@ -39,7 +44,7 @@ class DofMap:
         return self.interior.size
 
 
-def dof_map(mesh: TensorMesh) -> DofMap:
+def dof_map(mesh: TensorMesh | TriMesh) -> DofMap:
     hit = mesh._cache.get("dof_map")
     if hit is None:
         unknown = np.full(mesh.nf, -1, dtype=np.int64)
@@ -63,7 +68,7 @@ def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
 class LinearSystem:
     """Assembled interior system plus the boundary data it was lifted with."""
 
-    mesh: TensorMesh
+    mesh: TensorMesh | TriMesh
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
@@ -77,6 +82,55 @@ class LinearSystem:
         return full
 
 
+def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
+                     blocks) -> LinearSystem:
+    """Lift boundary data out of element blocks and scatter the rest.
+
+    blocks yields (facets, local, load) for consecutive blocks of
+    elements: their facet ids (b, ndof), element matrices (b, ndof, ndof)
+    and element loads (b, ndof). bc_values are ordered like
+    boundary_facets. Triplets and right-hand-side entries are kept in
+    element order, and the right-hand side is summed from zero in that
+    order, so the result does not depend on the block size.
+    """
+    dm = dof_map(mesh)
+    g_full = np.zeros(mesh.nf)
+    g_full[dm.boundary] = bc_values
+
+    ne, ndof = mesh.elem_facets.shape
+    # COO triplets, at most ndof^2 per element; int32 ids are what scipy keeps
+    data = np.empty(ndof * ndof * ne)
+    ri = np.empty(ndof * ndof * ne, dtype=np.int32)
+    ci = np.empty(ndof * ndof * ne, dtype=np.int32)
+    load_ids = np.empty(ndof * ne, dtype=np.int32)
+    load_vals = np.empty(ndof * ne)
+    nnz = nload = 0
+    for facets, local, load in blocks:
+        load -= np.einsum("bij,bj->bi", local, g_full[facets])
+        unk = dm.unknown[facets]
+        r = np.repeat(unk, ndof, axis=1).ravel()
+        c = np.tile(unk, (1, ndof)).ravel()
+        keep = (r >= 0) & (c >= 0)
+        end = nnz + np.count_nonzero(keep)
+        data[nnz:end] = local.ravel()[keep]
+        ri[nnz:end] = r[keep]
+        ci[nnz:end] = c[keep]
+        nnz = end
+        rkeep = unk.ravel() >= 0
+        end = nload + np.count_nonzero(rkeep)
+        load_ids[nload:end] = unk.ravel()[rkeep]
+        load_vals[nload:end] = load.ravel()[rkeep]
+        nload = end
+
+    n = dm.n_unknown
+    matrix = sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
+                           shape=(n, n)).tocsr()
+    rhs = np.bincount(load_ids[:nload], weights=load_vals[:nload],
+                      minlength=n)
+    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs, dofmap=dm,
+                        bc_values=bc_values)
+
+
 def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
     """Assemble stiffness, convection, reaction, and load terms.
 
@@ -85,22 +139,17 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
     if problem.dim != mesh.dim:
         raise ValueError(
             f"problem dimension {problem.dim} != mesh dimension {mesh.dim}")
+    return lift_and_scatter(mesh, boundary_means(mesh, problem.boundary),
+                            _local_blocks(mesh, problem))
+
+
+def _local_blocks(mesh: TensorMesh, problem: Problem):
     tables = nc_basis(mesh, "mean")
-    dm = dof_map(mesh)
     pts, wts = cell_quadrature(mesh)
-    ndof = 2 * mesh.dim
-
-    g_full = np.zeros(mesh.nf)
-    bc = boundary_means(mesh, problem.boundary)
-    g_full[dm.boundary] = bc
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(dm.n_unknown)
     for blk in row_blocks(mesh.ne, CHUNK):
-        sub = _slice_tables(tables, blk)
         p, w = pts[blk], wts[blk]
-        phi = basis_values(sub, p)                     # (b, nq, ndof)
-        gphi = basis_gradients(sub, p)                 # (b, nq, d, ndof)
+        phi = basis_values(tables, p, blk)             # (b, nq, ndof)
+        gphi = basis_gradients(tables, p, blk)         # (b, nq, d, ndof)
         aval = problem.a(p)
         local = np.einsum("bq,bqdi,bqdj->bij", w * aval, gphi, gphi)
         if problem.b is not None:
@@ -109,31 +158,7 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
         if problem.c is not None:
             local += np.einsum("bq,bqj,bqi->bij", w * problem.c(p), phi, phi)
         load = np.einsum("bq,bqi->bi", w * problem.f(p), phi)
-
-        facets = mesh.elem_facets[blk]                 # (b, ndof)
-        load -= np.einsum("bij,bj->bi", local, g_full[facets])
-        unk = dm.unknown[facets]
-        ri = np.repeat(unk, ndof, axis=1).ravel()
-        ci = np.tile(unk, (1, ndof)).ravel()
-        keep = (ri >= 0) & (ci >= 0)
-        rows.append(ri[keep])
-        cols.append(ci[keep])
-        data.append(local.ravel()[keep])
-        rkeep = unk.ravel() >= 0
-        np.add.at(rhs, unk.ravel()[rkeep], load.ravel()[rkeep])
-
-    n = dm.n_unknown
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs, dofmap=dm,
-                        bc_values=bc)
-
-
-def _slice_tables(tables, blk):
-    from .elements import BasisTables
-    return BasisTables(kind=tables.kind, center=tables.center[blk],
-                       scale=tables.scale[blk], coeff=tables.coeff[blk])
+        yield mesh.elem_facets[blk], local, load
 
 
 @dataclass
@@ -145,28 +170,25 @@ class NcrtField:
     """
 
     mesh: TensorMesh
-    kind: str
     dofs: np.ndarray             # (nf,)
     coeffs: np.ndarray           # (ne, nm)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Field values at element-local points (ne, nq, d) -> (ne, nq)."""
-        tables = nc_basis(self.mesh, self.kind)
+        tables = nc_basis(self.mesh)
         out = np.empty(pts.shape[:-1])
         for blk in row_blocks(self.mesh.ne, CHUNK):
-            xi = ((pts[blk] - tables.center[blk, None, :])
-                  / tables.scale[blk, None, None])
+            xi = tables.local_coords(pts[blk], blk)
             out[blk] = np.einsum("eqm,em->eq", span_values(xi),
                                  self.coeffs[blk])
         return out
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
         """Gradients at element-local points (ne, nq, d) -> (ne, nq, d)."""
-        tables = nc_basis(self.mesh, self.kind)
+        tables = nc_basis(self.mesh)
         out = np.empty(pts.shape)
         for blk in row_blocks(self.mesh.ne, CHUNK):
-            xi = ((pts[blk] - tables.center[blk, None, :])
-                  / tables.scale[blk, None, None])
+            xi = tables.local_coords(pts[blk], blk)
             g = span_gradients(xi, 1.0 / tables.scale[blk, None])
             out[blk] = np.einsum("eqdm,em->eqd", g, self.coeffs[blk])
         return out
@@ -176,7 +198,7 @@ class NcrtField:
         return self.coeffs[:, 0].copy()
 
     def gradients_at_centers(self) -> np.ndarray:
-        tables = nc_basis(self.mesh, self.kind)
+        tables = nc_basis(self.mesh)
         d = self.mesh.dim
         return self.coeffs[:, 1:d + 1] / tables.scale[:, None]
 
@@ -184,7 +206,7 @@ class NcrtField:
         """The broken gradient, exactly represented component-wise."""
         mesh = self.mesh
         d = mesh.dim
-        tables = nc_basis(mesh, self.kind)
+        tables = nc_basis(mesh)
         s = tables.scale
         c = tables.center
         alpha = np.empty((mesh.ne, d))
@@ -197,12 +219,11 @@ class NcrtField:
         return BrokenRT(mesh, alpha, beta)
 
 
-def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray,
-                      kind: str = "mean") -> NcrtField:
+def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray) -> NcrtField:
     """Build the element-wise polynomial representation from facet dofs."""
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.nf,):
         raise ValueError(f"expected {mesh.nf} dof values, got {dofs.shape}")
-    tables = nc_basis(mesh, kind)
+    tables = nc_basis(mesh)
     coeffs = np.einsum("emj,ej->em", tables.coeff, dofs[mesh.elem_facets])
-    return NcrtField(mesh=mesh, kind=kind, dofs=dofs, coeffs=coeffs)
+    return NcrtField(mesh=mesh, dofs=dofs, coeffs=coeffs)

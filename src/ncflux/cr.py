@@ -1,11 +1,14 @@
 """Midpoint-linear triangular elements with flux correction and averaging.
 
-The triangular pipeline mirrors the box one: solve with the
-midpoint-continuous linear element, correct the piecewise-constant flux
-with a divergence-one radial field so its normal components match across
-edges, then average to edge midpoints (order-two recovery on meshes
-where neighboring triangles form parallelograms) or to vertices (a
-cheaper variant of lower order).
+The triangular pipeline is the box one with triangle kernels: solve with
+the midpoint-continuous linear element, correct the piecewise-constant
+flux with a divergence-one radial field so its normal components match
+across edges, then average to edge midpoints (order-two recovery on
+meshes where neighboring triangles form parallelograms) or to vertices
+(a cheaper variant of lower order). Dof numbering, Dirichlet lifting and
+the sparse scatter are the box ones in ``ncflux.assembly``: a TriMesh
+names its edges as facets, and ``assemble_cr`` only supplies the element
+blocks, so it returns the same ``LinearSystem`` as ``assemble``.
 
 Work at quadrature points is done a block of triangles (or edges) at a
 time, so its memory stays bounded as the mesh grows; evaluators take the
@@ -18,39 +21,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
+from .assembly import LinearSystem, lift_and_scatter
 from .elements import (cr_basis, cr_values, edge_quadrature, row_blocks,
                        tri_quadrature)
 from .mesh import TriMesh
 from .problems import Problem
-
-
-@dataclass(frozen=True)
-class CRDofMap:
-    """Edge-based dof numbering: interior edges are unknowns."""
-
-    trimesh: TriMesh
-    unknown: np.ndarray          # (nedge,) unknown index, -1 on the boundary
-    interior: np.ndarray
-    boundary: np.ndarray
-
-    @property
-    def n_unknown(self) -> int:
-        return self.interior.size
-
-
-def cr_dof_map(trimesh: TriMesh) -> CRDofMap:
-    hit = trimesh._cache.get("cr_dof_map")
-    if hit is None:
-        unknown = np.full(trimesh.nedge, -1, dtype=np.int64)
-        unknown[trimesh.interior_edges] = np.arange(
-            trimesh.interior_edges.size)
-        hit = CRDofMap(trimesh=trimesh, unknown=unknown,
-                       interior=trimesh.interior_edges,
-                       boundary=trimesh.boundary_edges)
-        trimesh._cache["cr_dof_map"] = hit
-    return hit
 
 
 def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
@@ -60,39 +36,16 @@ def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
     return np.einsum("eq,eq->e", wts, g(pts)) / trimesh.edge_len[b]
 
 
-@dataclass
-class CRSystem:
-    """Assembled interior system plus the boundary data it was lifted with."""
-
-    trimesh: TriMesh
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    dofmap: CRDofMap
-    bc_values: np.ndarray
-
-    def full_dofs(self, x: np.ndarray) -> np.ndarray:
-        full = np.empty(self.trimesh.nedge)
-        full[self.dofmap.interior] = x
-        full[self.dofmap.boundary] = self.bc_values
-        return full
-
-
-def assemble_cr(trimesh: TriMesh, problem: Problem) -> CRSystem:
+def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
     """Assemble the triangular nonconforming system with Dirichlet lifting."""
     if problem.dim != 2:
         raise ValueError("triangular meshes are two-dimensional")
-    dm = cr_dof_map(trimesh)
-    g_full = np.zeros(trimesh.nedge)
-    bc = boundary_edge_means(trimesh, problem.boundary)
-    g_full[dm.boundary] = bc
+    return lift_and_scatter(trimesh,
+                            boundary_edge_means(trimesh, problem.boundary),
+                            _local_blocks(trimesh, problem))
 
-    n = dm.n_unknown
-    rhs = np.zeros(n)
-    # COO triplets, at most 9 per triangle; int32 ids are what scipy keeps
-    data = np.empty(9 * trimesh.nt)
-    ri = np.empty(9 * trimesh.nt, dtype=np.int32)
-    ci = np.empty(9 * trimesh.nt, dtype=np.int32)
-    nnz = 0
+
+def _local_blocks(trimesh: TriMesh, problem: Problem):
     for rows in row_blocks(trimesh.nt):
         tables = cr_basis(trimesh, rows)
         pts, wts = tri_quadrature(trimesh, rows)
@@ -108,24 +61,7 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> CRSystem:
             local += np.einsum("tq,tqj,tqi->tij", wts * problem.c(pts),
                                phi, phi)
         load = np.einsum("tq,tqi->ti", wts * problem.f(pts), phi)
-
-        edges = trimesh.tri_edges[rows]
-        load -= np.einsum("tij,tj->ti", local, g_full[edges])
-        unk = dm.unknown[edges]
-        r = np.repeat(unk, 3, axis=1).ravel()
-        c = np.tile(unk, (1, 3)).ravel()
-        keep = (r >= 0) & (c >= 0)
-        end = nnz + np.count_nonzero(keep)
-        data[nnz:end] = local.ravel()[keep]
-        ri[nnz:end] = r[keep]
-        ci[nnz:end] = c[keep]
-        nnz = end
-        rkeep = unk.ravel() >= 0
-        np.add.at(rhs, unk.ravel()[rkeep], load.ravel()[rkeep])
-    matrix = sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
-                           shape=(n, n)).tocsr()
-    return CRSystem(trimesh=trimesh, matrix=matrix, rhs=rhs, dofmap=dm,
-                    bc_values=bc)
+        yield trimesh.tri_edges[rows], local, load
 
 
 @dataclass
@@ -388,10 +324,11 @@ def vertex_average(trimesh: TriMesh, cellvals: np.ndarray) -> VertexField:
     of its patch; the result is a continuous piecewise-linear field.
     """
     cellvals = np.asarray(cellvals, dtype=float)
-    num = np.zeros((trimesh.nv, 2))
-    den = np.zeros(trimesh.nv)
     flat = trimesh.triangles.ravel()
-    np.add.at(num, flat,
-              np.repeat(cellvals * trimesh.tri_area[:, None], 3, axis=0))
-    np.add.at(den, flat, np.repeat(trimesh.tri_area, 3))
+    weighted = np.repeat(cellvals * trimesh.tri_area[:, None], 3, axis=0)
+    num = np.stack([np.bincount(flat, weights=weighted[:, k],
+                                minlength=trimesh.nv) for k in (0, 1)],
+                   axis=1)
+    den = np.bincount(flat, weights=np.repeat(trimesh.tri_area, 3),
+                      minlength=trimesh.nv)
     return VertexField(trimesh, num / den[:, None])

@@ -6,11 +6,12 @@ freedom sit on the facets of K, either as facet means ("mean") or as
 facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
-Box tables are built for every element at once. Monomials are expressed
-in centered coordinates xi = (x - center)/scale, which keeps the dual
-(generalized Vandermonde) systems well conditioned under refinement; the
-scale is uniform across components so the difference-of-squares terms
-stay inside the span.
+Box tables are built for every element at once and evaluated for the
+rows asked for (all by default). Monomials are expressed in centered
+coordinates xi = (x - center)/scale, which keeps the dual (generalized
+Vandermonde) systems well conditioned under refinement; the scale is
+uniform across components so the difference-of-squares terms stay
+inside the span.
 
 Triangle tables and quadrature are built for the rows asked for (all by
 default), so that the triangular pipeline can work through a large mesh
@@ -70,13 +71,14 @@ class BasisTables:
     order matches TensorMesh.elem_facets.
     """
 
-    kind: str
     center: np.ndarray        # (ne, d)
     scale: np.ndarray         # (ne,)
     coeff: np.ndarray         # (ne, nm, ndof)
 
-    def local_coords(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self.center[:, None, :]) / self.scale[:, None, None]
+    def local_coords(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Scaled coordinates of pts (ne, nq, d) in the elements rows."""
+        return ((pts - self.center[rows, None, :])
+                / self.scale[rows, None, None])
 
 
 def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
@@ -121,25 +123,29 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
                 xi = np.zeros((ne, d))
                 xi[:, k] = sign * half[:, k]
                 M[:, 2 * k + side, :] = span_values(xi)
-    tables = BasisTables(kind=kind,
-                         center=mesh.elem_center,
+    tables = BasisTables(center=mesh.elem_center,
                          scale=0.5 * mesh.elem_ext.max(axis=1),
                          coeff=np.linalg.inv(M))
     mesh._cache[key] = tables
     return tables
 
 
-def basis_values(tables: BasisTables, pts: np.ndarray) -> np.ndarray:
-    """Basis function values at pts (ne, nq, d) -> (ne, nq, ndof)."""
-    xi = tables.local_coords(pts)
-    return span_values(xi) @ tables.coeff
+def basis_values(tables: BasisTables, pts: np.ndarray,
+                 rows=slice(None)) -> np.ndarray:
+    """Basis values at pts (ne, nq, d) of the elements rows: (ne, nq, ndof)."""
+    xi = tables.local_coords(pts, rows)
+    return span_values(xi) @ tables.coeff[rows]
 
 
-def basis_gradients(tables: BasisTables, pts: np.ndarray) -> np.ndarray:
-    """Basis gradients at pts (ne, nq, d) -> (ne, nq, d, ndof)."""
-    xi = tables.local_coords(pts)
-    g = span_gradients(xi, 1.0 / tables.scale[:, None])
-    return np.einsum("eqdm,emj->eqdj", g, tables.coeff)
+def basis_gradients(tables: BasisTables, pts: np.ndarray,
+                    rows=slice(None)) -> np.ndarray:
+    """Basis gradients at pts (ne, nq, d) of the elements rows.
+
+    Shape (ne, nq, d, ndof).
+    """
+    xi = tables.local_coords(pts, rows)
+    g = span_gradients(xi, 1.0 / tables.scale[rows, None])
+    return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
 
 
 @dataclass

@@ -253,6 +253,10 @@ class TriMesh:
         Adjacent triangle ids in increasing order; -1 where absent.
     edge_mid, edge_len, edge_boundary, interior_edges, boundary_edges,
     tri_area, tri_center : derived geometry.
+    nf, elem_facets, interior_facets, boundary_facets
+        The same objects as nedge, tri_edges, interior_edges and
+        boundary_edges, under the facet names TensorMesh uses, so dof
+        numbering and assembly serve both mesh types.
     uniform_parallel : bool
         True when built so each adjacent triangle pair forms a
         parallelogram (required by the edge-averaging recovery theory).
@@ -298,6 +302,10 @@ class TriMesh:
         self.edge_boundary = _frozen(bnd)
         self.interior_edges = _frozen(np.flatnonzero(~bnd))
         self.boundary_edges = _frozen(np.flatnonzero(bnd))
+        self.nf = self.nedge
+        self.elem_facets = self.tri_edges
+        self.interior_facets = self.interior_edges
+        self.boundary_facets = self.boundary_edges
         self._cache: dict = {}
 
     @property

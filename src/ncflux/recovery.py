@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CHUNK, NcrtField, _slice_tables
+from .assembly import CHUNK, NcrtField
 from .elements import (BrokenRT, basis_values, cell_quadrature,
                        facet_quadrature, nc_basis, row_blocks)
 from .mesh import TensorMesh
@@ -65,8 +65,7 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
     ne = mesh.ne
     coef = np.empty((ne, nb))
     for blk in row_blocks(ne, CHUNK):
-        xi = ((pts[blk] - tables.center[blk, None, :])
-              / tables.scale[blk, None, None])
+        xi = tables.local_coords(pts[blk], blk)
         nq = pts.shape[1]
         B = np.zeros((xi.shape[0], nq, d, nb))
         for j in range(d):
@@ -181,7 +180,7 @@ class MidpointFlux:
         tables = nc_basis(mesh, "midpoint")
         out = np.empty(pts.shape)
         for blk in row_blocks(mesh.ne, CHUNK):
-            phi = basis_values(_slice_tables(tables, blk), pts[blk])
+            phi = basis_values(tables, pts[blk], blk)
             local = self.values[mesh.elem_facets[blk]]       # (b, ndof, d)
             out[blk] = np.einsum("bqj,bjd->bqd", phi, local)
         return out

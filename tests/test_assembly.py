@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from ncflux.assembly import (assemble, boundary_means, dof_map,
+from ncflux import assembly, recovery
+from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              reconstruct_field)
-from ncflux.elements import basis_gradients, basis_values, cell_quadrature, nc_basis
-from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
+from ncflux.cr import assemble_cr
+from ncflux.elements import (basis_gradients, basis_values, cell_quadrature,
+                             nc_basis, row_blocks)
+from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
+                         refine_midpoint)
+from ncflux.recovery import corrected_flux, midpoint_average
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.sparse_solve import dense_lu
 
@@ -265,10 +270,63 @@ def test_dimension_mismatch_rejected():
         assemble(mesh, problem2())
 
 
-def test_dof_map_partitions_facets():
-    mesh = build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0))
+@pytest.mark.parametrize("mesh_factory, assembler", [
+    (lambda: build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)),
+     assemble),
+    (lambda: build_uniform_parallel(3, 2), assemble_cr),
+], ids=["box", "tri"])
+def test_dof_map_partitions_facets(mesh_factory, assembler):
+    mesh = mesh_factory()
     dm = dof_map(mesh)
     assert dm.n_unknown == mesh.interior_facets.size
     assert np.all(dm.unknown[dm.boundary] == -1)
     assert np.all(dm.unknown[dm.interior] == np.arange(dm.n_unknown))
     assert dm.n_unknown + dm.boundary.size == mesh.nf
+    system = assembler(mesh, problem1())
+    assert isinstance(system, LinearSystem)
+    assert system.dofmap is dm
+    assert system.full_dofs(np.zeros(dm.n_unknown)).shape == (mesh.nf,)
+
+
+def chunked_level(mesh, prob):
+    """The per-level box quantities of the study, for comparing chunk sizes."""
+    system = assemble(mesh, prob)
+    x, _ = dense_lu(system.matrix, system.rhs)
+    field = reconstruct_field(mesh, system.full_dofs(x))
+    pts, _ = cell_quadrature(mesh)
+    sigma = corrected_flux(field, prob)
+    recovered = midpoint_average(sigma)
+    return (system, field.values(pts), field.gradients(pts), sigma,
+            recovered.eval_at(pts))
+
+
+@pytest.mark.parametrize("mesh_factory, prob", [
+    (lambda: perturb(refine_midpoint(refine_midpoint(build_tensor_mesh(
+        *problem1().initial_gridlines))), 0.2, seed=31), problem1()),
+    (lambda: perturb(refine_midpoint(build_tensor_mesh(
+        *problem2().initial_gridlines)), 0.2, seed=32), problem2()),
+], ids=["2d", "3d"])
+def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
+                                              prob):
+    mesh = mesh_factory()
+    # recovery imports CHUNK by value, so both modules are patched
+    for module in (assembly, recovery):
+        monkeypatch.setattr(module, "CHUNK", 5)
+    assert len(row_blocks(mesh.ne, assembly.CHUNK)) > 2
+    assert mesh.ne % assembly.CHUNK != 0
+    chunked = chunked_level(mesh, prob)
+    for module in (assembly, recovery):
+        monkeypatch.setattr(module, "CHUNK", mesh.ne)
+    whole = chunked_level(mesh, prob)
+
+    (sys_c, values_c, grads_c, sig_c, rec_c) = chunked
+    (sys_w, values_w, grads_w, sig_w, rec_w) = whole
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sys_c.matrix, name),
+                              getattr(sys_w.matrix, name))
+    assert np.array_equal(sys_c.rhs, sys_w.rhs)
+    assert np.array_equal(values_c, values_w)
+    assert np.array_equal(grads_c, grads_w)
+    assert np.array_equal(sig_c.alpha, sig_w.alpha)
+    assert np.array_equal(sig_c.beta, sig_w.beta)
+    assert np.array_equal(rec_c, rec_w)

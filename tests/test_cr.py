@@ -6,7 +6,7 @@ from ncflux import elements
 from ncflux.analysis import l2_error
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, TriRT,
                        assemble_cr, boundary_edge_means, cell_means,
-                       corrected_flux_cr, cr_dof_map, edge_midpoint_average,
+                       corrected_flux_cr, edge_midpoint_average,
                        edge_normals, max_normal_jump_tri, rt_interpolate_tri,
                        vertex_average)
 from ncflux.elements import (cr_basis, edge_quadrature, row_blocks,
@@ -100,14 +100,6 @@ def test_three_dimensional_problem_rejected():
     mesh = build_uniform_parallel(2, 2)
     with pytest.raises(ValueError):
         assemble_cr(mesh, problem2())
-
-
-def test_dof_map_partitions_edges():
-    mesh = build_uniform_parallel(3, 2)
-    dm = cr_dof_map(mesh)
-    assert dm.n_unknown == mesh.interior_edges.size
-    assert np.all(dm.unknown[dm.boundary] == -1)
-    assert dm.n_unknown + dm.boundary.size == mesh.nedge
 
 
 def test_boundary_edge_means_of_linear_data():

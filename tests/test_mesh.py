@@ -237,3 +237,11 @@ def test_triangle_mesh_validation():
         TriMesh(verts, np.array([[0, 1, 1]]))
     with pytest.raises(ValueError):
         build_uniform_parallel(0, 2)
+
+
+def test_triangle_facet_names_are_the_edge_arrays():
+    mesh = build_uniform_parallel(3, 2)
+    assert mesh.nf == mesh.nedge
+    assert mesh.elem_facets is mesh.tri_edges
+    assert mesh.interior_facets is mesh.interior_edges
+    assert mesh.boundary_facets is mesh.boundary_edges
