@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import assembly
 from .assembly import assemble, reconstruct_field
 from .cr import (CRField, RawFlux, assemble_cr, cell_means,
                  corrected_flux_cr, edge_midpoint_average, rt_interpolate_tri)
@@ -44,26 +45,34 @@ def l2_error(mesh, exact, approx=None) -> float:
     exact is a pointwise callable on quadrature points or a discrete
     field; approx is a discrete field (anything with eval_at or values
     taking the same points) or a plain callable. Scalar and vector
-    integrands are both accepted. On triangles the integral is summed a
-    block of triangles at a time and discrete fields are evaluated with the
-    block's rows; a plain callable approx sees the points of the whole mesh
-    at once.
+    integrands are both accepted. The integral is summed a block of
+    elements at a time (``assembly.CHUNK`` boxes or ``TRI_BLOCK``
+    triangles) and discrete fields are evaluated with the block's rows;
+    a plain callable approx sees the points of the whole mesh at once.
     """
     if isinstance(mesh, TensorMesh):
         pts, wts = cell_quadrature(mesh)
-        return float(np.sqrt(_square_integral(exact, approx, pts, wts)))
-    if not isinstance(mesh, TriMesh):
+        n, size = mesh.ne, assembly.CHUNK
+
+        def quadrature(rows):
+            return pts[rows], wts[rows]
+    elif isinstance(mesh, TriMesh):
+        n, size = mesh.nt, None
+
+        def quadrature(rows):
+            return tri_quadrature(mesh, rows)
+    else:
         raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
     if approx is None or _is_field(approx):
-        blocks = row_blocks(mesh.nt)
+        blocks = row_blocks(n, size)
     else:
         blocks = [slice(None)]
-    total = sum(_square_integral(exact, approx, *tri_quadrature(mesh, rows),
-                                 rows=rows) for rows in blocks)
+    total = sum(_square_integral(exact, approx, *quadrature(rows), rows=rows)
+                for rows in blocks)
     return float(np.sqrt(total))
 
 
-def _square_integral(exact, approx, pts, wts, rows=None):
+def _square_integral(exact, approx, pts, wts, rows):
     vals = np.asarray(_eval_discrete(exact, pts, rows), dtype=float)
     if approx is not None:
         vals = vals - _eval_discrete(approx, pts, rows)
@@ -75,13 +84,12 @@ def _is_field(obj) -> bool:
     return hasattr(obj, "eval_at") or callable(getattr(obj, "values", None))
 
 
-def _eval_discrete(obj, pts, rows=None):
-    """obj at pts; rows (triangular fields only) selects their triangles."""
-    args = (pts,) if rows is None else (pts, rows)
+def _eval_discrete(obj, pts, rows):
+    """obj at pts; rows selects the elements of a discrete field."""
     if hasattr(obj, "eval_at"):
-        return obj.eval_at(*args)
+        return obj.eval_at(pts, rows)
     if _is_field(obj):
-        return obj.values(*args)
+        return obj.values(pts, rows)
     return obj(pts)
 
 
@@ -219,14 +227,12 @@ def _tensor_level(mesh: TensorMesh, problem: Problem,
     interp = rt_interpolate(mesh, aflux)
     recovered = midpoint_average(sigma)
 
-    def raw(pts):
-        return problem.a(pts)[..., None] * field.gradients(pts)
-
     record = LevelRecord(
         ne=mesh.ne, h=mesh.h,
         err_u=l2_error(mesh, problem.u, field),
-        err_flux_raw=l2_error(mesh, aflux, raw),
-        err_superclose=l2_error(mesh, (sigma - interp).eval_at),
+        err_flux_raw=l2_error(mesh, aflux,
+                              RawFlux(problem.a, field.gradient_rt())),
+        err_superclose=l2_error(mesh, sigma - interp),
         err_recovered=l2_error(mesh, aflux, recovered))
     return record, report
 

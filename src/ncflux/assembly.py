@@ -10,8 +10,15 @@ expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
 only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
 are mesh-specific.
 
-Element loops are chunked so the (chunk, nq, dim, ndof) gradient
-tensors stay small regardless of mesh size.
+Box element loops run over blocks of ``CHUNK`` elements, so the
+(chunk, nq, dim, ndof) gradient tensors stay small regardless of mesh
+size; ``recovery`` and the box error norms of ``analysis`` read the same
+``CHUNK`` when they are called. The per-point kernels are batched
+matmuls with the quadrature weights applied first: element matrices and
+loads here, ``elements.basis_gradients``, the Gram systems of
+``recovery.project_onto_gradients``, and the evaluation of ``NcrtField``
+and ``recovery.MidpointFlux``. ``NcrtField.gradients`` evaluates the
+exact affine form ``gradient_rt``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 
 from .elements import (BrokenRT, basis_gradients, basis_values,
                        cell_quadrature, facet_quadrature, nc_basis,
-                       row_blocks, span_gradients, span_values)
+                       row_blocks, span_values)
 from .mesh import TensorMesh, TriMesh
 from .problems import Problem
 
@@ -144,20 +151,26 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
 
 
 def _local_blocks(mesh: TensorMesh, problem: Problem):
+    # each integral is a weighted factor, transposed, times an unweighted
+    # one: a batched matmul per block, with the weights applied first
     tables = nc_basis(mesh, "mean")
     pts, wts = cell_quadrature(mesh)
     for blk in row_blocks(mesh.ne, CHUNK):
         p, w = pts[blk], wts[blk]
         phi = basis_values(tables, p, blk)             # (b, nq, ndof)
         gphi = basis_gradients(tables, p, blk)         # (b, nq, d, ndof)
-        aval = problem.a(p)
-        local = np.einsum("bq,bqdi,bqdj->bij", w * aval, gphi, gphi)
+        n, nq, d, ndof = gphi.shape
+        # w (a grad phi_i + b phi_i) . grad phi_j, as one matmul over
+        # (points, components)
+        wg = (w * problem.a(p))[:, :, None, None] * gphi
         if problem.b is not None:
-            bdotg = np.einsum("bqd,bqdj->bqj", problem.b(p), gphi)
-            local += np.einsum("bq,bqj,bqi->bij", w, bdotg, phi)
+            wg += (w[:, :, None] * problem.b(p))[..., None] * phi[:, :, None]
+        local = (wg.reshape(n, nq * d, ndof).transpose(0, 2, 1)
+                 @ gphi.reshape(n, nq * d, ndof))
+        wphi = phi.transpose(0, 2, 1) * w[:, None, :]   # (b, ndof, nq)
         if problem.c is not None:
-            local += np.einsum("bq,bqj,bqi->bij", w * problem.c(p), phi, phi)
-        load = np.einsum("bq,bqi->bi", w * problem.f(p), phi)
+            local += (wphi * problem.c(p)[:, None, :]) @ phi
+        load = (wphi @ problem.f(p)[:, :, None])[:, :, 0]
         yield mesh.elem_facets[blk], local, load
 
 
@@ -173,25 +186,18 @@ class NcrtField:
     dofs: np.ndarray             # (nf,)
     coeffs: np.ndarray           # (ne, nm)
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at element-local points (ne, nq, d) -> (ne, nq)."""
-        tables = nc_basis(self.mesh)
-        out = np.empty(pts.shape[:-1])
-        for blk in row_blocks(self.mesh.ne, CHUNK):
-            xi = tables.local_coords(pts[blk], blk)
-            out[blk] = np.einsum("eqm,em->eq", span_values(xi),
-                                 self.coeffs[blk])
-        return out
+    def values(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Values at points (ne, nq, d) of the elements rows -> (ne, nq)."""
+        xi = nc_basis(self.mesh).local_coords(pts, rows)
+        return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]
 
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        """Gradients at element-local points (ne, nq, d) -> (ne, nq, d)."""
-        tables = nc_basis(self.mesh)
-        out = np.empty(pts.shape)
-        for blk in row_blocks(self.mesh.ne, CHUNK):
-            xi = tables.local_coords(pts[blk], blk)
-            g = span_gradients(xi, 1.0 / tables.scale[blk, None])
-            out[blk] = np.einsum("eqdm,em->eqd", g, self.coeffs[blk])
-        return out
+    def gradients(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Gradients at points (ne, nq, d) of the elements rows.
+
+        Shape (ne, nq, d); evaluated from the exact affine form
+        gradient_rt.
+        """
+        return self.gradient_rt().eval_at(pts, rows)
 
     def values_at_centers(self) -> np.ndarray:
         # centered monomials all vanish at the center except the constant

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .assembly import LinearSystem, lift_and_scatter
-from .elements import (cr_basis, cr_values, edge_quadrature, row_blocks,
-                       tri_quadrature)
+from .elements import (BrokenRT, cr_basis, cr_values, edge_quadrature,
+                       row_blocks, tri_quadrature)
 from .mesh import TriMesh
 from .problems import Problem
 
@@ -90,13 +90,22 @@ class CRField:
 
 @dataclass
 class RawFlux:
-    """Raw discrete flux a grad u_h: a pointwise times constant gradients."""
+    """Raw discrete flux a grad u_h: a pointwise times the broken gradient.
+
+    grad holds constant per-element gradients (ne, d) or is a field with
+    eval_at(pts, rows), such as NcrtField.gradient_rt().
+    """
 
     a: Callable
-    grad: np.ndarray             # (nt, 2)
+    grad: np.ndarray | BrokenRT
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.a(pts)[..., None] * self.grad[rows, None, :]
+        grad = self.grad
+        if isinstance(grad, np.ndarray):
+            grad = grad[rows, None, :]
+        else:
+            grad = grad.eval_at(pts, rows)
+        return self.a(pts)[..., None] * grad
 
 
 def cell_means(trimesh: TriMesh, func) -> np.ndarray:

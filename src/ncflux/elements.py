@@ -145,7 +145,9 @@ def basis_gradients(tables: BasisTables, pts: np.ndarray,
     """
     xi = tables.local_coords(pts, rows)
     g = span_gradients(xi, 1.0 / tables.scale[rows, None])
-    return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
+    ne, nq, d, nm = g.shape
+    return (g.reshape(ne, nq * d, nm) @ tables.coeff[rows]).reshape(
+        ne, nq, d, -1)
 
 
 @dataclass
@@ -161,9 +163,9 @@ class BrokenRT:
     alpha: np.ndarray        # (ne, d)
     beta: np.ndarray         # (ne, d)
 
-    def eval_at(self, pts: np.ndarray) -> np.ndarray:
-        """Values at element-local points (ne, nq, d) -> (ne, nq, d)."""
-        return self.alpha[:, None, :] + self.beta[:, None, :] * pts
+    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
+        return self.alpha[rows, None, :] + self.beta[rows, None, :] * pts
 
     def divergence(self) -> np.ndarray:
         return self.beta.sum(axis=1)

@@ -52,7 +52,8 @@ class TensorMesh:
     """
 
     def __init__(self, gridlines, nondegeneracy_limit: float = 20.0):
-        gls = tuple(np.ascontiguousarray(g, dtype=float) for g in gridlines)
+        # copies: the mesh freezes its arrays and must not touch the caller's
+        gls = tuple(np.array(g, dtype=float) for g in gridlines)
         if len(gls) < 1:
             raise ValueError("need at least one axis")
         for k, g in enumerate(gls):
@@ -263,8 +264,9 @@ class TriMesh:
     """
 
     def __init__(self, vertices, triangles, uniform_parallel: bool = False):
-        v = np.ascontiguousarray(vertices, dtype=float)
-        t = np.ascontiguousarray(triangles, dtype=np.int64)
+        # copies: triangles are reoriented in place and both get frozen
+        v = np.array(vertices, dtype=float)
+        t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if t.ndim != 2 or t.shape[1] != 3:

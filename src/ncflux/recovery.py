@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CHUNK, NcrtField
+from . import assembly
+from .assembly import NcrtField
 from .elements import (BrokenRT, basis_values, cell_quadrature,
                        facet_quadrature, nc_basis, row_blocks)
 from .mesh import TensorMesh
@@ -64,18 +65,22 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
     tables = nc_basis(mesh, "mean")
     ne = mesh.ne
     coef = np.empty((ne, nb))
-    for blk in row_blocks(ne, CHUNK):
+    nq = pts.shape[1]
+    for blk in row_blocks(ne, assembly.CHUNK):
         xi = tables.local_coords(pts[blk], blk)
-        nq = pts.shape[1]
         B = np.zeros((xi.shape[0], nq, d, nb))
         for j in range(d):
             B[:, :, j, j] = 1.0
         for k in range(1, d):
             B[:, :, 0, d + k - 1] = xi[..., 0]
             B[:, :, k, d + k - 1] = -xi[..., k]
-        gram = np.einsum("eq,eqdi,eqdj->eij", wts[blk], B, B)
-        rhs = np.einsum("eq,eqd,eqdi->ei", wts[blk], values[blk], B)
-        coef[blk] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        # Gram matrix and right-hand side as wB^T @ (B | values), both
+        # flattened over (points, components)
+        wBt = (wts[blk][:, :, None, None] * B).reshape(
+            -1, nq * d, nb).transpose(0, 2, 1)
+        gram = wBt @ B.reshape(-1, nq * d, nb)
+        rhs = wBt @ values[blk].reshape(-1, nq * d, 1)
+        coef[blk] = np.linalg.solve(gram, rhs)[:, :, 0]
     s = tables.scale
     beta = np.empty((ne, d))
     beta[:, 0] = coef[:, d:].sum(axis=1) / s
@@ -174,16 +179,11 @@ class MidpointFlux:
     mesh: TensorMesh
     values: np.ndarray           # (nf, d)
 
-    def eval_at(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate at element-local points (ne, nq, d) -> (ne, nq, d)."""
+    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
         mesh = self.mesh
-        tables = nc_basis(mesh, "midpoint")
-        out = np.empty(pts.shape)
-        for blk in row_blocks(mesh.ne, CHUNK):
-            phi = basis_values(tables, pts[blk], blk)
-            local = self.values[mesh.elem_facets[blk]]       # (b, ndof, d)
-            out[blk] = np.einsum("bqj,bjd->bqd", phi, local)
-        return out
+        phi = basis_values(nc_basis(mesh, "midpoint"), pts, rows)
+        return phi @ self.values[mesh.elem_facets[rows]]
 
 
 def midpoint_average(flux: BrokenRT) -> MidpointFlux:

@@ -1,12 +1,19 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
+from ncflux import assembly
 from ncflux.assembly import reconstruct_field
-from ncflux.mesh import build_tensor_mesh, build_uniform_parallel
+from ncflux.cr import RawFlux
+from ncflux.elements import cell_quadrature, nc_basis
+from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
+                         refine_midpoint)
+from ncflux.problems import problem2
+from ncflux.recovery import midpoint_average
 
 from helpers import linear_problem
 
@@ -55,6 +62,36 @@ def test_error_is_symmetric_in_sign():
     b = l2_error(mesh, lambda x: x[..., 1], lambda x: x[..., 0])
     assert a == pytest.approx(b, abs=1e-15)
     assert a > 0.0
+
+
+def test_box_error_norms_allocate_one_block_at_a_time(monkeypatch):
+    prob = problem2()
+    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    while mesh.ne < 4096:
+        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
+    rng = np.random.default_rng(51)
+    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+    grad = field.gradient_rt()
+    recovered = midpoint_average(grad)
+    pts, wts = cell_quadrature(mesh)       # cached whole-mesh arrays
+    nc_basis(mesh, "midpoint")
+
+    def flux(x):
+        return prob.a(x)[..., None] * prob.grad_u(x)
+
+    monkeypatch.setattr(assembly, "CHUNK", 256)
+    block_bytes = (pts[:256].nbytes + wts[:256].nbytes)
+    assert 8 * block_bytes < pts.nbytes
+    for args in ((prob.u, field), (flux, RawFlux(prob.a, grad)),
+                 (grad,),
+                 (flux, recovered)):
+        tracemalloc.start()
+        try:
+            l2_error(mesh, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * block_bytes
 
 
 def test_unsupported_mesh_type_rejected():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from ncflux import assembly, recovery
+from ncflux import assembly
+from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              reconstruct_field)
-from ncflux.cr import assemble_cr
-from ncflux.elements import (basis_gradients, basis_values, cell_quadrature,
-                             nc_basis, row_blocks)
+from ncflux.cr import RawFlux, assemble_cr
+from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
+                             cell_quadrature, nc_basis, row_blocks,
+                             span_gradients)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
-from ncflux.recovery import corrected_flux, midpoint_average
+from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
+                             project_onto_gradients, rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.sparse_solve import dense_lu
 
@@ -205,13 +208,18 @@ def test_reconstruct_linear_field_reproduces_it():
 
 
 def test_gradient_rt_agrees_with_pointwise_gradients():
+    # the closed affine form against the dof-weighted basis gradients
     rng = np.random.default_rng(9)
     mesh = perturb(refine_midpoint(
         build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=5)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
     pts, _ = cell_quadrature(mesh)
+    gphi = basis_gradients(nc_basis(mesh), pts)
+    pointwise = np.einsum("eqdj,ej->eqd", gphi,
+                          field.dofs[mesh.elem_facets])
     rt = field.gradient_rt()
-    assert np.abs(rt.eval_at(pts) - field.gradients(pts)).max() < 1e-11
+    assert np.abs(rt.eval_at(pts) - pointwise).max() < 1e-11
+    assert np.array_equal(field.gradients(pts), rt.eval_at(pts))
 
 
 def test_reconstruct_rejects_wrong_dof_count():
@@ -296,8 +304,14 @@ def chunked_level(mesh, prob):
     pts, _ = cell_quadrature(mesh)
     sigma = corrected_flux(field, prob)
     recovered = midpoint_average(sigma)
+    interp = rt_interpolate(mesh, prob.grad_u)
+    errors = np.array([
+        l2_error(mesh, prob.u, field),
+        l2_error(mesh, prob.grad_u, RawFlux(prob.a, field.gradient_rt())),
+        l2_error(mesh, sigma - interp),
+        l2_error(mesh, prob.grad_u, recovered)])
     return (system, field.values(pts), field.gradients(pts), sigma,
-            recovered.eval_at(pts))
+            recovered.eval_at(pts), errors)
 
 
 @pytest.mark.parametrize("mesh_factory, prob", [
@@ -309,18 +323,16 @@ def chunked_level(mesh, prob):
 def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
                                               prob):
     mesh = mesh_factory()
-    # recovery imports CHUNK by value, so both modules are patched
-    for module in (assembly, recovery):
-        monkeypatch.setattr(module, "CHUNK", 5)
+    # every box module reads the block size from assembly at call time
+    monkeypatch.setattr(assembly, "CHUNK", 5)
     assert len(row_blocks(mesh.ne, assembly.CHUNK)) > 2
     assert mesh.ne % assembly.CHUNK != 0
     chunked = chunked_level(mesh, prob)
-    for module in (assembly, recovery):
-        monkeypatch.setattr(module, "CHUNK", mesh.ne)
+    monkeypatch.setattr(assembly, "CHUNK", mesh.ne)
     whole = chunked_level(mesh, prob)
 
-    (sys_c, values_c, grads_c, sig_c, rec_c) = chunked
-    (sys_w, values_w, grads_w, sig_w, rec_w) = whole
+    (sys_c, values_c, grads_c, sig_c, rec_c, err_c) = chunked
+    (sys_w, values_w, grads_w, sig_w, rec_w, err_w) = whole
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(sys_c.matrix, name),
                               getattr(sys_w.matrix, name))
@@ -330,3 +342,105 @@ def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
     assert np.array_equal(sig_c.alpha, sig_w.alpha)
     assert np.array_equal(sig_c.beta, sig_w.beta)
     assert np.array_equal(rec_c, rec_w)
+    # only the order of the block sums differs
+    assert np.all(np.abs(err_c - err_w) <= 1e-14 * err_w)
+
+
+# -- batched-matmul kernels against their einsum form --------------------------
+
+def perturbed_level(prob, refinements, seed):
+    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    for _ in range(refinements):
+        mesh = refine_midpoint(mesh)
+    return perturb(mesh, 0.2, seed=seed)
+
+
+def einsum_gradients(tables, pts):
+    xi = tables.local_coords(pts)
+    g = span_gradients(xi, 1.0 / tables.scale[:, None])
+    return np.einsum("eqdm,emj->eqdj", g, tables.coeff)
+
+
+def einsum_local_blocks(mesh, problem):
+    tables = nc_basis(mesh, "mean")
+    p, w = cell_quadrature(mesh)
+    phi = basis_values(tables, p)
+    gphi = einsum_gradients(tables, p)
+    local = np.einsum("bq,bqdi,bqdj->bij", w * problem.a(p), gphi, gphi)
+    if problem.b is not None:
+        bdotg = np.einsum("bqd,bqdj->bqj", problem.b(p), gphi)
+        local += np.einsum("bq,bqj,bqi->bij", w, bdotg, phi)
+    if problem.c is not None:
+        local += np.einsum("bq,bqj,bqi->bij", w * problem.c(p), phi, phi)
+    load = np.einsum("bq,bqi->bi", w * problem.f(p), phi)
+    return local, load
+
+
+def einsum_projection(mesh, values, pts, wts):
+    d = mesh.dim
+    nb = 2 * d - 1
+    tables = nc_basis(mesh, "mean")
+    xi = tables.local_coords(pts)
+    B = np.zeros(pts.shape[:2] + (d, nb))
+    for j in range(d):
+        B[:, :, j, j] = 1.0
+    for k in range(1, d):
+        B[:, :, 0, d + k - 1] = xi[..., 0]
+        B[:, :, k, d + k - 1] = -xi[..., k]
+    gram = np.einsum("eq,eqdi,eqdj->eij", wts, B, B)
+    rhs = np.einsum("eq,eqd,eqdi->ei", wts, values, B)
+    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+
+
+def close(got, ref, rel=1e-13):
+    return np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("prob, refinements, seed", [
+    (problem1(), 2, 41), (problem2(), 1, 42)], ids=["2d-p1", "3d-p2"])
+def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
+    mesh = perturbed_level(prob, refinements, seed)
+    assert (prob.b is not None and prob.c is not None) == (mesh.dim == 2)
+    tables = nc_basis(mesh, "mean")
+    pts, wts = cell_quadrature(mesh)
+    assert close(basis_gradients(tables, pts), einsum_gradients(tables, pts))
+
+    blocks = list(assembly._local_blocks(mesh, prob))
+    assert len(blocks) == 1
+    facets, local, load = blocks[0]
+    ref_local, ref_load = einsum_local_blocks(mesh, prob)
+    assert np.array_equal(facets, mesh.elem_facets)
+    assert close(local, ref_local)
+    assert close(load, ref_load)
+
+    rng = np.random.default_rng(seed)
+    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+    values = prob.a(pts)[..., None] * field.gradients(pts)
+    coef = einsum_projection(mesh, values, pts, wts)
+    got = project_onto_gradients(mesh, values, pts, wts)
+    s = tables.scale
+    d = mesh.dim
+    # the projection's coefficients, read back from its affine form
+    beta_k = -coef[:, d:] / s[:, None]
+    assert close(got.beta[:, 1:], beta_k)
+    assert close(got.beta[:, 0], coef[:, d:].sum(axis=1) / s)
+    assert close(got.alpha, coef[:, :d] - got.beta * tables.center)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_fields_evaluate_one_block_of_rows(dim):
+    rng = np.random.default_rng(43 + dim)
+    gl = np.linspace(0.0, 1.0, 4)
+    mesh = perturb(build_tensor_mesh(*([gl] * dim)), 0.2, seed=44)
+    pts, _ = cell_quadrature(mesh)
+    rows = slice(5, 17)
+    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+    flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, dim)),
+                    rng.normal(size=(mesh.ne, dim)))
+    evaluators = [
+        field.values, field.gradients, flux.eval_at,
+        MidpointFlux(mesh, rng.normal(size=(mesh.nf, dim))).eval_at,
+        RawFlux(lambda x: 1.0 + x[..., 0], flux).eval_at,
+    ]
+    for ev in evaluators:
+        assert np.array_equal(ev(pts[rows], rows), ev(pts)[rows])

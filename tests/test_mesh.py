@@ -182,6 +182,23 @@ def test_triangles_oriented_counterclockwise():
     assert mesh.tri_area[0] == pytest.approx(0.5)
 
 
+def test_meshes_leave_the_caller_arrays_alone():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[0, 2, 1]], dtype=np.int64)
+    mesh = TriMesh(verts, tris)
+    assert tris.tolist() == [[0, 2, 1]]
+    assert tris.flags.writeable and verts.flags.writeable
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    # the arrays of a built mesh are read-only and can seed another mesh
+    base = build_uniform_parallel(3, 2)
+    again = TriMesh(base.vertices, base.triangles)
+    assert np.array_equal(again.triangles, base.triangles)
+    assert np.array_equal(again.edges, base.edges)
+    grid = np.array(GRID_X)
+    build_tensor_mesh(grid, GRID_Y)
+    assert grid.flags.writeable
+
+
 def test_edges_are_the_sorted_distinct_vertex_pairs():
     base = build_uniform_parallel(4, 3)
     perm = np.random.default_rng(0).permutation(base.nt)
