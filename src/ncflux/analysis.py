@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import assembly
-from .assembly import assemble, reconstruct_field
+from .assembly import assemble, nested_dissection, reconstruct_field
 from .cr import (CRField, RawFlux, assemble_cr, cell_means,
                  corrected_flux_cr, edge_midpoint_average, rt_interpolate_tri)
 from .elements import cell_quadrature, row_blocks, tri_quadrature
@@ -47,15 +47,15 @@ def l2_error(mesh, exact, approx=None) -> float:
     taking the same points) or a plain callable. Scalar and vector
     integrands are both accepted. The integral is summed a block of
     elements at a time (``assembly.CHUNK`` boxes or ``TRI_BLOCK``
-    triangles) and discrete fields are evaluated with the block's rows;
-    a plain callable approx sees the points of the whole mesh at once.
+    triangles), with the quadrature mapped for that block, and discrete
+    fields are evaluated with the block's rows; a plain callable approx
+    sees the points of the whole mesh at once.
     """
     if isinstance(mesh, TensorMesh):
-        pts, wts = cell_quadrature(mesh)
         n, size = mesh.ne, assembly.CHUNK
 
         def quadrature(rows):
-            return pts[rows], wts[rows]
+            return cell_quadrature(mesh, rows)
     elif isinstance(mesh, TriMesh):
         n, size = mesh.nt, None
 
@@ -176,11 +176,17 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
     return skip
 
 
-def _solve_system(matrix, rhs, config: StudyConfig):
+def _solve_system(system, config: StudyConfig):
+    matrix, rhs, mesh = system.matrix, system.rhs, system.mesh
     if config.solver == "dense":
         return dense_lu(matrix, rhs)
+    # 2d boxes: LU-preconditioned in nested-dissection order. Triangles
+    # keep Jacobi (the factor's memory), 3d boxes too (its fill).
+    order = (nested_dissection(mesh)
+             if isinstance(mesh, TensorMesh) and mesh.dim == 2 else None)
     try:
-        return solve(matrix, rhs, method=config.solver, tol=config.tol)
+        return solve(matrix, rhs, method=config.solver, tol=config.tol,
+                     order=order)
     except SolverError:
         if matrix.shape[0] <= DENSE_LIMIT:
             return dense_lu(matrix, rhs)
@@ -219,7 +225,7 @@ def _exact_flux(problem: Problem):
 def _tensor_level(mesh: TensorMesh, problem: Problem,
                   config: StudyConfig):
     system = assemble(mesh, problem)
-    x, report = _solve_system(system.matrix, system.rhs, config)
+    x, report = _solve_system(system, config)
     field = reconstruct_field(mesh, system.full_dofs(x))
     aflux = _exact_flux(problem)
 
@@ -239,7 +245,7 @@ def _tensor_level(mesh: TensorMesh, problem: Problem,
 
 def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
     system = assemble_cr(mesh, problem)
-    x, report = _solve_system(system.matrix, system.rhs, config)
+    x, report = _solve_system(system, config)
     field = CRField(mesh, system.full_dofs(x))
     aflux = _exact_flux(problem)
 

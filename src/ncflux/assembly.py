@@ -10,15 +10,19 @@ expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
 only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
 are mesh-specific.
 
-Box element loops run over blocks of ``CHUNK`` elements, so the
-(chunk, nq, dim, ndof) gradient tensors stay small regardless of mesh
-size; ``recovery`` and the box error norms of ``analysis`` read the same
-``CHUNK`` when they are called. The per-point kernels are batched
-matmuls with the quadrature weights applied first: element matrices and
-loads here, ``elements.basis_gradients``, the Gram systems of
-``recovery.project_onto_gradients``, and the evaluation of ``NcrtField``
-and ``recovery.MidpointFlux``. ``NcrtField.gradients`` evaluates the
-exact affine form ``gradient_rt``.
+Box element loops run over blocks of ``CHUNK`` elements and map the
+quadrature rule for one block at a time, so the per-point arrays stay
+small regardless of mesh size; ``recovery`` and the box error norms of
+``analysis`` read the same ``CHUNK`` when they are called. Problem data
+is checked to be finite block by block as it is sampled. The per-point
+kernels are batched matmuls with the quadrature weights applied first:
+element matrices and loads here, ``elements.basis_gradients``, the Gram
+systems of ``recovery.project_onto_gradients``, and the evaluation of
+``NcrtField`` and ``recovery.MidpointFlux``. ``NcrtField.gradients``
+evaluates the exact affine form ``gradient_rt``.
+
+``nested_dissection`` orders the unknowns of a box mesh for the sparse
+LU that preconditions the 2d box solve (``sparse_solve.solve``).
 """
 
 from __future__ import annotations
@@ -63,12 +67,64 @@ def dof_map(mesh: TensorMesh | TriMesh) -> DofMap:
     return hit
 
 
+ND_LEAF = 64         # cells per leaf box of nested_dissection
+
+
+def nested_dissection(mesh: TensorMesh) -> np.ndarray:
+    """Fill-reducing order of the unknowns of a box mesh (George, 1973).
+
+    The cell index box is cut at the middle gridline of its longer side;
+    the interior facets on that gridline separate the two halves, which
+    are ordered first, each by the same rule, then the separator. Boxes
+    of at most ND_LEAF cells keep facet-id order. Returns order with
+    order[i] the unknown placed i-th.
+    """
+    dm = dof_map(mesh)
+    axis = mesh.facet_axis[dm.interior]
+    # cell index of the upper neighbour: the facet's gridline along its
+    # normal, the cells it spans along the other axes
+    coord = mesh.elem_index[mesh.facet_elems[dm.interior, 1]]
+    out = []
+
+    def split(unk, lo, hi):
+        ext = [h - l for l, h in zip(lo, hi)]
+        if np.prod(ext) <= ND_LEAF:
+            out.append(unk)
+            return
+        k = int(np.argmax(ext))
+        mid = (lo[k] + hi[k]) // 2
+        c = coord[unk, k]
+        sep = (axis[unk] == k) & (c == mid)
+        left = c < mid
+        split(unk[left], lo, hi[:k] + (mid,) + hi[k + 1:])
+        split(unk[~left & ~sep], lo[:k] + (mid,) + lo[k + 1:], hi)
+        out.append(unk[sep])
+
+    split(np.arange(dm.n_unknown), (0,) * mesh.dim, tuple(mesh.shape))
+    return np.concatenate(out)
+
+
+def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """values, the samples of problem data name at pts, if all are finite.
+
+    Raises ValueError naming the data and the first point with a NaN or
+    infinite sample, so bad input stops assembly instead of reaching a
+    report.
+    """
+    ok = np.isfinite(values)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"problem data {name} is not finite at "
+                         f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
+    return values
+
+
 def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
     """Facet means of g on boundary facets, ordered like boundary_facets."""
-    pts, wts = facet_quadrature(mesh)
     b = mesh.boundary_facets
-    vals = g(pts[b])
-    return np.einsum("fq,fq->f", wts[b], vals) / mesh.facet_measure[b]
+    pts, wts = facet_quadrature(mesh, b)
+    vals = finite("g", g(pts), pts)
+    return np.einsum("fq,fq->f", wts, vals) / mesh.facet_measure[b]
 
 
 @dataclass
@@ -154,23 +210,23 @@ def _local_blocks(mesh: TensorMesh, problem: Problem):
     # each integral is a weighted factor, transposed, times an unweighted
     # one: a batched matmul per block, with the weights applied first
     tables = nc_basis(mesh, "mean")
-    pts, wts = cell_quadrature(mesh)
     for blk in row_blocks(mesh.ne, CHUNK):
-        p, w = pts[blk], wts[blk]
+        p, w = cell_quadrature(mesh, blk)
         phi = basis_values(tables, p, blk)             # (b, nq, ndof)
         gphi = basis_gradients(tables, p, blk)         # (b, nq, d, ndof)
         n, nq, d, ndof = gphi.shape
         # w (a grad phi_i + b phi_i) . grad phi_j, as one matmul over
         # (points, components)
-        wg = (w * problem.a(p))[:, :, None, None] * gphi
+        wg = (w * finite("a", problem.a(p), p))[:, :, None, None] * gphi
         if problem.b is not None:
-            wg += (w[:, :, None] * problem.b(p))[..., None] * phi[:, :, None]
+            wg += ((w[:, :, None] * finite("b", problem.b(p), p))[..., None]
+                   * phi[:, :, None])
         local = (wg.reshape(n, nq * d, ndof).transpose(0, 2, 1)
                  @ gphi.reshape(n, nq * d, ndof))
         wphi = phi.transpose(0, 2, 1) * w[:, None, :]   # (b, ndof, nq)
         if problem.c is not None:
-            local += (wphi * problem.c(p)[:, None, :]) @ phi
-        load = (wphi @ problem.f(p)[:, :, None])[:, :, 0]
+            local += (wphi * finite("c", problem.c(p), p)[:, None, :]) @ phi
+        load = (wphi @ finite("f", problem.f(p), p)[:, :, None])[:, :, 0]
         yield mesh.elem_facets[blk], local, load
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import LinearSystem, lift_and_scatter
+from .assembly import LinearSystem, finite, lift_and_scatter
 from .elements import (BrokenRT, cr_basis, cr_values, edge_quadrature,
                        row_blocks, tri_quadrature)
 from .mesh import TriMesh
@@ -33,7 +33,8 @@ def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
     """Edge means of g on boundary edges, ordered like boundary_edges."""
     b = trimesh.boundary_edges
     pts, wts = edge_quadrature(trimesh, b)
-    return np.einsum("eq,eq->e", wts, g(pts)) / trimesh.edge_len[b]
+    vals = finite("g", g(pts), pts)
+    return np.einsum("eq,eq->e", wts, vals) / trimesh.edge_len[b]
 
 
 def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
@@ -52,15 +53,18 @@ def _local_blocks(trimesh: TriMesh, problem: Problem):
         phi = cr_values(tables, pts)                   # (nt, nq, 3)
         gphi = tables.grad                             # (nt, 2, 3), constant
 
-        aint = np.einsum("tq,tq->t", wts, problem.a(pts))
+        aint = np.einsum("tq,tq->t", wts, finite("a", problem.a(pts), pts))
         local = np.einsum("t,tdi,tdj->tij", aint, gphi, gphi)
         if problem.b is not None:
-            bdotg = np.einsum("tqd,tdj->tqj", problem.b(pts), gphi)
+            bdotg = np.einsum("tqd,tdj->tqj",
+                              finite("b", problem.b(pts), pts), gphi)
             local += np.einsum("tq,tqj,tqi->tij", wts, bdotg, phi)
         if problem.c is not None:
-            local += np.einsum("tq,tqj,tqi->tij", wts * problem.c(pts),
+            local += np.einsum("tq,tqj,tqi->tij",
+                               wts * finite("c", problem.c(pts), pts),
                                phi, phi)
-        load = np.einsum("tq,tqi->ti", wts * problem.f(pts), phi)
+        load = np.einsum("tq,tqi->ti",
+                         wts * finite("f", problem.f(pts), pts), phi)
         yield trimesh.tri_edges[rows], local, load
 
 

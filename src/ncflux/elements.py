@@ -7,7 +7,8 @@ facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
 Box tables are built for every element at once and evaluated for the
-rows asked for (all by default). Monomials are expressed in centered
+rows asked for (all by default); box quadrature is mapped for the rows
+asked for and not kept. Monomials are expressed in centered
 coordinates xi = (x - center)/scale, which keeps the dual (generalized
 Vandermonde) systems well conditioned under refinement; the scale is
 uniform across components so the difference-of-squares terms stay
@@ -229,41 +230,37 @@ def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * lam
 
 
-# -- cached mesh quadrature --------------------------------------------------
+# -- box quadrature, mapped on demand -----------------------------------------
 
-def cell_quadrature(mesh: TensorMesh):
-    """Mapped tensor Gauss rule on every element: (pts, wts)."""
-    hit = mesh._cache.get("cell_quad")
-    if hit is None:
-        hit = map_to_box(tensor_rule(mesh.dim), mesh.elem_lo, mesh.elem_ext)
-        mesh._cache["cell_quad"] = hit
-    return hit
+def cell_quadrature(mesh: TensorMesh, rows=slice(None)):
+    """Mapped tensor Gauss rule on the elements ``rows``: (pts, wts)."""
+    return map_to_box(tensor_rule(mesh.dim), mesh.elem_lo[rows],
+                      mesh.elem_ext[rows])
 
 
-def facet_quadrature(mesh: TensorMesh):
-    """Mapped Gauss rule on every facet: (pts (nf, nq, d), wts (nf, nq))."""
-    hit = mesh._cache.get("facet_quad")
-    if hit is not None:
-        return hit
+def facet_quadrature(mesh: TensorMesh, rows=slice(None)):
+    """Mapped Gauss rule on the facets ``rows`` (all by default).
+
+    Returns (pts (nf, nq, d), wts (nf, nq)) for the facets asked for.
+    """
     d = mesh.dim
     ref = tensor_rule(d - 1)
-    nq = ref.npoints
-    pts = np.empty((mesh.nf, nq, d))
-    wts = np.empty((mesh.nf, nq))
-    fe = mesh.facet_elems
+    ids = np.arange(mesh.nf)[rows]
+    fe = mesh.facet_elems[ids]
     inside = np.where(fe[:, 1] >= 0, fe[:, 1], fe[:, 0])
+    axis = mesh.facet_axis[ids]
+    pts = np.empty((ids.size, ref.npoints, d))
+    wts = np.empty((ids.size, ref.npoints))
     for k in range(d):
-        sl = mesh.facet_block(k)
+        sel = np.flatnonzero(axis == k)
         other = [j for j in range(d) if j != k]
-        e = inside[sl]
-        lo = mesh.elem_lo[e][:, other]
-        ext = mesh.elem_ext[e][:, other]
-        pts[sl, :, k] = mesh.facet_midpoint[sl, k][:, None]
+        lo = mesh.elem_lo[inside[sel]][:, other]
+        ext = mesh.elem_ext[inside[sel]][:, other]
+        pts[sel, :, k] = mesh.facet_midpoint[ids[sel], k][:, None]
         for c, j in enumerate(other):
-            pts[sl, :, j] = (lo[:, None, c]
-                             + ext[:, None, c] * ref.points[:, c])
-        wts[sl] = np.prod(ext, axis=1)[:, None] * ref.weights
-    mesh._cache["facet_quad"] = (pts, wts)
+            pts[sel, :, j] = (lo[:, None, c]
+                              + ext[:, None, c] * ref.points[:, c])
+        wts[sel] = np.prod(ext, axis=1)[:, None] * ref.weights
     return pts, wts
 
 

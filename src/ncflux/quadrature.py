@@ -90,7 +90,12 @@ def map_to_box(rule: QuadRule, lo: np.ndarray, ext: np.ndarray):
     """
     lo = np.asarray(lo, dtype=float)
     ext = np.asarray(ext, dtype=float)
-    points = lo[..., None, :] + ext[..., None, :] * rule.points
+    # one axis at a time: the same bits as broadcasting over (nq, d), but
+    # numpy's inner loops then run over the nq points, not the d axes
+    points = np.empty(lo.shape[:-1] + rule.points.shape)
+    for k in range(lo.shape[-1]):
+        points[..., k] = (lo[..., k, None]
+                          + ext[..., k, None] * rule.points[:, k])
     weights = np.prod(ext, axis=-1)[..., None] * rule.weights
     return points, weights
 

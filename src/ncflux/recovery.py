@@ -60,14 +60,20 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
     quadrature points pts with weights wts; Gram systems are assembled
     per element from the same rule.
     """
+    return _projection(mesh, ((blk, values[blk], pts[blk], wts[blk])
+                              for blk in row_blocks(mesh.ne, assembly.CHUNK)))
+
+
+def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
+    # blocks yields (rows, values, pts, wts) covering the elements once
     d = mesh.dim
     nb = 2 * d - 1
     tables = nc_basis(mesh, "mean")
     ne = mesh.ne
     coef = np.empty((ne, nb))
-    nq = pts.shape[1]
-    for blk in row_blocks(ne, assembly.CHUNK):
-        xi = tables.local_coords(pts[blk], blk)
+    for blk, values, pts, wts in blocks:
+        nq = pts.shape[1]
+        xi = tables.local_coords(pts, blk)
         B = np.zeros((xi.shape[0], nq, d, nb))
         for j in range(d):
             B[:, :, j, j] = 1.0
@@ -76,10 +82,10 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
             B[:, :, k, d + k - 1] = -xi[..., k]
         # Gram matrix and right-hand side as wB^T @ (B | values), both
         # flattened over (points, components)
-        wBt = (wts[blk][:, :, None, None] * B).reshape(
+        wBt = (wts[:, :, None, None] * B).reshape(
             -1, nq * d, nb).transpose(0, 2, 1)
         gram = wBt @ B.reshape(-1, nq * d, nb)
-        rhs = wBt @ values[blk].reshape(-1, nq * d, 1)
+        rhs = wBt @ values.reshape(-1, nq * d, 1)
         coef[blk] = np.linalg.solve(gram, rhs)[:, :, 0]
     s = tables.scale
     beta = np.empty((ne, d))
@@ -98,13 +104,20 @@ def corrected_flux(field: NcrtField, problem: Problem,
     correction field scaled by the residual load f - b.grad u_h - c u_h.
     variant "centroid" samples that scalar at element centroids (the
     cheap choice used for the convergence tables); "projected" uses its
-    element mean.
+    element mean. Both work a block of ``assembly.CHUNK`` elements at a
+    time, so no per-point array spans the whole mesh.
     """
     mesh = field.mesh
-    pts, wts = cell_quadrature(mesh)
-    grads = field.gradients(pts)
-    raw = problem.a(pts)[..., None] * grads
-    q = project_onto_gradients(mesh, raw, pts, wts)
+    blocks = row_blocks(mesh.ne, assembly.CHUNK)
+    grad = field.gradient_rt()
+
+    def raw_flux():
+        for blk in blocks:
+            pts, wts = cell_quadrature(mesh, blk)
+            raw = problem.a(pts)[..., None] * grad.eval_at(pts, blk)
+            yield blk, raw, pts, wts
+
+    q = _projection(mesh, raw_flux())
 
     if variant == "centroid":
         xc = mesh.elem_center
@@ -115,12 +128,17 @@ def corrected_flux(field: NcrtField, problem: Problem,
         if problem.c is not None:
             p = p - problem.c(xc) * field.values_at_centers()
     elif variant == "projected":
-        pv = problem.f(pts)
-        if problem.b is not None:
-            pv = pv - np.einsum("eqd,eqd->eq", problem.b(pts), grads)
-        if problem.c is not None:
-            pv = pv - problem.c(pts) * field.values(pts)
-        p = np.einsum("eq,eq->e", wts, pv) / mesh.elem_measure
+        p = np.empty(mesh.ne)
+        for blk in blocks:
+            pts, wts = cell_quadrature(mesh, blk)
+            pv = problem.f(pts)
+            if problem.b is not None:
+                pv = pv - np.einsum("eqd,eqd->eq", problem.b(pts),
+                                    grad.eval_at(pts, blk))
+            if problem.c is not None:
+                pv = pv - problem.c(pts) * field.values(pts, blk)
+            p[blk] = np.einsum("eq,eq->e", wts, pv)
+        p /= mesh.elem_measure
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return q - correction_field(mesh).scaled_by(p)
@@ -131,13 +149,15 @@ def rt_interpolate(mesh: TensorMesh, vec) -> BrokenRT:
 
     Matches the facet integrals of the normal component, facet by facet,
     with the Gauss facet rule; the result has continuous normal
-    components by construction. vec maps points (..., d) to (..., d).
+    components by construction. vec maps points (..., d) to (..., d); it
+    is sampled a block of ``assembly.CHUNK`` facets at a time.
     """
-    pts, wts = facet_quadrature(mesh)
-    vals = vec(pts)
-    normal_comp = np.take_along_axis(
-        vals, mesh.facet_axis[:, None, None], axis=2)[..., 0]
-    dofs = np.einsum("fq,fq->f", wts, normal_comp)
+    dofs = np.empty(mesh.nf)
+    for rows in row_blocks(mesh.nf, assembly.CHUNK):
+        pts, wts = facet_quadrature(mesh, rows)
+        normal_comp = np.take_along_axis(
+            vec(pts), mesh.facet_axis[rows, None, None], axis=2)[..., 0]
+        dofs[rows] = np.einsum("fq,fq->f", wts, normal_comp)
 
     d = mesh.dim
     alpha = np.empty((mesh.ne, d))

@@ -1,9 +1,11 @@
 """Shared factories for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, assemble_cr
+from ncflux.mesh import build_tensor_mesh, perturb
 from ncflux.problems import custom_problem
 from ncflux.sparse_solve import solve
 
@@ -97,6 +99,22 @@ def jittered_parallel(nx, ny, amount=0.03, seed=3):
                  | (v[:, 1] < eps) | (v[:, 1] > 1.0 - eps))
     v[interior] += rng.uniform(-amount, amount, size=(interior.sum(), 2))
     return TriMesh(v, base.triangles.copy())
+
+
+@st.composite
+def perturbed_2d_meshes(draw, max_cells=24):
+    """Box meshes of up to max_cells x max_cells cells, gridlines shifted.
+
+    The two sides differ by at most a factor of two, so the cells stay
+    below the nondegeneracy limit.
+    """
+    nx = draw(st.integers(2, max_cells))
+    ny = draw(st.integers(max(2, nx // 2), min(max_cells, 2 * nx)))
+    fraction = draw(st.floats(0.0, 0.25))
+    seed = draw(st.integers(0, 2**16))
+    return perturb(build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1),
+                                     np.linspace(0.0, 1.0, ny + 1)),
+                   fraction, seed)
 
 
 def solve_tensor(mesh, problem, tol=1e-12):

@@ -73,7 +73,7 @@ def test_box_error_norms_allocate_one_block_at_a_time(monkeypatch):
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
     grad = field.gradient_rt()
     recovered = midpoint_average(grad)
-    pts, wts = cell_quadrature(mesh)       # cached whole-mesh arrays
+    pts, wts = cell_quadrature(mesh)       # whole-mesh rule, for its size
     nc_basis(mesh, "midpoint")
 
     def flux(x):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ncflux import assembly
 from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
-                             reconstruct_field)
+                             nested_dissection, reconstruct_field)
 from ncflux.cr import RawFlux, assemble_cr
 from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
                              cell_quadrature, nc_basis, row_blocks,
@@ -16,7 +17,7 @@ from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.sparse_solve import dense_lu
 
-from helpers import linear_problem, solve_tensor
+from helpers import linear_problem, perturbed_2d_meshes, solve_tensor
 
 
 def polynomial_problem():
@@ -444,3 +445,92 @@ def test_box_fields_evaluate_one_block_of_rows(dim):
     ]
     for ev in evaluators:
         assert np.array_equal(ev(pts[rows], rows), ev(pts)[rows])
+
+
+# -- nested-dissection order ----------------------------------------------------
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes())
+def test_nested_dissection_is_a_permutation_of_the_unknowns(mesh):
+    order = nested_dissection(mesh)
+    assert np.array_equal(np.sort(order), np.arange(dof_map(mesh).n_unknown))
+
+
+def check_dissection(mesh, matrix, order, lo, hi):
+    """Check that order, the unknowns of the cell box [lo, hi), is left
+    half, right half, then the separator, and that no matrix entry links
+    the halves; recurse into them. Returns the number of cuts checked.
+
+    Halves are told apart by facet midpoints against the gridline of the
+    cut, not by the cell indices the order is built from.
+    """
+    ext = [h - l for l, h in zip(lo, hi)]
+    if np.prod(ext) <= assembly.ND_LEAF:
+        return 0
+    k = int(np.argmax(ext))
+    mid = (lo[k] + hi[k]) // 2
+    cut = mesh.gridlines[k][mid]
+    facets = dof_map(mesh).interior[order]
+    x = mesh.facet_midpoint[facets, k]
+    sep = (mesh.facet_axis[facets] == k) & (x == cut)
+    nl = np.count_nonzero(x < cut)
+    nr = order.size - nl - np.count_nonzero(sep)
+    assert (x[:nl] < cut).all()
+    assert (x[nl:nl + nr] > cut).all()
+    assert sep[nl + nr:].all() and sep.any()
+    left, right = order[:nl], order[nl:nl + nr]
+    assert matrix[left][:, right].nnz == 0
+    assert matrix[right][:, left].nnz == 0
+    return (1 + check_dissection(mesh, matrix, left, lo,
+                                 hi[:k] + (mid,) + hi[k + 1:])
+            + check_dissection(mesh, matrix, right,
+                               lo[:k] + (mid,) + lo[k + 1:], hi))
+
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes())
+def test_nested_dissection_separators_decouple_their_halves(mesh):
+    matrix = assemble(mesh, problem1()).matrix
+    cuts = check_dissection(mesh, matrix, nested_dissection(mesh),
+                            (0, 0), mesh.shape)
+    assert (cuts > 0) == (mesh.ne > assembly.ND_LEAF)
+
+
+# -- non-finite problem data ---------------------------------------------------
+
+def poisoned_problem(name=None):
+    """A polynomial problem whose data name (if any) is NaN where x_0 > 0.6."""
+    def poison(values, x):
+        bad = x[..., 0] > 0.6
+        return np.where(bad if values.ndim == bad.ndim else bad[..., None],
+                        np.nan, values)
+
+    data = dict(
+        a=lambda x: 1.0 + x[..., 0] * x[..., 1],
+        b=lambda x: np.array(x, copy=True),
+        c=lambda x: 1.0 + x[..., 1],
+        source=lambda x: x[..., 0] + x[..., 1],
+        g=lambda x: x[..., 0] ** 2,
+    )
+    if name is not None:
+        key = "source" if name == "f" else name
+        clean = data[key]
+        data[key] = lambda x: poison(clean(x), x)
+    return custom_problem(
+        dim=2, u=lambda x: x[..., 0] ** 2,
+        grad_u=lambda x: np.stack([2.0 * x[..., 0], 0.0 * x[..., 1]],
+                                  axis=-1),
+        lap_u=lambda x: 2.0 + 0.0 * x[..., 0], **data,
+        initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c", "f", "g"])
+@pytest.mark.parametrize("mesh, assembler", [
+    (refine_midpoint(build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))),
+     assemble),
+    (build_uniform_parallel(4, 4), assemble_cr)], ids=["box", "tri"])
+def test_non_finite_problem_data_is_named(mesh, assembler, name):
+    with pytest.raises(ValueError, match=f"problem data {name} is not "
+                                         "finite at x = "):
+        assembler(mesh, poisoned_problem(name))
+    assert isinstance(assembler(mesh, poisoned_problem()), LinearSystem)

@@ -286,6 +286,20 @@ def test_facet_quadrature_weights_sum_to_measures():
         np.arange(mesh.nf)[:, None], ax[:, None]])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_quadrature_of_rows_is_the_whole_mesh_rule_sliced(dim):
+    mesh = perturb(random_mesh(dim, seed=14, n=4), 0.2, seed=15)
+    cells, facets = cell_quadrature(mesh), facet_quadrature(mesh)
+    for rows in (slice(5, 17), np.array([9, 2, 13, 2])):
+        for whole, part in ((cells, cell_quadrature(mesh, rows)),
+                            (facets, facet_quadrature(mesh, rows))):
+            assert np.array_equal(part[0], whole[0][rows])
+            assert np.array_equal(part[1], whole[1][rows])
+    b = mesh.boundary_facets
+    for whole, part in zip(facets, facet_quadrature(mesh, b)):
+        assert np.array_equal(part, whole[b])
+
+
 def test_tri_quadrature_weights_sum_to_areas():
     mesh = build_uniform_parallel(3, 2)
     pts, wts = tri_quadrature(mesh)

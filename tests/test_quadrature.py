@@ -128,6 +128,20 @@ def test_map_to_box_batched_linear_exact():
     assert np.allclose(val, exact, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (7,), (4, 5)])
+def test_map_to_box_fills_axes_like_the_broadcast_form(dim, batch):
+    rule = tensor_rule(dim)
+    rng = np.random.default_rng(dim + len(batch))
+    lo = rng.uniform(-1.0, 1.0, size=batch + (dim,))
+    ext = rng.uniform(0.1, 2.0, size=batch + (dim,))
+    pts, wts = map_to_box(rule, lo, ext)
+    assert np.array_equal(pts, lo[..., None, :] + ext[..., None, :]
+                          * rule.points)
+    assert np.array_equal(wts, np.prod(ext, axis=-1)[..., None]
+                          * rule.weights)
+
+
 def test_map_to_triangle_weight_sum_is_area():
     rule = triangle_rule()
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ncflux import assembly
 from ncflux.analysis import fit_order, l2_error
 from ncflux.assembly import reconstruct_field
-from ncflux.elements import BrokenRT, cell_quadrature
+from ncflux.elements import BrokenRT, cell_quadrature, nc_basis
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
-from ncflux.problems import custom_problem
+from ncflux.problems import custom_problem, problem2
 from ncflux.recovery import (MidpointFlux, correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
                              project_onto_gradients, rt_interpolate)
@@ -204,6 +207,31 @@ def test_corrected_flux_is_normally_continuous_for_cellwise_load():
     scale = 1.0 + np.abs(fbar).max()
     assert max_normal_jump(sigma) < 1e-9 * scale
     assert max_normal_jump(raw) > 1e-3
+
+
+def test_corrected_flux_allocates_one_block_at_a_time(monkeypatch):
+    prob = problem2()
+    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    while mesh.ne < 4096:
+        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
+    rng = np.random.default_rng(52)
+    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+    nc_basis(mesh, "mean")
+
+    monkeypatch.setattr(assembly, "CHUNK", 256)
+    pts, wts = cell_quadrature(mesh, slice(0, 256))
+    block_bytes = pts.nbytes + wts.nbytes
+    # the Gram kernel holds three (block, nq, d, 2d - 1) tensors, about
+    # 11 blocks of points here; the whole mesh's raw flux and gradients
+    # alone would take 24
+    for variant in ("centroid", "projected"):
+        tracemalloc.start()
+        try:
+            corrected_flux(field, prob, variant)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * block_bytes
 
 
 # -- facet-flux interpolation --------------------------------------------------

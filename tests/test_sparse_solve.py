@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from ncflux.assembly import assemble
-from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
+from ncflux.assembly import assemble, nested_dissection
+from ncflux.cr import assemble_cr
+from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
+                         refine_midpoint)
 from ncflux.problems import problem1
 from ncflux.sparse_solve import (DENSE_LIMIT, SolveReport, SolverError,
                                  dense_lu, solve)
+
+from helpers import perturbed_2d_meshes
 
 
 def p1_system():
@@ -154,3 +159,27 @@ def test_dense_limit_enforced():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         solve(sp.eye(2, format="csr"), np.ones(2), method="cg")
+
+
+def test_converged_means_the_true_residual_is_below_tol():
+    # with two BLAS threads, scipy's BiCGStab stops on this system on its
+    # recurrence residual while the true relative residual is about 5e-9
+    system = assemble_cr(build_uniform_parallel(64, 64), problem1())
+    A, b = system.matrix, system.rhs
+    x, report = solve(A, b, tol=1e-10)
+    assert report.converged
+    assert report.residual <= 1e-10
+    true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert true == report.residual
+
+
+@settings(max_examples=15)
+@given(perturbed_2d_meshes(), st.sampled_from(["bicgstab", "gmres"]))
+def test_lu_preconditioned_solve_matches_dense_lu(mesh, method):
+    system = assemble(mesh, problem1())
+    x, report = solve(system.matrix, system.rhs, method=method, tol=1e-12,
+                      order=nested_dissection(mesh))
+    x_lu, _ = dense_lu(system.matrix, system.rhs)
+    assert report.converged and report.method == method
+    assert report.residual <= 1e-12
+    assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
