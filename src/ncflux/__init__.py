@@ -21,7 +21,7 @@ from .mesh import (TensorMesh, TriMesh, build_tensor_mesh,
 from .problems import (REGISTRY, Problem, custom_problem, problem1, problem2)
 from .recovery import (MidpointFlux, corrected_flux, correction_field,
                        max_normal_jump, midpoint_average, rt_interpolate)
-from .sparse_solve import SolveReport, SolverError, dense_lu, solve
+from .sparse_solve import SolveReport, SolverError, solve
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "SolveReport", "SolverError", "StudyConfig", "StudyResult", "TensorMesh",
     "TriMesh", "TriRT", "VertexField", "assemble", "assemble_cr",
     "build_tensor_mesh", "build_uniform_parallel", "corrected_flux",
-    "corrected_flux_cr", "correction_field", "custom_problem", "dense_lu",
+    "corrected_flux_cr", "correction_field", "custom_problem",
     "edge_midpoint_average", "emit_report", "fit_order", "l2_error",
     "max_normal_jump", "max_normal_jump_tri", "midpoint_average", "perturb",
     "problem1", "problem2", "reconstruct_field", "refine_midpoint",

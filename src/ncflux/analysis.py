@@ -32,7 +32,7 @@ from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
                    refine_midpoint)
 from .problems import Problem, REGISTRY
 from .recovery import corrected_flux, midpoint_average, rt_interpolate
-from .sparse_solve import DENSE_LIMIT, SolverError, dense_lu, solve
+from .sparse_solve import solve
 
 COLUMNS = ("err_u", "err_flux_raw", "err_superclose", "err_recovered")
 
@@ -42,14 +42,12 @@ _AUTO_SKIP = {"ncrt2d": 3, "ncrt3d": 2, "cr": 0}
 def l2_error(mesh, exact, approx=None) -> float:
     """L2 norm of exact - approx over the mesh (of exact when approx is None).
 
-    exact is a pointwise callable on quadrature points or a discrete
-    field; approx is a discrete field (anything with eval_at or values
-    taking the same points) or a plain callable. Scalar and vector
-    integrands are both accepted. The integral is summed a block of
-    elements at a time (``assembly.CHUNK`` boxes or ``TRI_BLOCK``
-    triangles), with the quadrature mapped for that block, and discrete
-    fields are evaluated with the block's rows; a plain callable approx
-    sees the points of the whole mesh at once.
+    exact and approx are each a discrete field, evaluated by
+    eval_at(pts, rows), or a plain callable on quadrature points. Scalar
+    and vector integrands are both accepted. The integral is summed a
+    block of elements at a time (``assembly.CHUNK`` boxes or
+    ``TRI_BLOCK`` triangles), with the quadrature mapped for that block;
+    discrete fields are evaluated with the block's rows.
     """
     if isinstance(mesh, TensorMesh):
         n, size = mesh.ne, assembly.CHUNK
@@ -63,33 +61,23 @@ def l2_error(mesh, exact, approx=None) -> float:
             return tri_quadrature(mesh, rows)
     else:
         raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
-    if approx is None or _is_field(approx):
-        blocks = row_blocks(n, size)
-    else:
-        blocks = [slice(None)]
     total = sum(_square_integral(exact, approx, *quadrature(rows), rows=rows)
-                for rows in blocks)
+                for rows in row_blocks(n, size))
     return float(np.sqrt(total))
 
 
 def _square_integral(exact, approx, pts, wts, rows):
-    vals = np.asarray(_eval_discrete(exact, pts, rows), dtype=float)
+    vals = np.asarray(_eval(exact, pts, rows), dtype=float)
     if approx is not None:
-        vals = vals - _eval_discrete(approx, pts, rows)
+        vals = vals - _eval(approx, pts, rows)
     sq = vals ** 2 if vals.ndim == wts.ndim else (vals ** 2).sum(axis=-1)
     return np.sum(wts * sq)
 
 
-def _is_field(obj) -> bool:
-    return hasattr(obj, "eval_at") or callable(getattr(obj, "values", None))
-
-
-def _eval_discrete(obj, pts, rows):
+def _eval(obj, pts, rows):
     """obj at pts; rows selects the elements of a discrete field."""
     if hasattr(obj, "eval_at"):
         return obj.eval_at(pts, rows)
-    if _is_field(obj):
-        return obj.values(pts, rows)
     return obj(pts)
 
 
@@ -124,8 +112,10 @@ class StudyConfig:
     "cr" (triangles). skip counts the leading levels excluded from the
     order fit; None picks the element default. perturb is the gridline
     perturbation fraction for box hierarchies, ignored with a warning on
-    triangular ones. cr_initial is the per-side cell count of the first
-    triangular level. custom supplies the Problem when problem="custom".
+    triangular ones. solver is the Krylov method, "bicgstab" or "gmres",
+    and tol in (0, 1) its bound on the true relative residual. cr_initial
+    is the per-side cell count of the first triangular level. custom
+    supplies the Problem when problem="custom".
     """
 
     problem: str = "p1"
@@ -170,6 +160,15 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
                          f"problem, got {problem.dim}d")
     if config.levels < 1:
         raise ValueError("need at least one level")
+    if config.solver not in ("bicgstab", "gmres"):
+        raise ValueError(f"unknown solver {config.solver!r} "
+                         "(known: bicgstab, gmres)")
+    if not 0.0 < config.tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {config.tol}")
+    if not 0.0 <= config.perturb < 0.5:
+        raise ValueError(f"perturb must be in [0, 0.5), got {config.perturb}")
+    if config.cr_initial < 1:
+        raise ValueError(f"cr_initial must be >= 1, got {config.cr_initial}")
     skip = _AUTO_SKIP[config.element] if config.skip is None else config.skip
     if skip < 0:
         raise ValueError("skip must be nonnegative")
@@ -177,20 +176,13 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
 
 
 def _solve_system(system, config: StudyConfig):
-    matrix, rhs, mesh = system.matrix, system.rhs, system.mesh
-    if config.solver == "dense":
-        return dense_lu(matrix, rhs)
+    mesh = system.mesh
     # 2d boxes: LU-preconditioned in nested-dissection order. Triangles
     # keep Jacobi (the factor's memory), 3d boxes too (its fill).
     order = (nested_dissection(mesh)
              if isinstance(mesh, TensorMesh) and mesh.dim == 2 else None)
-    try:
-        return solve(matrix, rhs, method=config.solver, tol=config.tol,
-                     order=order)
-    except SolverError:
-        if matrix.shape[0] <= DENSE_LIMIT:
-            return dense_lu(matrix, rhs)
-        raise
+    return solve(system.matrix, system.rhs, method=config.solver,
+                 tol=config.tol, order=order)
 
 
 def _tensor_meshes(problem: Problem, config: StudyConfig):

@@ -242,7 +242,7 @@ class NcrtField:
     dofs: np.ndarray             # (nf,)
     coeffs: np.ndarray           # (ne, nm)
 
-    def values(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq)."""
         xi = nc_basis(self.mesh).local_coords(pts, rows)
         return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]

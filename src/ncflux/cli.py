@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--skip", type=int, default=None,
                     help="leading levels excluded from the order fit")
     st.add_argument("--solver", default=None,
-                    choices=["bicgstab", "gmres", "dense"])
+                    choices=["bicgstab", "gmres"])
     st.add_argument("--tol", type=float, default=None,
-                    help="iterative solver relative tolerance")
+                    help="iterative solver relative tolerance, in (0, 1)")
     st.add_argument("--cr-initial", dest="cr_initial", type=int, default=None,
                     help="per-side cell count of the first triangular level")
     st.add_argument("--custom-spec", dest="custom_spec", default=None,
@@ -147,10 +147,7 @@ def _run_study(args: argparse.Namespace) -> int:
 
     try:
         result = run_study(config, progress=progress)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,7 +75,7 @@ class CRField:
     trimesh: TriMesh
     dofs: np.ndarray             # (nedge,)
 
-    def values(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (nt, nq, 2) of the triangles rows -> (nt, nq)."""
         tables = cr_basis(self.trimesh, rows)
         local = self.dofs[self.trimesh.tri_edges[rows]]
@@ -184,7 +184,7 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> TriRT:
         if problem.b is not None:
             pv = pv - np.einsum("tqd,td->tq", problem.b(pts), grad[rows])
         if problem.c is not None:
-            pv = pv - problem.c(pts) * field.values(pts, rows)
+            pv = pv - problem.c(pts) * field.eval_at(pts, rows)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
     pbar /= tm.tri_area
     return TriRT(tm, const=const, slope=-0.5 * pbar)

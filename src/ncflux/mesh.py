@@ -17,6 +17,10 @@ import warnings
 
 import numpy as np
 
+# Worst element aspect ratio, or measure ratio across an interior facet,
+# above which a TensorMesh warns that recovery accuracy may suffer.
+NONDEGENERACY_LIMIT = 20.0
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -51,7 +55,7 @@ class TensorMesh:
     interior_facets, boundary_facets : ndarray of int
     """
 
-    def __init__(self, gridlines, nondegeneracy_limit: float = 20.0):
+    def __init__(self, gridlines):
         # copies: the mesh freezes its arrays and must not touch the caller's
         gls = tuple(np.array(g, dtype=float) for g in gridlines)
         if len(gls) < 1:
@@ -67,7 +71,7 @@ class TensorMesh:
         self.ne = int(np.prod(self.shape))
         self._build_elements()
         self._build_facets()
-        self._check_nondegeneracy(nondegeneracy_limit)
+        self._check_nondegeneracy()
         self._cache: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -163,7 +167,7 @@ class TensorMesh:
             ef[:, 2 * k + 1] = offsets[k] + (idx[:, k] + 1) * cs[k] + cross_flat
         self.elem_facets = _frozen(ef)
 
-    def _check_nondegeneracy(self, limit: float):
+    def _check_nondegeneracy(self):
         aspect = self.elem_ext.max(axis=1) / self.elem_ext.min(axis=1)
         worst = aspect.max()
         inter = self.interior_facets
@@ -172,10 +176,11 @@ class TensorMesh:
             ratio = (m.max(axis=1) / m.min(axis=1)).max()
             worst = max(worst, ratio)
         self.nondegeneracy = float(worst)
-        if worst > limit:
+        if worst > NONDEGENERACY_LIMIT:
             warnings.warn(
-                f"mesh nondegeneracy measure {worst:.3g} exceeds {limit:g}; "
-                "recovery accuracy may suffer", stacklevel=3)
+                f"mesh nondegeneracy measure {worst:.3g} exceeds "
+                f"{NONDEGENERACY_LIMIT:g}; recovery accuracy may suffer",
+                stacklevel=3)
 
     # -- queries -----------------------------------------------------------
 
@@ -199,9 +204,9 @@ class TensorMesh:
         return tuple(int(e) for e in pair if e >= 0)
 
 
-def build_tensor_mesh(*gridlines, nondegeneracy_limit: float = 20.0) -> TensorMesh:
+def build_tensor_mesh(*gridlines) -> TensorMesh:
     """Construct a TensorMesh from per-axis gridline sequences."""
-    return TensorMesh(gridlines, nondegeneracy_limit=nondegeneracy_limit)
+    return TensorMesh(gridlines)
 
 
 def refine_midpoint(mesh: TensorMesh) -> TensorMesh:
@@ -258,12 +263,13 @@ class TriMesh:
         The same objects as nedge, tri_edges, interior_edges and
         boundary_edges, under the facet names TensorMesh uses, so dof
         numbering and assembly serve both mesh types.
-    uniform_parallel : bool
-        True when built so each adjacent triangle pair forms a
-        parallelogram (required by the edge-averaging recovery theory).
+
+    The edge-averaging recovery theory needs each adjacent triangle pair
+    to form a parallelogram, as on ``build_uniform_parallel`` meshes; the
+    mesh itself does not check this.
     """
 
-    def __init__(self, vertices, triangles, uniform_parallel: bool = False):
+    def __init__(self, vertices, triangles):
         # copies: triangles are reoriented in place and both get frozen
         v = np.array(vertices, dtype=float)
         t = np.array(triangles, dtype=np.int64)
@@ -288,7 +294,6 @@ class TriMesh:
         self.nt = t.shape[0]
         self.tri_area = _frozen(0.5 * det)
         self.tri_center = _frozen(v[t].mean(axis=1))
-        self.uniform_parallel = bool(uniform_parallel)
 
         edges, tri_edges = _edge_numbering(t, self.nv)
         self.edges = _frozen(edges)
@@ -364,4 +369,4 @@ def build_uniform_parallel(nx: int, ny: int,
     tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
     tris[0::2] = np.stack([v00, v10, v11], axis=1)
     tris[1::2] = np.stack([v00, v11, v01], axis=1)
-    return TriMesh(verts, tris, uniform_parallel=True)
+    return TriMesh(verts, tris)

@@ -77,11 +77,6 @@ def triangle_rule() -> QuadRule:
     return QuadRule(points, weights)
 
 
-def map_to_interval(rule: QuadRule, a: float, b: float):
-    """Map an interval rule from [0, 1] to [a, b]."""
-    return a + (b - a) * rule.points, (b - a) * rule.weights
-
-
 def map_to_box(rule: QuadRule, lo: np.ndarray, ext: np.ndarray):
     """Map a box rule from [0, 1]^d onto axis-aligned boxes.
 

@@ -96,51 +96,33 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
     return BrokenRT(mesh, alpha, beta)
 
 
-def corrected_flux(field: NcrtField, problem: Problem,
-                   variant: str = "centroid") -> BrokenRT:
+def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     """Continuity-corrected discrete flux.
 
     Projects a grad u_h onto the local gradient span, then subtracts the
-    correction field scaled by the residual load f - b.grad u_h - c u_h.
-    variant "centroid" samples that scalar at element centroids (the
-    cheap choice used for the convergence tables); "projected" uses its
-    element mean. Both work a block of ``assembly.CHUNK`` elements at a
-    time, so no per-point array spans the whole mesh.
+    correction field scaled by the residual load f - b.grad u_h - c u_h,
+    sampled at the element centroids. The projection works a block of
+    ``assembly.CHUNK`` elements at a time, so no per-point array spans
+    the whole mesh.
     """
     mesh = field.mesh
-    blocks = row_blocks(mesh.ne, assembly.CHUNK)
     grad = field.gradient_rt()
 
     def raw_flux():
-        for blk in blocks:
+        for blk in row_blocks(mesh.ne, assembly.CHUNK):
             pts, wts = cell_quadrature(mesh, blk)
             raw = problem.a(pts)[..., None] * grad.eval_at(pts, blk)
             yield blk, raw, pts, wts
 
     q = _projection(mesh, raw_flux())
 
-    if variant == "centroid":
-        xc = mesh.elem_center
-        p = problem.f(xc)
-        gc = field.gradients_at_centers()
-        if problem.b is not None:
-            p = p - np.einsum("ed,ed->e", problem.b(xc), gc)
-        if problem.c is not None:
-            p = p - problem.c(xc) * field.values_at_centers()
-    elif variant == "projected":
-        p = np.empty(mesh.ne)
-        for blk in blocks:
-            pts, wts = cell_quadrature(mesh, blk)
-            pv = problem.f(pts)
-            if problem.b is not None:
-                pv = pv - np.einsum("eqd,eqd->eq", problem.b(pts),
-                                    grad.eval_at(pts, blk))
-            if problem.c is not None:
-                pv = pv - problem.c(pts) * field.values(pts, blk)
-            p[blk] = np.einsum("eq,eq->e", wts, pv)
-        p /= mesh.elem_measure
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    xc = mesh.elem_center
+    p = problem.f(xc)
+    if problem.b is not None:
+        p = p - np.einsum("ed,ed->e", problem.b(xc),
+                          field.gradients_at_centers())
+    if problem.c is not None:
+        p = p - problem.c(xc) * field.values_at_centers()
     return q - correction_field(mesh).scaled_by(p)
 
 

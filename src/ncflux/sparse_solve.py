@@ -1,9 +1,8 @@
 """Sparse linear solvers with a uniform report.
 
 The Krylov methods are BiCGStab (the default) and restarted GMRES, for
-tougher nonsymmetric systems; a dense LU factorization serves as a
-small-system fallback and cross-check. All methods are deterministic:
-the same matrix and right-hand side produce bit-identical solutions.
+tougher nonsymmetric systems. Both are deterministic: the same matrix
+and right-hand side produce bit-identical solutions.
 
 The preconditioner is Jacobi unless the caller passes a fill-reducing
 ``order`` of the unknowns. Then it is a single-precision SuperLU factor
@@ -21,9 +20,7 @@ from the current iterate with a fresh shadow residual (Saad, *Iterative
 Methods for Sparse Linear Systems*, sec. 7.4) while that keeps lowering
 the true residual within the iteration budget. A system that converges
 at once takes a single scipy call. Where restarts make no progress,
-`SolverError` is raised; the study driver (`analysis._solve_system`)
-then falls back to `dense_lu` for systems of at most `DENSE_LIMIT`
-unknowns.
+`SolverError` is raised, and the study driver lets it end the study.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve
-
-DENSE_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -56,8 +50,6 @@ class SolverError(RuntimeError):
 
 
 def _relative_residual(A, b, x, bnorm):
-    if bnorm == 0.0:
-        return 0.0
     return float(np.linalg.norm(b - A @ x) / bnorm)
 
 
@@ -89,7 +81,7 @@ def _lu_preconditioner(A, order):
 
 
 def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
-          max_iter: int | None = None, x0=None, order=None):
+          max_iter: int | None = None, order=None):
     """Solve A x = b. Returns (x, SolveReport); raises SolverError.
 
     Convergence means the true relative residual |b - A x| / |b| is at
@@ -107,8 +99,6 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
-    if method == "dense":
-        return dense_lu(A, b)
     if method not in ("bicgstab", "gmres"):
         raise ValueError(f"unknown solver {method!r}")
     bnorm = float(np.linalg.norm(b))
@@ -134,13 +124,11 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
                           restart=30, maxiter=budget, callback=tick,
                           callback_type="pr_norm")
 
-    x, info = attempt(x0)
+    x, info = attempt(None)
     # A breakdown, or a stop on the recurrence residual while the true
     # one is above tol: restart from the iterate (true residual, fresh
     # shadow vector) for as long as each attempt lowers the true residual.
-    prev = (1.0 if x0 is None
-            else _relative_residual(A, b, np.asarray(x0), bnorm))
-    res = _relative_residual(A, b, x, bnorm)
+    prev, res = 1.0, _relative_residual(A, b, x, bnorm)
     while (info < 0 or (info == 0 and res > tol)) and res < prev \
             and count[0] < max_iter:
         x, info = attempt(x)
@@ -155,18 +143,3 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
             f"relative residual {res:.3e})", report)
     return x, report
 
-
-def dense_lu(A, b):
-    """LU solve after densifying; guarded to small systems."""
-    n = A.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"dense solve limited to dimension {DENSE_LIMIT}, got {n}")
-    b = np.asarray(b, dtype=float)
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    x = lu_solve(lu_factor(dense), b) if n else np.zeros(0)
-    bnorm = float(np.linalg.norm(b)) if n else 0.0
-    res = _relative_residual(dense, b, x, bnorm) if n else 0.0
-    report = SolveReport(method="dense", converged=True, iterations=0,
-                         residual=res, dim=n)
-    return x, report

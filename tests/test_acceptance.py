@@ -12,13 +12,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from ncflux.analysis import (COLUMNS, StudyConfig, emit_report, fit_order,
                              l2_error, run_study)
 from ncflux.assembly import assemble
-from ncflux.cr import (TriRT, assemble_cr, cell_means, corrected_flux_cr,
-                       edge_midpoint_average, max_normal_jump_tri,
-                       vertex_average)
+from ncflux.cr import (RawFlux, TriRT, assemble_cr, cell_means,
+                       corrected_flux_cr, edge_midpoint_average,
+                       max_normal_jump_tri, vertex_average)
 from ncflux.elements import BrokenRT, cell_quadrature
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
@@ -26,7 +27,7 @@ from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import (correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
                              project_onto_gradients, rt_interpolate)
-from ncflux.sparse_solve import dense_lu, solve
+from ncflux.sparse_solve import solve
 
 from helpers import (linear_problem, solve_cr, solve_tensor, source_problem,
                      tensor_locator, tri_locator)
@@ -277,11 +278,7 @@ def test_triangular_recovery_orders():
         field = solve_cr(mesh, prob, tol=1e-12)
         grad = field.gradients()
         flux_cells = cell_means(mesh, prob.a)[:, None] * grad
-
-        def raw(pts):
-            return prob.a(pts)[..., None] * grad[:, None, :]
-
-        err_raw.append(l2_error(mesh, aflux, raw))
+        err_raw.append(l2_error(mesh, aflux, RawFlux(prob.a, grad)))
         err_edge.append(l2_error(mesh, aflux,
                                  edge_midpoint_average(mesh, flux_cells)))
         err_vertex.append(l2_error(mesh, aflux,
@@ -296,7 +293,7 @@ def test_triangular_recovery_orders():
     assert err_edge[-1] < err_raw[-1]
 
 
-# -- criterion: iterative and dense solvers agree -------------------------------
+# -- criterion: iterative and direct sparse solvers agree -----------------------
 
 def collect_systems():
     systems = []
@@ -323,7 +320,7 @@ def test_iterative_and_dense_solutions_agree():
         n = system.matrix.shape[0]
         assert n <= 3000
         x_it, report = solve(system.matrix, system.rhs, tol=1e-12)
-        x_lu, _ = dense_lu(system.matrix, system.rhs)
+        x_lu = spsolve(system.matrix, system.rhs)
         rel = np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu)
         assert rel <= 1e-8, f"dim {n}: relative gap {rel:.3e}"
         assert report.converged

@@ -6,7 +6,7 @@ import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
-from ncflux import assembly
+from ncflux import analysis, assembly
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import RawFlux
 from ncflux.elements import cell_quadrature, nc_basis
@@ -14,6 +14,7 @@ from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.problems import problem2
 from ncflux.recovery import midpoint_average
+from ncflux.sparse_solve import SolveReport, SolverError
 
 from helpers import linear_problem
 
@@ -190,16 +191,6 @@ def test_triangular_study_warns_about_perturbation():
         assert record.err_u < 1e-10
 
 
-def test_dense_solver_path_matches_iterative():
-    r_it = run_study(StudyConfig(problem="p1", levels=2, seed=3,
-                                 tol=1e-13))
-    r_lu = run_study(StudyConfig(problem="p1", levels=2, seed=3,
-                                 solver="dense"))
-    for a, b in zip(r_it.records, r_lu.records):
-        assert a.err_u == pytest.approx(b.err_u, rel=1e-8)
-    assert all(rep.method == "dense" for rep in r_lu.solver_reports)
-
-
 def test_orders_skipped_when_too_few_levels():
     result = run_study(StudyConfig(problem="p1", levels=2, seed=0))
     # auto skip leaves fewer than two levels, so no orders are fitted
@@ -227,12 +218,50 @@ def test_progress_callback_sees_every_level():
     (dict(levels=0), "at least one"),
     (dict(skip=-1), "nonnegative"),
     (dict(problem="p2"), "needs"),
+    (dict(solver="dense"), "unknown solver"),
+    (dict(tol=-1.0), "tol must be in"),
+    (dict(tol=0.0), "tol must be in"),
+    (dict(tol=1.0), "tol must be in"),
+    (dict(tol=float("nan")), "tol must be in"),
+    (dict(tol=float("inf")), "tol must be in"),
+    (dict(perturb=float("nan")), "perturb must be in"),
+    (dict(perturb=float("inf")), "perturb must be in"),
+    (dict(perturb=-0.1), "perturb must be in"),
+    (dict(perturb=0.7, levels=1), "perturb must be in"),
+    (dict(element="cr", cr_initial=0), "cr_initial"),
+    (dict(cr_initial=-2), "cr_initial"),
 ])
-def test_bad_configuration_rejected(kw, match):
+def test_bad_configuration_rejected(kw, match, monkeypatch):
     cfg = StudyConfig(**{**dict(problem="p1", element="ncrt2d", levels=2),
                          **kw})
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the check")
+
+    monkeypatch.setattr(analysis, "TensorMesh", no_mesh)
+    monkeypatch.setattr(analysis, "build_uniform_parallel", no_mesh)
     with pytest.raises(ValueError, match=match):
         run_study(cfg)
+
+
+def test_solver_error_ends_the_study(monkeypatch):
+    # a small level's breakdown is not hidden behind another solver
+    solve, calls, seen = analysis.solve, [], []
+
+    def breaks_on_level_1(matrix, rhs, **kwargs):
+        calls.append(matrix.shape[0])
+        if len(calls) == 2:
+            report = SolveReport(method="bicgstab", converged=False,
+                                 iterations=0, residual=1.0,
+                                 dim=matrix.shape[0])
+            raise SolverError("injected breakdown", report)
+        return solve(matrix, rhs, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve", breaks_on_level_1)
+    with pytest.raises(SolverError, match="injected breakdown"):
+        run_study(StudyConfig(problem="p1", element="ncrt2d", levels=2),
+                  progress=seen.append)
+    assert len(seen) == 1 and len(calls) == 2
 
 
 def test_custom_problem_without_gridlines_rejected():

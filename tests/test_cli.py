@@ -103,7 +103,7 @@ def test_flags_override_config_file(tmp_path):
 
 def test_config_file_alone_drives_the_study(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("# two quick levels\n\nlevels=2\nsolver=dense\n")
+    cfg.write_text("# two quick levels\n\nlevels=2\nsolver=gmres\n")
     out = tmp_path / "report.csv"
     code = main(["study", "--config", str(cfg), "--out", str(out)])
     assert code == 0
@@ -201,6 +201,18 @@ def test_unknown_problem_exits_two(capsys):
     code = main(["study", "--problem", "p9", "--levels", "2"])
     assert code == 2
     assert "unknown problem" in capsys.readouterr().err
+
+
+def test_bad_solver_and_tol_exit_two_before_any_level(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("levels=2\nsolver=dense\n")
+    assert main(["study", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown solver 'dense'" in err and "ne=" not in err
+
+    assert main(["study", "--levels", "2", "--tol", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "tol must be in (0, 1), got -1.0" in err and "ne=" not in err
 
 
 def test_identical_invocations_emit_identical_bytes(tmp_path):

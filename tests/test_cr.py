@@ -72,7 +72,7 @@ def test_galerkin_residual_recomputed_without_matrix():
     pts, wts = tri_quadrature(mesh)
     phi = cr_values(tables, pts)
     grads = field.gradients()
-    vals = field.values(pts)
+    vals = field.eval_at(pts)
     integrand = np.einsum("tq,td,tdi->ti", wts * prob.a(pts),
                           grads, tables.grad)
     integrand += np.einsum("tq,tqi->ti",
@@ -117,7 +117,7 @@ def test_field_values_and_gradients_for_linear_dofs():
 
     field = CRField(mesh, u(mesh.edge_mid))
     pts, _ = tri_quadrature(mesh)
-    assert np.abs(field.values(pts) - u(pts)).max() < 1e-12
+    assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
     assert np.abs(field.gradients() - np.array([-1.0, 2.0])).max() < 1e-12
 
 
@@ -352,8 +352,8 @@ def test_fields_evaluate_one_block_of_rows():
         RawFlux(ones_scalar, rng.normal(size=(mesh.nt, 2))),
     ]
     for fld in fields:
-        ev = fld.values if isinstance(fld, CRField) else fld.eval_at
-        assert np.array_equal(ev(pts[rows], rows), ev(pts)[rows])
+        assert np.array_equal(fld.eval_at(pts[rows], rows),
+                              fld.eval_at(pts)[rows])
     block_pts, block_wts = tri_quadrature(mesh, rows)
     assert np.array_equal(block_pts, pts[rows])
     assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])

@@ -229,7 +229,6 @@ def test_local_edge_opposite_local_vertex():
 
 def test_uniform_parallel_pairs_form_parallelograms():
     mesh = build_uniform_parallel(4, 4)
-    assert mesh.uniform_parallel
     for e in mesh.interior_edges:
         t0, t1 = mesh.edge_tris[e]
         opp = []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ncflux.quadrature import (gauss1d_4, map_to_box, map_to_interval,
-                               map_to_triangle, tensor_rule, triangle_rule)
+from ncflux.quadrature import (gauss1d_4, map_to_box, map_to_triangle,
+                               tensor_rule, triangle_rule)
 
 
 def test_interval_rule_has_four_positive_symmetric_points():
@@ -99,14 +99,6 @@ def test_triangle_points_average_to_centroid():
     rule = triangle_rule()
     mean = np.sum(rule.weights[:, None] * rule.points, axis=0) / 0.5
     assert np.allclose(mean, 1.0 / 3.0)
-
-
-def test_map_to_interval_scales_weights():
-    rule = gauss1d_4()
-    pts, wts = map_to_interval(rule, 0.0, 2.0)
-    assert abs(wts.sum() - 2.0) < 1e-14
-    assert np.allclose(wts, 2.0 * rule.weights)
-    assert pts.min() > 0.0 and pts.max() < 2.0
 
 
 def test_map_to_box_weight_sum_is_cell_measure():

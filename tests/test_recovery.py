@@ -176,25 +176,6 @@ def test_corrected_flux_of_zero_field_is_negative_correction():
     assert np.abs(sigma.beta + r.beta).max() < 1e-14
 
 
-def test_variants_agree_for_affine_load():
-    mesh = perturbed_square(seed=12)
-    prob = source_problem(
-        2, source=lambda x: 2.0 * x[..., 0] + x[..., 1])
-    field = reconstruct_field(mesh, np.zeros(mesh.nf))
-    s1 = corrected_flux(field, prob, variant="centroid")
-    s2 = corrected_flux(field, prob, variant="projected")
-    assert np.abs(s1.alpha - s2.alpha).max() < 1e-13
-    assert np.abs(s1.beta - s2.beta).max() < 1e-13
-
-
-def test_unknown_variant_rejected():
-    mesh = perturbed_square()
-    prob = source_problem(2, source=zeros_scalar)
-    field = reconstruct_field(mesh, np.zeros(mesh.nf))
-    with pytest.raises(ValueError):
-        corrected_flux(field, prob, variant="midpoint")
-
-
 def test_corrected_flux_is_normally_continuous_for_cellwise_load():
     mesh = perturbed_square(n=3, seed=13)
     rng = np.random.default_rng(5)
@@ -224,14 +205,13 @@ def test_corrected_flux_allocates_one_block_at_a_time(monkeypatch):
     # the Gram kernel holds three (block, nq, d, 2d - 1) tensors, about
     # 11 blocks of points here; the whole mesh's raw flux and gradients
     # alone would take 24
-    for variant in ("centroid", "projected"):
-        tracemalloc.start()
-        try:
-            corrected_flux(field, prob, variant)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * block_bytes
+    tracemalloc.start()
+    try:
+        corrected_flux(field, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * block_bytes
 
 
 # -- facet-flux interpolation --------------------------------------------------

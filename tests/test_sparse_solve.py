@@ -9,8 +9,7 @@ from ncflux.cr import assemble_cr
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.problems import problem1
-from ncflux.sparse_solve import (DENSE_LIMIT, SolveReport, SolverError,
-                                 dense_lu, solve)
+from ncflux.sparse_solve import SolveReport, SolverError, solve
 
 from helpers import perturbed_2d_meshes
 
@@ -53,7 +52,7 @@ def test_zero_rhs_short_circuits():
 def test_iterative_matches_dense_on_assembled_system(method):
     system = p1_system()
     x_it, rep = solve(system.matrix, system.rhs, method=method, tol=1e-12)
-    x_lu, _ = dense_lu(system.matrix, system.rhs)
+    x_lu = spla.spsolve(system.matrix, system.rhs)
     rel = np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu)
     assert rel < 1e-8
     assert rep.converged
@@ -61,47 +60,14 @@ def test_iterative_matches_dense_on_assembled_system(method):
     assert rep.residual <= 1e-11
 
 
-def test_solve_dense_method_delegates():
-    system = p1_system()
-    x, report = solve(system.matrix, system.rhs, method="dense")
-    assert report.method == "dense"
-    assert report.converged
-    x_lu, _ = dense_lu(system.matrix, system.rhs)
-    assert np.array_equal(x, x_lu)
-
-
-def test_dense_lu_identity():
-    b = np.arange(1.0, 6.0)
-    x, report = dense_lu(sp.eye(5, format="csr"), b)
-    assert np.allclose(x, b, atol=1e-14)
-    assert report.converged and report.method == "dense"
-
-
 def test_dense_lu_random_diagonally_dominant():
     rng = np.random.default_rng(42)
     A = rng.normal(size=(10, 10)) + 10.0 * np.eye(10)
     b = rng.normal(size=10)
-    x, _ = dense_lu(sp.csr_matrix(A), b)
+    x = spla.spsolve(sp.csc_matrix(A), b)
     assert np.linalg.norm(A @ x - b) < 1e-12
     x_it, _ = solve(sp.csr_matrix(A), b, tol=1e-13)
     assert np.linalg.norm(x_it - x) < 1e-10
-
-
-def test_dense_lu_permuted_diagonal_exact():
-    perm = np.array([2, 0, 3, 1])
-    A = np.zeros((4, 4))
-    A[np.arange(4), perm] = [2.0, 4.0, 8.0, 16.0]
-    b = np.array([2.0, 4.0, 8.0, 16.0])
-    x, _ = dense_lu(A, b)
-    expected = np.zeros(4)
-    expected[perm] = 1.0
-    assert np.array_equal(x, expected)
-
-
-def test_dense_lu_accepts_plain_arrays():
-    A = np.array([[3.0, 0.0], [0.0, 2.0]])
-    x, _ = dense_lu(A, np.array([6.0, 4.0]))
-    assert np.allclose(x, [2.0, 2.0])
 
 
 def test_solutions_are_deterministic():
@@ -150,12 +116,6 @@ def test_bicgstab_stops_restarting_without_progress():
     assert report.residual == pytest.approx(1.0)
 
 
-def test_dense_limit_enforced():
-    n = DENSE_LIMIT + 1
-    with pytest.raises(ValueError):
-        dense_lu(sp.eye(n, format="csr"), np.ones(n))
-
-
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         solve(sp.eye(2, format="csr"), np.ones(2), method="cg")
@@ -179,7 +139,7 @@ def test_lu_preconditioned_solve_matches_dense_lu(mesh, method):
     system = assemble(mesh, problem1())
     x, report = solve(system.matrix, system.rhs, method=method, tol=1e-12,
                       order=nested_dissection(mesh))
-    x_lu, _ = dense_lu(system.matrix, system.rhs)
+    x_lu = spla.spsolve(system.matrix, system.rhs)
     assert report.converged and report.method == method
     assert report.residual <= 1e-12
     assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
