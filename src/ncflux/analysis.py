@@ -177,10 +177,10 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
 
 def _solve_system(system, config: StudyConfig):
     mesh = system.mesh
-    # 2d boxes: LU-preconditioned in nested-dissection order. Triangles
-    # keep Jacobi (the factor's memory), 3d boxes too (its fill).
+    # 2d meshes, boxes and triangles: LU-preconditioned in nested-
+    # dissection order. 3d boxes keep Jacobi (the factor's fill and time).
     order = (nested_dissection(mesh)
-             if isinstance(mesh, TensorMesh) and mesh.dim == 2 else None)
+             if isinstance(mesh, TriMesh) or mesh.dim == 2 else None)
     return solve(system.matrix, system.rhs, method=config.solver,
                  tol=config.tol, order=order)
 

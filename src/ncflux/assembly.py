@@ -21,12 +21,13 @@ systems of ``recovery.project_onto_gradients``, and the evaluation of
 ``NcrtField`` and ``recovery.MidpointFlux``. ``NcrtField.gradients``
 evaluates the exact affine form ``gradient_rt``.
 
-``nested_dissection`` orders the unknowns of a box mesh for the sparse
-LU that preconditions the 2d box solve (``sparse_solve.solve``).
+``nested_dissection`` orders the unknowns of a box or triangular mesh
+for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,12 @@ CHUNK = 2048
 
 @dataclass(frozen=True)
 class DofMap:
-    """Facet-based dof numbering: interior facets are unknowns."""
+    """Facet-based dof numbering: interior facets are unknowns.
 
-    mesh: TensorMesh | TriMesh
+    dof_map caches it on its mesh, so it holds no reference to the mesh:
+    that would be a cycle, and a mesh would outlive its level.
+    """
+
     unknown: np.ndarray          # (nf,) unknown index, -1 on the boundary
     interior: np.ndarray         # (n_unknown,) facet ids
     boundary: np.ndarray         # (nb,) facet ids
@@ -60,48 +64,70 @@ def dof_map(mesh: TensorMesh | TriMesh) -> DofMap:
     if hit is None:
         unknown = np.full(mesh.nf, -1, dtype=np.int64)
         unknown[mesh.interior_facets] = np.arange(mesh.interior_facets.size)
-        hit = DofMap(mesh=mesh, unknown=unknown,
+        hit = DofMap(unknown=unknown,
                      interior=mesh.interior_facets,
                      boundary=mesh.boundary_facets)
         mesh._cache["dof_map"] = hit
     return hit
 
 
-ND_LEAF = 64         # cells per leaf box of nested_dissection
+# Leaf size of nested_dissection as a rank-box volume: 64 cells on boxes;
+# 16 ranks, which hold 8 triangles of a uniform mesh, on triangles, whose
+# factor fills less with small leaves for little extra ordering time.
+ND_LEAF = 64
+ND_LEAF_TRI = 16
 
 
-def nested_dissection(mesh: TensorMesh) -> np.ndarray:
-    """Fill-reducing order of the unknowns of a box mesh (George, 1973).
+def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
+    """Fill-reducing order of the unknowns of a mesh (George, 1973).
 
-    The cell index box is cut at the middle gridline of its longer side;
-    the interior facets on that gridline separate the two halves, which
-    are ordered first, each by the same rule, then the separator. Boxes
-    of at most ND_LEAF cells keep facet-id order. Returns order with
-    order[i] the unknown placed i-th.
+    Every element is ranked, per axis, among the distinct coordinates of
+    the element centroids; on a box mesh the ranks are the cell indices.
+    The box of ranks is cut at the middle of its longer side; the
+    unknowns whose two elements fall on different sides of the cut
+    separate the two halves, which are ordered first, each by the same
+    rule, then the separator. Boxes of at most ND_LEAF ranks (ND_LEAF_TRI
+    on triangles), and pieces of at most one unknown, keep facet-id
+    order. Returns order with order[i] the unknown placed i-th.
     """
     dm = dof_map(mesh)
-    axis = mesh.facet_axis[dm.interior]
-    # cell index of the upper neighbour: the facet's gridline along its
-    # normal, the cells it spans along the other axes
-    coord = mesh.elem_index[mesh.facet_elems[dm.interior, 1]]
-    out = []
+    leaf = ND_LEAF if isinstance(mesh, TensorMesh) else ND_LEAF_TRI
+    center = mesh.elem_center
+    rank = np.empty(center.shape, dtype=np.int32)
+    for k in range(center.shape[1]):
+        rank[:, k] = np.unique(center[:, k], return_inverse=True)[1]
+    # per axis and unknown, the lower and higher rank of its two elements
+    pair = rank[mesh.facet_elems[dm.interior]].T        # (d, 2, n)
+    low, high = pair.min(axis=1), pair.max(axis=1)
+    del pair
 
-    def split(unk, lo, hi):
+    # An explicit stack, filled from the right: a box's separator, then
+    # its right half, then its left half, so the order reads left, right,
+    # separator. (A recursive closure would be a reference cycle, keeping
+    # these arrays alive until a full garbage collection.)
+    order = np.empty(dm.n_unknown, dtype=np.int64)
+    end = order.size
+    stack = [(np.arange(end), (0,) * rank.shape[1],
+              tuple(int(r) + 1 for r in rank.max(axis=0)))]
+    while stack:
+        unk, lo, hi = stack.pop()
         ext = [h - l for l, h in zip(lo, hi)]
-        if np.prod(ext) <= ND_LEAF:
-            out.append(unk)
-            return
-        k = int(np.argmax(ext))
+        # where centroids share no coordinates the rank box is far larger
+        # than its elements; a piece of one unknown needs no more cuts
+        if unk.size <= 1 or math.prod(ext) <= leaf:
+            order[end - unk.size:end] = unk
+            end -= unk.size
+            continue
+        k = ext.index(max(ext))
         mid = (lo[k] + hi[k]) // 2
-        c = coord[unk, k]
-        sep = (axis[unk] == k) & (c == mid)
-        left = c < mid
-        split(unk[left], lo, hi[:k] + (mid,) + hi[k + 1:])
-        split(unk[~left & ~sep], lo[:k] + (mid,) + lo[k + 1:], hi)
-        out.append(unk[sep])
-
-    split(np.arange(dm.n_unknown), (0,) * mesh.dim, tuple(mesh.shape))
-    return np.concatenate(out)
+        left = high[k, unk] < mid
+        right = low[k, unk] >= mid
+        sep = unk[~(left | right)]
+        order[end - sep.size:end] = sep
+        end -= sep.size
+        stack.append((unk[left], lo, hi[:k] + (mid,) + hi[k + 1:]))
+        stack.append((unk[right], lo[:k] + (mid,) + lo[k + 1:], hi))
+    return order
 
 
 def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:

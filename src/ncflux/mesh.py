@@ -259,10 +259,12 @@ class TriMesh:
         Adjacent triangle ids in increasing order; -1 where absent.
     edge_mid, edge_len, edge_boundary, interior_edges, boundary_edges,
     tri_area, tri_center : derived geometry.
-    nf, elem_facets, interior_facets, boundary_facets
-        The same objects as nedge, tri_edges, interior_edges and
-        boundary_edges, under the facet names TensorMesh uses, so dof
-        numbering and assembly serve both mesh types.
+    nf, elem_facets, facet_elems, interior_facets, boundary_facets,
+    elem_center
+        The same objects as nedge, tri_edges, edge_tris, interior_edges,
+        boundary_edges and tri_center, under the names TensorMesh uses,
+        so dof numbering, assembly and the fill-reducing order serve both
+        mesh types.
 
     The edge-averaging recovery theory needs each adjacent triangle pair
     to form a parallelogram, as on ``build_uniform_parallel`` meshes; the
@@ -311,6 +313,8 @@ class TriMesh:
         self.boundary_edges = _frozen(np.flatnonzero(bnd))
         self.nf = self.nedge
         self.elem_facets = self.tri_edges
+        self.facet_elems = self.edge_tris
+        self.elem_center = self.tri_center
         self.interior_facets = self.interior_edges
         self.boundary_facets = self.boundary_edges
         self._cache: dict = {}

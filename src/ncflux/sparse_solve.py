@@ -7,11 +7,11 @@ and right-hand side produce bit-identical solutions.
 The preconditioner is Jacobi unless the caller passes a fill-reducing
 ``order`` of the unknowns. Then it is a single-precision SuperLU factor
 (X. S. Li, ACM TOMS 31, 2005) of the matrix in that order, which the
-study driver uses for 2d box systems with a nested-dissection order
-(``assembly.nested_dissection``; A. George, SIAM J. Numer. Anal. 10,
-1973): BiCGStab then needs one or two iterations, and the float32 factor
-takes half the memory of a float64 one. Triangular and 3d systems keep
-Jacobi.
+study driver uses for every 2d system, on boxes and on triangles, with a
+nested-dissection order (``assembly.nested_dissection``; A. George,
+SIAM J. Numer. Anal. 10, 1973): BiCGStab then needs one or two
+iterations, and the float32 factor takes half the memory of a float64
+one. 3d systems keep Jacobi, for which the factor fills too much.
 
 Convergence is judged on the true residual. A BiCGStab breakdown (rho or
 omega near zero), or a stop on the recurrence residual while the true
@@ -67,7 +67,8 @@ def _lu_preconditioner(A, order):
     precision separates the preconditioner from A^-1.
     """
     order = np.asarray(order)
-    lu = spla.splu(A[order][:, order].astype(np.float32).tocsc(),
+    # cast, then permute: the same factor bits, no permuted float64 copy
+    lu = spla.splu(A.astype(np.float32)[order][:, order].tocsc(),
                    permc_spec="NATURAL", relax=1, panel_size=1,
                    diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))

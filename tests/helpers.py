@@ -117,6 +117,22 @@ def perturbed_2d_meshes(draw, max_cells=24):
                    fraction, seed)
 
 
+@st.composite
+def tri_meshes(draw, max_cells=16):
+    """Same-diagonal triangulations of up to max_cells x max_cells cells,
+    half of them with jittered interior vertices, so that no two
+    triangle centroids share a coordinate."""
+    from ncflux.mesh import build_uniform_parallel
+
+    nx = draw(st.integers(1, max_cells))
+    ny = draw(st.integers(1, max_cells))
+    if not draw(st.booleans()):
+        return build_uniform_parallel(nx, ny)
+    # a fifth of the smaller cell side keeps every triangle positive
+    return jittered_parallel(nx, ny, amount=0.2 / max(nx, ny),
+                             seed=draw(st.integers(0, 2**16)))
+
+
 def solve_tensor(mesh, problem, tol=1e-12):
     system = assemble(mesh, problem)
     x, _ = solve(system.matrix, system.rhs, tol=tol)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from ncflux.analysis import (COLUMNS, StudyConfig, emit_report, fit_order,
-                             l2_error, run_study)
+from ncflux.analysis import (COLUMNS, StudyConfig, _solve_system,
+                             emit_report, fit_order, l2_error, run_study)
 from ncflux.assembly import assemble
 from ncflux.cr import (RawFlux, TriRT, assemble_cr, cell_means,
                        corrected_flux_cr, edge_midpoint_average,
@@ -324,6 +324,15 @@ def test_iterative_and_dense_solutions_agree():
         rel = np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu)
         assert rel <= 1e-8, f"dim {n}: relative gap {rel:.3e}"
         assert report.converged
+
+
+def test_large_triangular_system_converges_at_once():
+    # 196,096 unknowns, where Jacobi-preconditioned BiCGStab stalls near
+    # a relative residual of 6.4e-10
+    system = assemble_cr(build_uniform_parallel(256, 256),
+                         oscillatory_problem())
+    _, report = _solve_system(system, StudyConfig(element="cr"))
+    assert report.converged and report.iterations <= 2
 
 
 # -- criterion: reports are byte-reproducible ------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import tracemalloc
 
@@ -262,6 +263,21 @@ def test_solver_error_ends_the_study(monkeypatch):
         run_study(StudyConfig(problem="p1", element="ncrt2d", levels=2),
                   progress=seen.append)
     assert len(seen) == 1 and len(calls) == 2
+
+
+@pytest.mark.parametrize("element, problem, fraction", [
+    ("cr", "p1", 0.0), ("ncrt2d", "p1", 0.2), ("ncrt3d", "p2", 0.2)])
+def test_study_leaves_no_reference_cycles(element, problem, fraction):
+    # a cycle keeps a level's mesh, caches or ordering arrays alive
+    # until a full collection, which need not come during a study
+    gc.collect()
+    gc.disable()
+    try:
+        run_study(StudyConfig(problem=problem, element=element, levels=2,
+                              perturb=fraction))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_custom_problem_without_gridlines_rejected():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from ncflux import assembly
@@ -17,7 +17,8 @@ from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              project_onto_gradients, rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
 
-from helpers import linear_problem, perturbed_2d_meshes, solve_tensor
+from helpers import (linear_problem, perturbed_2d_meshes, solve_tensor,
+                     tri_meshes)
 
 
 def polynomial_problem():
@@ -450,7 +451,7 @@ def test_box_fields_evaluate_one_block_of_rows(dim):
 # -- nested-dissection order ----------------------------------------------------
 
 @settings(max_examples=25)
-@given(perturbed_2d_meshes())
+@given(st.one_of(perturbed_2d_meshes(), tri_meshes()))
 def test_nested_dissection_is_a_permutation_of_the_unknowns(mesh):
     order = nested_dissection(mesh)
     assert np.array_equal(np.sort(order), np.arange(dof_map(mesh).n_unknown))
@@ -494,6 +495,87 @@ def test_nested_dissection_separators_decouple_their_halves(mesh):
     cuts = check_dissection(mesh, matrix, nested_dissection(mesh),
                             (0, 0), mesh.shape)
     assert (cuts > 0) == (mesh.ne > assembly.ND_LEAF)
+
+
+def check_tri_dissection(mesh, matrix, order, lo, hi):
+    """check_dissection on triangles: order holds the unknowns of the box
+    [lo, hi) of centroid ranks, which is cut at the distinct centroid
+    coordinate of rank mid. Halves are told apart by the centroids of an
+    edge's two triangles against that coordinate."""
+    ext = [h - l for l, h in zip(lo, hi)]
+    if order.size <= 1 or np.prod(ext) <= assembly.ND_LEAF_TRI:
+        return 0
+    k = int(np.argmax(ext))
+    mid = (lo[k] + hi[k]) // 2
+    cut = np.unique(mesh.tri_center[:, k])[mid]
+    edges = dof_map(mesh).interior[order]
+    x = mesh.tri_center[mesh.edge_tris[edges], k]          # (n, 2)
+    is_left = (x < cut).all(axis=1)
+    is_right = (x >= cut).all(axis=1)
+    nl, nr = np.count_nonzero(is_left), np.count_nonzero(is_right)
+    assert is_left[:nl].all()
+    assert is_right[nl:nl + nr].all()
+    assert not (is_left | is_right)[nl + nr:].any()
+    left, right = order[:nl], order[nl:nl + nr]
+    assert matrix[left][:, right].nnz == 0
+    assert matrix[right][:, left].nnz == 0
+    return (1 + check_tri_dissection(mesh, matrix, left, lo,
+                                     hi[:k] + (mid,) + hi[k + 1:])
+            + check_tri_dissection(mesh, matrix, right,
+                                   lo[:k] + (mid,) + lo[k + 1:], hi))
+
+
+@settings(max_examples=25)
+@given(tri_meshes())
+def test_nested_dissection_separates_triangles(mesh):
+    matrix = assemble_cr(mesh, problem1()).matrix
+    ranks = tuple(np.unique(c).size for c in mesh.tri_center.T)
+    cuts = check_tri_dissection(mesh, matrix, nested_dissection(mesh),
+                                (0, 0), ranks)
+    assert (cuts > 0) == (np.prod(ranks) > assembly.ND_LEAF_TRI
+                          and dof_map(mesh).n_unknown > 1)
+
+
+def cell_index_dissection(mesh):
+    """The box-only order nested_dissection generalizes: cut the cell
+    index box at the middle gridline of its longer side, recursively;
+    the interior facets on that gridline are the separator."""
+    dm = dof_map(mesh)
+    axis = mesh.facet_axis[dm.interior]
+    # cell index of the upper neighbour
+    coord = mesh.elem_index[mesh.facet_elems[dm.interior, 1]]
+    out = []
+
+    def split(unk, lo, hi):
+        ext = [h - l for l, h in zip(lo, hi)]
+        if np.prod(ext) <= assembly.ND_LEAF:
+            out.append(unk)
+            return
+        k = int(np.argmax(ext))
+        mid = (lo[k] + hi[k]) // 2
+        c = coord[unk, k]
+        sep = (axis[unk] == k) & (c == mid)
+        left = c < mid
+        split(unk[left], lo, hi[:k] + (mid,) + hi[k + 1:])
+        split(unk[~left & ~sep], lo[:k] + (mid,) + lo[k + 1:], hi)
+        out.append(unk[sep])
+
+    split(np.arange(dm.n_unknown), (0,) * mesh.dim, tuple(mesh.shape))
+    return np.concatenate(out)
+
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes())
+def test_nested_dissection_of_boxes_is_the_cell_index_order(mesh):
+    assert np.array_equal(nested_dissection(mesh),
+                          cell_index_dissection(mesh))
+
+
+def test_nested_dissection_of_a_3d_box_mesh_is_the_cell_index_order():
+    gl = np.linspace(0.0, 1.0, 9)
+    mesh = perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45)
+    assert np.array_equal(nested_dissection(mesh),
+                          cell_index_dissection(mesh))
 
 
 # -- non-finite problem data ---------------------------------------------------

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from ncflux.assembly import assemble, nested_dissection
 from ncflux.cr import assemble_cr
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
-                         refine_midpoint)
+from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
+                         perturb, refine_midpoint)
 from ncflux.problems import problem1
 from ncflux.sparse_solve import SolveReport, SolverError, solve
 
-from helpers import perturbed_2d_meshes
+from helpers import perturbed_2d_meshes, tri_meshes
 
 
 def p1_system():
@@ -134,9 +134,11 @@ def test_converged_means_the_true_residual_is_below_tol():
 
 
 @settings(max_examples=15)
-@given(perturbed_2d_meshes(), st.sampled_from(["bicgstab", "gmres"]))
+@given(st.one_of(perturbed_2d_meshes(), tri_meshes()),
+       st.sampled_from(["bicgstab", "gmres"]))
 def test_lu_preconditioned_solve_matches_dense_lu(mesh, method):
-    system = assemble(mesh, problem1())
+    assembler = assemble_cr if isinstance(mesh, TriMesh) else assemble
+    system = assembler(mesh, problem1())
     x, report = solve(system.matrix, system.rhs, method=method, tol=1e-12,
                       order=nested_dissection(mesh))
     x_lu = spla.spsolve(system.matrix, system.rhs)
