@@ -5,38 +5,23 @@
 runs a convergence study and writes the report (CSV by default) to
 stdout or --out. Per-level progress and the fitted orders go to stderr,
 so piping stdout captures clean data. Options may also come from a flat
-key=value config file; explicit flags win over file entries.
+key=value config file, read as flags placed before the command line's:
+file entries get the parser's checks, and explicit flags win. The
+parser and StudyConfig are the only description of a study's options;
+StudyConfig holds their defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
+from dataclasses import fields
 
 from .analysis import StudyConfig, emit_report, run_study
 from .problems import Problem
 from .sparse_solve import SolverError
-
-_INT_KEYS = {"levels", "seed", "skip", "cr_initial"}
-_FLOAT_KEYS = {"perturb", "tol"}
-_STR_KEYS = {"problem", "element", "solver", "format", "out", "custom_spec"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-_DEFAULTS = {
-    "problem": "p1",
-    "element": "ncrt2d",
-    "levels": 7,
-    "perturb": 0.2,
-    "seed": 0,
-    "skip": None,
-    "solver": "bicgstab",
-    "tol": 1e-10,
-    "cr_initial": 8,
-    "format": "csv",
-    "out": None,
-    "custom_spec": None,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,17 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for the per-level perturbations")
     st.add_argument("--skip", type=int, default=None,
                     help="leading levels excluded from the order fit")
-    st.add_argument("--solver", default=None,
-                    choices=["bicgstab", "gmres"])
     st.add_argument("--tol", type=float, default=None,
-                    help="iterative solver relative tolerance, in (0, 1)")
+                    help="BiCGStab bound on the true relative residual, "
+                         "in (0, 1)")
     st.add_argument("--cr-initial", dest="cr_initial", type=int, default=None,
                     help="per-side cell count of the first triangular level")
     st.add_argument("--custom-spec", dest="custom_spec", default=None,
                     metavar="MODULE:ATTR",
                     help="import path of a Problem (or zero-arg factory) "
                          "for --problem custom")
-    st.add_argument("--format", default=None, choices=["csv", "structured"])
+    st.add_argument("--format", default="csv", choices=["csv", "structured"])
     st.add_argument("--out", default=None,
                     help="write the report to this file instead of stdout")
     st.add_argument("--config", default=None,
@@ -76,9 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config_file(path: str) -> dict:
-    """Parse a flat key=value file; '#' starts a comment line."""
-    options = {}
+def read_config_file(path: str) -> list:
+    """Turn a flat key=value file into ``--key=value`` study flags.
+
+    '#' starts a comment line; underscores in a key read as dashes.
+    """
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -87,17 +74,8 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _ALL_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            if key in _INT_KEYS:
-                options[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                options[key] = float(value)
-            else:
-                options[key] = value
-    return options
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def load_custom(spec: str) -> Problem:
@@ -114,31 +92,23 @@ def load_custom(spec: str) -> Problem:
     return obj
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    if args.config is not None:
-        merged.update(read_config_file(args.config))
-    for key in _ALL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _run_study(args: argparse.Namespace) -> int:
-    opts = _merge_options(args)
-    custom = None
-    if opts["problem"] == "custom":
-        if not opts["custom_spec"]:
+    if args.out:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(folder):
+            print(f"error: --out {args.out}: directory {folder} does not "
+                  "exist", file=sys.stderr)
+            return 2
+    names = {f.name for f in fields(StudyConfig)}
+    options = {key: value for key, value in vars(args).items()
+               if key in names and value is not None}
+    if options.get("problem") == "custom":
+        if not args.custom_spec:
             print("error: --problem custom requires --custom-spec",
                   file=sys.stderr)
             return 2
-        custom = load_custom(opts["custom_spec"])
-    config = StudyConfig(
-        problem=opts["problem"], element=opts["element"],
-        levels=opts["levels"], perturb=opts["perturb"], seed=opts["seed"],
-        skip=opts["skip"], solver=opts["solver"], tol=opts["tol"],
-        cr_initial=opts["cr_initial"], custom=custom)
+        options["custom"] = load_custom(args.custom_spec)
+    config = StudyConfig(**options)
 
     def progress(r):
         print(f"ne={r.ne:<8d} h={r.h:.3e} u={r.err_u:.3e} "
@@ -153,9 +123,9 @@ def _run_study(args: argparse.Namespace) -> int:
 
     for col, order in result.orders.items():
         print(f"order {col}: {order:.4f}", file=sys.stderr)
-    text = emit_report(result, format=opts["format"])
-    if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
+    text = emit_report(result, format=args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -163,14 +133,18 @@ def _run_study(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "study":
-        try:
-            return _run_study(args)
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return 2
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    try:
+        if args.config is not None:
+            # argv[0] is the command; the file's flags go before the rest
+            args = parser.parse_args(
+                argv[:1] + read_config_file(args.config) + argv[1:])
+        return _run_study(args)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Sparse linear solvers with a uniform report.
 
-The Krylov methods are BiCGStab (the default) and restarted GMRES, for
-tougher nonsymmetric systems. Both are deterministic: the same matrix
-and right-hand side produce bit-identical solutions.
+The Krylov method is BiCGStab (H. A. van der Vorst, SIAM J. Sci. Stat.
+Comput. 13, 1992). It is deterministic: the same matrix and right-hand
+side produce bit-identical solutions.
 
 The preconditioner is Jacobi unless the caller passes a fill-reducing
 ``order`` of the unknowns. Then it is a single-precision SuperLU factor
@@ -81,13 +81,13 @@ def _lu_preconditioner(A, order):
     return spla.LinearOperator(A.shape, matvec=apply, dtype=float)
 
 
-def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
-          max_iter: int | None = None, order=None):
-    """Solve A x = b. Returns (x, SolveReport); raises SolverError.
+def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
+          order=None):
+    """Solve A x = b by BiCGStab; returns (x, SolveReport).
 
     Convergence means the true relative residual |b - A x| / |b| is at
     most tol. max_iter defaults to 20 * dim and bounds the iterations
-    summed over all attempts. When the Krylov method breaks down, or
+    summed over all attempts. When BiCGStab breaks down, or
     stops on its recurrence residual while the true one is still above
     tol, it restarts from its iterate as long as each attempt lowers the
     true relative residual; SolverError is raised when an attempt brings
@@ -100,11 +100,9 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
-    if method not in ("bicgstab", "gmres"):
-        raise ValueError(f"unknown solver {method!r}")
     bnorm = float(np.linalg.norm(b))
     if n == 0 or bnorm == 0.0:
-        report = SolveReport(method=method, converged=True, iterations=0,
+        report = SolveReport(method="bicgstab", converged=True, iterations=0,
                              residual=0.0, dim=n)
         return np.zeros(n), report
     if max_iter is None:
@@ -117,13 +115,8 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
         count[0] += 1
 
     def attempt(start):
-        budget = max_iter - count[0]
-        if method == "bicgstab":
-            return spla.bicgstab(A, b, x0=start, rtol=tol, atol=0.0, M=M,
-                                 maxiter=budget, callback=tick)
-        return spla.gmres(A, b, x0=start, rtol=tol, atol=0.0, M=M,
-                          restart=30, maxiter=budget, callback=tick,
-                          callback_type="pr_norm")
+        return spla.bicgstab(A, b, x0=start, rtol=tol, atol=0.0, M=M,
+                             maxiter=max_iter - count[0], callback=tick)
 
     x, info = attempt(None)
     # A breakdown, or a stop on the recurrence residual while the true
@@ -136,11 +129,11 @@ def solve(A, b, method: str = "bicgstab", tol: float = 1e-10,
         prev, res = res, _relative_residual(A, b, x, bnorm)
     del M                       # frees the LU factor, if any
     converged = info == 0 and res <= tol
-    report = SolveReport(method=method, converged=converged,
+    report = SolveReport(method="bicgstab", converged=converged,
                          iterations=count[0], residual=res, dim=n)
     if not converged:
         raise SolverError(
-            f"{method} did not converge (info={info}, "
+            f"bicgstab did not converge (info={info}, "
             f"relative residual {res:.3e})", report)
     return x, report
 

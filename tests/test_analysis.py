@@ -219,7 +219,7 @@ def test_progress_callback_sees_every_level():
     (dict(levels=0), "at least one"),
     (dict(skip=-1), "nonnegative"),
     (dict(problem="p2"), "needs"),
-    (dict(solver="dense"), "unknown solver"),
+    (dict(element="cr", perturb=0.7), "perturb must be in"),
     (dict(tol=-1.0), "tol must be in"),
     (dict(tol=0.0), "tol must be in"),
     (dict(tol=1.0), "tol must be in"),

@@ -1,10 +1,17 @@
+import argparse
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ncflux.analysis import StudyConfig
 from ncflux.cli import build_parser, load_custom, main, read_config_file
 from ncflux.problems import Problem
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MODULE_SOURCE = '''\
 import numpy as np
@@ -46,6 +53,21 @@ def problem_module(tmp_path, monkeypatch):
     (tmp_path / "cli_problem_fixture.py").write_text(MODULE_SOURCE)
     monkeypatch.syspath_prepend(str(tmp_path))
     return "cli_problem_fixture"
+
+
+def parse_with_config(path, *flags):
+    """Study options from a config file and flags, as main parses them."""
+    return build_parser().parse_args(
+        ["study", *read_config_file(str(path)), *flags])
+
+
+def study_flags():
+    """Option strings of `ncflux study`, without --help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices["study"]._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
 
 
 def test_study_writes_csv_to_file(tmp_path):
@@ -103,7 +125,7 @@ def test_flags_override_config_file(tmp_path):
 
 def test_config_file_alone_drives_the_study(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("# two quick levels\n\nlevels=2\nsolver=gmres\n")
+    cfg.write_text("# two quick levels\n\nlevels=2\ntol=1e-11\n")
     out = tmp_path / "report.csv"
     code = main(["study", "--config", str(cfg), "--out", str(out)])
     assert code == 0
@@ -112,38 +134,70 @@ def test_config_file_alone_drives_the_study(tmp_path):
 
 def test_config_file_normalizes_dashes(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("cr-initial=4\n")
-    assert read_config_file(str(cfg)) == {"cr_initial": 4}
+    cfg.write_text("cr-initial=4\ncustom_spec=mod:attr\n")
+    assert read_config_file(str(cfg)) == ["--cr-initial=4",
+                                          "--custom-spec=mod:attr"]
+    args = parse_with_config(cfg)
+    assert args.cr_initial == 4 and args.custom_spec == "mod:attr"
 
 
 def test_config_file_coerces_types(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("levels=4\nperturb=0.1\nproblem=p2\n")
-    opts = read_config_file(str(cfg))
-    assert opts == {"levels": 4, "perturb": 0.1, "problem": "p2"}
-    assert isinstance(opts["levels"], int)
-    assert isinstance(opts["perturb"], float)
+    cfg.write_text("levels=4\nperturb=0.1\nproblem=p2\ntol=-1e-3\n")
+    args = parse_with_config(cfg)
+    assert (args.levels, args.perturb, args.problem) == (4, 0.1, "p2")
+    assert isinstance(args.levels, int)
+    assert isinstance(args.perturb, float)
+    # a value that starts with a dash is still the key's value
+    assert args.tol == -1e-3
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("mesh=fine\n")
-    with pytest.raises(ValueError, match="unknown option"):
-        read_config_file(str(cfg))
+    cfg.write_text("levels=2\nmesh=fine\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --mesh=fine" in err and "ne=" not in err
 
 
-def test_config_file_rejects_bare_words(tmp_path):
+def test_config_file_rejects_bare_words(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("fast\n")
     with pytest.raises(ValueError, match="key=value"):
         read_config_file(str(cfg))
+    assert main(["study", "--config", str(cfg)]) == 2
+    assert "study.cfg:1: expected key=value" in capsys.readouterr().err
 
 
-def test_config_file_rejects_bad_numbers(tmp_path):
+def test_config_file_rejects_bad_numbers(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("levels=three\n")
-    with pytest.raises(ValueError):
-        read_config_file(str(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --levels: invalid int value: 'three'" \
+        in capsys.readouterr().err
+
+
+def test_config_file_format_is_checked_before_any_level(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("levels=2\nformat=xml\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --format: invalid choice: 'xml'" in err
+    assert "ne=" not in err
+
+
+def test_out_into_missing_directory_exits_before_any_level(tmp_path, capsys):
+    out = tmp_path / "absent" / "report.csv"
+    assert main(["study", "--levels", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "ne=" not in err
+    assert not out.parent.exists()
 
 
 def test_missing_config_file_exits_two(tmp_path):
@@ -204,11 +258,15 @@ def test_unknown_problem_exits_two(capsys):
 
 
 def test_bad_solver_and_tol_exit_two_before_any_level(tmp_path, capsys):
+    # there is one Krylov method, so a solver key is unknown
     cfg = tmp_path / "study.cfg"
     cfg.write_text("levels=2\nsolver=dense\n")
-    assert main(["study", "--config", str(cfg)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(cfg)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown solver 'dense'" in err and "ne=" not in err
+    assert "unrecognized arguments: --solver=dense" in err
+    assert "ne=" not in err
 
     assert main(["study", "--levels", "2", "--tol", "-1"]) == 2
     err = capsys.readouterr().err
@@ -233,3 +291,17 @@ def test_parser_rejects_unknown_element():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["study", "--element", "hex"])
+
+
+def test_option_table_does_not_drift():
+    flags = study_flags()
+    args = build_parser().parse_args(["study"])
+    for f in fields(StudyConfig):
+        if f.name == "custom":
+            continue
+        # StudyConfig holds the defaults, so the parser leaves them unset
+        assert "--" + f.name.replace("_", "-") in flags
+        assert getattr(args, f.name) is None
+    table = re.findall(r"^\| `(--[a-z-]+)` \|", README.read_text(),
+                       flags=re.MULTILINE)
+    assert sorted(table) == sorted(flags)

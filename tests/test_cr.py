@@ -203,6 +203,14 @@ def test_interpolated_flux_is_normally_continuous():
     assert max_normal_jump_tri(tau) < 1e-12
 
 
+def test_single_triangle_has_no_normal_jump():
+    mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                   np.array([[0, 1, 2]]))
+    tau = rt_interpolate_tri(mesh, linear_tau)
+    assert mesh.interior_edges.size == 0
+    assert max_normal_jump_tri(tau) == 0.0
+
+
 def test_interpolation_reproduces_member_fields():
     mesh = jittered_parallel(3, 3, seed=14)
 
@@ -223,6 +231,15 @@ def test_edge_averaging_preserves_constants_everywhere():
     cellvals = np.tile([1.5, -0.5], (mesh.nt, 1))
     avg = edge_midpoint_average(mesh, cellvals)
     assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-13
+
+
+def test_edge_averaging_preserves_constants_from_boundary_parallel_edges():
+    # on one cell's two triangles every parallel edge is a boundary edge,
+    # so its one-sided trace stands in for the midpoint value
+    mesh = build_uniform_parallel(1, 1)
+    cellvals = np.tile([1.5, -0.5], (mesh.nt, 1))
+    avg = edge_midpoint_average(mesh, cellvals)
+    assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-14
 
 
 def test_edge_averaging_reproduces_linear_fields_on_parallel_mesh():

@@ -242,6 +242,14 @@ def test_rt_interpolant_has_continuous_normal_components():
     assert max_normal_jump(tau) < 1e-12
 
 
+def test_single_cell_has_no_normal_jump():
+    mesh = build_tensor_mesh(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    tau = rt_interpolate(
+        mesh, lambda x: np.stack([x[..., 0], -x[..., 1]], axis=-1))
+    assert mesh.interior_facets.size == 0
+    assert max_normal_jump(tau) == 0.0
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_interpolation_commutes_with_divergence(n):
     mesh = perturb(build_tensor_mesh(np.linspace(0.0, 1.0, n + 1),
