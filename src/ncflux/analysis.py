@@ -23,11 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import assembly
 from .assembly import assemble, nested_dissection, reconstruct_field
 from .cr import (CRField, RawFlux, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
-from .elements import cell_quadrature, row_blocks, tri_quadrature
+from .elements import (cell_blocks, cell_quadrature, row_blocks,
+                       tri_quadrature)
 from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
                    refine_midpoint)
 from .problems import Problem, REGISTRY
@@ -39,46 +39,61 @@ COLUMNS = ("err_u", "err_flux_raw", "err_superclose", "err_recovered")
 _AUTO_SKIP = {"ncrt2d": 3, "ncrt3d": 2, "cr": 0}
 
 
-def l2_error(mesh, exact, approx=None) -> float:
+def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     """L2 norm of exact - approx over the mesh (of exact when approx is None).
 
     exact and approx are each a discrete field, evaluated by
     eval_at(pts, rows), or a plain callable on quadrature points. Scalar
-    and vector integrands are both accepted. The integral is summed a
-    block of elements at a time (``assembly.CHUNK`` boxes or
-    ``TRI_BLOCK`` triangles), with the quadrature mapped for that block;
-    discrete fields are evaluated with the block's rows.
+    and vector integrands are both accepted. exact and approx may also be
+    equal-length lists or tuples (approx entries may be None); then the
+    norms of all pairs come back as a tuple, measured in one pass. The
+    integral is summed a block of elements at a time (``cell_blocks``
+    boxes or ``TRI_BLOCK`` triangles), with the quadrature mapped once
+    per block; each distinct field or callable (matched by identity) is
+    sampled once per block, with the block's rows for discrete fields.
+    Every norm adds its block sums in block order.
     """
+    single = not isinstance(exact, (list, tuple))
+    if single:
+        exact, approx = (exact,), (approx,)
+    elif approx is None:
+        approx = (None,) * len(exact)
+    if len(approx) != len(exact):
+        raise ValueError(f"{len(exact)} exact fields but {len(approx)} "
+                         "approximations")
     if isinstance(mesh, TensorMesh):
-        n, size = mesh.ne, assembly.CHUNK
+        blocks = cell_blocks(mesh)
 
         def quadrature(rows):
             return cell_quadrature(mesh, rows)
     elif isinstance(mesh, TriMesh):
-        n, size = mesh.nt, None
+        blocks = row_blocks(mesh.nt)
 
         def quadrature(rows):
             return tri_quadrature(mesh, rows)
     else:
         raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
-    total = sum(_square_integral(exact, approx, *quadrature(rows), rows=rows)
-                for rows in row_blocks(n, size))
-    return float(np.sqrt(total))
+    totals = [0.0] * len(exact)
+    for rows in blocks:
+        pts, wts = quadrature(rows)
+        samples = {}        # the previous block's samples are freed first
+        for i, (ex, ap) in enumerate(zip(exact, approx)):
+            vals = _sample(samples, ex, pts, rows)
+            if ap is not None:
+                vals = vals - _sample(samples, ap, pts, rows)
+            sq = vals ** 2 if vals.ndim == wts.ndim else (vals ** 2).sum(-1)
+            totals[i] += np.sum(wts * sq)
+    norms = tuple(float(np.sqrt(t)) for t in totals)
+    return norms[0] if single else norms
 
 
-def _square_integral(exact, approx, pts, wts, rows):
-    vals = np.asarray(_eval(exact, pts, rows), dtype=float)
-    if approx is not None:
-        vals = vals - _eval(approx, pts, rows)
-    sq = vals ** 2 if vals.ndim == wts.ndim else (vals ** 2).sum(axis=-1)
-    return np.sum(wts * sq)
-
-
-def _eval(obj, pts, rows):
-    """obj at pts; rows selects the elements of a discrete field."""
-    if hasattr(obj, "eval_at"):
-        return obj.eval_at(pts, rows)
-    return obj(pts)
+def _sample(samples, obj, pts, rows):
+    """obj at pts, evaluated once per block: samples holds the block's
+    values by identity. rows selects the elements of a discrete field."""
+    if id(obj) not in samples:
+        vals = obj.eval_at(pts, rows) if hasattr(obj, "eval_at") else obj(pts)
+        samples[id(obj)] = np.asarray(vals, dtype=float)
+    return samples[id(obj)]
 
 
 def fit_order(h, err) -> float:
@@ -220,14 +235,10 @@ def _tensor_level(mesh: TensorMesh, problem: Problem,
     interp = rt_interpolate(mesh, aflux)
     recovered = midpoint_average(sigma)
 
-    record = LevelRecord(
-        ne=mesh.ne, h=mesh.h,
-        err_u=l2_error(mesh, problem.u, field),
-        err_flux_raw=l2_error(mesh, aflux,
-                              RawFlux(problem.a, field.gradient_rt())),
-        err_superclose=l2_error(mesh, sigma - interp),
-        err_recovered=l2_error(mesh, aflux, recovered))
-    return record, report
+    errors = l2_error(mesh, (problem.u, aflux, sigma - interp, aflux),
+                      (field, RawFlux(problem.a, field.gradient_rt()), None,
+                       recovered))
+    return LevelRecord(mesh.ne, mesh.h, *errors), report
 
 
 def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
@@ -242,13 +253,9 @@ def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
     # sigma.const is the mean of a times the broken gradient
     recovered = edge_midpoint_average(mesh, sigma.const)
 
-    record = LevelRecord(
-        ne=mesh.nt, h=mesh.h,
-        err_u=l2_error(mesh, problem.u, field),
-        err_flux_raw=l2_error(mesh, aflux, RawFlux(problem.a, grad)),
-        err_superclose=l2_error(mesh, sigma - interp),
-        err_recovered=l2_error(mesh, aflux, recovered))
-    return record, report
+    errors = l2_error(mesh, (problem.u, aflux, sigma - interp, aflux),
+                      (field, RawFlux(problem.a, grad), None, recovered))
+    return LevelRecord(mesh.nt, mesh.h, *errors), report
 
 
 def run_study(config: StudyConfig,

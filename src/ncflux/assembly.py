@@ -10,10 +10,12 @@ expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
 only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
 are mesh-specific.
 
-Box element loops run over blocks of ``CHUNK`` elements and map the
-quadrature rule for one block at a time, so the per-point arrays stay
-small regardless of mesh size; ``recovery`` and the box error norms of
-``analysis`` read the same ``CHUNK`` when they are called. Problem data
+Box element loops run over blocks of ``elements.BLOCK_POINTS``
+quadrature points (``cell_blocks``: 2,048 cells in 2d, 512 in 3d) and map
+the quadrature rule for one block at a time, so the per-point arrays stay
+the same size whatever the mesh and its dimension; the basis tables of
+``nc_basis``, ``recovery`` and the box error norms of ``analysis`` take
+their blocks from the same budget when they are called. Problem data
 is checked to be finite block by block as it is sampled. The per-point
 kernels are batched matmuls with the quadrature weights applied first:
 element matrices and loads here, ``elements.basis_gradients``, the Gram
@@ -34,12 +36,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import (BrokenRT, basis_gradients, basis_values,
-                       cell_quadrature, facet_quadrature, nc_basis,
-                       row_blocks, span_values)
+                       cell_blocks, cell_quadrature, facet_quadrature,
+                       nc_basis, span_values)
 from .mesh import TensorMesh, TriMesh
 from .problems import Problem
-
-CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def _local_blocks(mesh: TensorMesh, problem: Problem):
     # each integral is a weighted factor, transposed, times an unweighted
     # one: a batched matmul per block, with the weights applied first
     tables = nc_basis(mesh, "mean")
-    for blk in row_blocks(mesh.ne, CHUNK):
+    for blk in cell_blocks(mesh):
         p, w = cell_quadrature(mesh, blk)
         phi = basis_values(tables, p, blk)             # (b, nq, ndof)
         gphi = basis_gradients(tables, p, blk)         # (b, nq, d, ndof)

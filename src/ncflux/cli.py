@@ -79,12 +79,19 @@ def read_config_file(path: str) -> list:
 
 
 def load_custom(spec: str) -> Problem:
-    """Import MODULE:ATTR and return the Problem it names or builds."""
+    """Import MODULE:ATTR and return the Problem it names or builds.
+
+    A module that does not import, or has no ATTR, is a ValueError naming
+    the spec.
+    """
     module_name, _, attr = spec.partition(":")
     if not module_name or not attr:
         raise ValueError(f"custom spec must look like module:attr, "
                          f"got {spec!r}")
-    obj = getattr(importlib.import_module(module_name), attr)
+    try:
+        obj = getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ValueError(f"custom spec {spec!r}: {exc}") from exc
     if callable(obj) and not isinstance(obj, Problem):
         obj = obj()
     if not isinstance(obj, Problem):
@@ -102,6 +109,9 @@ def _run_study(args: argparse.Namespace) -> int:
     names = {f.name for f in fields(StudyConfig)}
     options = {key: value for key, value in vars(args).items()
                if key in names and value is not None}
+    if args.custom_spec is not None and options.get("problem") != "custom":
+        print("error: --custom-spec needs --problem custom", file=sys.stderr)
+        return 2
     if options.get("problem") == "custom":
         if not args.custom_spec:
             print("error: --problem custom requires --custom-spec",

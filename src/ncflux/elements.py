@@ -6,9 +6,12 @@ freedom sit on the facets of K, either as facet means ("mean") or as
 facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
-Box tables are built for every element at once and evaluated for the
-rows asked for (all by default); box quadrature is mapped for the rows
-asked for and not kept. Monomials are expressed in centered
+Box tables are built a block of elements at a time, kept for the whole
+mesh and evaluated for the rows asked for (all by default); box
+quadrature is mapped for the rows asked for and not kept. Box loops take
+blocks of ``BLOCK_POINTS`` quadrature points (``cell_blocks``,
+``facet_blocks``), so the per-point arrays of a block are the same size
+in 2d and 3d. Monomials are expressed in centered
 coordinates xi = (x - center)/scale, which keeps the dual (generalized
 Vandermonde) systems well conditioned under refinement; the scale is
 uniform across components so the difference-of-squares terms stay
@@ -38,13 +41,13 @@ def span_size(dim: int) -> int:
 def span_values(xi: np.ndarray) -> np.ndarray:
     """Evaluate the local span at scaled coordinates xi (..., d)."""
     d = xi.shape[-1]
-    cols = [np.ones(xi.shape[:-1])]
-    for k in range(d):
-        cols.append(xi[..., k])
+    out = np.empty(xi.shape[:-1] + (span_size(d),))
+    out[..., 0] = 1.0
+    out[..., 1:d + 1] = xi
     sq0 = xi[..., 0] ** 2
     for k in range(1, d):
-        cols.append(sq0 - xi[..., k] ** 2)
-    return np.stack(cols, axis=-1)
+        out[..., d + k] = sq0 - xi[..., k] ** 2
+    return out
 
 
 def span_gradients(xi: np.ndarray, inv_scale) -> np.ndarray:
@@ -88,7 +91,9 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     kind "mean" uses facet means (the solvable space); "midpoint" uses
     facet-midpoint values (the space the recovered flux lives in). Facet
     means are evaluated with the Gauss rule, exact here because traces of
-    the span are quadratic.
+    the span are quadratic; a midpoint value is the one-point rule at the
+    facet center. The moment matrices are built and inverted a block of
+    ``cell_blocks`` at a time, so only the tables span the whole mesh.
     """
     if kind not in ("mean", "midpoint"):
         raise ValueError(f"unknown dof kind {kind!r}")
@@ -100,33 +105,30 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     if d < 2:
         raise ValueError("element requires dimension >= 2")
     nm = span_size(d)
-    half = 0.5 * mesh.elem_ext / (0.5 * mesh.elem_ext.max(axis=1))[:, None]
-    # half[:, k] is the facet offset l_k/(2s) in scaled coordinates
-    ne = mesh.ne
-    M = np.empty((ne, 2 * d, nm))
+    # the dof functionals as facet rules on [0, 1]^{d-1}
     if kind == "mean":
-        ref = tensor_rule(d - 1) if d > 1 else None
+        ref = tensor_rule(d - 1)
+        points, weights = ref.points, ref.weights
+    else:
+        points, weights = np.full((1, d - 1), 0.5), np.ones(1)
+    scale = 0.5 * mesh.elem_ext.max(axis=1)
+    coeff = np.empty((mesh.ne, 2 * d, nm))
+    for rows in cell_blocks(mesh):
+        # half[:, k] is the facet offset l_k/(2s) in scaled coordinates
+        half = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
+        M = np.empty((half.shape[0], 2 * d, nm))
         for k in range(d):
             other = [j for j in range(d) if j != k]
-            nq = ref.npoints
-            xi = np.zeros((ne, nq, d))
+            xi = np.empty((half.shape[0], weights.size, d))
             # map [0,1]^{d-1} onto the scaled facet, symmetric about 0
             for c, j in enumerate(other):
-                xi[:, :, j] = (2.0 * ref.points[:, c] - 1.0) * half[:, None, j]
+                xi[:, :, j] = (2.0 * points[:, c] - 1.0) * half[:, None, j]
             for side, sign in ((0, -1.0), (1, 1.0)):
                 xi[:, :, k] = sign * half[:, None, k]
-                vals = span_values(xi)                       # (ne, nq, nm)
                 M[:, 2 * k + side, :] = np.einsum(
-                    "q,eqm->em", ref.weights, vals)
-    else:
-        for k in range(d):
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                xi = np.zeros((ne, d))
-                xi[:, k] = sign * half[:, k]
-                M[:, 2 * k + side, :] = span_values(xi)
-    tables = BasisTables(center=mesh.elem_center,
-                         scale=0.5 * mesh.elem_ext.max(axis=1),
-                         coeff=np.linalg.inv(M))
+                    "q,eqm->em", weights, span_values(xi))
+        coeff[rows] = np.linalg.inv(M)
+    tables = BasisTables(center=mesh.elem_center, scale=scale, coeff=coeff)
     mesh._cache[key] = tables
     return tables
 
@@ -231,6 +233,23 @@ def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
 
 
 # -- box quadrature, mapped on demand -----------------------------------------
+
+BLOCK_POINTS = 32_768    # quadrature points per block of box work
+
+
+def cell_blocks(mesh: TensorMesh) -> list[slice]:
+    """Row blocks of the cells, each with at most BLOCK_POINTS points of
+    the cell rule (one cell at least)."""
+    nq = tensor_rule(mesh.dim).npoints
+    return row_blocks(mesh.ne, max(1, BLOCK_POINTS // nq))
+
+
+def facet_blocks(mesh: TensorMesh) -> list[slice]:
+    """Row blocks of the facets, each with at most BLOCK_POINTS points of
+    the facet rule (one facet at least)."""
+    nq = tensor_rule(mesh.dim - 1).npoints
+    return row_blocks(mesh.nf, max(1, BLOCK_POINTS // nq))
+
 
 def cell_quadrature(mesh: TensorMesh, rows=slice(None)):
     """Mapped tensor Gauss rule on the elements ``rows``: (pts, wts)."""

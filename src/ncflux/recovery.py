@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly
 from .assembly import NcrtField
-from .elements import (BrokenRT, basis_values, cell_quadrature,
-                       facet_quadrature, nc_basis, row_blocks)
+from .elements import (BrokenRT, basis_values, cell_blocks, cell_quadrature,
+                       facet_blocks, facet_quadrature, nc_basis)
 from .mesh import TensorMesh
 from .problems import Problem
 
@@ -58,10 +57,10 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
     monomials, i.e. fields of the form (2 x_1, 0, .., -2 x_k, .., 0).
     values (ne, nq, d) are samples of the projected function at the
     quadrature points pts with weights wts; Gram systems are assembled
-    per element from the same rule.
+    per element from the same rule, a block of ``cell_blocks`` at a time.
     """
     return _projection(mesh, ((blk, values[blk], pts[blk], wts[blk])
-                              for blk in row_blocks(mesh.ne, assembly.CHUNK)))
+                              for blk in cell_blocks(mesh)))
 
 
 def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
@@ -102,14 +101,14 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     Projects a grad u_h onto the local gradient span, then subtracts the
     correction field scaled by the residual load f - b.grad u_h - c u_h,
     sampled at the element centroids. The projection works a block of
-    ``assembly.CHUNK`` elements at a time, so no per-point array spans
-    the whole mesh.
+    ``cell_blocks`` (``elements.BLOCK_POINTS`` quadrature points) at a
+    time, so no per-point array spans the whole mesh.
     """
     mesh = field.mesh
     grad = field.gradient_rt()
 
     def raw_flux():
-        for blk in row_blocks(mesh.ne, assembly.CHUNK):
+        for blk in cell_blocks(mesh):
             pts, wts = cell_quadrature(mesh, blk)
             raw = problem.a(pts)[..., None] * grad.eval_at(pts, blk)
             yield blk, raw, pts, wts
@@ -132,10 +131,11 @@ def rt_interpolate(mesh: TensorMesh, vec) -> BrokenRT:
     Matches the facet integrals of the normal component, facet by facet,
     with the Gauss facet rule; the result has continuous normal
     components by construction. vec maps points (..., d) to (..., d); it
-    is sampled a block of ``assembly.CHUNK`` facets at a time.
+    is sampled a block of ``facet_blocks`` (``elements.BLOCK_POINTS``
+    facet quadrature points) at a time.
     """
     dofs = np.empty(mesh.nf)
-    for rows in row_blocks(mesh.nf, assembly.CHUNK):
+    for rows in facet_blocks(mesh):
         pts, wts = facet_quadrature(mesh, rows)
         normal_comp = np.take_along_axis(
             vec(pts), mesh.facet_axis[rows, None, None], axis=2)[..., 0]

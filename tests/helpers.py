@@ -1,11 +1,14 @@
 """Shared factories for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, assemble_cr
-from ncflux.mesh import build_tensor_mesh, perturb
+from ncflux.elements import cell_blocks, cell_quadrature
+from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.sparse_solve import solve
 
@@ -99,6 +102,32 @@ def jittered_parallel(nx, ny, amount=0.03, seed=3):
                  | (v[:, 1] < eps) | (v[:, 1] > 1.0 - eps))
     v[interior] += rng.uniform(-amount, amount, size=(interior.sum(), 2))
     return TriMesh(v, base.triangles.copy())
+
+
+def refined_box_mesh(problem, min_cells):
+    """problem's initial box mesh, refined and perturbed (seeded by the cell
+    count) until it has min_cells cells or more."""
+    mesh = build_tensor_mesh(*problem.initial_gridlines)
+    while mesh.ne < min_cells:
+        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
+    return mesh
+
+
+def cell_block_bytes(mesh):
+    """Bytes of the mapped cell quadrature (points and weights) of the
+    first block of cell_blocks(mesh): the unit of the allocation tests."""
+    pts, wts = cell_quadrature(mesh, cell_blocks(mesh)[0])
+    return pts.nbytes + wts.nbytes
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite

@@ -1,23 +1,23 @@
+import dataclasses
 import gc
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
-from ncflux import analysis, assembly
+from ncflux import analysis, elements
 from ncflux.assembly import reconstruct_field
-from ncflux.cr import RawFlux
-from ncflux.elements import cell_quadrature, nc_basis
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
-                         refine_midpoint)
-from ncflux.problems import problem2
+from ncflux.cr import CRField, RawFlux, edge_midpoint_average
+from ncflux.elements import cell_blocks, cell_quadrature, nc_basis, row_blocks
+from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
+from ncflux.problems import problem1, problem2
 from ncflux.recovery import midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
-from helpers import linear_problem
+from helpers import (cell_block_bytes, linear_problem, refined_box_mesh,
+                     traced_peak)
 
 
 # -- error norms ----------------------------------------------------------------
@@ -66,34 +66,91 @@ def test_error_is_symmetric_in_sign():
     assert a > 0.0
 
 
+def level_error_pairs(prob, mesh, seed):
+    """The four (exact, approx) pairs of a study level's error pass, on a
+    random discrete field of a box or triangular mesh."""
+    rng = np.random.default_rng(seed)
+    if isinstance(mesh, TriMesh):
+        field = CRField(mesh, rng.normal(size=mesh.nedge))
+        grad = field.gradients()
+        recovered = edge_midpoint_average(mesh, grad)
+    else:
+        field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+        grad = field.gradient_rt()
+        recovered = midpoint_average(grad)
+    raw = RawFlux(prob.a, grad)
+    flux = analysis._exact_flux(prob)
+    return (prob.u, flux, raw, flux), (field, raw, None, recovered)
+
+
 def test_box_error_norms_allocate_one_block_at_a_time(monkeypatch):
     prob = problem2()
-    mesh = build_tensor_mesh(*prob.initial_gridlines)
-    while mesh.ne < 4096:
-        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
-    rng = np.random.default_rng(51)
-    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
-    grad = field.gradient_rt()
-    recovered = midpoint_average(grad)
+    mesh = refined_box_mesh(prob, 4096)
+    exact, approx = level_error_pairs(prob, mesh, 51)
     pts, wts = cell_quadrature(mesh)       # whole-mesh rule, for its size
     nc_basis(mesh, "midpoint")
 
-    def flux(x):
-        return prob.a(x)[..., None] * prob.grad_u(x)
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
+    block_bytes = cell_block_bytes(mesh)
+    assert 8 * block_bytes < pts.nbytes + wts.nbytes
+    for ex, ap in zip(exact, approx):
+        args = (ex,) if ap is None else (ex, ap)
+        assert traced_peak(l2_error, mesh, *args) <= 8 * block_bytes
+    # the four norms of a level in one pass keep the samples of a block:
+    # twice the bound of one pair, half the whole mesh's points and weights
+    assert traced_peak(l2_error, mesh, exact, approx) <= 16 * block_bytes
 
-    monkeypatch.setattr(assembly, "CHUNK", 256)
-    block_bytes = (pts[:256].nbytes + wts[:256].nbytes)
-    assert 8 * block_bytes < pts.nbytes
-    for args in ((prob.u, field), (flux, RawFlux(prob.a, grad)),
-                 (grad,),
-                 (flux, recovered)):
-        tracemalloc.start()
-        try:
-            l2_error(mesh, *args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * block_bytes
+
+@pytest.mark.parametrize("kind", ["2d", "3d", "tri"])
+def test_error_sequence_gives_the_floats_of_separate_calls(monkeypatch,
+                                                           kind):
+    # several blocks of 7 elements with a partial last one, so the norms
+    # add up block sums
+    if kind == "tri":
+        prob = problem1()
+        mesh = build_uniform_parallel(6, 6)
+        monkeypatch.setattr(elements, "TRI_BLOCK", 7)
+        n, blocks = mesh.nt, row_blocks(mesh.nt)
+    else:
+        prob = problem1() if kind == "2d" else problem2()
+        mesh = refined_box_mesh(prob, 64 if kind == "2d" else 200)
+        monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * 4 ** mesh.dim)
+        n, blocks = mesh.ne, cell_blocks(mesh)
+    assert len(blocks) > 2 and n % 7 != 0
+    exact, approx = level_error_pairs(prob, mesh, 53)
+    together = l2_error(mesh, exact, approx)
+    separate = tuple(l2_error(mesh, ex, ap) for ex, ap in zip(exact, approx))
+    assert type(together) is tuple and len(together) == 4
+    assert together == separate
+    assert all(type(err) is float for err in together)
+    assert l2_error(mesh, exact[:1], approx[:1]) == together[:1]
+    assert l2_error(mesh, list(exact[2:3])) == together[2:3]
+
+
+def test_level_errors_sample_the_exact_flux_once_per_block(monkeypatch):
+    prob = problem2()
+    mesh = refined_box_mesh(prob, 200)
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 64 * 4 ** 3)
+    calls = []
+
+    def grad_u(x):
+        calls.append(x.shape[0])
+        return prob.grad_u(x)
+
+    counted = dataclasses.replace(prob, grad_u=grad_u)
+    exact, approx = level_error_pairs(counted, mesh, 54)
+    assert exact[1] is exact[3]            # the exact flux, passed twice
+    l2_error(mesh, exact, approx)
+    blocks = cell_blocks(mesh)
+    assert len(blocks) > 2
+    assert calls == [blk.stop - blk.start for blk in blocks]
+
+
+def test_error_sequences_of_unequal_length_rejected():
+    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="2 exact fields but 1"):
+        l2_error(mesh, (lambda x: x[..., 0], lambda x: x[..., 1]),
+                 (lambda x: x[..., 1],))
 
 
 def test_unsupported_mesh_type_rejected():

@@ -3,22 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
-from ncflux import assembly
+from ncflux import assembly, elements
 from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              nested_dissection, reconstruct_field)
 from ncflux.cr import RawFlux, assemble_cr
 from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
-                             cell_quadrature, nc_basis, row_blocks,
-                             span_gradients)
+                             cell_blocks, cell_quadrature, facet_blocks,
+                             nc_basis, span_gradients)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              project_onto_gradients, rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
 
-from helpers import (linear_problem, perturbed_2d_meshes, solve_tensor,
-                     tri_meshes)
+from helpers import (cell_block_bytes, linear_problem, perturbed_2d_meshes,
+                     refined_box_mesh, solve_tensor, traced_peak, tri_meshes)
 
 
 def polynomial_problem():
@@ -299,7 +299,8 @@ def test_dof_map_partitions_facets(mesh_factory, assembler):
 
 
 def chunked_level(mesh, prob):
-    """The per-level box quantities of the study, for comparing chunk sizes."""
+    """The per-level box quantities of the study, for comparing block sizes."""
+    tables = (nc_basis(mesh, "mean").coeff, nc_basis(mesh, "midpoint").coeff)
     system = assemble(mesh, prob)
     x = spsolve(system.matrix, system.rhs)
     field = reconstruct_field(mesh, system.full_dofs(x))
@@ -312,8 +313,8 @@ def chunked_level(mesh, prob):
         l2_error(mesh, prob.grad_u, RawFlux(prob.a, field.gradient_rt())),
         l2_error(mesh, sigma - interp),
         l2_error(mesh, prob.grad_u, recovered)])
-    return (system, field.eval_at(pts), field.gradients(pts), sigma,
-            recovered.eval_at(pts), errors)
+    return (tables, system, field.eval_at(pts), field.gradients(pts), sigma,
+            interp, recovered.eval_at(pts), errors)
 
 
 @pytest.mark.parametrize("mesh_factory, prob", [
@@ -325,16 +326,24 @@ def chunked_level(mesh, prob):
 def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
                                               prob):
     mesh = mesh_factory()
-    # every box module reads the block size from assembly at call time
-    monkeypatch.setattr(assembly, "CHUNK", 5)
-    assert len(row_blocks(mesh.ne, assembly.CHUNK)) > 2
-    assert mesh.ne % assembly.CHUNK != 0
+    # every box loop reads the point budget from elements at call time:
+    # 7 cells or 28 facets a block, the last block a partial one
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * 4 ** mesh.dim)
+    for blocks, n in ((cell_blocks(mesh), mesh.ne),
+                      (facet_blocks(mesh), mesh.nf)):
+        assert len(blocks) > 2
+        assert n % (blocks[0].stop - blocks[0].start) != 0
     chunked = chunked_level(mesh, prob)
-    monkeypatch.setattr(assembly, "CHUNK", mesh.ne)
+    # a fresh mesh, so its basis tables are built again in one block
+    mesh = mesh_factory()
+    monkeypatch.setattr(elements, "BLOCK_POINTS", mesh.nf * 4 ** mesh.dim)
+    assert len(cell_blocks(mesh)) == len(facet_blocks(mesh)) == 1
     whole = chunked_level(mesh, prob)
 
-    (sys_c, values_c, grads_c, sig_c, rec_c, err_c) = chunked
-    (sys_w, values_w, grads_w, sig_w, rec_w, err_w) = whole
+    (tab_c, sys_c, values_c, grads_c, sig_c, int_c, rec_c, err_c) = chunked
+    (tab_w, sys_w, values_w, grads_w, sig_w, int_w, rec_w, err_w) = whole
+    for coeff_c, coeff_w in zip(tab_c, tab_w):
+        assert np.array_equal(coeff_c, coeff_w)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(sys_c.matrix, name),
                               getattr(sys_w.matrix, name))
@@ -343,9 +352,23 @@ def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
     assert np.array_equal(grads_c, grads_w)
     assert np.array_equal(sig_c.alpha, sig_w.alpha)
     assert np.array_equal(sig_c.beta, sig_w.beta)
+    assert np.array_equal(int_c.alpha, int_w.alpha)
+    assert np.array_equal(int_c.beta, int_w.beta)
     assert np.array_equal(rec_c, rec_w)
     # only the order of the block sums differs
     assert np.all(np.abs(err_c - err_w) <= 1e-14 * err_w)
+
+
+def test_assembly_allocates_one_block_at_a_time(monkeypatch):
+    prob = problem2()
+    mesh = refined_box_mesh(prob, 4096)
+    nc_basis(mesh, "mean")
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
+    block_bytes = cell_block_bytes(mesh)
+    # the triplets and the matrix take about 9 blocks and each block's
+    # basis gradients and weighted gradients 4.5 blocks apiece; the whole
+    # mesh's basis gradients alone would take 72
+    assert traced_peak(assemble, mesh, prob) <= 36 * block_bytes
 
 
 # -- batched-matmul kernels against their einsum form --------------------------

@@ -251,6 +251,35 @@ def test_bad_spec_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, why", [
+    ("nosuchmod:x", "No module named 'nosuchmod'"),
+    ("ncflux.problems:nosuch", "has no attribute 'nosuch'"),
+])
+def test_unimportable_spec_exits_two_naming_it(capsys, spec, why):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        load_custom(spec)
+    code = main(["study", "--problem", "custom", "--custom-spec", spec,
+                 "--levels", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: custom spec {spec!r}" in err and why in err
+    assert "Traceback" not in err and "ne=" not in err
+
+
+def test_spec_without_custom_problem_exits_before_any_level(tmp_path,
+                                                            capsys):
+    code = main(["study", "--custom-spec", "ncflux.problems:problem1",
+                 "--levels", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--custom-spec needs --problem custom" in err and "ne=" not in err
+    # a config file's spec is checked the same way
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("problem=p1\ncustom_spec=ncflux.problems:problem1\n")
+    assert main(["study", "--config", str(cfg), "--levels", "2"]) == 2
+    assert "ne=" not in capsys.readouterr().err
+
+
 def test_unknown_problem_exits_two(capsys):
     code = main(["study", "--problem", "p9", "--levels", "2"])
     assert code == 2

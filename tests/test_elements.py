@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from ncflux import elements
 from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
-                             cell_quadrature, cr_basis, cr_values,
-                             edge_quadrature, facet_quadrature, nc_basis,
-                             span_gradients, span_size, span_values,
-                             tri_quadrature)
+                             cell_blocks, cell_quadrature, cr_basis,
+                             cr_values, edge_quadrature, facet_blocks,
+                             facet_quadrature, nc_basis, span_gradients,
+                             span_size, span_values, tri_quadrature)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
+from ncflux.problems import problem2
+
+from helpers import cell_block_bytes, refined_box_mesh, traced_peak
 
 
 def random_mesh(dim, seed, n=3):
@@ -30,6 +34,19 @@ def test_span_contains_expected_monomials():
     x, y, z = xi[0]
     expected = [1.0, x, y, z, x * x - y * y, x * x - z * z]
     assert np.allclose(vals[0], expected)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_span_values_are_the_stacked_columns_bit_for_bit(dim):
+    xi = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(5, 7, dim))
+    sq0 = xi[..., 0] ** 2
+    stacked = np.stack([np.ones(xi.shape[:-1])]
+                       + [xi[..., k] for k in range(dim)]
+                       + [sq0 - xi[..., k] ** 2 for k in range(1, dim)],
+                       axis=-1)
+    vals = span_values(xi)
+    assert vals.shape == stacked.shape
+    assert np.array_equal(vals, stacked)
 
 
 def test_span_gradient_of_quadratic_member():
@@ -86,6 +103,36 @@ def test_partition_of_unity(kind):
     pts, _ = cell_quadrature(mesh)
     vals = basis_values(tables, pts)
     assert np.allclose(vals.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_basis_tables_allocate_one_block_at_a_time(monkeypatch):
+    mesh = refined_box_mesh(problem2(), 4096)
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
+    block_bytes = cell_block_bytes(mesh)
+    # the tables themselves take 2.25 blocks; the facet samples of the
+    # whole mesh at once took 21
+    for kind in ("mean", "midpoint"):
+        peak = traced_peak(nc_basis, mesh, kind)
+        assert nc_basis(mesh, kind).coeff.nbytes == 2.25 * block_bytes
+        assert 2.25 * block_bytes <= peak <= 5 * block_bytes
+
+
+@pytest.mark.parametrize("dim, cells, facets, n", [(2, 2048, 8192, 64),
+                                                   (3, 512, 2048, 10)])
+def test_box_blocks_hold_the_point_budget(monkeypatch, dim, cells, facets,
+                                          n):
+    mesh = build_tensor_mesh(*([np.linspace(0.0, 1.0, n + 1)] * dim))
+    assert mesh.ne > cells and mesh.nf > facets
+    nq = cell_quadrature(mesh, slice(0, 1))[1].size
+    assert cells * nq == facets * nq // 4 == elements.BLOCK_POINTS
+    for blocks, size, rows in ((cell_blocks(mesh), cells, mesh.ne),
+                               (facet_blocks(mesh), facets, mesh.nf)):
+        assert blocks == [slice(lo, min(lo + size, rows))
+                          for lo in range(0, rows, size)]
+    # a budget below one element's points still takes one at a time
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 1)
+    assert cell_blocks(mesh)[:2] == [slice(0, 1), slice(1, 2)]
+    assert len(facet_blocks(mesh)) == mesh.nf
 
 
 def test_unknown_dof_kind_rejected():

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ncflux.mesh import (TensorMesh, TriMesh, build_tensor_mesh,
                          build_uniform_parallel, perturb, refine_midpoint)
+
+from helpers import perturbed_2d_meshes
 
 GRID_X = (0.0, 0.4, 0.8, 1.0)
 GRID_Y = (0.0, 0.7, 1.0)
@@ -48,6 +51,33 @@ def test_element_facet_table_is_consistent():
         hi = mesh.facet_midpoint[mesh.elem_facets[:, 2 * k + 1], k]
         assert np.allclose(lo, mesh.elem_lo[:, k])
         assert np.allclose(hi, mesh.elem_lo[:, k] + mesh.elem_ext[:, k])
+
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes())
+def test_facet_numbering_contract(mesh):
+    # midpoint_average follows boundary chains by id +- cross_size(axis):
+    # the facet one gridline further along axis k shares the element
+    # between the two, and elem_facets names exactly those facets
+    ids = np.arange(mesh.nf)
+    for k in range(mesh.dim):
+        step = mesh.cross_size(k)
+        block = ids[mesh.facet_block(k)]
+        assert (mesh.facet_axis[block] == k).all()
+        inner = block[mesh.facet_pos[block] < mesh.shape[k]]
+        nxt = inner + step
+        assert (mesh.facet_axis[nxt] == k).all()
+        assert np.array_equal(mesh.facet_pos[nxt], mesh.facet_pos[inner] + 1)
+        assert np.array_equal(mesh.facet_elems[inner, 1],
+                              mesh.facet_elems[nxt, 0])
+        assert (mesh.facet_elems[inner, 1] >= 0).all()
+        lo, hi = mesh.elem_facets[:, 2 * k], mesh.elem_facets[:, 2 * k + 1]
+        assert np.array_equal(hi, lo + step)
+        assert np.array_equal(mesh.facet_elems[lo, 1], np.arange(mesh.ne))
+        assert np.array_equal(mesh.facet_elems[hi, 0], np.arange(mesh.ne))
+    # every element is named once per side of each axis, and nowhere else
+    named = np.sort(mesh.facet_elems[mesh.facet_elems >= 0])
+    assert np.array_equal(named, np.repeat(np.arange(mesh.ne), 2 * mesh.dim))
 
 
 def test_patch_of_facets():

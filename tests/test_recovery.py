@@ -1,19 +1,21 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import spsolve
 
-from ncflux import assembly
+from ncflux import elements
 from ncflux.analysis import fit_order, l2_error
-from ncflux.assembly import reconstruct_field
+from ncflux.assembly import assemble, reconstruct_field
 from ncflux.elements import BrokenRT, cell_quadrature, nc_basis
-from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
+from ncflux.mesh import build_tensor_mesh, perturb
 from ncflux.problems import custom_problem, problem2
 from ncflux.recovery import (MidpointFlux, correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
                              project_onto_gradients, rt_interpolate)
 
-from helpers import (solve_tensor, source_problem, tensor_locator,
+from helpers import (cell_block_bytes, perturbed_2d_meshes, refined_box_mesh,
+                     solve_tensor,
+                     source_problem, tensor_locator, traced_peak,
                      zeros_scalar, zeros_vector)
 
 
@@ -190,28 +192,49 @@ def test_corrected_flux_is_normally_continuous_for_cellwise_load():
     assert max_normal_jump(raw) > 1e-3
 
 
+@settings(max_examples=25)
+@given(perturbed_2d_meshes(max_cells=16), st.floats(0.25, 4.0),
+       st.integers(0, 2**16))
+def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
+    # Marini (1985): for a piecewise-constant load and constant a the
+    # corrected flux is the mixed flux, whose normal components are
+    # continuous; a direct solve keeps the discrete equations exact
+    fbar = np.random.default_rng(seed).uniform(-2.0, 2.0, size=mesh.ne)
+    locate = tensor_locator(mesh)
+    prob = source_problem(2, source=lambda x: fbar[locate(x)],
+                          a=lambda x: np.full(x.shape[:-1], a))
+    system = assemble(mesh, prob)
+    field = reconstruct_field(mesh, system.full_dofs(
+        spsolve(system.matrix.tocsc(), system.rhs)))
+    sigma = corrected_flux(field, prob)
+    scale = np.abs(sigma.midpoint_traces()).max()
+    assert max_normal_jump(sigma) <= 1e-12 * scale
+
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes(), st.tuples(st.floats(-5.0, 5.0),
+                                        st.floats(-5.0, 5.0)))
+def test_averaging_preserves_constants_property(mesh, const):
+    const = np.array(const)
+    flux = BrokenRT(mesh, alpha=np.tile(const, (mesh.ne, 1)),
+                    beta=np.zeros((mesh.ne, 2)))
+    avg = midpoint_average(flux)
+    assert np.abs(avg.values - const).max() <= 1e-13 * (1.0 + np.abs(const).max())
+
+
 def test_corrected_flux_allocates_one_block_at_a_time(monkeypatch):
     prob = problem2()
-    mesh = build_tensor_mesh(*prob.initial_gridlines)
-    while mesh.ne < 4096:
-        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
+    mesh = refined_box_mesh(prob, 4096)
     rng = np.random.default_rng(52)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
     nc_basis(mesh, "mean")
 
-    monkeypatch.setattr(assembly, "CHUNK", 256)
-    pts, wts = cell_quadrature(mesh, slice(0, 256))
-    block_bytes = pts.nbytes + wts.nbytes
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
+    block_bytes = cell_block_bytes(mesh)
     # the Gram kernel holds three (block, nq, d, 2d - 1) tensors, about
-    # 11 blocks of points here; the whole mesh's raw flux and gradients
-    # alone would take 24
-    tracemalloc.start()
-    try:
-        corrected_flux(field, prob)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * block_bytes
+    # 11 blocks of points here and 15 with the raw flux; the whole mesh's
+    # raw flux and gradients alone would take 24
+    assert traced_peak(corrected_flux, field, prob) <= 16 * block_bytes
 
 
 # -- facet-flux interpolation --------------------------------------------------
