@@ -199,6 +199,12 @@ def _tensor_meshes(problem: Problem, config: StudyConfig):
     if problem.initial_gridlines is None:
         raise ValueError(f"problem {problem.name!r} has no initial gridlines; "
                          "box studies need them")
+    for k, lines in enumerate(problem.initial_gridlines):
+        # every level averages the flux, extrapolating along two elements
+        if len(lines) < 3:
+            raise ValueError(
+                f"initial_gridlines of problem {problem.name!r} need >= 3 "
+                f"gridlines (2 elements) per axis; axis {k} has {len(lines)}")
     seeds = np.random.SeedSequence(config.seed).generate_state(config.levels)
     mesh = TensorMesh(problem.initial_gridlines)
     yield mesh

@@ -16,11 +16,13 @@ the quadrature rule for one block at a time, so the per-point arrays stay
 the same size whatever the mesh and its dimension; the basis tables of
 ``nc_basis``, ``recovery`` and the box error norms of ``analysis`` take
 their blocks from the same budget when they are called. Problem data
-is checked to be finite block by block as it is sampled. The per-point
-kernels are batched matmuls with the quadrature weights applied first:
-element matrices and loads here, ``elements.basis_gradients``, the Gram
-systems of ``recovery.project_onto_gradients``, and the evaluation of
-``NcrtField`` and ``recovery.MidpointFlux``. ``NcrtField.gradients``
+is checked to be finite block by block as it is sampled. The element
+kernel never forms basis functions or gradients at the points: the
+stiffness, convection, reaction and load are the cells' moments of the
+data (``elements.cell_moments``) against fixed product tensors of the
+span's monomials, and the basis tables map them to the dof basis as
+coeff^T S coeff, all in matmuls per cell (Kirby, Knepley, Logg and
+Scott, SIAM J. Sci. Comput. 27, 2005). ``NcrtField.gradients``
 evaluates the exact affine form ``gradient_rt``.
 
 ``nested_dissection`` orders the unknowns of a box or triangular mesh
@@ -31,15 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import (BrokenRT, basis_gradients, basis_values,
-                       cell_blocks, cell_quadrature, facet_quadrature,
-                       nc_basis, span_values)
+from .elements import (BrokenRT, cell_blocks, cell_moments,
+                       cell_quadrature, facet_quadrature, nc_basis,
+                       span_polynomials, span_values)
 from .mesh import TensorMesh, TriMesh
 from .problems import Problem
+from .quadrature import monomial_exponents
 
 
 @dataclass(frozen=True)
@@ -232,27 +236,95 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
                             _local_blocks(mesh, problem))
 
 
+def _poly_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            k = tuple(i + j for i, j in zip(a, b))
+            out[k] = out.get(k, 0.0) + x * y
+    return out
+
+
+def _poly_diff(p: dict, j: int) -> dict:
+    return {a[:j] + (a[j] - 1,) + a[j + 1:]: a[j] * x
+            for a, x in p.items() if a[j]}
+
+
+@lru_cache(maxsize=None)
+def _product_tensors(dim: int):
+    """The element integrands in the monomial basis of the span, as fixed
+    tensors over the exponents alpha of monomial_exponents(dim, 4).
+
+    With xi-moments M[alpha] of the data, a monomial-basis element matrix
+    is sum_alpha M[alpha] T[alpha, m, n], and the load sum_alpha M[alpha]
+    T[alpha, m]: stiffness grad_xi m . grad_xi n, convection m d_j n (one
+    tensor per component j of b), reaction m n and load m. Read-only.
+    """
+    index = {tuple(a): i for i, a in
+             enumerate(monomial_exponents(dim, 4).tolist())}
+    span = span_polynomials(dim)
+    nm = len(span)
+    grads = [[_poly_diff(m, j) for j in range(dim)] for m in span]
+
+    def tensor(poly_of, shape):
+        out = np.zeros((len(index),) + shape)
+        for pos in np.ndindex(*shape):
+            for a, x in poly_of(*pos).items():
+                out[(index[a],) + pos] += x
+        out.setflags(write=False)
+        return out
+
+    def stiffness(m, n):
+        total = {}
+        for j in range(dim):
+            for a, x in _poly_mul(grads[m][j], grads[n][j]).items():
+                total[a] = total.get(a, 0.0) + x
+        return total
+
+    convection = [tensor(lambda m, n, j=j: _poly_mul(span[m], grads[n][j]),
+                         (nm, nm)) for j in range(dim)]
+    return (tensor(stiffness, (nm, nm)), convection,
+            tensor(lambda m, n: _poly_mul(span[m], span[n]), (nm, nm)),
+            tensor(lambda m: span[m], (nm,)))
+
+
 def _local_blocks(mesh: TensorMesh, problem: Problem):
-    # each integral is a weighted factor, transposed, times an unweighted
-    # one: a batched matmul per block, with the weights applied first
+    # every element integral is the cell's moments of its data against a
+    # fixed product tensor (a monomial-basis matrix), mapped to the dof
+    # basis as coeff^T S coeff; all products are batched matmuls per cell
+    d = mesh.dim
     tables = nc_basis(mesh, "mean")
+    stiff, conv, react, load_t = _product_tensors(d)
+    # the data rows: a, then b's components, then c; the load f last
+    terms = ([stiff] + (conv if problem.b is not None else [])
+             + ([react] if problem.c is not None else []))
+    # the highest degree of the integrands: a grad.grad 2, b m grad 3, c m m 4
+    degree = 4 if problem.c is not None else 3 if problem.b is not None else 2
+    na = monomial_exponents(d, degree).shape[0]
+    nm = stiff.shape[1]
+    products = np.concatenate([t[:na].reshape(na, nm * nm) for t in terms])
+    load_t = load_t[:na]
     for blk in cell_blocks(mesh):
-        p, w = cell_quadrature(mesh, blk)
-        phi = basis_values(tables, p, blk)             # (b, nq, ndof)
-        gphi = basis_gradients(tables, p, blk)         # (b, nq, d, ndof)
-        n, nq, d, ndof = gphi.shape
-        # w (a grad phi_i + b phi_i) . grad phi_j, as one matmul over
-        # (points, components)
-        wg = (w * finite("a", problem.a(p), p))[:, :, None, None] * gphi
+        p, _ = cell_quadrature(mesh, blk)
+        n, nq = p.shape[:2]
+        data = np.empty((n, len(terms) + 1, nq))
+        data[:, 0] = finite("a", problem.a(p), p)
         if problem.b is not None:
-            wg += ((w[:, :, None] * finite("b", problem.b(p), p))[..., None]
-                   * phi[:, :, None])
-        local = (wg.reshape(n, nq * d, ndof).transpose(0, 2, 1)
-                 @ gphi.reshape(n, nq * d, ndof))
-        wphi = phi.transpose(0, 2, 1) * w[:, None, :]   # (b, ndof, nq)
+            data[:, 1:d + 1] = finite("b", problem.b(p), p).transpose(0, 2, 1)
         if problem.c is not None:
-            local += (wphi * finite("c", problem.c(p), p)[:, None, :]) @ phi
-        load = (wphi @ finite("f", problem.f(p), p)[:, :, None])[:, :, 0]
+            data[:, -2] = finite("c", problem.c(p), p)
+        data[:, -1] = finite("f", problem.f(p), p)
+        moments = cell_moments(mesh, data, blk, degree)
+        # physical derivatives are xi-derivatives over the scale
+        inv_s = 1.0 / tables.scale[blk]
+        moments[:, 0] *= (inv_s ** 2)[:, None]
+        if problem.b is not None:
+            moments[:, 1:d + 1] *= inv_s[:, None, None]
+        mono = (moments[:, :-1].reshape(n, 1, -1) @ products).reshape(
+            n, nm, nm)
+        coeff = tables.coeff[blk]
+        local = coeff.transpose(0, 2, 1) @ mono @ coeff
+        load = (moments[:, -1:] @ load_t @ coeff)[:, 0]
         yield mesh.elem_facets[blk], local, load
 
 

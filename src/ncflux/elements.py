@@ -6,16 +6,21 @@ freedom sit on the facets of K, either as facet means ("mean") or as
 facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
-Box tables are built a block of elements at a time, kept for the whole
-mesh and evaluated for the rows asked for (all by default); box
-quadrature is mapped for the rows asked for and not kept. Box loops take
-blocks of ``BLOCK_POINTS`` quadrature points (``cell_blocks``,
+Monomials are expressed in centered coordinates xi = (x - center)/scale,
+which keeps the dual (generalized Vandermonde) systems well conditioned
+under refinement; the scale is uniform across components so the
+difference-of-squares terms stay inside the span. Box tables are built
+a block of elements at a time, kept for the whole mesh and evaluated for
+the rows asked for (all by default).
+
+Box integrals of data against polynomials in xi are cell moments,
+int_K v xi^alpha (``cell_moments``): the data sampled at the mapped
+tensor rule, times the one reference table of ``quadrature.moment_table``
+(a matmul per cell), times |K| h^alpha with h = elem_ext / (2 scale).
+Box quadrature is mapped for the rows asked for and not kept. Box loops
+take blocks of ``BLOCK_POINTS`` quadrature points (``cell_blocks``,
 ``facet_blocks``), so the per-point arrays of a block are the same size
-in 2d and 3d. Monomials are expressed in centered
-coordinates xi = (x - center)/scale, which keeps the dual (generalized
-Vandermonde) systems well conditioned under refinement; the scale is
-uniform across components so the difference-of-squares terms stay
-inside the span.
+in 2d and 3d.
 
 Triangle tables and quadrature are built for the rows asked for (all by
 default), so that the triangular pipeline can work through a large mesh
@@ -30,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TensorMesh, TriMesh
-from .quadrature import (gauss1d_4, map_to_box, map_to_triangle, tensor_rule,
+from .quadrature import (gauss1d_4, map_to_box, map_to_triangle,
+                         moment_table, monomial_exponents, tensor_rule,
                          triangle_rule)
 
 
@@ -50,20 +56,15 @@ def span_values(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_gradients(xi: np.ndarray, inv_scale) -> np.ndarray:
-    """Physical-coordinate gradients of the span, shape (..., d, nm).
-
-    inv_scale is 1/scale, broadcastable against xi[..., 0].
-    """
-    d = xi.shape[-1]
-    nm = span_size(d)
-    out = np.zeros(xi.shape[:-1] + (d, nm))
-    for k in range(d):
-        out[..., k, 1 + k] = inv_scale
-    for k in range(1, d):
-        out[..., 0, d + k] = 2.0 * xi[..., 0] * inv_scale
-        out[..., k, d + k] = -2.0 * xi[..., k] * inv_scale
-    return out
+def span_polynomials(dim: int) -> tuple[dict, ...]:
+    """The span's members as {exponent tuple: coefficient} polynomials in
+    xi, in span_values order: 1, xi_k, xi_0^2 - xi_k^2."""
+    unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+    polys = [{(0,) * dim: 1.0}] + [{e: 1.0} for e in unit]
+    for k in range(1, dim):
+        polys.append({tuple(2 * j for j in unit[0]): 1.0,
+                      tuple(2 * j for j in unit[k]): -1.0})
+    return tuple(polys)
 
 
 @dataclass(frozen=True)
@@ -138,19 +139,6 @@ def basis_values(tables: BasisTables, pts: np.ndarray,
     """Basis values at pts (ne, nq, d) of the elements rows: (ne, nq, ndof)."""
     xi = tables.local_coords(pts, rows)
     return span_values(xi) @ tables.coeff[rows]
-
-
-def basis_gradients(tables: BasisTables, pts: np.ndarray,
-                    rows=slice(None)) -> np.ndarray:
-    """Basis gradients at pts (ne, nq, d) of the elements rows.
-
-    Shape (ne, nq, d, ndof).
-    """
-    xi = tables.local_coords(pts, rows)
-    g = span_gradients(xi, 1.0 / tables.scale[rows, None])
-    ne, nq, d, nm = g.shape
-    return (g.reshape(ne, nq * d, nm) @ tables.coeff[rows]).reshape(
-        ne, nq, d, -1)
 
 
 @dataclass
@@ -255,6 +243,31 @@ def cell_quadrature(mesh: TensorMesh, rows=slice(None)):
     """Mapped tensor Gauss rule on the elements ``rows``: (pts, wts)."""
     return map_to_box(tensor_rule(mesh.dim), mesh.elem_lo[rows],
                       mesh.elem_ext[rows])
+
+
+def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
+                 degree: int = 2) -> np.ndarray:
+    """Moments int_K v xi^alpha, |alpha| <= degree, of data v on the cells
+    rows, in monomial_exponents(dim, degree) order.
+
+    samples (b, nq) or (b, m, nq) hold v (or m data) at the points of
+    cell_quadrature(mesh, rows); None stands for v = 1, the geometry
+    moments. Since xi = h tau with h = elem_ext / (2 scale), a moment is
+    the samples times moment_table, a matmul per cell, scaled by
+    |K| h^alpha. Returns (b, n) or (b, m, n).
+    """
+    d = mesh.dim
+    table = moment_table(d, degree)
+    ext = mesh.elem_ext[rows]
+    h = 0.5 * ext / nc_basis(mesh).scale[rows, None]
+    factor = np.prod(ext, axis=1)[:, None] * np.prod(
+        h[:, None, :] ** monomial_exponents(d, degree), axis=2)
+    if samples is None:
+        return factor * table.sum(axis=0)
+    if samples.ndim == 2:
+        # one matmul per cell keeps the bits independent of the block size
+        return (samples[:, None, :] @ table)[:, 0] * factor
+    return (samples @ table) * factor[:, None, :]
 
 
 def facet_quadrature(mesh: TensorMesh, rows=slice(None)):

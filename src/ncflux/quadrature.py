@@ -8,6 +8,7 @@ once (leading axes of ``lo``/``ext``/``verts`` broadcast).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,38 @@ def tensor_rule(dim: int) -> QuadRule:
     for wg in wgrids:
         weights = weights * wg.ravel()
     return QuadRule(points, weights)
+
+
+@lru_cache(maxsize=None)
+def monomial_exponents(dim: int, degree: int) -> np.ndarray:
+    """Exponents alpha of the monomials of total degree <= degree in dim
+    variables, shape (n, dim), by total degree and then first variable
+    first: 1, x_0, .., x_{d-1}, x_0^2, x_0 x_1, ... A lower degree's
+    exponents are a prefix. Read-only."""
+    alpha = np.array(sorted(
+        (a for a in itertools.product(range(degree + 1), repeat=dim)
+         if sum(a) <= degree),
+        key=lambda a: (sum(a), [-k for k in a])), dtype=np.int64)
+    alpha.setflags(write=False)
+    return alpha
+
+
+@lru_cache(maxsize=None)
+def moment_table(dim: int, degree: int) -> np.ndarray:
+    """The reference moment table w_q tau_q^alpha of the tensor rule.
+
+    tau = 2 t - 1 are the tensor_rule(dim) points moved onto [-1, 1]^dim
+    and alpha runs over monomial_exponents(dim, degree); shape (nq, n).
+    Samples v_q at the rule's points times this table are the means of
+    v tau^alpha over the reference box. Read-only.
+    """
+    rule = tensor_rule(dim)
+    tau = 2.0 * rule.points - 1.0
+    powers = np.prod(tau[:, None, :] ** monomial_exponents(dim, degree),
+                     axis=2)
+    table = rule.weights[:, None] * powers
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,11 @@ facets. Three ingredients repair it:
   interior facets and extrapolation along inward chains at boundary
   facets.
 
-The same code paths serve 2d (edges) and 3d (faces).
+The projection never samples basis functions at points: its Gram matrix
+is the span's products integrated by the cells' geometry moments, and in
+``corrected_flux`` its right-hand side is the affine gradient times the
+moments of a up to degree 2 (``elements.cell_moments``). The same code
+paths serve 2d (edges) and 3d (faces).
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NcrtField
-from .elements import (BrokenRT, basis_values, cell_blocks, cell_quadrature,
-                       facet_blocks, facet_quadrature, nc_basis)
+from .elements import (BrokenRT, basis_values, cell_blocks, cell_moments,
+                       cell_quadrature, facet_blocks, facet_quadrature,
+                       nc_basis)
 from .mesh import TensorMesh
 from .problems import Problem
+from .quadrature import monomial_exponents
 
 
 def correction_field(mesh: TensorMesh) -> BrokenRT:
@@ -56,38 +62,48 @@ def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
     e_1..e_d together with the gradients of the quadratic shape
     monomials, i.e. fields of the form (2 x_1, 0, .., -2 x_k, .., 0).
     values (ne, nq, d) are samples of the projected function at the
-    quadrature points pts with weights wts; Gram systems are assembled
-    per element from the same rule, a block of ``cell_blocks`` at a time.
+    points pts of a rule with weights wts that integrates the span's
+    products exactly, like cell_quadrature's; the right-hand sides are
+    summed over those points, a block of ``cell_blocks`` at a time.
     """
-    return _projection(mesh, ((blk, values[blk], pts[blk], wts[blk])
-                              for blk in cell_blocks(mesh)))
+    tables = nc_basis(mesh, "mean")
+
+    def rhs():
+        for blk in cell_blocks(mesh):
+            wv = wts[blk, :, None] * values[blk]
+            xi = tables.local_coords(pts[blk], blk)
+            yield blk, wv.sum(axis=1), (wv * xi).sum(axis=1)
+
+    return _projection(mesh, rhs())
 
 
 def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
-    # blocks yields (rows, values, pts, wts) covering the elements once
+    """The projection of v onto the span of e_j and xi_0 e_0 - xi_k e_k.
+
+    blocks yields (rows, v0, v1) covering the elements once, with
+    v0[:, j] = int_K v_j and v1[:, j] = int_K v_j xi_j, both (b, d): the
+    right-hand side is v0 and v1_0 - v1_k. The Gram matrix pairs the
+    span's members through the geometry moments int_K 1, xi_j, xi_j^2.
+    """
     d = mesh.dim
     nb = 2 * d - 1
+    ax, quad = np.arange(d), np.arange(d, nb)
+    square = _squares(d)
     tables = nc_basis(mesh, "mean")
-    ne = mesh.ne
-    coef = np.empty((ne, nb))
-    for blk, values, pts, wts in blocks:
-        nq = pts.shape[1]
-        xi = tables.local_coords(pts, blk)
-        B = np.zeros((xi.shape[0], nq, d, nb))
-        for j in range(d):
-            B[:, :, j, j] = 1.0
-        for k in range(1, d):
-            B[:, :, 0, d + k - 1] = xi[..., 0]
-            B[:, :, k, d + k - 1] = -xi[..., k]
-        # Gram matrix and right-hand side as wB^T @ (B | values), both
-        # flattened over (points, components)
-        wBt = (wts[:, :, None, None] * B).reshape(
-            -1, nq * d, nb).transpose(0, 2, 1)
-        gram = wBt @ B.reshape(-1, nq * d, nb)
-        rhs = wBt @ values.reshape(-1, nq * d, 1)
-        coef[blk] = np.linalg.solve(gram, rhs)[:, :, 0]
+    coef = np.empty((mesh.ne, nb))
+    for blk, v0, v1 in blocks:
+        geo = cell_moments(mesh, None, blk)
+        first, second = geo[:, 1:d + 1], geo[:, square]
+        gram = np.zeros((geo.shape[0], nb, nb))
+        gram[:, ax, ax] = geo[:, :1]
+        gram[:, 0, quad] = gram[:, quad, 0] = first[:, :1]
+        gram[:, ax[1:], quad] = gram[:, quad, ax[1:]] = -first[:, 1:]
+        gram[:, d:, d:] = second[:, 0, None, None]
+        gram[:, quad, quad] += second[:, 1:]
+        rhs = np.concatenate([v0, v1[:, :1] - v1[:, 1:]], axis=1)
+        coef[blk] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     s = tables.scale
-    beta = np.empty((ne, d))
+    beta = np.empty((mesh.ne, d))
     beta[:, 0] = coef[:, d:].sum(axis=1) / s
     for k in range(1, d):
         beta[:, k] = -coef[:, d + k - 1] / s
@@ -95,25 +111,39 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
     return BrokenRT(mesh, alpha, beta)
 
 
+def _squares(d: int) -> np.ndarray:
+    """Positions of xi_0^2, .., xi_{d-1}^2 among the degree-2 moments."""
+    return np.flatnonzero(monomial_exponents(d, 2).max(axis=1) == 2)
+
+
 def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     """Continuity-corrected discrete flux.
 
     Projects a grad u_h onto the local gradient span, then subtracts the
     correction field scaled by the residual load f - b.grad u_h - c u_h,
-    sampled at the element centroids. The projection works a block of
-    ``cell_blocks`` (``elements.BLOCK_POINTS`` quadrature points) at a
-    time, so no per-point array spans the whole mesh.
+    sampled at the element centroids. grad u_h is affine per component,
+    g_j = g0_j + g1_j xi_j, so the projection's right-hand side needs
+    only the moments of a up to degree 2 (``cell_moments``), taken a
+    block of ``cell_blocks`` (``elements.BLOCK_POINTS`` quadrature
+    points) at a time.
     """
     mesh = field.mesh
+    d = mesh.dim
+    tables = nc_basis(mesh, "mean")
     grad = field.gradient_rt()
+    g0 = grad.alpha + grad.beta * tables.center
+    g1 = grad.beta * tables.scale[:, None]
+    square = _squares(d)
 
-    def raw_flux():
+    def rhs():
         for blk in cell_blocks(mesh):
-            pts, wts = cell_quadrature(mesh, blk)
-            raw = problem.a(pts)[..., None] * grad.eval_at(pts, blk)
-            yield blk, raw, pts, wts
+            pts, _ = cell_quadrature(mesh, blk)
+            moments = cell_moments(mesh, problem.a(pts), blk)
+            first = moments[:, 1:d + 1]
+            yield (blk, g0[blk] * moments[:, :1] + g1[blk] * first,
+                   g0[blk] * first + g1[blk] * moments[:, square])
 
-    q = _projection(mesh, raw_flux())
+    q = _projection(mesh, rhs())
 
     xc = mesh.elem_center
     p = problem.f(xc)

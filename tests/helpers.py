@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, assemble_cr
-from ncflux.elements import cell_blocks, cell_quadrature
+from ncflux.elements import cell_blocks, cell_quadrature, span_size
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.sparse_solve import solve
@@ -102,6 +102,29 @@ def jittered_parallel(nx, ny, amount=0.03, seed=3):
                  | (v[:, 1] < eps) | (v[:, 1] > 1.0 - eps))
     v[interior] += rng.uniform(-amount, amount, size=(interior.sum(), 2))
     return TriMesh(v, base.triangles.copy())
+
+
+def span_gradients(xi, inv_scale):
+    """Physical-coordinate gradients of the box span at scaled coordinates
+    xi (..., d), shape (..., d, nm): the per-point reference for the
+    moment kernels. inv_scale is 1/scale, broadcastable against
+    xi[..., 0]."""
+    d = xi.shape[-1]
+    out = np.zeros(xi.shape[:-1] + (d, span_size(d)))
+    for k in range(d):
+        out[..., k, 1 + k] = inv_scale
+    for k in range(1, d):
+        out[..., 0, d + k] = 2.0 * xi[..., 0] * inv_scale
+        out[..., k, d + k] = -2.0 * xi[..., k] * inv_scale
+    return out
+
+
+def basis_gradients(tables, pts, rows=slice(None)):
+    """Dof-basis gradients at pts (ne, nq, d) of the elements rows, shape
+    (ne, nq, d, ndof), evaluated point by point."""
+    xi = tables.local_coords(pts, rows)
+    g = span_gradients(xi, 1.0 / tables.scale[rows, None])
+    return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
 
 
 def refined_box_mesh(problem, min_cells):

@@ -345,6 +345,19 @@ def test_custom_problem_without_gridlines_rejected():
         run_study(cfg)
 
 
+def test_one_interval_gridlines_rejected_before_level_zero(monkeypatch):
+    prob = linear_problem(2, gridlines=((0.0, 0.5, 1.0), (0.0, 1.0)))
+    cfg = StudyConfig(problem="custom", element="ncrt2d", levels=2,
+                      custom=prob)
+
+    def no_assembly(*args):
+        raise AssertionError("level 0 was assembled")
+
+    monkeypatch.setattr(analysis, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="initial_gridlines.*axis 1 has 2"):
+        run_study(cfg)
+
+
 # -- reports ----------------------------------------------------------------------
 
 def test_csv_report_shape_and_round_trip():

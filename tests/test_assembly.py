@@ -8,17 +8,17 @@ from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              nested_dissection, reconstruct_field)
 from ncflux.cr import RawFlux, assemble_cr
-from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
-                             cell_blocks, cell_quadrature, facet_blocks,
-                             nc_basis, span_gradients)
+from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
+                             cell_quadrature, facet_blocks, nc_basis)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              project_onto_gradients, rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
 
-from helpers import (cell_block_bytes, linear_problem, perturbed_2d_meshes,
-                     refined_box_mesh, solve_tensor, traced_peak, tri_meshes)
+from helpers import (basis_gradients, cell_block_bytes, linear_problem,
+                     perturbed_2d_meshes, refined_box_mesh, solve_tensor,
+                     traced_peak, tri_meshes)
 
 
 def polynomial_problem():
@@ -365,13 +365,13 @@ def test_assembly_allocates_one_block_at_a_time(monkeypatch):
     nc_basis(mesh, "mean")
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
-    # the triplets and the matrix take about 9 blocks and each block's
-    # basis gradients and weighted gradients 4.5 blocks apiece; the whole
-    # mesh's basis gradients alone would take 72
-    assert traced_peak(assemble, mesh, prob) <= 36 * block_bytes
+    # 12.1 blocks measured: the triplets and the matrix take about 9, a
+    # block's quadrature, data samples and moments the rest. A block's
+    # per-point basis gradients, (block, nq, d, ndof), would add 4.5
+    assert traced_peak(assemble, mesh, prob) <= 15 * block_bytes
 
 
-# -- batched-matmul kernels against their einsum form --------------------------
+# -- moment kernels against their per-point einsum form -----------------------
 
 def perturbed_level(prob, refinements, seed):
     mesh = build_tensor_mesh(*prob.initial_gridlines)
@@ -380,17 +380,11 @@ def perturbed_level(prob, refinements, seed):
     return perturb(mesh, 0.2, seed=seed)
 
 
-def einsum_gradients(tables, pts):
-    xi = tables.local_coords(pts)
-    g = span_gradients(xi, 1.0 / tables.scale[:, None])
-    return np.einsum("eqdm,emj->eqdj", g, tables.coeff)
-
-
 def einsum_local_blocks(mesh, problem):
     tables = nc_basis(mesh, "mean")
     p, w = cell_quadrature(mesh)
     phi = basis_values(tables, p)
-    gphi = einsum_gradients(tables, p)
+    gphi = basis_gradients(tables, p)
     local = np.einsum("bq,bqdi,bqdj->bij", w * problem.a(p), gphi, gphi)
     if problem.b is not None:
         bdotg = np.einsum("bqd,bqdj->bqj", problem.b(p), gphi)
@@ -428,7 +422,6 @@ def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
     assert (prob.b is not None and prob.c is not None) == (mesh.dim == 2)
     tables = nc_basis(mesh, "mean")
     pts, wts = cell_quadrature(mesh)
-    assert close(basis_gradients(tables, pts), einsum_gradients(tables, pts))
 
     blocks = list(assembly._local_blocks(mesh, prob))
     assert len(blocks) == 1

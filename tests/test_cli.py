@@ -43,6 +43,12 @@ def make():
         initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
 
 
+def one_interval():
+    return custom_problem(
+        2, _u, _grad, _zero, a=_one,
+        initial_gridlines=((0.0, 1.0), (0.0, 0.5, 1.0)))
+
+
 INSTANCE = make()
 NOT_A_PROBLEM = 42
 '''
@@ -278,6 +284,16 @@ def test_spec_without_custom_problem_exits_before_any_level(tmp_path,
     cfg.write_text("problem=p1\ncustom_spec=ncflux.problems:problem1\n")
     assert main(["study", "--config", str(cfg), "--levels", "2"]) == 2
     assert "ne=" not in capsys.readouterr().err
+
+
+def test_one_interval_gridlines_exit_two_before_any_level(problem_module,
+                                                          capsys):
+    code = main(["study", "--problem", "custom", "--custom-spec",
+                 f"{problem_module}:one_interval", "--levels", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "initial_gridlines" in err and "axis 0 has 2" in err
+    assert "Traceback" not in err and "ne=" not in err
 
 
 def test_unknown_problem_exits_two(capsys):

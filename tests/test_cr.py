@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from ncflux import elements
 from ncflux.analysis import l2_error
@@ -15,8 +16,8 @@ from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 
 from helpers import (jittered_parallel, linear_problem, ones_scalar,
-                     solve_cr, source_problem, tri_locator, zeros_scalar,
-                     zeros_vector)
+                     solve_cr, source_problem, tri_locator, tri_meshes,
+                     zeros_scalar, zeros_vector)
 
 
 def linear_tau(x):
@@ -193,6 +194,26 @@ def test_corrected_flux_is_normally_continuous_for_cellwise_load(
     scale = 1.0 + np.abs(fbar).max()
     assert max_normal_jump_tri(sigma) < 1e-8 * scale
     assert max_normal_jump_tri(raw) > 1e-3
+
+
+@settings(max_examples=25)
+@given(tri_meshes(), st.floats(0.25, 4.0), st.integers(0, 2**16))
+def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
+    # for a piecewise-constant load and constant a the corrected flux is
+    # the lowest-order Raviart-Thomas mixed flux; a direct solve keeps
+    # the discrete equations exact
+    fbar = np.random.default_rng(seed).uniform(-2.0, 2.0, size=mesh.nt)
+    locate = tri_locator(mesh)
+    prob = source_problem(2, source=lambda x: fbar[locate(x)],
+                          a=lambda x: np.full(x.shape[:-1], a))
+    system = assemble_cr(mesh, prob)
+    field = CRField(mesh, system.full_dofs(
+        spla.spsolve(system.matrix.tocsc(), system.rhs)))
+    sigma = corrected_flux_cr(field, prob)
+    inter = mesh.interior_edges
+    scale = max(np.abs(sigma.trace_at_mid(mesh.edge_tris[inter, side],
+                                          inter)).max() for side in (0, 1))
+    assert max_normal_jump_tri(sigma) <= 1e-12 * scale
 
 
 def test_interpolated_flux_is_normally_continuous():

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from ncflux import elements
-from ncflux.elements import (BrokenRT, basis_gradients, basis_values,
-                             cell_blocks, cell_quadrature, cr_basis,
+from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
+                             cell_moments, cell_quadrature, cr_basis,
                              cr_values, edge_quadrature, facet_blocks,
-                             facet_quadrature, nc_basis, span_gradients,
-                             span_size, span_values, tri_quadrature)
+                             facet_quadrature, nc_basis, span_size,
+                             span_values, tri_quadrature)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.problems import problem2
+from ncflux.quadrature import monomial_exponents
 
-from helpers import cell_block_bytes, refined_box_mesh, traced_peak
+from helpers import (basis_gradients, cell_block_bytes, refined_box_mesh,
+                     span_gradients, traced_peak)
 
 
 def random_mesh(dim, seed, n=3):
@@ -133,6 +135,26 @@ def test_box_blocks_hold_the_point_budget(monkeypatch, dim, cells, facets,
     monkeypatch.setattr(elements, "BLOCK_POINTS", 1)
     assert cell_blocks(mesh)[:2] == [slice(0, 1), slice(1, 2)]
     assert len(facet_blocks(mesh)) == mesh.nf
+
+
+def test_cell_moments_match_an_einsum_over_points():
+    rng = np.random.default_rng(61)
+    mesh = perturb(refine_midpoint(random_mesh(3, seed=62)), 0.2, seed=63)
+    pts, wts = cell_quadrature(mesh)
+    xi = nc_basis(mesh).local_coords(pts)
+    alpha = monomial_exponents(3, 4)
+    xi_alpha = np.prod(xi[:, :, None, :] ** alpha, axis=3)
+    data = rng.normal(size=(mesh.ne, 2, pts.shape[1]))
+    ref = np.einsum("eq,emq,eqa->ema", wts, data, xi_alpha)
+    assert np.abs(cell_moments(mesh, data, degree=4) - ref).max() <= (
+        1e-13 * np.abs(ref).max())
+    one = cell_moments(mesh, data[:, 0], degree=4)
+    assert np.abs(one - ref[:, 0]).max() <= 1e-13 * np.abs(ref[:, 0]).max()
+    # no samples: the geometry moments, int_K xi^alpha
+    geo = np.einsum("eq,eqa->ea", wts, xi_alpha)
+    rows = slice(3, 11)
+    assert np.abs(cell_moments(mesh, None, rows, 4) - geo[rows]).max() <= (
+        1e-13 * np.abs(geo).max())
 
 
 def test_unknown_dof_kind_rejected():

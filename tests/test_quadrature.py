@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ncflux.quadrature import (gauss1d_4, map_to_box, map_to_triangle,
-                               tensor_rule, triangle_rule)
+                               moment_table, monomial_exponents, tensor_rule,
+                               triangle_rule)
 
 
 def test_interval_rule_has_four_positive_symmetric_points():
@@ -58,6 +59,31 @@ def test_tensor_rule_points_symmetric_about_centroid():
         rule = tensor_rule(dim)
         mean = np.sum(rule.weights[:, None] * rule.points, axis=0)
         assert np.allclose(mean, 0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_moment_table_integrates_per_axis_degree_seven_exactly(dim):
+    # the means of tau^alpha over [-1, 1]^dim: 0 for an odd power on any
+    # axis, else prod 1 / (alpha_k + 1)
+    alpha = monomial_exponents(dim, 7 * dim)
+    keep = alpha.max(axis=1) <= 7
+    assert keep.sum() == 8 ** dim
+    means = moment_table(dim, 7 * dim).sum(axis=0)[keep]
+    exact = np.prod(np.where(alpha[keep] % 2 == 0, 1.0 / (alpha[keep] + 1),
+                             0.0), axis=1)
+    assert np.abs(means - exact).max() <= 1e-15
+
+
+def test_moment_table_is_cached_and_read_only():
+    table = moment_table(3, 2)
+    assert table is moment_table(3, 2)
+    assert table.shape == (64, 10)
+    assert not table.flags.writeable
+    assert not monomial_exponents(3, 2).flags.writeable
+    # the exponents of a lower degree come first
+    assert np.array_equal(monomial_exponents(3, 4)[:10],
+                          monomial_exponents(3, 2))
+    assert monomial_exponents(2, 1).tolist() == [[0, 0], [1, 0], [0, 1]]
 
 
 def test_tensor_rule_rejects_bad_dimension():

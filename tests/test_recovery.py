@@ -211,6 +211,32 @@ def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
     assert max_normal_jump(sigma) <= 1e-12 * scale
 
 
+def test_corrected_flux_is_normally_continuous_in_3d():
+    gl = np.linspace(0.0, 1.0, 5)
+    mesh = perturb(build_tensor_mesh(gl, np.linspace(0.0, 1.0, 4), gl), 0.2,
+                   seed=24)
+    fbar = np.random.default_rng(25).uniform(-2.0, 2.0, size=mesh.ne)
+    locate = tensor_locator(mesh)
+    assert np.array_equal(locate(mesh.elem_center), np.arange(mesh.ne))
+    prob = source_problem(3, source=lambda x: fbar[locate(x)],
+                          a=lambda x: np.full(x.shape[:-1], 1.5))
+    system = assemble(mesh, prob)
+    field = reconstruct_field(mesh, system.full_dofs(
+        spsolve(system.matrix.tocsc(), system.rhs)))
+    sigma = corrected_flux(field, prob)
+    scale = np.abs(sigma.midpoint_traces()).max()
+    assert max_normal_jump(sigma) <= 1e-12 * scale
+    raw = field.gradient_rt().scaled_by(np.full(mesh.ne, 1.5))
+    assert max_normal_jump(raw) > 1e-3
+
+
+@settings(max_examples=25)
+@given(perturbed_2d_meshes())
+def test_correction_divergence_is_one_property(mesh):
+    r = correction_field(mesh)
+    assert np.abs(r.divergence() - 1.0).max() <= 1e-15
+
+
 @settings(max_examples=25)
 @given(perturbed_2d_meshes(), st.tuples(st.floats(-5.0, 5.0),
                                         st.floats(-5.0, 5.0)))
@@ -231,10 +257,11 @@ def test_corrected_flux_allocates_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
-    # the Gram kernel holds three (block, nq, d, 2d - 1) tensors, about
-    # 11 blocks of points here and 15 with the raw flux; the whole mesh's
-    # raw flux and gradients alone would take 24
-    assert traced_peak(corrected_flux, field, prob) <= 16 * block_bytes
+    # 3.7 blocks measured: a block's quadrature and samples of a, and the
+    # whole mesh's affine gradient and coefficients. A block's per-point
+    # raw flux, (block, nq, d), would add 0.75 and a per-point Gram
+    # tensor, (block, nq, d, 2d - 1), 3.75
+    assert traced_peak(corrected_flux, field, prob) <= 4 * block_bytes
 
 
 # -- facet-flux interpolation --------------------------------------------------
