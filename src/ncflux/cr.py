@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .assembly import LinearSystem, finite, lift_and_scatter
-from .elements import (BrokenRT, cr_basis, cr_values, edge_quadrature,
-                       row_blocks, tri_quadrature)
+from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_values,
+                       edge_quadrature, row_blocks, tri_quadrature)
 from .mesh import TriMesh
 from .problems import Problem
 
@@ -53,18 +53,18 @@ def _local_blocks(trimesh: TriMesh, problem: Problem):
         phi = cr_values(tables, pts)                   # (nt, nq, 3)
         gphi = tables.grad                             # (nt, 2, 3), constant
 
-        aint = np.einsum("tq,tq->t", wts, finite("a", problem.a(pts), pts))
-        local = np.einsum("t,tdi,tdj->tij", aint, gphi, gphi)
+        # one matmul per triangle keeps the bits independent of the block
+        aint = (wts[:, None, :]
+                @ finite("a", problem.a(pts), pts)[:, :, None])[:, 0]
+        local = aint[:, :, None] * (gphi.transpose(0, 2, 1) @ gphi)
+        wphi_t = (phi * wts[:, :, None]).transpose(0, 2, 1)   # (nt, 3, nq)
         if problem.b is not None:
-            bdotg = np.einsum("tqd,tdj->tqj",
-                              finite("b", problem.b(pts), pts), gphi)
-            local += np.einsum("tq,tqj,tqi->tij", wts, bdotg, phi)
+            local += wphi_t @ (finite("b", problem.b(pts), pts) @ gphi)
         if problem.c is not None:
-            local += np.einsum("tq,tqj,tqi->tij",
-                               wts * finite("c", problem.c(pts), pts),
-                               phi, phi)
-        load = np.einsum("tq,tqi->ti",
-                         wts * finite("f", problem.f(pts), pts), phi)
+            local += (wphi_t * finite("c", problem.c(pts), pts)[:, None, :]
+                      ) @ phi
+        fvals = finite("f", problem.f(pts), pts)
+        load = (wphi_t @ fvals[:, :, None])[:, :, 0]
         yield trimesh.tri_edges[rows], local, load
 
 
@@ -79,7 +79,7 @@ class CRField:
         """Values at points (nt, nq, 2) of the triangles rows -> (nt, nq)."""
         tables = cr_basis(self.trimesh, rows)
         local = self.dofs[self.trimesh.tri_edges[rows]]
-        return np.einsum("tqj,tj->tq", cr_values(tables, pts), local)
+        return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
 
     def gradients(self) -> np.ndarray:
         """Constant per-triangle gradients, shape (nt, 2)."""
@@ -88,7 +88,7 @@ class CRField:
         for rows in row_blocks(tm.nt):
             local = self.dofs[tm.tri_edges[rows]]
             grad = cr_basis(tm, rows).grad
-            out[rows] = np.einsum("tdj,tj->td", grad, local)
+            out[rows] = (grad @ local[:, :, None])[:, :, 0]
         return out
 
 
@@ -182,7 +182,7 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> TriRT:
         pts, wts = tri_quadrature(tm, rows)
         pv = problem.f(pts)
         if problem.b is not None:
-            pv = pv - np.einsum("tqd,td->tq", problem.b(pts), grad[rows])
+            pv = pv - (problem.b(pts) @ grad[rows, :, None])[:, :, 0]
         if problem.c is not None:
             pv = pv - problem.c(pts) * field.eval_at(pts, rows)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
@@ -242,7 +242,7 @@ class EdgeMidpointField:
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         phi = cr_values(cr_basis(self.trimesh, rows), pts)
         local = self.values[self.trimesh.tri_edges[rows]]  # (nt, 3, 2)
-        return np.einsum("tqj,tjc->tqc", phi, local)
+        return phi @ local
 
 
 @dataclass
@@ -253,12 +253,8 @@ class VertexField:
     values: np.ndarray           # (nv, 2)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        tables = cr_basis(self.trimesh, rows)
-        ones = np.ones(pts.shape[:-1] + (1,))
-        aug = np.concatenate([ones, pts], axis=-1)
-        lam = np.einsum("tqc,tcv->tqv", aug, tables.bary)
-        local = self.values[self.trimesh.triangles[rows]]  # (nt, 3, 2)
-        return np.einsum("tqv,tvc->tqc", lam, local)
+        lam = cr_barycentrics(cr_basis(self.trimesh, rows), pts)
+        return lam @ self.values[self.trimesh.triangles[rows]]
 
 
 def _side_traces(trimesh: TriMesh, field) -> np.ndarray:
@@ -296,37 +292,39 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     inter = trimesh.interior_edges
     vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
 
+    # the candidates (d2, epp, ep, nb) of the boundary edges e, as
+    # (boundary edges, 2, 3) arrays: the two other edges ep of e's
+    # triangle, times the edges epp of the neighbor nb across ep
+    e = trimesh.boundary_edges
+    tri = trimesh.edge_tris[e, 0]
+    own = trimesh.tri_edges[tri]
+    ep = own[own != e[:, None]].reshape(-1, 2)
+    pair = trimesh.edge_tris[ep]
+    nb = np.where(pair[..., 0] == tri[:, None], pair[..., 1], pair[..., 0])
+    epp = trimesh.tri_edges[nb]          # nb = -1 (ep on the boundary) is masked
     v = trimesh.vertices
     edir = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
-    mid = trimesh.edge_mid
     ln = trimesh.edge_len
-    for e in trimesh.boundary_edges:
-        tri = trimesh.edge_tris[e, 0]
-        best = None
-        for ep in trimesh.tri_edges[tri]:
-            if ep == e or trimesh.edge_boundary[ep]:
-                continue
-            pair = trimesh.edge_tris[ep]
-            nb = pair[1] if pair[0] == tri else pair[0]
-            for epp in trimesh.tri_edges[nb]:
-                cross = (edir[e, 0] * edir[epp, 1]
-                         - edir[e, 1] * edir[epp, 0])
-                if abs(cross) > 1e-12 * ln[e] * ln[epp]:
-                    continue
-                d2 = float(((mid[epp] - mid[e]) ** 2).sum())
-                cand = (d2, int(epp), int(ep), int(nb))
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            vals[e] = traces[e, 0, :]
-            continue
-        _, epp, ep, nb = best
-        if trimesh.edge_boundary[epp]:
-            side = 0 if trimesh.edge_tris[epp, 0] == nb else 1
-            m2 = traces[epp, side, :]
-        else:
-            m2 = vals[epp]
-        vals[e] = 2.0 * vals[ep] - m2
+    e3 = e[:, None, None]
+    cross = edir[e3, 0] * edir[epp, 1] - edir[e3, 1] * edir[epp, 0]
+    ok = ((np.abs(cross) <= 1e-12 * ln[e3] * ln[epp])
+          & ~trimesh.edge_boundary[ep][:, :, None])
+    d2 = ((trimesh.edge_mid[epp] - trimesh.edge_mid[e3]) ** 2).sum(axis=-1)
+
+    # the lexicographically least candidate; no candidate keeps the own trace
+    shape = (e.size, 6)
+    keys = [np.broadcast_to(k, epp.shape).reshape(shape)
+            for k in (nb[:, :, None], ep[:, :, None], epp,
+                      np.where(ok, d2, np.inf))]
+    pick = np.lexsort(keys, axis=-1)[:, 0]
+    best = np.arange(e.size), pick
+    found = ok.reshape(shape)[best]
+    nb, ep, epp = (k[best][found] for k in keys[:3])
+    side = (trimesh.edge_tris[epp, 0] != nb).astype(int)
+    m2 = np.where(trimesh.edge_boundary[epp][:, None],
+                  traces[epp, side, :], vals[epp])
+    vals[e] = traces[e, 0, :]
+    vals[e[found]] = 2.0 * vals[ep] - m2
     return EdgeMidpointField(trimesh, vals)
 
 

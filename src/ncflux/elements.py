@@ -7,11 +7,14 @@ facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
 Monomials are expressed in centered coordinates xi = (x - center)/scale,
-which keeps the dual (generalized Vandermonde) systems well conditioned
-under refinement; the scale is uniform across components so the
-difference-of-squares terms stay inside the span. Box tables are built
-a block of elements at a time, kept for the whole mesh and evaluated for
-the rows asked for (all by default).
+which keeps the dual bases well scaled under refinement; the scale is
+uniform across components so the difference-of-squares terms stay
+inside the span. Both dual bases are closed forms, with no matrix
+inverted per element: the box tables depend only on each cell's
+half-extents (``nc_basis``), and the triangle tables are barycentric
+coordinates from edge cofactors over 2|T| (``cr_basis``). Box tables are
+built a block of elements at a time, kept for the whole mesh and
+evaluated for the rows asked for (all by default).
 
 Box integrals of data against polynomials in xi are cell moments,
 int_K v xi^alpha (``cell_moments``): the data sampled at the mapped
@@ -90,11 +93,18 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     """Dof-dual basis tables for the nonconforming space on a box mesh.
 
     kind "mean" uses facet means (the solvable space); "midpoint" uses
-    facet-midpoint values (the space the recovered flux lives in). Facet
-    means are evaluated with the Gauss rule, exact here because traces of
-    the span are quadratic; a midpoint value is the one-point rule at the
-    facet center. The moment matrices are built and inverted a block of
-    ``cell_blocks`` at a time, so only the tables span the whole mesh.
+    facet-midpoint values (the space the recovered flux lives in).
+
+    The tables are closed forms in the half-extents h = elem_ext / (2 scale)
+    of each cell, whose facets lie at xi_k = -h_k (dof 2k) and xi_k = +h_k
+    (dof 2k + 1). The dofs of facet k take xi_k to +-h_k, every other xi_j
+    to 0, and xi_j^2 to S[k, j] = h_j^2 if j = k and mu h_j^2 otherwise,
+    with mu = 1/3 for means and 0 for midpoints. So the xi_k rows are
+    +-1/(2 h_k), and the rows of 1 and xi_0^2 - xi_m^2 are half of G^-1,
+    G the d x d matrix with rows [1, S[k, 0] - S[k, m]] (m = 1..d-1):
+    the half-sum of facet k's two dofs is row k of G times those
+    coefficients. Built a block of ``cell_blocks`` at a time and kept per
+    mesh.
     """
     if kind not in ("mean", "midpoint"):
         raise ValueError(f"unknown dof kind {kind!r}")
@@ -103,35 +113,46 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     if hit is not None:
         return hit
     d = mesh.dim
-    if d < 2:
-        raise ValueError("element requires dimension >= 2")
-    nm = span_size(d)
-    # the dof functionals as facet rules on [0, 1]^{d-1}
-    if kind == "mean":
-        ref = tensor_rule(d - 1)
-        points, weights = ref.points, ref.weights
-    else:
-        points, weights = np.full((1, d - 1), 0.5), np.ones(1)
+    if d not in (2, 3):
+        raise ValueError("element requires dimension 2 or 3")
+    mu = 1.0 / 3.0 if kind == "mean" else 0.0
+    even = [0] + list(range(d + 1, span_size(d)))   # 1, xi_0^2 - xi_m^2
     scale = 0.5 * mesh.elem_ext.max(axis=1)
-    coeff = np.empty((mesh.ne, 2 * d, nm))
+    coeff = np.zeros((mesh.ne, span_size(d), 2 * d))
     for rows in cell_blocks(mesh):
-        # half[:, k] is the facet offset l_k/(2s) in scaled coordinates
-        half = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
-        M = np.empty((half.shape[0], 2 * d, nm))
+        h = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
+        sq = h * h
+        S = np.repeat(mu * sq[:, None, :], d, axis=1)
         for k in range(d):
-            other = [j for j in range(d) if j != k]
-            xi = np.empty((half.shape[0], weights.size, d))
-            # map [0,1]^{d-1} onto the scaled facet, symmetric about 0
-            for c, j in enumerate(other):
-                xi[:, :, j] = (2.0 * points[:, c] - 1.0) * half[:, None, j]
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                xi[:, :, k] = sign * half[:, None, k]
-                M[:, 2 * k + side, :] = np.einsum(
-                    "q,eqm->em", weights, span_values(xi))
-        coeff[rows] = np.linalg.inv(M)
+            S[:, k, k] = sq[:, k]
+        G = np.empty_like(S)
+        G[:, :, 0] = 1.0
+        G[:, :, 1:] = S[:, :, :1] - S[:, :, 1:]
+        half_inv = 0.5 * _inverse(G)
+        for k in range(d):
+            coeff[rows, 1 + k, 2 * k] = -0.5 / h[:, k]
+            coeff[rows, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
+            coeff[rows, even, 2 * k:2 * k + 2] = half_inv[:, :, k, None]
     tables = BasisTables(center=mesh.elem_center, scale=scale, coeff=coeff)
     mesh._cache[key] = tables
     return tables
+
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 or 3x3 matrices (n, d, d), written out
+    as the transposed cofactors over the determinant."""
+    if G.shape[-1] == 2:
+        adj = np.stack([G[:, 1, 1], -G[:, 0, 1],
+                        -G[:, 1, 0], G[:, 0, 0]], axis=1).reshape(G.shape)
+        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    else:
+        # cofactor (i, j) from the cyclically next rows and columns
+        a, b = np.array([1, 2, 0]), np.array([2, 0, 1])
+        cof = (G[:, a[:, None], a] * G[:, b[:, None], b]
+               - G[:, a[:, None], b] * G[:, b[:, None], a])
+        det = (G[:, 0, :] * cof[:, 0, :]).sum(axis=1)
+        adj = cof.transpose(0, 2, 1)
+    return adj / det[:, None, None]
 
 
 def basis_values(tables: BasisTables, pts: np.ndarray,
@@ -205,19 +226,34 @@ class CRTables:
 
 
 def cr_basis(trimesh: TriMesh, rows=slice(None)) -> CRTables:
-    """Tables of the triangles ``rows`` (all by default)."""
+    """Tables of the triangles ``rows`` (all by default).
+
+    Barycentric coordinates in closed form: with vertices (x_j, y_j) and
+    j+1, j+2 taken cyclically, lambda_j is
+    (x_{j+1} y_{j+2} - x_{j+2} y_{j+1} + (y_{j+1} - y_{j+2}) x
+    + (x_{j+2} - x_{j+1}) y) / det, where det = 2|T| > 0 for the
+    counterclockwise triangles that TriMesh stores.
+    """
     v = trimesh.vertices[trimesh.triangles[rows]]  # (nt, 3, 2)
-    V = np.concatenate([np.ones(v.shape[:2] + (1,)), v], axis=2)
-    bary = np.linalg.inv(V)                       # (nt, 3, 3)
+    x, y = v[..., 0], v[..., 1]
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    bary = np.empty(v.shape[:1] + (3, 3))
+    bary[:, 0, :] = x[:, nxt] * y[:, prv] - x[:, prv] * y[:, nxt]
+    bary[:, 1, :] = y[:, nxt] - y[:, prv]
+    bary[:, 2, :] = x[:, prv] - x[:, nxt]
+    bary /= 2.0 * trimesh.tri_area[rows, None, None]
     return CRTables(bary=bary, grad=-2.0 * bary[:, 1:, :])
+
+
+def cr_barycentrics(tables: CRTables, pts: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates at pts (nt, nq, 2) -> (nt, nq, 3)."""
+    ones = np.ones(pts.shape[:-1] + (1,))
+    return np.concatenate([ones, pts], axis=-1) @ tables.bary
 
 
 def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
     """Basis values at pts (nt, nq, 2) -> (nt, nq, 3)."""
-    ones = np.ones(pts.shape[:-1] + (1,))
-    aug = np.concatenate([ones, pts], axis=-1)
-    lam = np.einsum("tqc,tcj->tqj", aug, tables.bary)
-    return 1.0 - 2.0 * lam
+    return 1.0 - 2.0 * cr_barycentrics(tables, pts)
 
 
 # -- box quadrature, mapped on demand -----------------------------------------

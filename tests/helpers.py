@@ -6,10 +6,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
-from ncflux.cr import CRField, assemble_cr
-from ncflux.elements import cell_blocks, cell_quadrature, span_size
+from ncflux.cr import CRField, EdgeMidpointField, _side_traces, assemble_cr
+from ncflux.elements import (cell_blocks, cell_quadrature, span_size,
+                             span_values)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
+from ncflux.quadrature import tensor_rule
 from ncflux.sparse_solve import solve
 
 
@@ -125,6 +127,84 @@ def basis_gradients(tables, pts, rows=slice(None)):
     xi = tables.local_coords(pts, rows)
     g = span_gradients(xi, 1.0 / tables.scale[rows, None])
     return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
+
+
+def nc_coeff_by_inverse(mesh, kind):
+    """nc_basis coefficients (ne, nm, ndof) as the inverse of the dof
+    moment matrices: each dof functional applied to the span, facet means
+    by the Gauss rule (exact on the span's quadratic traces), midpoint
+    values by the one-point rule at the facet center."""
+    d = mesh.dim
+    if kind == "mean":
+        ref = tensor_rule(d - 1)
+        points, weights = ref.points, ref.weights
+    else:
+        points, weights = np.full((1, d - 1), 0.5), np.ones(1)
+    scale = 0.5 * mesh.elem_ext.max(axis=1)
+    # half[:, k] is the facet offset l_k/(2s) in scaled coordinates
+    half = 0.5 * mesh.elem_ext / scale[:, None]
+    M = np.empty((mesh.ne, 2 * d, span_size(d)))
+    for k in range(d):
+        other = [j for j in range(d) if j != k]
+        xi = np.empty((mesh.ne, weights.size, d))
+        # map [0,1]^{d-1} onto the scaled facet, symmetric about 0
+        for c, j in enumerate(other):
+            xi[:, :, j] = (2.0 * points[:, c] - 1.0) * half[:, None, j]
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            xi[:, :, k] = sign * half[:, None, k]
+            M[:, 2 * k + side, :] = np.einsum("q,eqm->em", weights,
+                                              span_values(xi))
+    return np.linalg.inv(M)
+
+
+def cr_bary_by_inverse(trimesh):
+    """Barycentric tables (nt, 3, 3) of cr_basis as the inverses of the
+    vertex matrices [1, x_j, y_j]."""
+    v = trimesh.vertices[trimesh.triangles]
+    return np.linalg.inv(np.concatenate([np.ones(v.shape[:2] + (1,)), v],
+                                        axis=2))
+
+
+def edge_midpoint_average_loop(trimesh, field):
+    """cr.edge_midpoint_average as a loop over the boundary edges: the
+    reference for its vectorized candidate search and tie-break."""
+    traces = _side_traces(trimesh, field)
+    vals = np.empty((trimesh.nedge, 2))
+    inter = trimesh.interior_edges
+    vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
+
+    v = trimesh.vertices
+    edir = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
+    mid = trimesh.edge_mid
+    ln = trimesh.edge_len
+    for e in trimesh.boundary_edges:
+        tri = trimesh.edge_tris[e, 0]
+        best = None
+        for ep in trimesh.tri_edges[tri]:
+            if ep == e or trimesh.edge_boundary[ep]:
+                continue
+            pair = trimesh.edge_tris[ep]
+            nb = pair[1] if pair[0] == tri else pair[0]
+            for epp in trimesh.tri_edges[nb]:
+                cross = (edir[e, 0] * edir[epp, 1]
+                         - edir[e, 1] * edir[epp, 0])
+                if abs(cross) > 1e-12 * ln[e] * ln[epp]:
+                    continue
+                d2 = float(((mid[epp] - mid[e]) ** 2).sum())
+                cand = (d2, int(epp), int(ep), int(nb))
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            vals[e] = traces[e, 0, :]
+            continue
+        _, epp, ep, nb = best
+        if trimesh.edge_boundary[epp]:
+            side = 0 if trimesh.edge_tris[epp, 0] == nb else 1
+            m2 = traces[epp, side, :]
+        else:
+            m2 = vals[epp]
+        vals[e] = 2.0 * vals[ep] - m2
+    return EdgeMidpointField(trimesh, vals)
 
 
 def refined_box_mesh(problem, min_cells):

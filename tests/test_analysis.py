@@ -337,6 +337,19 @@ def test_study_leaves_no_reference_cycles(element, problem, fraction):
         gc.enable()
 
 
+@pytest.mark.parametrize("element, problem, fraction", [
+    ("cr", "p1", 0.0), ("ncrt2d", "p1", 0.2), ("ncrt3d", "p2", 0.2)])
+def test_study_inverts_no_matrix(monkeypatch, element, problem, fraction):
+    # the element tables are closed forms: a study never calls inv
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    result = run_study(StudyConfig(problem=problem, element=element,
+                                   levels=2, perturb=fraction))
+    assert len(result.records) == 2
+
+
 def test_custom_problem_without_gridlines_rejected():
     prob = linear_problem(2)
     cfg = StudyConfig(problem="custom", element="ncrt2d", levels=2,

@@ -15,9 +15,9 @@ from ncflux.elements import (cr_basis, edge_quadrature, row_blocks,
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 
-from helpers import (jittered_parallel, linear_problem, ones_scalar,
-                     solve_cr, source_problem, tri_locator, tri_meshes,
-                     zeros_scalar, zeros_vector)
+from helpers import (edge_midpoint_average_loop, jittered_parallel,
+                     linear_problem, ones_scalar, solve_cr, source_problem,
+                     tri_locator, tri_meshes, zeros_scalar, zeros_vector)
 
 
 def linear_tau(x):
@@ -284,6 +284,24 @@ def test_edge_averaging_own_trace_fallback_on_single_triangle():
     cellvals = np.array([[2.0, -1.0]])
     avg = edge_midpoint_average(mesh, cellvals)
     assert np.abs(avg.values - np.array([2.0, -1.0])).max() < 1e-14
+
+
+@pytest.mark.parametrize("mesh", [
+    build_uniform_parallel(1, 1),        # every parallel edge on the boundary
+    build_uniform_parallel(5, 3),        # equidistant candidates tie on d2
+    build_uniform_parallel(1, 4),
+    jittered_parallel(4, 4, seed=28),
+    jittered_parallel(7, 3, amount=0.05, seed=29),
+    TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.array([[0, 1, 2]])),      # no candidate: own trace
+], ids=["1x1", "5x3", "1x4", "jittered4x4", "jittered7x3", "single"])
+def test_edge_averaging_matches_the_boundary_loop_exactly(mesh):
+    rng = np.random.default_rng(mesh.nt)
+    for field in (rng.normal(size=(mesh.nt, 2)),
+                  TriRT(mesh, const=rng.normal(size=(mesh.nt, 2)),
+                        slope=rng.normal(size=mesh.nt))):
+        assert np.array_equal(edge_midpoint_average(mesh, field).values,
+                              edge_midpoint_average_loop(mesh, field).values)
 
 
 def test_edge_field_evaluation_matches_stored_values():

@@ -7,12 +7,13 @@ from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
                              cr_values, edge_quadrature, facet_blocks,
                              facet_quadrature, nc_basis, span_size,
                              span_values, tri_quadrature)
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
-                         refine_midpoint)
+from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
+                         perturb, refine_midpoint)
 from ncflux.problems import problem2
 from ncflux.quadrature import monomial_exponents
 
-from helpers import (basis_gradients, cell_block_bytes, refined_box_mesh,
+from helpers import (basis_gradients, cell_block_bytes, cr_bary_by_inverse,
+                     jittered_parallel, nc_coeff_by_inverse, refined_box_mesh,
                      span_gradients, traced_peak)
 
 
@@ -111,12 +112,14 @@ def test_basis_tables_allocate_one_block_at_a_time(monkeypatch):
     mesh = refined_box_mesh(problem2(), 4096)
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
-    # the tables themselves take 2.25 blocks; the facet samples of the
-    # whole mesh at once took 21
+    # a block is one cell block's mapped quadrature points and weights.
+    # The tables of the whole mesh take 2.25 blocks, and a block of cells
+    # adds its half-extents and d x d matrices (2.59 blocks at the peak);
+    # the facet samples of the whole mesh at once took 21
     for kind in ("mean", "midpoint"):
         peak = traced_peak(nc_basis, mesh, kind)
         assert nc_basis(mesh, kind).coeff.nbytes == 2.25 * block_bytes
-        assert 2.25 * block_bytes <= peak <= 5 * block_bytes
+        assert 2.25 * block_bytes <= peak <= 4 * block_bytes
 
 
 @pytest.mark.parametrize("dim, cells, facets, n", [(2, 2048, 8192, 64),
@@ -157,10 +160,62 @@ def test_cell_moments_match_an_einsum_over_points():
         1e-13 * np.abs(geo).max())
 
 
+def aspect_mesh(dim):
+    """Box mesh whose cells have every side ratio from 1:8 to 8:1."""
+    gl = np.cumsum([0.0, 1.0, 8.0, 3.0, 5.0]) / 17.0
+    return build_tensor_mesh(*([gl] * dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["mean", "midpoint"])
+def test_closed_form_tables_match_the_inverted_moment_matrices(dim, kind):
+    mesh = aspect_mesh(dim)
+    ext = mesh.elem_ext
+    assert (ext.max(axis=1) / ext.min(axis=1)).max() == pytest.approx(8.0)
+    got = nc_basis(mesh, kind).coeff
+    ref = nc_coeff_by_inverse(mesh, kind)
+    rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= 1e-14
+
+
+def thin_triangles(n, height=0.05, seed=8):
+    """n separate triangles of base 1 and the given height, rotated and
+    moved at random (aspect 1:20 by default)."""
+    rng = np.random.default_rng(seed)
+    verts = []
+    for _ in range(n):
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(ang), -np.sin(ang)],
+                        [np.sin(ang), np.cos(ang)]])
+        local = np.array([[0.0, 0.0], [1.0, 0.0],
+                          [rng.uniform(0.0, 1.0), height]])
+        verts.append(rng.uniform(-1.0, 1.0, 2) + local @ rot.T)
+    return TriMesh(np.concatenate(verts), np.arange(3 * n).reshape(n, 3))
+
+
+@pytest.mark.parametrize("mesh", [jittered_parallel(6, 5, amount=0.05),
+                                  thin_triangles(64)],
+                         ids=["jittered", "thin"])
+def test_closed_form_barycentrics_match_the_vertex_matrix_inverse(mesh):
+    got = cr_basis(mesh)
+    ref = cr_bary_by_inverse(mesh)
+    rel = np.abs(got.bary - ref).max(axis=(1, 2)) / np.abs(ref).max(
+        axis=(1, 2))
+    assert rel.max() <= 1e-14
+    assert np.array_equal(got.grad, -2.0 * got.bary[:, 1:, :])
+
+
 def test_unknown_dof_kind_rejected():
     mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError):
         nc_basis(mesh, "nodal")
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_tables_only_in_two_and_three_dimensions(dim):
+    mesh = build_tensor_mesh(*([(0.0, 1.0)] * dim))
+    with pytest.raises(ValueError, match="dimension 2 or 3"):
+        nc_basis(mesh)
 
 
 def test_mean_basis_element_integral_identity():
