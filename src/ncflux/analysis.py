@@ -67,7 +67,7 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
         def quadrature(rows):
             return cell_quadrature(mesh, rows)
     elif isinstance(mesh, TriMesh):
-        blocks = row_blocks(mesh.nt)
+        blocks = row_blocks(mesh.ne)
 
         def quadrature(rows):
             return tri_quadrature(mesh, rows)
@@ -190,8 +190,7 @@ def _solve_system(system, config: StudyConfig):
     mesh = system.mesh
     # 2d meshes, boxes and triangles: LU-preconditioned in nested-
     # dissection order. 3d boxes keep Jacobi (the factor's fill and time).
-    order = (nested_dissection(mesh)
-             if isinstance(mesh, TriMesh) or mesh.dim == 2 else None)
+    order = nested_dissection(mesh) if mesh.dim == 2 else None
     return solve(system.matrix, system.rhs, tol=config.tol, order=order)
 
 
@@ -261,7 +260,7 @@ def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
 
     errors = l2_error(mesh, (problem.u, aflux, sigma - interp, aflux),
                       (field, RawFlux(problem.a, grad), None, recovered))
-    return LevelRecord(mesh.nt, mesh.h, *errors), report
+    return LevelRecord(mesh.ne, mesh.h, *errors), report
 
 
 def run_study(config: StudyConfig,

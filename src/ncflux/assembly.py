@@ -345,14 +345,6 @@ class NcrtField:
         xi = nc_basis(self.mesh).local_coords(pts, rows)
         return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]
 
-    def gradients(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Gradients at points (ne, nq, d) of the elements rows.
-
-        Shape (ne, nq, d); evaluated from the exact affine form
-        gradient_rt.
-        """
-        return self.gradient_rt().eval_at(pts, rows)
-
     def values_at_centers(self) -> np.ndarray:
         # centered monomials all vanish at the center except the constant
         return self.coeffs[:, 0].copy()

@@ -5,10 +5,11 @@ the midpoint-continuous linear element, correct the piecewise-constant
 flux with a divergence-one radial field so its normal components match
 across edges, then average to edge midpoints (order-two recovery on
 meshes where neighboring triangles form parallelograms) or to vertices
-(a cheaper variant of lower order). Dof numbering, Dirichlet lifting and
-the sparse scatter are the box ones in ``ncflux.assembly``: a TriMesh
-names its edges as facets, and ``assemble_cr`` only supplies the element
-blocks, so it returns the same ``LinearSystem`` as ``assemble``.
+(a cheaper variant of lower order). A TriMesh uses TensorMesh's element
+and facet names, its facets being the edges, so dof numbering, Dirichlet
+lifting and the sparse scatter are the box ones in ``ncflux.assembly``:
+``assemble_cr`` only supplies the element blocks and returns the same
+``LinearSystem`` as ``assemble``.
 
 Work at quadrature points is done a block of triangles (or edges) at a
 time, so its memory stays bounded as the mesh grows; evaluators take the
@@ -30,11 +31,11 @@ from .problems import Problem
 
 
 def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
-    """Edge means of g on boundary edges, ordered like boundary_edges."""
-    b = trimesh.boundary_edges
+    """Edge means of g on boundary edges, ordered like boundary_facets."""
+    b = trimesh.boundary_facets
     pts, wts = edge_quadrature(trimesh, b)
     vals = finite("g", g(pts), pts)
-    return np.einsum("eq,eq->e", wts, vals) / trimesh.edge_len[b]
+    return np.einsum("eq,eq->e", wts, vals) / trimesh.facet_measure[b]
 
 
 def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
@@ -47,17 +48,17 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
 
 
 def _local_blocks(trimesh: TriMesh, problem: Problem):
-    for rows in row_blocks(trimesh.nt):
+    for rows in row_blocks(trimesh.ne):
         tables = cr_basis(trimesh, rows)
         pts, wts = tri_quadrature(trimesh, rows)
-        phi = cr_values(tables, pts)                   # (nt, nq, 3)
-        gphi = tables.grad                             # (nt, 2, 3), constant
+        phi = cr_values(tables, pts)                   # (ne, nq, 3)
+        gphi = tables.grad                             # (ne, 2, 3), constant
 
         # one matmul per triangle keeps the bits independent of the block
         aint = (wts[:, None, :]
                 @ finite("a", problem.a(pts), pts)[:, :, None])[:, 0]
         local = aint[:, :, None] * (gphi.transpose(0, 2, 1) @ gphi)
-        wphi_t = (phi * wts[:, :, None]).transpose(0, 2, 1)   # (nt, 3, nq)
+        wphi_t = (phi * wts[:, :, None]).transpose(0, 2, 1)   # (ne, 3, nq)
         if problem.b is not None:
             local += wphi_t @ (finite("b", problem.b(pts), pts) @ gphi)
         if problem.c is not None:
@@ -65,7 +66,7 @@ def _local_blocks(trimesh: TriMesh, problem: Problem):
                       ) @ phi
         fvals = finite("f", problem.f(pts), pts)
         load = (wphi_t @ fvals[:, :, None])[:, :, 0]
-        yield trimesh.tri_edges[rows], local, load
+        yield trimesh.elem_facets[rows], local, load
 
 
 @dataclass
@@ -73,20 +74,20 @@ class CRField:
     """Scalar field in the triangular nonconforming space, one dof per edge."""
 
     trimesh: TriMesh
-    dofs: np.ndarray             # (nedge,)
+    dofs: np.ndarray             # (nf,)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (nt, nq, 2) of the triangles rows -> (nt, nq)."""
+        """Values at points (ne, nq, 2) of the triangles rows -> (ne, nq)."""
         tables = cr_basis(self.trimesh, rows)
-        local = self.dofs[self.trimesh.tri_edges[rows]]
+        local = self.dofs[self.trimesh.elem_facets[rows]]
         return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
 
     def gradients(self) -> np.ndarray:
-        """Constant per-triangle gradients, shape (nt, 2)."""
+        """Constant per-triangle gradients, shape (ne, 2)."""
         tm = self.trimesh
-        out = np.empty((tm.nt, 2))
-        for rows in row_blocks(tm.nt):
-            local = self.dofs[tm.tri_edges[rows]]
+        out = np.empty((tm.ne, 2))
+        for rows in row_blocks(tm.ne):
+            local = self.dofs[tm.elem_facets[rows]]
             grad = cr_basis(tm, rows).grad
             out[rows] = (grad @ local[:, :, None])[:, :, 0]
         return out
@@ -113,12 +114,12 @@ class RawFlux:
 
 
 def cell_means(trimesh: TriMesh, func) -> np.ndarray:
-    """Triangle means of a scalar function, shape (nt,)."""
-    out = np.empty(trimesh.nt)
-    for rows in row_blocks(trimesh.nt):
+    """Triangle means of a scalar function, shape (ne,)."""
+    out = np.empty(trimesh.ne)
+    for rows in row_blocks(trimesh.ne):
         pts, wts = tri_quadrature(trimesh, rows)
         out[rows] = np.einsum("tq,tq->t", wts, func(pts))
-    return out / trimesh.tri_area
+    return out / trimesh.elem_measure
 
 
 def edge_normals(trimesh: TriMesh) -> np.ndarray:
@@ -128,7 +129,7 @@ def edge_normals(trimesh: TriMesh) -> np.ndarray:
         v = trimesh.vertices
         evec = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
         hit = (np.stack([evec[:, 1], -evec[:, 0]], axis=1)
-               / trimesh.edge_len[:, None])
+               / trimesh.facet_measure[:, None])
         hit.setflags(write=False)
         trimesh._cache["edge_normals"] = hit
     return hit
@@ -143,12 +144,12 @@ class TriRT:
     """
 
     trimesh: TriMesh
-    const: np.ndarray            # (nt, 2), the value at the centroid
-    slope: np.ndarray            # (nt,)
+    const: np.ndarray            # (ne, 2), the value at the centroid
+    slope: np.ndarray            # (ne,)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (nt, nq, 2) of triangles rows -> (nt, nq, 2)."""
-        rel = pts - self.trimesh.tri_center[rows, None, :]
+        """Values at points (ne, nq, 2) of triangles rows -> (ne, nq, 2)."""
+        rel = pts - self.trimesh.elem_center[rows, None, :]
         return (self.const[rows, None, :]
                 + self.slope[rows, None, None] * rel)
 
@@ -161,7 +162,8 @@ class TriRT:
 
     def trace_at_mid(self, tris: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Full-vector traces from given triangles at given edge midpoints."""
-        rel = self.trimesh.edge_mid[edges] - self.trimesh.tri_center[tris]
+        tm = self.trimesh
+        rel = tm.facet_midpoint[edges] - tm.elem_center[tris]
         return self.const[tris] + self.slope[tris, None] * rel
 
 
@@ -177,8 +179,8 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> TriRT:
     abar = cell_means(tm, problem.a)
     const = abar[:, None] * grad
 
-    pbar = np.empty(tm.nt)
-    for rows in row_blocks(tm.nt):
+    pbar = np.empty(tm.ne)
+    for rows in row_blocks(tm.ne):
         pts, wts = tri_quadrature(tm, rows)
         pv = problem.f(pts)
         if problem.b is not None:
@@ -186,7 +188,7 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> TriRT:
         if problem.c is not None:
             pv = pv - problem.c(pts) * field.eval_at(pts, rows)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
-    pbar /= tm.tri_area
+    pbar /= tm.elem_measure
     return TriRT(tm, const=const, slope=-0.5 * pbar)
 
 
@@ -197,18 +199,18 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> TriRT:
     per triangle recovers the (const, slope) representation.
     """
     n = edge_normals(trimesh)
-    dofs = np.empty(trimesh.nedge)
-    for rows in row_blocks(trimesh.nedge):
+    dofs = np.empty(trimesh.nf)
+    for rows in row_blocks(trimesh.nf):
         pts, wts = edge_quadrature(trimesh, rows)
         normal_comp = np.einsum("eqd,ed->eq", vec(pts), n[rows])
         dofs[rows] = np.einsum("eq,eq->e", wts, normal_comp)
 
-    sol = np.empty((trimesh.nt, 3))
-    for rows in row_blocks(trimesh.nt):
-        te = trimesh.tri_edges[rows]
-        ln = trimesh.edge_len[te]                      # (nt, 3)
-        nn = n[te]                                     # (nt, 3, 2)
-        rel = trimesh.edge_mid[te] - trimesh.tri_center[rows, None, :]
+    sol = np.empty((trimesh.ne, 3))
+    for rows in row_blocks(trimesh.ne):
+        te = trimesh.elem_facets[rows]
+        ln = trimesh.facet_measure[te]                 # (ne, 3)
+        nn = n[te]                                     # (ne, 3, 2)
+        rel = trimesh.facet_midpoint[te] - trimesh.elem_center[rows, None, :]
         A = np.empty(te.shape + (3,))
         A[:, :, :2] = ln[:, :, None] * nn
         A[:, :, 2] = ln * np.einsum("tjd,tjd->tj", rel, nn)
@@ -219,12 +221,12 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> TriRT:
 def max_normal_jump_tri(flux: TriRT) -> float:
     """Largest normal-component jump over interior edges."""
     tm = flux.trimesh
-    inter = tm.interior_edges
+    inter = tm.interior_facets
     if inter.size == 0:
         return 0.0
     n = edge_normals(tm)[inter]
-    lo = flux.trace_at_mid(tm.edge_tris[inter, 0], inter)
-    hi = flux.trace_at_mid(tm.edge_tris[inter, 1], inter)
+    lo = flux.trace_at_mid(tm.facet_elems[inter, 0], inter)
+    hi = flux.trace_at_mid(tm.facet_elems[inter, 1], inter)
     return float(np.abs(np.einsum("ed,ed->e", hi - lo, n)).max())
 
 
@@ -237,11 +239,11 @@ class EdgeMidpointField:
     """
 
     trimesh: TriMesh
-    values: np.ndarray           # (nedge, 2)
+    values: np.ndarray           # (nf, 2)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         phi = cr_values(cr_basis(self.trimesh, rows), pts)
-        local = self.values[self.trimesh.tri_edges[rows]]  # (nt, 3, 2)
+        local = self.values[self.trimesh.elem_facets[rows]]  # (ne, 3, 2)
         return phi @ local
 
 
@@ -258,11 +260,11 @@ class VertexField:
 
 
 def _side_traces(trimesh: TriMesh, field) -> np.ndarray:
-    """Per-side traces at edge midpoints, (nedge, 2, 2); absent sides zero."""
-    out = np.zeros((trimesh.nedge, 2, 2))
-    eid = np.arange(trimesh.nedge)
+    """Per-side traces at edge midpoints, (nf, 2, 2); absent sides zero."""
+    out = np.zeros((trimesh.nf, 2, 2))
+    eid = np.arange(trimesh.nf)
     for side in (0, 1):
-        t = trimesh.edge_tris[:, side]
+        t = trimesh.facet_elems[:, side]
         ok = t >= 0
         if isinstance(field, TriRT):
             out[ok, side, :] = field.trace_at_mid(t[ok], eid[ok])
@@ -274,7 +276,7 @@ def _side_traces(trimesh: TriMesh, field) -> np.ndarray:
 def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     """Average an element-wise flux into edge-midpoint values.
 
-    field is either a piecewise-constant array (nt, 2) or a TriRT.
+    field is either a piecewise-constant array (ne, 2) or a TriRT.
     Interior midpoints take the plain mean of the two one-sided traces.
     Each boundary midpoint m is filled by extrapolation,
 
@@ -288,28 +290,29 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     a triangle with no candidate at all falls back to its own trace at m.
     """
     traces = _side_traces(trimesh, field)
-    vals = np.empty((trimesh.nedge, 2))
-    inter = trimesh.interior_edges
+    vals = np.empty((trimesh.nf, 2))
+    inter = trimesh.interior_facets
     vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
 
     # the candidates (d2, epp, ep, nb) of the boundary edges e, as
     # (boundary edges, 2, 3) arrays: the two other edges ep of e's
     # triangle, times the edges epp of the neighbor nb across ep
-    e = trimesh.boundary_edges
-    tri = trimesh.edge_tris[e, 0]
-    own = trimesh.tri_edges[tri]
+    e = trimesh.boundary_facets
+    tri = trimesh.facet_elems[e, 0]
+    own = trimesh.elem_facets[tri]
     ep = own[own != e[:, None]].reshape(-1, 2)
-    pair = trimesh.edge_tris[ep]
+    pair = trimesh.facet_elems[ep]
     nb = np.where(pair[..., 0] == tri[:, None], pair[..., 1], pair[..., 0])
-    epp = trimesh.tri_edges[nb]          # nb = -1 (ep on the boundary) is masked
+    epp = trimesh.elem_facets[nb]      # nb = -1 (ep on the boundary) is masked
     v = trimesh.vertices
     edir = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
-    ln = trimesh.edge_len
+    ln = trimesh.facet_measure
     e3 = e[:, None, None]
     cross = edir[e3, 0] * edir[epp, 1] - edir[e3, 1] * edir[epp, 0]
     ok = ((np.abs(cross) <= 1e-12 * ln[e3] * ln[epp])
-          & ~trimesh.edge_boundary[ep][:, :, None])
-    d2 = ((trimesh.edge_mid[epp] - trimesh.edge_mid[e3]) ** 2).sum(axis=-1)
+          & ~trimesh.facet_boundary[ep][:, :, None])
+    mid = trimesh.facet_midpoint
+    d2 = ((mid[epp] - mid[e3]) ** 2).sum(axis=-1)
 
     # the lexicographically least candidate; no candidate keeps the own trace
     shape = (e.size, 6)
@@ -320,8 +323,8 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     best = np.arange(e.size), pick
     found = ok.reshape(shape)[best]
     nb, ep, epp = (k[best][found] for k in keys[:3])
-    side = (trimesh.edge_tris[epp, 0] != nb).astype(int)
-    m2 = np.where(trimesh.edge_boundary[epp][:, None],
+    side = (trimesh.facet_elems[epp, 0] != nb).astype(int)
+    m2 = np.where(trimesh.facet_boundary[epp][:, None],
                   traces[epp, side, :], vals[epp])
     vals[e] = traces[e, 0, :]
     vals[e[found]] = 2.0 * vals[ep] - m2
@@ -336,10 +339,10 @@ def vertex_average(trimesh: TriMesh, cellvals: np.ndarray) -> VertexField:
     """
     cellvals = np.asarray(cellvals, dtype=float)
     flat = trimesh.triangles.ravel()
-    weighted = np.repeat(cellvals * trimesh.tri_area[:, None], 3, axis=0)
+    weighted = np.repeat(cellvals * trimesh.elem_measure[:, None], 3, axis=0)
     num = np.stack([np.bincount(flat, weights=weighted[:, k],
                                 minlength=trimesh.nv) for k in (0, 1)],
                    axis=1)
-    den = np.bincount(flat, weights=np.repeat(trimesh.tri_area, 3),
+    den = np.bincount(flat, weights=np.repeat(trimesh.elem_measure, 3),
                       minlength=trimesh.nv)
     return VertexField(trimesh, num / den[:, None])

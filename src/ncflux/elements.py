@@ -234,25 +234,25 @@ def cr_basis(trimesh: TriMesh, rows=slice(None)) -> CRTables:
     + (x_{j+2} - x_{j+1}) y) / det, where det = 2|T| > 0 for the
     counterclockwise triangles that TriMesh stores.
     """
-    v = trimesh.vertices[trimesh.triangles[rows]]  # (nt, 3, 2)
+    v = trimesh.vertices[trimesh.triangles[rows]]  # (ne, 3, 2)
     x, y = v[..., 0], v[..., 1]
     nxt, prv = [1, 2, 0], [2, 0, 1]
     bary = np.empty(v.shape[:1] + (3, 3))
     bary[:, 0, :] = x[:, nxt] * y[:, prv] - x[:, prv] * y[:, nxt]
     bary[:, 1, :] = y[:, nxt] - y[:, prv]
     bary[:, 2, :] = x[:, prv] - x[:, nxt]
-    bary /= 2.0 * trimesh.tri_area[rows, None, None]
+    bary /= 2.0 * trimesh.elem_measure[rows, None, None]
     return CRTables(bary=bary, grad=-2.0 * bary[:, 1:, :])
 
 
 def cr_barycentrics(tables: CRTables, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates at pts (nt, nq, 2) -> (nt, nq, 3)."""
+    """Barycentric coordinates at pts (ne, nq, 2) -> (ne, nq, 3)."""
     ones = np.ones(pts.shape[:-1] + (1,))
     return np.concatenate([ones, pts], axis=-1) @ tables.bary
 
 
 def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
-    """Basis values at pts (nt, nq, 2) -> (nt, nq, 3)."""
+    """Basis values at pts (ne, nq, 2) -> (ne, nq, 3)."""
     return 1.0 - 2.0 * cr_barycentrics(tables, pts)
 
 
@@ -355,5 +355,5 @@ def edge_quadrature(trimesh: TriMesh, rows=slice(None)):
     a = trimesh.vertices[trimesh.edges[rows, 0]]
     b = trimesh.vertices[trimesh.edges[rows, 1]]
     pts = a[:, None, :] + ref.points[:, None] * (b - a)[:, None, :]
-    wts = trimesh.edge_len[rows, None] * ref.weights
+    wts = trimesh.facet_measure[rows, None] * ref.weights
     return pts, wts

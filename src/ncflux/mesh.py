@@ -246,30 +246,36 @@ def perturb(mesh: TensorMesh, fraction: float, seed: int) -> TensorMesh:
 class TriMesh:
     """Triangulation of a planar domain.
 
+    Elements are the triangles and facets the edges, under TensorMesh's
+    attribute names, so dof numbering, assembly, the fill-reducing order
+    and the error norms serve both mesh types.
+
     Attributes
     ----------
     vertices : ndarray (nv, 2)
-    triangles : ndarray (nt, 3) int
+    triangles : ndarray (ne, 3) int
         Vertex ids, counterclockwise.
-    edges : ndarray (nedge, 2) int
+    edges : ndarray (nf, 2) int
         Vertex id pairs (low, high), lexicographically ordered.
-    tri_edges : ndarray (nt, 3) int
+    dim, nv, ne, nf : int
+        2, and the vertex, triangle and edge counts.
+    elem_center, elem_measure : ndarray (ne, 2), (ne,)
+        Centroids and areas.
+    elem_facets : ndarray (ne, 3) int
         Global edge ids; local edge j is opposite local vertex j.
-    edge_tris : ndarray (nedge, 2) int
+    facet_elems : ndarray (nf, 2) int
         Adjacent triangle ids in increasing order; -1 where absent.
-    edge_mid, edge_len, edge_boundary, interior_edges, boundary_edges,
-    tri_area, tri_center : derived geometry.
-    nf, elem_facets, facet_elems, interior_facets, boundary_facets,
-    elem_center
-        The same objects as nedge, tri_edges, edge_tris, interior_edges,
-        boundary_edges and tri_center, under the names TensorMesh uses,
-        so dof numbering, assembly and the fill-reducing order serve both
-        mesh types.
+    facet_midpoint, facet_measure : ndarray (nf, 2), (nf,)
+        Edge midpoints and lengths.
+    facet_boundary : ndarray (nf,) bool
+    interior_facets, boundary_facets : ndarray of int
 
     The edge-averaging recovery theory needs each adjacent triangle pair
     to form a parallelogram, as on ``build_uniform_parallel`` meshes; the
     mesh itself does not check this.
     """
+
+    dim = 2
 
     def __init__(self, vertices, triangles):
         # copies: triangles are reoriented in place and both get frozen
@@ -278,7 +284,7 @@ class TriMesh:
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
         if t.ndim != 2 or t.shape[1] != 3:
-            raise ValueError("triangles must have shape (nt, 3)")
+            raise ValueError("triangles must have shape (ne, 3)")
         if t.min() < 0 or t.max() >= v.shape[0]:
             raise ValueError("triangle vertex id out of range")
         e1 = v[t[:, 1]] - v[t[:, 0]]
@@ -293,41 +299,35 @@ class TriMesh:
         self.vertices = _frozen(v)
         self.triangles = _frozen(t)
         self.nv = v.shape[0]
-        self.nt = t.shape[0]
-        self.tri_area = _frozen(0.5 * det)
-        self.tri_center = _frozen(v[t].mean(axis=1))
+        self.ne = t.shape[0]
+        self.elem_measure = _frozen(0.5 * det)
+        self.elem_center = _frozen(v[t].mean(axis=1))
 
-        edges, tri_edges = _edge_numbering(t, self.nv)
+        edges, elem_facets = _edge_numbering(t, self.nv)
         self.edges = _frozen(edges)
-        self.nedge = edges.shape[0]
-        self.tri_edges = _frozen(tri_edges)
-        et = _edge_tris(tri_edges, self.nedge)
-        self.edge_tris = _frozen(et)
+        self.nf = edges.shape[0]
+        self.elem_facets = _frozen(elem_facets)
+        fe = _facet_elems(elem_facets, self.nf)
+        self.facet_elems = _frozen(fe)
 
-        self.edge_mid = _frozen(0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
+        self.facet_midpoint = _frozen(0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
         evec = v[edges[:, 1]] - v[edges[:, 0]]
-        self.edge_len = _frozen(np.hypot(evec[:, 0], evec[:, 1]))
-        bnd = et[:, 1] < 0
-        self.edge_boundary = _frozen(bnd)
-        self.interior_edges = _frozen(np.flatnonzero(~bnd))
-        self.boundary_edges = _frozen(np.flatnonzero(bnd))
-        self.nf = self.nedge
-        self.elem_facets = self.tri_edges
-        self.facet_elems = self.edge_tris
-        self.elem_center = self.tri_center
-        self.interior_facets = self.interior_edges
-        self.boundary_facets = self.boundary_edges
+        self.facet_measure = _frozen(np.hypot(evec[:, 0], evec[:, 1]))
+        bnd = fe[:, 1] < 0
+        self.facet_boundary = _frozen(bnd)
+        self.interior_facets = _frozen(np.flatnonzero(~bnd))
+        self.boundary_facets = _frozen(np.flatnonzero(bnd))
         self._cache: dict = {}
 
     @property
     def h(self) -> float:
         """Largest edge length."""
-        return float(self.edge_len.max())
+        return float(self.facet_measure.max())
 
 
 def _edge_numbering(t, nv):
     """Edges as (low, high) vertex pairs in lexicographic order, and the
-    (nt, 3) edge ids of each triangle, local edge j opposite vertex j."""
+    (ne, 3) edge ids of each triangle, local edge j opposite vertex j."""
     a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
     # one key per (low, high) pair, ordered like the pairs themselves
     keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
@@ -335,20 +335,20 @@ def _edge_numbering(t, nv):
     return np.stack(np.divmod(keys, nv), axis=1), inverse.reshape(-1, 3)
 
 
-def _edge_tris(tri_edges, nedge):
-    """(nedge, 2) adjacent triangles in increasing order, -1 where absent."""
-    inverse = tri_edges.ravel()
-    et = np.full((nedge, 2), -1, dtype=np.int64)
-    tri_of = np.repeat(np.arange(tri_edges.shape[0]), 3)
+def _facet_elems(elem_facets, nf):
+    """(nf, 2) adjacent triangles in increasing order, -1 where absent."""
+    inverse = elem_facets.ravel()
+    fe = np.full((nf, 2), -1, dtype=np.int64)
+    tri_of = np.repeat(np.arange(elem_facets.shape[0]), 3)
     order = np.lexsort((tri_of, inverse))
     eid = inverse[order]
     tid = tri_of[order]
     first = np.ones(eid.size, dtype=bool)
     first[1:] = eid[1:] != eid[:-1]
-    et[eid[first], 0] = tid[first]
+    fe[eid[first], 0] = tid[first]
     second = ~first
-    et[eid[second], 1] = tid[second]
-    return et
+    fe[eid[second], 1] = tid[second]
+    return fe
 
 
 def build_uniform_parallel(nx: int, ny: int,

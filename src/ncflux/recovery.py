@@ -54,29 +54,6 @@ def correction_field(mesh: TensorMesh) -> BrokenRT:
     return BrokenRT(mesh, alpha=-gamma * mesh.elem_center, beta=gamma)
 
 
-def project_onto_gradients(mesh: TensorMesh, values: np.ndarray,
-                           pts: np.ndarray, wts: np.ndarray) -> BrokenRT:
-    """Element-wise L2 projection onto the local gradient span.
-
-    The target span on each element is generated by the constant fields
-    e_1..e_d together with the gradients of the quadratic shape
-    monomials, i.e. fields of the form (2 x_1, 0, .., -2 x_k, .., 0).
-    values (ne, nq, d) are samples of the projected function at the
-    points pts of a rule with weights wts that integrates the span's
-    products exactly, like cell_quadrature's; the right-hand sides are
-    summed over those points, a block of ``cell_blocks`` at a time.
-    """
-    tables = nc_basis(mesh, "mean")
-
-    def rhs():
-        for blk in cell_blocks(mesh):
-            wv = wts[blk, :, None] * values[blk]
-            xi = tables.local_coords(pts[blk], blk)
-            yield blk, wv.sum(axis=1), (wv * xi).sum(axis=1)
-
-    return _projection(mesh, rhs())
-
-
 def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
     """The projection of v onto the span of e_j and xi_0 e_0 - xi_k e_k.
 

@@ -81,18 +81,17 @@ def _lu_preconditioner(A, order):
     return spla.LinearOperator(A.shape, matvec=apply, dtype=float)
 
 
-def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
-          order=None):
+def solve(A, b, tol: float = 1e-10, order=None):
     """Solve A x = b by BiCGStab; returns (x, SolveReport).
 
     Convergence means the true relative residual |b - A x| / |b| is at
-    most tol. max_iter defaults to 20 * dim and bounds the iterations
-    summed over all attempts. When BiCGStab breaks down, or
-    stops on its recurrence residual while the true one is still above
-    tol, it restarts from its iterate as long as each attempt lowers the
-    true relative residual; SolverError is raised when an attempt brings
-    no decrease or the budget runs out. The report then carries the
-    total iterations and the final true residual.
+    most tol, within a budget of 20 * dim iterations summed over all
+    attempts. When BiCGStab breaks down, or stops on its recurrence
+    residual while the true one is still above tol, it restarts from its
+    iterate as long as each attempt lowers the true relative residual;
+    SolverError is raised when an attempt brings no decrease or the
+    budget runs out. The report then carries the total iterations and
+    the final true residual.
 
     order, a permutation of the unknowns, switches the preconditioner
     from Jacobi to a float32 sparse LU factor of A in that order (see
@@ -105,8 +104,7 @@ def solve(A, b, tol: float = 1e-10, max_iter: int | None = None,
         report = SolveReport(method="bicgstab", converged=True, iterations=0,
                              residual=0.0, dim=n)
         return np.zeros(n), report
-    if max_iter is None:
-        max_iter = 20 * n
+    max_iter = 20 * n
     M = _jacobi(A) if order is None else _lu_preconditioner(A, order)
 
     count = [0]

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, EdgeMidpointField, _side_traces, assemble_cr
-from ncflux.elements import (cell_blocks, cell_quadrature, span_size,
-                             span_values)
+from ncflux.elements import (cell_blocks, cell_quadrature, nc_basis,
+                             span_size, span_values)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
+from ncflux.recovery import _projection
 from ncflux.sparse_solve import solve
 
 
@@ -129,6 +130,26 @@ def basis_gradients(tables, pts, rows=slice(None)):
     return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
 
 
+def project_onto_gradients(mesh, values, pts, wts):
+    """Element-wise L2 projection onto the local gradient span, from point
+    samples: the per-point reference for corrected_flux's moment path.
+
+    The span on each element is generated by e_1..e_d and the fields
+    (2 x_1, 0, .., -2 x_k, .., 0). values (ne, nq, d) are samples at the
+    points pts of a rule with weights wts that integrates the span's
+    products exactly, like cell_quadrature's.
+    """
+    tables = nc_basis(mesh, "mean")
+
+    def rhs():
+        for blk in cell_blocks(mesh):
+            wv = wts[blk, :, None] * values[blk]
+            xi = tables.local_coords(pts[blk], blk)
+            yield blk, wv.sum(axis=1), (wv * xi).sum(axis=1)
+
+    return _projection(mesh, rhs())
+
+
 def nc_coeff_by_inverse(mesh, kind):
     """nc_basis coefficients (ne, nm, ndof) as the inverse of the dof
     moment matrices: each dof functional applied to the span, facet means
@@ -158,7 +179,7 @@ def nc_coeff_by_inverse(mesh, kind):
 
 
 def cr_bary_by_inverse(trimesh):
-    """Barycentric tables (nt, 3, 3) of cr_basis as the inverses of the
+    """Barycentric tables (ne, 3, 3) of cr_basis as the inverses of the
     vertex matrices [1, x_j, y_j]."""
     v = trimesh.vertices[trimesh.triangles]
     return np.linalg.inv(np.concatenate([np.ones(v.shape[:2] + (1,)), v],
@@ -169,23 +190,23 @@ def edge_midpoint_average_loop(trimesh, field):
     """cr.edge_midpoint_average as a loop over the boundary edges: the
     reference for its vectorized candidate search and tie-break."""
     traces = _side_traces(trimesh, field)
-    vals = np.empty((trimesh.nedge, 2))
-    inter = trimesh.interior_edges
+    vals = np.empty((trimesh.nf, 2))
+    inter = trimesh.interior_facets
     vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
 
     v = trimesh.vertices
     edir = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
-    mid = trimesh.edge_mid
-    ln = trimesh.edge_len
-    for e in trimesh.boundary_edges:
-        tri = trimesh.edge_tris[e, 0]
+    mid = trimesh.facet_midpoint
+    ln = trimesh.facet_measure
+    for e in trimesh.boundary_facets:
+        tri = trimesh.facet_elems[e, 0]
         best = None
-        for ep in trimesh.tri_edges[tri]:
-            if ep == e or trimesh.edge_boundary[ep]:
+        for ep in trimesh.elem_facets[tri]:
+            if ep == e or trimesh.facet_boundary[ep]:
                 continue
-            pair = trimesh.edge_tris[ep]
+            pair = trimesh.facet_elems[ep]
             nb = pair[1] if pair[0] == tri else pair[0]
-            for epp in trimesh.tri_edges[nb]:
+            for epp in trimesh.elem_facets[nb]:
                 cross = (edir[e, 0] * edir[epp, 1]
                          - edir[e, 1] * edir[epp, 0])
                 if abs(cross) > 1e-12 * ln[e] * ln[epp]:
@@ -198,8 +219,8 @@ def edge_midpoint_average_loop(trimesh, field):
             vals[e] = traces[e, 0, :]
             continue
         _, epp, ep, nb = best
-        if trimesh.edge_boundary[epp]:
-            side = 0 if trimesh.edge_tris[epp, 0] == nb else 1
+        if trimesh.facet_boundary[epp]:
+            side = 0 if trimesh.facet_elems[epp, 0] == nb else 1
             m2 = traces[epp, side, :]
         else:
             m2 = vals[epp]

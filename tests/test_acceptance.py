@@ -26,11 +26,12 @@ from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import (correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
-                             project_onto_gradients, rt_interpolate)
+                             rt_interpolate)
 from ncflux.sparse_solve import solve
 
-from helpers import (linear_problem, solve_cr, solve_tensor, source_problem,
-                     tensor_locator, tri_locator)
+from helpers import (linear_problem, project_onto_gradients, solve_cr,
+                     solve_tensor, source_problem, tensor_locator,
+                     tri_locator)
 
 # Reference orders for the stock studies at the pinned seeds, in the
 # column order err_u, err_flux_raw, err_superclose, err_recovered.
@@ -134,14 +135,14 @@ def test_corrected_flux_continuity_on_boxes():
 
 def test_corrected_flux_continuity_on_triangles():
     mesh = build_uniform_parallel(4, 4)
-    assert mesh.nt == 32
+    assert mesh.ne == 32
     rng = np.random.default_rng(1)
-    fbar = rng.uniform(-3.0, 3.0, size=mesh.nt)
+    fbar = rng.uniform(-3.0, 3.0, size=mesh.ne)
     locate = tri_locator(mesh)
     prob = source_problem(2, source=lambda x: fbar[locate(x)])
     field = solve_cr(mesh, prob, tol=1e-13)
     sigma = corrected_flux_cr(field, prob)
-    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.nt))
+    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.ne))
     scale = 1.0 + np.abs(fbar).max()
     assert max_normal_jump_tri(sigma) <= 1e-8 * scale
     assert max_normal_jump_tri(raw) > 1e-3
@@ -284,7 +285,7 @@ def test_triangular_recovery_orders():
         err_vertex.append(l2_error(mesh, aflux,
                                    vertex_average(mesh, flux_cells)))
         hs.append(mesh.h)
-    assert mesh.nt == 8192 and len(hs) == 4
+    assert mesh.ne == 8192 and len(hs) == 4
 
     assert fit_order(hs, err_edge) >= 1.8
     assert 0.85 <= fit_order(hs, err_raw) <= 1.15

@@ -13,12 +13,12 @@ from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
                          refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
-                             project_onto_gradients, rt_interpolate)
+                             rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
 
 from helpers import (basis_gradients, cell_block_bytes, linear_problem,
-                     perturbed_2d_meshes, refined_box_mesh, solve_tensor,
-                     traced_peak, tri_meshes)
+                     perturbed_2d_meshes, project_onto_gradients,
+                     refined_box_mesh, solve_tensor, traced_peak, tri_meshes)
 
 
 def polynomial_problem():
@@ -188,7 +188,7 @@ def test_reconstruct_zero_field():
     field = reconstruct_field(mesh, np.zeros(mesh.nf))
     pts, _ = cell_quadrature(mesh)
     assert np.allclose(field.eval_at(pts), 0.0)
-    assert np.allclose(field.gradients(pts), 0.0)
+    assert np.allclose(field.gradient_rt().eval_at(pts), 0.0)
 
 
 def test_reconstruct_linear_field_reproduces_it():
@@ -201,7 +201,7 @@ def test_reconstruct_linear_field_reproduces_it():
     field = reconstruct_field(mesh, u(mesh.facet_midpoint))
     pts, _ = cell_quadrature(mesh)
     assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
-    grads = field.gradients(pts)
+    grads = field.gradient_rt().eval_at(pts)
     assert np.abs(grads - np.array([2.0, -3.0])).max() < 1e-12
     assert np.allclose(field.values_at_centers(), u(mesh.elem_center),
                        atol=1e-12)
@@ -221,7 +221,6 @@ def test_gradient_rt_agrees_with_pointwise_gradients():
                           field.dofs[mesh.elem_facets])
     rt = field.gradient_rt()
     assert np.abs(rt.eval_at(pts) - pointwise).max() < 1e-11
-    assert np.array_equal(field.gradients(pts), rt.eval_at(pts))
 
 
 def test_reconstruct_rejects_wrong_dof_count():
@@ -240,7 +239,7 @@ def test_galerkin_residual_recomputed_without_matrix():
     pts, wts = cell_quadrature(mesh)
     phi = basis_values(tables, pts)
     gphi = basis_gradients(tables, pts)
-    grads = field.gradients(pts)
+    grads = field.gradient_rt().eval_at(pts)
     vals = field.eval_at(pts)
     integrand = np.einsum("eq,eqd,eqdi->ei",
                           wts * prob.a(pts), grads, gphi)
@@ -313,8 +312,9 @@ def chunked_level(mesh, prob):
         l2_error(mesh, prob.grad_u, RawFlux(prob.a, field.gradient_rt())),
         l2_error(mesh, sigma - interp),
         l2_error(mesh, prob.grad_u, recovered)])
-    return (tables, system, field.eval_at(pts), field.gradients(pts), sigma,
-            interp, recovered.eval_at(pts), errors)
+    return (tables, system, field.eval_at(pts),
+            field.gradient_rt().eval_at(pts), sigma, interp,
+            recovered.eval_at(pts), errors)
 
 
 @pytest.mark.parametrize("mesh_factory, prob", [
@@ -433,7 +433,7 @@ def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
 
     rng = np.random.default_rng(seed)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
-    values = prob.a(pts)[..., None] * field.gradients(pts)
+    values = prob.a(pts)[..., None] * field.gradient_rt().eval_at(pts)
     coef = einsum_projection(mesh, values, pts, wts)
     got = project_onto_gradients(mesh, values, pts, wts)
     s = tables.scale
@@ -456,7 +456,7 @@ def test_box_fields_evaluate_one_block_of_rows(dim):
     flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, dim)),
                     rng.normal(size=(mesh.ne, dim)))
     evaluators = [
-        field.eval_at, field.gradients, flux.eval_at,
+        field.eval_at, field.gradient_rt().eval_at, flux.eval_at,
         MidpointFlux(mesh, rng.normal(size=(mesh.nf, dim))).eval_at,
         RawFlux(lambda x: 1.0 + x[..., 0], flux).eval_at,
     ]
@@ -523,9 +523,9 @@ def check_tri_dissection(mesh, matrix, order, lo, hi):
         return 0
     k = int(np.argmax(ext))
     mid = (lo[k] + hi[k]) // 2
-    cut = np.unique(mesh.tri_center[:, k])[mid]
+    cut = np.unique(mesh.elem_center[:, k])[mid]
     edges = dof_map(mesh).interior[order]
-    x = mesh.tri_center[mesh.edge_tris[edges], k]          # (n, 2)
+    x = mesh.elem_center[mesh.facet_elems[edges], k]  # (n, 2)
     is_left = (x < cut).all(axis=1)
     is_right = (x >= cut).all(axis=1)
     nl, nr = np.count_nonzero(is_left), np.count_nonzero(is_right)
@@ -545,7 +545,7 @@ def check_tri_dissection(mesh, matrix, order, lo, hi):
 @given(tri_meshes())
 def test_nested_dissection_separates_triangles(mesh):
     matrix = assemble_cr(mesh, problem1()).matrix
-    ranks = tuple(np.unique(c).size for c in mesh.tri_center.T)
+    ranks = tuple(np.unique(c).size for c in mesh.elem_center.T)
     cuts = check_tri_dissection(mesh, matrix, nested_dissection(mesh),
                                 (0, 0), ranks)
     assert (cuts > 0) == (np.prod(ranks) > assembly.ND_LEAF_TRI

@@ -34,7 +34,7 @@ def linear_tau(x):
 def test_linear_solution_is_reproduced_exactly(mesh_factory):
     mesh = mesh_factory()
     prob = linear_problem(2, coef=(2.0, -1.0), const=0.3)
-    exact = prob.u(mesh.edge_mid)
+    exact = prob.u(mesh.facet_midpoint)
 
     system = assemble_cr(mesh, prob)
     residual = system.matrix @ exact[system.dofmap.interior] - system.rhs
@@ -78,10 +78,10 @@ def test_galerkin_residual_recomputed_without_matrix():
                           grads, tables.grad)
     integrand += np.einsum("tq,tqi->ti",
                            wts * (prob.c(pts) * vals - prob.f(pts)), phi)
-    residual = np.zeros(mesh.nedge)
-    np.add.at(residual, mesh.tri_edges.ravel(), integrand.ravel())
+    residual = np.zeros(mesh.nf)
+    np.add.at(residual, mesh.elem_facets.ravel(), integrand.ravel())
     scale = np.abs(np.einsum("tq,tq->", wts, np.abs(prob.f(pts))))
-    assert np.abs(residual[mesh.interior_edges]).max() < 1e-8 * scale
+    assert np.abs(residual[mesh.interior_facets]).max() < 1e-8 * scale
 
 
 def test_matrix_symmetric_without_advection():
@@ -106,7 +106,7 @@ def test_three_dimensional_problem_rejected():
 def test_boundary_edge_means_of_linear_data():
     mesh = jittered_parallel(3, 3, seed=7)
     bm = boundary_edge_means(mesh, lambda x: x[..., 0] - 2.0 * x[..., 1])
-    mids = mesh.edge_mid[mesh.boundary_edges]
+    mids = mesh.facet_midpoint[mesh.boundary_facets]
     assert np.abs(bm - (mids[:, 0] - 2.0 * mids[:, 1])).max() < 1e-13
 
 
@@ -116,7 +116,7 @@ def test_field_values_and_gradients_for_linear_dofs():
     def u(x):
         return 4.0 - x[..., 0] + 2.0 * x[..., 1]
 
-    field = CRField(mesh, u(mesh.edge_mid))
+    field = CRField(mesh, u(mesh.facet_midpoint))
     pts, _ = tri_quadrature(mesh)
     assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
     assert np.abs(field.gradients() - np.array([-1.0, 2.0])).max() < 1e-12
@@ -125,7 +125,7 @@ def test_field_values_and_gradients_for_linear_dofs():
 def test_cell_means_of_linear_function_hit_centroids():
     mesh = jittered_parallel(3, 3, seed=9)
     means = cell_means(mesh, lambda x: x[..., 0] + x[..., 1])
-    expected = mesh.tri_center[:, 0] + mesh.tri_center[:, 1]
+    expected = mesh.elem_center[:, 0] + mesh.elem_center[:, 1]
     assert np.abs(means - expected).max() < 1e-13
 
 
@@ -163,7 +163,7 @@ def test_corrected_flux_without_load_is_scaled_gradient():
 def test_corrected_flux_of_zero_field_under_unit_load():
     mesh = build_uniform_parallel(3, 3)
     prob = source_problem(2, source=ones_scalar)
-    field = CRField(mesh, np.zeros(mesh.nedge))
+    field = CRField(mesh, np.zeros(mesh.nf))
     sigma = corrected_flux_cr(field, prob)
     assert np.abs(sigma.const).max() < 1e-14
     assert np.abs(sigma.slope + 0.5).max() < 1e-14
@@ -172,8 +172,8 @@ def test_corrected_flux_of_zero_field_under_unit_load():
 
 def test_radial_field_has_unit_divergence():
     mesh = build_uniform_parallel(2, 2)
-    r = TriRT(mesh, const=np.zeros((mesh.nt, 2)),
-              slope=0.5 * np.ones(mesh.nt))
+    r = TriRT(mesh, const=np.zeros((mesh.ne, 2)),
+              slope=0.5 * np.ones(mesh.ne))
     assert np.allclose(r.divergence(), 1.0)
 
 
@@ -185,12 +185,12 @@ def test_corrected_flux_is_normally_continuous_for_cellwise_load(
         mesh_factory):
     mesh = mesh_factory()
     rng = np.random.default_rng(12)
-    fbar = rng.uniform(-2.0, 2.0, size=mesh.nt)
+    fbar = rng.uniform(-2.0, 2.0, size=mesh.ne)
     locate = tri_locator(mesh)
     prob = source_problem(2, source=lambda x: fbar[locate(x)])
     field = solve_cr(mesh, prob, tol=1e-13)
     sigma = corrected_flux_cr(field, prob)
-    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.nt))
+    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.ne))
     scale = 1.0 + np.abs(fbar).max()
     assert max_normal_jump_tri(sigma) < 1e-8 * scale
     assert max_normal_jump_tri(raw) > 1e-3
@@ -202,7 +202,7 @@ def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
     # for a piecewise-constant load and constant a the corrected flux is
     # the lowest-order Raviart-Thomas mixed flux; a direct solve keeps
     # the discrete equations exact
-    fbar = np.random.default_rng(seed).uniform(-2.0, 2.0, size=mesh.nt)
+    fbar = np.random.default_rng(seed).uniform(-2.0, 2.0, size=mesh.ne)
     locate = tri_locator(mesh)
     prob = source_problem(2, source=lambda x: fbar[locate(x)],
                           a=lambda x: np.full(x.shape[:-1], a))
@@ -210,8 +210,8 @@ def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
     field = CRField(mesh, system.full_dofs(
         spla.spsolve(system.matrix.tocsc(), system.rhs)))
     sigma = corrected_flux_cr(field, prob)
-    inter = mesh.interior_edges
-    scale = max(np.abs(sigma.trace_at_mid(mesh.edge_tris[inter, side],
+    inter = mesh.interior_facets
+    scale = max(np.abs(sigma.trace_at_mid(mesh.facet_elems[inter, side],
                                           inter)).max() for side in (0, 1))
     assert max_normal_jump_tri(sigma) <= 1e-12 * scale
 
@@ -228,7 +228,7 @@ def test_single_triangle_has_no_normal_jump():
     mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                    np.array([[0, 1, 2]]))
     tau = rt_interpolate_tri(mesh, linear_tau)
-    assert mesh.interior_edges.size == 0
+    assert mesh.interior_facets.size == 0
     assert max_normal_jump_tri(tau) == 0.0
 
 
@@ -249,7 +249,7 @@ def test_interpolation_reproduces_member_fields():
 
 def test_edge_averaging_preserves_constants_everywhere():
     mesh = jittered_parallel(3, 3, seed=15)
-    cellvals = np.tile([1.5, -0.5], (mesh.nt, 1))
+    cellvals = np.tile([1.5, -0.5], (mesh.ne, 1))
     avg = edge_midpoint_average(mesh, cellvals)
     assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-13
 
@@ -258,24 +258,24 @@ def test_edge_averaging_preserves_constants_from_boundary_parallel_edges():
     # on one cell's two triangles every parallel edge is a boundary edge,
     # so its one-sided trace stands in for the midpoint value
     mesh = build_uniform_parallel(1, 1)
-    cellvals = np.tile([1.5, -0.5], (mesh.nt, 1))
+    cellvals = np.tile([1.5, -0.5], (mesh.ne, 1))
     avg = edge_midpoint_average(mesh, cellvals)
     assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-14
 
 
 def test_edge_averaging_reproduces_linear_fields_on_parallel_mesh():
     mesh = build_uniform_parallel(4, 4)
-    avg = edge_midpoint_average(mesh, linear_tau(mesh.tri_center))
-    assert np.abs(avg.values - linear_tau(mesh.edge_mid)).max() < 1e-12
+    avg = edge_midpoint_average(mesh, linear_tau(mesh.elem_center))
+    assert np.abs(avg.values - linear_tau(mesh.facet_midpoint)).max() < 1e-12
 
 
 def test_edge_averaging_annihilates_radial_field_at_interior_midpoints():
     # opposite-centroid symmetry makes the two one-sided traces cancel
     mesh = build_uniform_parallel(4, 4)
-    r = TriRT(mesh, const=np.zeros((mesh.nt, 2)),
-              slope=0.5 * np.ones(mesh.nt))
+    r = TriRT(mesh, const=np.zeros((mesh.ne, 2)),
+              slope=0.5 * np.ones(mesh.ne))
     avg = edge_midpoint_average(mesh, r)
-    assert np.abs(avg.values[mesh.interior_edges]).max() < 1e-14
+    assert np.abs(avg.values[mesh.interior_facets]).max() < 1e-14
 
 
 def test_edge_averaging_own_trace_fallback_on_single_triangle():
@@ -296,10 +296,10 @@ def test_edge_averaging_own_trace_fallback_on_single_triangle():
             np.array([[0, 1, 2]])),      # no candidate: own trace
 ], ids=["1x1", "5x3", "1x4", "jittered4x4", "jittered7x3", "single"])
 def test_edge_averaging_matches_the_boundary_loop_exactly(mesh):
-    rng = np.random.default_rng(mesh.nt)
-    for field in (rng.normal(size=(mesh.nt, 2)),
-                  TriRT(mesh, const=rng.normal(size=(mesh.nt, 2)),
-                        slope=rng.normal(size=mesh.nt))):
+    rng = np.random.default_rng(mesh.ne)
+    for field in (rng.normal(size=(mesh.ne, 2)),
+                  TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
+                        slope=rng.normal(size=mesh.ne))):
         assert np.array_equal(edge_midpoint_average(mesh, field).values,
                               edge_midpoint_average_loop(mesh, field).values)
 
@@ -307,17 +307,17 @@ def test_edge_averaging_matches_the_boundary_loop_exactly(mesh):
 def test_edge_field_evaluation_matches_stored_values():
     mesh = jittered_parallel(2, 2, seed=16)
     rng = np.random.default_rng(17)
-    vals = rng.normal(size=(mesh.nedge, 2))
+    vals = rng.normal(size=(mesh.nf, 2))
     from ncflux.cr import EdgeMidpointField
     fld = EdgeMidpointField(mesh, vals)
-    mids = mesh.edge_mid[mesh.tri_edges]
+    mids = mesh.facet_midpoint[mesh.elem_facets]
     got = fld.eval_at(mids)
-    assert np.abs(got - vals[mesh.tri_edges]).max() < 1e-12
+    assert np.abs(got - vals[mesh.elem_facets]).max() < 1e-12
 
 
 def test_vertex_averaging_preserves_constants():
     mesh = jittered_parallel(3, 3, seed=18)
-    cellvals = np.tile([0.25, 4.0], (mesh.nt, 1))
+    cellvals = np.tile([0.25, 4.0], (mesh.ne, 1))
     fld = vertex_average(mesh, cellvals)
     assert np.abs(fld.values - np.array([0.25, 4.0])).max() < 1e-13
     pts, _ = tri_quadrature(mesh)
@@ -327,11 +327,11 @@ def test_vertex_averaging_preserves_constants():
 def test_vertex_averaging_matches_direct_accumulation():
     mesh = jittered_parallel(3, 2, seed=19)
     rng = np.random.default_rng(20)
-    cellvals = rng.normal(size=(mesh.nt, 2))
+    cellvals = rng.normal(size=(mesh.ne, 2))
     fld = vertex_average(mesh, cellvals)
     for vid in range(mesh.nv):
         rows = np.nonzero((mesh.triangles == vid).any(axis=1))[0]
-        w = mesh.tri_area[rows]
+        w = mesh.elem_measure[rows]
         expected = (cellvals[rows] * w[:, None]).sum(axis=0) / w.sum()
         assert np.abs(fld.values[vid] - expected).max() < 1e-13
 
@@ -339,15 +339,15 @@ def test_vertex_averaging_matches_direct_accumulation():
 def test_vertex_field_is_continuous_across_edges():
     mesh = jittered_parallel(3, 3, seed=21)
     rng = np.random.default_rng(22)
-    fld = vertex_average(mesh, rng.normal(size=(mesh.nt, 2)))
+    fld = vertex_average(mesh, rng.normal(size=(mesh.ne, 2)))
     # evaluate at interior edge midpoints from both adjacent triangles
-    inter = mesh.interior_edges
-    pts = mesh.edge_mid[mesh.tri_edges]                # (nt, 3, 2)
+    inter = mesh.interior_facets
+    pts = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
     vals = fld.eval_at(pts)
-    acc = np.full((mesh.nedge, 2, 2), np.nan)
-    for t in range(mesh.nt):
-        for j, e in enumerate(mesh.tri_edges[t]):
-            side = 0 if mesh.edge_tris[e, 0] == t else 1
+    acc = np.full((mesh.nf, 2, 2), np.nan)
+    for t in range(mesh.ne):
+        for j, e in enumerate(mesh.elem_facets[t]):
+            side = 0 if mesh.facet_elems[e, 0] == t else 1
             acc[e, side] = vals[t, j]
     gap = np.abs(acc[inter, 0] - acc[inter, 1]).max()
     assert gap < 1e-12
@@ -374,10 +374,10 @@ def blocked_level(mesh, prob):
 def test_blocks_give_the_single_block_results(monkeypatch):
     mesh = jittered_parallel(24, 24, seed=23)          # 1152 triangles
     prob = problem1()
-    assert len(row_blocks(mesh.nt)) == 2
+    assert len(row_blocks(mesh.ne)) == 2
     blocked = blocked_level(mesh, prob)
-    monkeypatch.setattr(elements, "TRI_BLOCK", mesh.nedge)
-    assert len(row_blocks(mesh.nt)) == 1
+    monkeypatch.setattr(elements, "TRI_BLOCK", mesh.nf)
+    assert len(row_blocks(mesh.ne)) == 1
     whole = blocked_level(mesh, prob)
 
     (sys_b, sig_b, int_b, mean_b, err_b) = blocked
@@ -400,12 +400,12 @@ def test_fields_evaluate_one_block_of_rows():
     pts, _ = tri_quadrature(mesh)
     rows = slice(5, 17)
     fields = [
-        CRField(mesh, rng.normal(size=mesh.nedge)),
-        TriRT(mesh, const=rng.normal(size=(mesh.nt, 2)),
-              slope=rng.normal(size=mesh.nt)),
-        EdgeMidpointField(mesh, rng.normal(size=(mesh.nedge, 2))),
-        vertex_average(mesh, rng.normal(size=(mesh.nt, 2))),
-        RawFlux(ones_scalar, rng.normal(size=(mesh.nt, 2))),
+        CRField(mesh, rng.normal(size=mesh.nf)),
+        TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
+              slope=rng.normal(size=mesh.ne)),
+        EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2))),
+        vertex_average(mesh, rng.normal(size=(mesh.ne, 2))),
+        RawFlux(ones_scalar, rng.normal(size=(mesh.ne, 2))),
     ]
     for fld in fields:
         assert np.array_equal(fld.eval_at(pts[rows], rows),
@@ -414,15 +414,15 @@ def test_fields_evaluate_one_block_of_rows():
     assert np.array_equal(block_pts, pts[rows])
     assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])
     edge_pts, _ = edge_quadrature(mesh)
-    assert np.array_equal(edge_quadrature(mesh, mesh.boundary_edges)[0],
-                          edge_pts[mesh.boundary_edges])
+    assert np.array_equal(edge_quadrature(mesh, mesh.boundary_facets)[0],
+                          edge_pts[mesh.boundary_facets])
 
 
 def test_flux_difference_evaluates_as_difference():
     mesh = jittered_parallel(3, 3, seed=26)
     rng = np.random.default_rng(27)
-    p, q = (TriRT(mesh, const=rng.normal(size=(mesh.nt, 2)),
-                  slope=rng.normal(size=mesh.nt)) for _ in range(2))
+    p, q = (TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
+                  slope=rng.normal(size=mesh.ne)) for _ in range(2))
     pts, _ = tri_quadrature(mesh)
     assert np.allclose((p - q).eval_at(pts), p.eval_at(pts) - q.eval_at(pts),
                        rtol=0.0, atol=1e-13)

@@ -300,7 +300,7 @@ def test_cr_basis_is_one_minus_twice_barycentric():
     mesh = build_uniform_parallel(2, 2)
     tables = cr_basis(mesh)
     rng = np.random.default_rng(2)
-    lam = rng.dirichlet((1.0, 1.0, 1.0), size=(mesh.nt, 4))
+    lam = rng.dirichlet((1.0, 1.0, 1.0), size=(mesh.ne, 4))
     pts = np.einsum("tqv,tvc->tqc", lam, mesh.vertices[mesh.triangles])
     vals = cr_values(tables, pts)
     assert np.allclose(vals, 1.0 - 2.0 * lam, atol=1e-12)
@@ -310,7 +310,7 @@ def test_cr_basis_is_one_minus_twice_barycentric():
 def test_cr_basis_value_at_own_edge_midpoint():
     mesh = build_uniform_parallel(1, 1)
     tables = cr_basis(mesh)
-    mids = mesh.edge_mid[mesh.tri_edges]                   # (nt, 3, 2)
+    mids = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
     vals = cr_values(tables, mids)
     assert np.allclose(vals, np.eye(3), atol=1e-13)
 
@@ -320,7 +320,7 @@ def test_cr_gradients_are_constant():
     tables = cr_basis(mesh)
     # values must be affine: second differences along any direction vanish
     rng = np.random.default_rng(3)
-    base = mesh.tri_center[:, None, :]
+    base = mesh.elem_center[:, None, :]
     d = rng.uniform(-0.1, 0.1, size=(1, 5, 2))
     v0 = cr_values(tables, base - d)
     v1 = cr_values(tables, base)
@@ -427,10 +427,10 @@ def test_box_quadrature_of_rows_is_the_whole_mesh_rule_sliced(dim):
 def test_tri_quadrature_weights_sum_to_areas():
     mesh = build_uniform_parallel(3, 2)
     pts, wts = tri_quadrature(mesh)
-    assert np.allclose(wts.sum(axis=1), mesh.tri_area, atol=1e-14)
+    assert np.allclose(wts.sum(axis=1), mesh.elem_measure, atol=1e-14)
 
 
 def test_edge_quadrature_weights_sum_to_lengths():
     mesh = build_uniform_parallel(3, 2)
     pts, wts = edge_quadrature(mesh)
-    assert np.allclose(wts.sum(axis=1), mesh.edge_len, atol=1e-14)
+    assert np.allclose(wts.sum(axis=1), mesh.facet_measure, atol=1e-14)

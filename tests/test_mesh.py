@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from ncflux.mesh import (TensorMesh, TriMesh, build_tensor_mesh,
                          build_uniform_parallel, perturb, refine_midpoint)
 
-from helpers import perturbed_2d_meshes
+from helpers import jittered_parallel, perturbed_2d_meshes
 
 GRID_X = (0.0, 0.4, 0.8, 1.0)
 GRID_Y = (0.0, 0.7, 1.0)
@@ -187,17 +187,17 @@ def test_gridlines_must_increase():
 
 def test_triangle_mesh_counts():
     mesh = build_uniform_parallel(1, 1)
-    assert mesh.nt == 2
-    assert mesh.nedge == 5
-    assert build_uniform_parallel(2, 2).nt == 8
+    assert mesh.ne == 2
+    assert mesh.nf == 5
+    assert build_uniform_parallel(2, 2).ne == 8
 
 
 def test_triangle_adjacency():
     mesh = build_uniform_parallel(2, 2)
-    inter = mesh.edge_tris[mesh.interior_edges]
+    inter = mesh.facet_elems[mesh.interior_facets]
     assert (inter >= 0).all()
     assert (inter[:, 0] < inter[:, 1]).all()
-    bnd = mesh.edge_tris[mesh.boundary_edges]
+    bnd = mesh.facet_elems[mesh.boundary_facets]
     assert (bnd[:, 0] >= 0).all() and (bnd[:, 1] < 0).all()
 
 
@@ -209,7 +209,7 @@ def test_triangles_oriented_counterclockwise():
     e1 = verts[t[1]] - verts[t[0]]
     e2 = verts[t[2]] - verts[t[0]]
     assert e1[0] * e2[1] - e1[1] * e2[0] > 0
-    assert mesh.tri_area[0] == pytest.approx(0.5)
+    assert mesh.elem_measure[0] == pytest.approx(0.5)
 
 
 def test_meshes_leave_the_caller_arrays_alone():
@@ -231,14 +231,14 @@ def test_meshes_leave_the_caller_arrays_alone():
 
 def test_edges_are_the_sorted_distinct_vertex_pairs():
     base = build_uniform_parallel(4, 3)
-    perm = np.random.default_rng(0).permutation(base.nt)
+    perm = np.random.default_rng(0).permutation(base.ne)
     mesh = TriMesh(base.vertices, base.triangles[perm])
     t = mesh.triangles
     pairs = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
     edges, inverse = np.unique(np.sort(pairs.reshape(-1, 2), axis=1),
                                axis=0, return_inverse=True)
     assert np.array_equal(mesh.edges, edges)
-    assert np.array_equal(mesh.tri_edges.ravel(), inverse.ravel())
+    assert np.array_equal(mesh.elem_facets.ravel(), inverse.ravel())
 
 
 def test_uniform_parallel_cells_split_along_one_diagonal():
@@ -251,22 +251,22 @@ def test_uniform_parallel_cells_split_along_one_diagonal():
 
 def test_local_edge_opposite_local_vertex():
     mesh = build_uniform_parallel(2, 2)
-    for t in range(mesh.nt):
+    for t in range(mesh.ne):
         for j in range(3):
-            edge = mesh.edges[mesh.tri_edges[t, j]]
+            edge = mesh.edges[mesh.elem_facets[t, j]]
             assert mesh.triangles[t, j] not in edge
 
 
 def test_uniform_parallel_pairs_form_parallelograms():
     mesh = build_uniform_parallel(4, 4)
-    for e in mesh.interior_edges:
-        t0, t1 = mesh.edge_tris[e]
+    for e in mesh.interior_facets:
+        t0, t1 = mesh.facet_elems[e]
         opp = []
         for t in (t0, t1):
-            j = int(np.flatnonzero(mesh.tri_edges[t] == e)[0])
+            j = int(np.flatnonzero(mesh.elem_facets[t] == e)[0])
             opp.append(mesh.vertices[mesh.triangles[t, j]])
         # opposite vertices reflect through the edge midpoint
-        assert np.allclose(0.5 * (opp[0] + opp[1]), mesh.edge_mid[e],
+        assert np.allclose(0.5 * (opp[0] + opp[1]), mesh.facet_midpoint[e],
                            atol=1e-12)
 
 
@@ -287,7 +287,37 @@ def test_triangle_mesh_validation():
 
 def test_triangle_facet_names_are_the_edge_arrays():
     mesh = build_uniform_parallel(3, 2)
-    assert mesh.nf == mesh.nedge
-    assert mesh.elem_facets is mesh.tri_edges
-    assert mesh.interior_facets is mesh.interior_edges
-    assert mesh.boundary_facets is mesh.boundary_edges
+    ends = mesh.vertices[mesh.edges]  # (nf, 2, 2)
+    assert mesh.nf == len(mesh.edges)
+    assert np.array_equal(mesh.facet_midpoint, 0.5 * (ends[:, 0] + ends[:, 1]))
+    assert np.allclose(mesh.facet_measure,
+                       np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1),
+                       rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("factory, k, measure", [
+    (lambda: perturb(refine_midpoint(build_tensor_mesh(GRID_X, GRID_Y)),
+                     0.2, seed=3), 4, 1.0),
+    (lambda: perturb(build_tensor_mesh(GRID_X, GRID_Y, (0.0, 0.5, 2.0)),
+                     0.2, seed=5), 6, 2.0),
+    (lambda: build_uniform_parallel(3, 2), 3, 1.0),
+    (lambda: jittered_parallel(4, 3), 3, 1.0),
+], ids=["box2d", "box3d", "tri", "jittered_tri"])
+def test_both_mesh_types_share_one_vocabulary(factory, k, measure):
+    mesh = factory()
+    ne, nf, dim = mesh.ne, mesh.nf, mesh.dim
+    assert mesh.elem_facets.shape == (ne, k)
+    assert mesh.facet_elems.shape == (nf, 2)
+    assert mesh.elem_center.shape == (ne, dim)
+    assert mesh.facet_midpoint.shape == (nf, dim)
+    assert mesh.elem_measure.shape == (ne,)
+    assert mesh.facet_measure.shape == (nf,)
+    # -1 marks the missing side of exactly the boundary facets
+    missing = (mesh.facet_elems < 0).sum(axis=1)
+    assert missing.max() == 1
+    assert np.array_equal(np.flatnonzero(missing), mesh.boundary_facets)
+    assert np.array_equal(np.flatnonzero(mesh.facet_boundary),
+                          mesh.boundary_facets)
+    both = np.concatenate([mesh.interior_facets, mesh.boundary_facets])
+    assert np.array_equal(np.sort(both), np.arange(nf))
+    assert mesh.elem_measure.sum() == pytest.approx(measure, rel=1e-12)

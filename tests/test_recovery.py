@@ -11,10 +11,10 @@ from ncflux.mesh import build_tensor_mesh, perturb
 from ncflux.problems import custom_problem, problem2
 from ncflux.recovery import (MidpointFlux, correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
-                             project_onto_gradients, rt_interpolate)
+                             rt_interpolate)
 
-from helpers import (cell_block_bytes, perturbed_2d_meshes, refined_box_mesh,
-                     solve_tensor,
+from helpers import (cell_block_bytes, perturbed_2d_meshes,
+                     project_onto_gradients, refined_box_mesh, solve_tensor,
                      source_problem, tensor_locator, traced_peak,
                      zeros_scalar, zeros_vector)
 
@@ -163,7 +163,8 @@ def test_corrected_flux_reduces_to_projection_without_load():
     field = solve_tensor(mesh, prob)
     sigma = corrected_flux(field, prob)
     pts, wts = cell_quadrature(mesh)
-    q = project_onto_gradients(mesh, field.gradients(pts), pts, wts)
+    q = project_onto_gradients(mesh, field.gradient_rt().eval_at(pts), pts,
+                               wts)
     assert np.abs(sigma.alpha - q.alpha).max() < 1e-13
     assert np.abs(sigma.beta - q.beta).max() < 1e-13
 

@@ -80,7 +80,7 @@ def test_singular_system_raises_with_report():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     b = np.array([1.0, 0.0])
     with pytest.raises(SolverError) as exc:
-        solve(A, b, max_iter=50)
+        solve(A, b)
     report = exc.value.report
     assert isinstance(report, SolveReport)
     assert not report.converged
