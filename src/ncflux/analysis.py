@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import assemble, nested_dissection, reconstruct_field
+from .assembly import (assemble, coarse_levels, nested_dissection,
+                       reconstruct_field)
 from .cr import (CRField, RawFlux, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
 from .elements import (cell_blocks, cell_quadrature, row_blocks,
@@ -186,12 +187,16 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
     return skip
 
 
-def _solve_system(system, config: StudyConfig):
+def _solve_system(system, problem: Problem, config: StudyConfig):
     mesh = system.mesh
     # 2d meshes, boxes and triangles: LU-preconditioned in nested-
-    # dissection order. 3d boxes keep Jacobi (the factor's fill and time).
-    order = nested_dissection(mesh) if mesh.dim == 2 else None
-    return solve(system.matrix, system.rhs, tol=config.tol, order=order)
+    # dissection order. 3d boxes: a multigrid V-cycle over the level's
+    # own mesh, coarsened (the LU factor's fill grows too fast in 3d).
+    if mesh.dim == 2:
+        return solve(system.matrix, system.rhs, tol=config.tol,
+                     order=nested_dissection(mesh))
+    return solve(system.matrix, system.rhs, tol=config.tol,
+                 coarse=coarse_levels(mesh, problem))
 
 
 def _tensor_meshes(problem: Problem, config: StudyConfig):
@@ -232,7 +237,7 @@ def _exact_flux(problem: Problem):
 def _tensor_level(mesh: TensorMesh, problem: Problem,
                   config: StudyConfig):
     system = assemble(mesh, problem)
-    x, report = _solve_system(system, config)
+    x, report = _solve_system(system, problem, config)
     field = reconstruct_field(mesh, system.full_dofs(x))
     aflux = _exact_flux(problem)
 
@@ -248,13 +253,13 @@ def _tensor_level(mesh: TensorMesh, problem: Problem,
 
 def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
     system = assemble_cr(mesh, problem)
-    x, report = _solve_system(system, config)
+    x, report = _solve_system(system, problem, config)
     field = CRField(mesh, system.full_dofs(x))
     aflux = _exact_flux(problem)
 
     sigma = corrected_flux_cr(field, problem)
     interp = rt_interpolate_tri(mesh, aflux)
-    grad = field.gradients()
+    grad = field.gradients()        # kept by the field since the correction
     # sigma.const is the mean of a times the broken gradient
     recovered = edge_midpoint_average(mesh, sigma.const)
 

@@ -27,6 +27,10 @@ evaluates the exact affine form ``gradient_rt``.
 
 ``nested_dissection`` orders the unknowns of a box or triangular mesh
 for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
+``coarse_levels`` builds the multigrid hierarchy that preconditions the
+3d solve: the matrix re-assembled on ever coarser meshes
+(``mesh.coarsen``), without load or boundary data, and the closed-form
+``prolongation`` between neighboring levels.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import elements
 from .elements import (BrokenRT, cell_blocks, cell_moments,
-                       cell_quadrature, facet_quadrature, nc_basis,
-                       span_polynomials, span_values)
-from .mesh import TensorMesh, TriMesh
+                       cell_quadrature, facet_blocks, facet_quadrature,
+                       nc_basis, row_blocks, span_polynomials, span_size,
+                       span_values)
+from .mesh import TensorMesh, TriMesh, coarsen
 from .problems import Problem
 from .quadrature import monomial_exponents
 
@@ -150,11 +156,16 @@ def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
-    """Facet means of g on boundary facets, ordered like boundary_facets."""
+    """Facet means of g on boundary facets, ordered like boundary_facets,
+    sampled a block of ``facet_blocks`` at a time."""
     b = mesh.boundary_facets
-    pts, wts = facet_quadrature(mesh, b)
-    vals = finite("g", g(pts), pts)
-    return np.einsum("fq,fq->f", wts, vals) / mesh.facet_measure[b]
+    out = np.empty(b.size)
+    for rows in facet_blocks(mesh, b.size):
+        pts, wts = facet_quadrature(mesh, b[rows])
+        vals = finite("g", g(pts), pts)
+        out[rows] = (np.einsum("fq,fq->f", wts, vals)
+                     / mesh.facet_measure[b[rows]])
+    return out
 
 
 @dataclass
@@ -182,24 +193,52 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
     blocks yields (facets, local, load) for consecutive blocks of
     elements: their facet ids (b, ndof), element matrices (b, ndof, ndof)
     and element loads (b, ndof). bc_values are ordered like
-    boundary_facets. Triplets and right-hand-side entries are kept in
-    element order, and the right-hand side is summed from zero in that
-    order, so the result does not depend on the block size.
+    boundary_facets. Right-hand-side entries are kept in element order,
+    and the right-hand side is summed from zero in that order, so the
+    result does not depend on the block size.
     """
     dm = dof_map(mesh)
     g_full = np.zeros(mesh.nf)
     g_full[dm.boundary] = bc_values
 
     ne, ndof = mesh.elem_facets.shape
+    load_ids = np.empty(ndof * ne, dtype=np.int32)
+    load_vals = np.empty(ndof * ne)
+    nload = 0
+
+    def lifted():
+        nonlocal nload
+        for facets, local, load in blocks:
+            load -= np.einsum("bij,bj->bi", local, g_full[facets])
+            unk = dm.unknown[facets].ravel()
+            keep = unk >= 0
+            end = nload + np.count_nonzero(keep)
+            load_ids[nload:end] = unk[keep]
+            load_vals[nload:end] = load.ravel()[keep]
+            nload = end
+            yield facets, local
+
+    matrix = scatter(mesh, lifted())
+    rhs = np.bincount(load_ids[:nload], weights=load_vals[:nload],
+                      minlength=dm.n_unknown)
+    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs, dofmap=dm,
+                        bc_values=bc_values)
+
+
+def scatter(mesh: TensorMesh | TriMesh, blocks) -> sp.csr_matrix:
+    """The interior matrix from blocks of (facets, local): facet ids
+    (b, ndof) and element matrices (b, ndof, ndof) of consecutive
+    element blocks. Triplets are kept in element order, so the result
+    does not depend on the block size.
+    """
+    dm = dof_map(mesh)
+    ne, ndof = mesh.elem_facets.shape
     # COO triplets, at most ndof^2 per element; int32 ids are what scipy keeps
     data = np.empty(ndof * ndof * ne)
     ri = np.empty(ndof * ndof * ne, dtype=np.int32)
     ci = np.empty(ndof * ndof * ne, dtype=np.int32)
-    load_ids = np.empty(ndof * ne, dtype=np.int32)
-    load_vals = np.empty(ndof * ne)
-    nnz = nload = 0
-    for facets, local, load in blocks:
-        load -= np.einsum("bij,bj->bi", local, g_full[facets])
+    nnz = 0
+    for facets, local in blocks:
         unk = dm.unknown[facets]
         r = np.repeat(unk, ndof, axis=1).ravel()
         c = np.tile(unk, (1, ndof)).ravel()
@@ -209,19 +248,9 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
         ri[nnz:end] = r[keep]
         ci[nnz:end] = c[keep]
         nnz = end
-        rkeep = unk.ravel() >= 0
-        end = nload + np.count_nonzero(rkeep)
-        load_ids[nload:end] = unk.ravel()[rkeep]
-        load_vals[nload:end] = load.ravel()[rkeep]
-        nload = end
-
     n = dm.n_unknown
-    matrix = sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
-                           shape=(n, n)).tocsr()
-    rhs = np.bincount(load_ids[:nload], weights=load_vals[:nload],
-                      minlength=n)
-    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs, dofmap=dm,
-                        bc_values=bc_values)
+    return sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
+                         shape=(n, n)).tocsr()
 
 
 def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
@@ -234,6 +263,97 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
             f"problem dimension {problem.dim} != mesh dimension {mesh.dim}")
     return lift_and_scatter(mesh, boundary_means(mesh, problem.boundary),
                             _local_blocks(mesh, problem))
+
+
+# Unknowns at or below which a multigrid hierarchy stops coarsening; its
+# last level is solved by a sparse LU factor.
+COARSEST_UNKNOWNS = 2000
+
+
+def coarse_levels(mesh: TensorMesh, problem: Problem) -> list:
+    """The multigrid hierarchy below mesh's system, finest first.
+
+    Each level is (P, A_c): A_c the matrix of assemble on the mesh
+    coarsened once more (``mesh.coarsen``), without load or boundary
+    data, and P its prolongation to the level above. Coarsening stops
+    at COARSEST_UNKNOWNS unknowns, so a small system has no levels.
+    """
+    levels = []
+    while dof_map(mesh).n_unknown > COARSEST_UNKNOWNS:
+        fine, mesh = mesh, coarsen(mesh)
+        matrix = scatter(mesh, _local_blocks(mesh, problem, load=False))
+        levels.append((prolongation(mesh, fine), matrix))
+    return levels
+
+
+def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
+    """Coarse unknowns to fine unknowns, for a coarse = coarsen(fine).
+
+    A fine facet dof is the facet mean of the coarse cell's polynomial:
+    of the coarse cell that holds both of the fine facet's cells, or half
+    from each of the two coarse cells that hold them when the fine facet
+    lies on a coarse facet. The means are in closed form, in the coarse
+    cell's xi = (x - center) / scale: over an axis-aligned facet the
+    mean of xi_j is its value at the facet midpoint, and the mean of
+    xi_j^2 is that value squared, plus (L_j / scale)^2 / 12 on each axis
+    j along the facet, L_j its length there. Times the coarse coeff,
+    these give the weights of the coarse cell's dofs. Built a block of
+    fine unknowns at a time; a row with two parent cells holds their
+    shared coarse facet twice, and products with P add the two.
+    """
+    d = fine.dim
+    tables = nc_basis(coarse)
+    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
+    # the coarse cell holding each fine cell: index // 2 on every axis
+    strides = np.cumprod((coarse.shape[1:] + (1,))[::-1])[::-1]
+    parent = (fine.elem_index // 2) @ strides
+    nm = span_size(d)
+    blocks = row_blocks(fine_dm.n_unknown,
+                        max(1, elements.BLOCK_POINTS // nm))
+
+    def parent_dofs(facets):
+        # the parent cells of each fine facet's two cells, and the
+        # coarse unknowns of their facets (-1 past the first parent)
+        parents = parent[fine.facet_elems[facets]]
+        two = parents[:, 0] != parents[:, 1]
+        cols = np.full((facets.size, 2, nm), -1)
+        for side, sel in ((0, slice(None)), (1, two)):
+            cols[sel, side] = coarse_dm.unknown[
+                coarse.elem_facets[parents[sel, side]]]
+        return parents, two, cols
+
+    # the row lengths first, so P is written in place a block at a time
+    indptr = np.zeros(fine_dm.n_unknown + 1, dtype=np.int32)
+    for rows in blocks:
+        cols = parent_dofs(fine_dm.interior[rows])[2]
+        indptr[rows.start + 1:rows.stop + 1] = (cols >= 0).sum(axis=(1, 2))
+    np.cumsum(indptr, out=indptr)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for rows in blocks:
+        facets = fine_dm.interior[rows]
+        parents, two, cols = parent_dofs(facets)
+        along = np.arange(d) != fine.facet_axis[facets, None]
+        length = np.where(along, fine.elem_ext[fine.facet_elems[facets, 0]],
+                          0.0)
+        vals = np.zeros(cols.shape)
+        for side, sel in ((0, slice(None)), (1, two)):
+            K = parents[sel, side]
+            s = tables.scale[K, None]
+            xi = (fine.facet_midpoint[facets[sel]] - tables.center[K]) / s
+            sq = xi * xi + (length[sel] / s) ** 2 / 12.0
+            means = np.empty((K.size, nm))
+            means[:, 0] = np.where(two[sel], 0.5, 1.0)
+            means[:, 1:d + 1] = xi
+            means[:, d + 1:] = sq[:, :1] - sq[:, 1:]
+            means[:, 1:] *= means[:, :1]
+            vals[sel, side] = (means[:, None, :] @ tables.coeff[K])[:, 0]
+        keep = cols >= 0
+        span = slice(indptr[rows.start], indptr[rows.stop])
+        data[span] = vals[keep]
+        indices[span] = cols[keep]
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(fine_dm.n_unknown, coarse_dm.n_unknown))
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -288,16 +408,18 @@ def _product_tensors(dim: int):
             tensor(lambda m: span[m], (nm,)))
 
 
-def _local_blocks(mesh: TensorMesh, problem: Problem):
+def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
     # every element integral is the cell's moments of its data against a
     # fixed product tensor (a monomial-basis matrix), mapped to the dof
-    # basis as coeff^T S coeff; all products are batched matmuls per cell
+    # basis as coeff^T S coeff; all products are batched matmuls per cell.
+    # Yields (facets, local, load), or (facets, local) without the load.
     d = mesh.dim
     tables = nc_basis(mesh, "mean")
     stiff, conv, react, load_t = _product_tensors(d)
     # the data rows: a, then b's components, then c; the load f last
     terms = ([stiff] + (conv if problem.b is not None else [])
              + ([react] if problem.c is not None else []))
+    nt = len(terms)
     # the highest degree of the integrands: a grad.grad 2, b m grad 3, c m m 4
     degree = 4 if problem.c is not None else 3 if problem.b is not None else 2
     na = monomial_exponents(d, degree).shape[0]
@@ -307,25 +429,29 @@ def _local_blocks(mesh: TensorMesh, problem: Problem):
     for blk in cell_blocks(mesh):
         p, _ = cell_quadrature(mesh, blk)
         n, nq = p.shape[:2]
-        data = np.empty((n, len(terms) + 1, nq))
+        data = np.empty((n, nt + load, nq))
         data[:, 0] = finite("a", problem.a(p), p)
         if problem.b is not None:
             data[:, 1:d + 1] = finite("b", problem.b(p), p).transpose(0, 2, 1)
         if problem.c is not None:
-            data[:, -2] = finite("c", problem.c(p), p)
-        data[:, -1] = finite("f", problem.f(p), p)
+            data[:, nt - 1] = finite("c", problem.c(p), p)
+        if load:
+            data[:, nt] = finite("f", problem.f(p), p)
         moments = cell_moments(mesh, data, blk, degree)
         # physical derivatives are xi-derivatives over the scale
         inv_s = 1.0 / tables.scale[blk]
         moments[:, 0] *= (inv_s ** 2)[:, None]
         if problem.b is not None:
             moments[:, 1:d + 1] *= inv_s[:, None, None]
-        mono = (moments[:, :-1].reshape(n, 1, -1) @ products).reshape(
+        mono = (moments[:, :nt].reshape(n, 1, -1) @ products).reshape(
             n, nm, nm)
         coeff = tables.coeff[blk]
         local = coeff.transpose(0, 2, 1) @ mono @ coeff
-        load = (moments[:, -1:] @ load_t @ coeff)[:, 0]
-        yield mesh.elem_facets[blk], local, load
+        if not load:
+            yield mesh.elem_facets[blk], local
+            continue
+        rhs = (moments[:, nt:] @ load_t @ coeff)[:, 0]
+        yield mesh.elem_facets[blk], local, rhs
 
 
 @dataclass

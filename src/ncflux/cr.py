@@ -18,6 +18,7 @@ points of one block and the block's ``rows`` (all triangles by default).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +76,8 @@ class CRField:
 
     trimesh: TriMesh
     dofs: np.ndarray             # (nf,)
+    _gradients: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, 2) of the triangles rows -> (ne, nq)."""
@@ -83,14 +86,21 @@ class CRField:
         return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
 
     def gradients(self) -> np.ndarray:
-        """Constant per-triangle gradients, shape (ne, 2)."""
-        tm = self.trimesh
-        out = np.empty((tm.ne, 2))
-        for rows in row_blocks(tm.ne):
-            local = self.dofs[tm.elem_facets[rows]]
-            grad = cr_basis(tm, rows).grad
-            out[rows] = (grad @ local[:, :, None])[:, :, 0]
-        return out
+        """Constant per-triangle gradients, shape (ne, 2), read-only.
+
+        Computed on the first call and kept: a level reads them for the
+        raw flux and again for the correction.
+        """
+        if self._gradients is None:
+            tm = self.trimesh
+            out = np.empty((tm.ne, 2))
+            for rows in row_blocks(tm.ne):
+                local = self.dofs[tm.elem_facets[rows]]
+                grad = cr_basis(tm, rows).grad
+                out[rows] = (grad @ local[:, :, None])[:, :, 0]
+            out.setflags(write=False)
+            self._gradients = out
+        return self._gradients
 
 
 @dataclass

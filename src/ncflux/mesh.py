@@ -220,6 +220,22 @@ def refine_midpoint(mesh: TensorMesh) -> TensorMesh:
     return TensorMesh(fine)
 
 
+def coarsen(mesh: TensorMesh) -> TensorMesh:
+    """Keep every other gridline of each axis, and always the last one.
+
+    Coarse cell j of an axis holds fine cells 2j and 2j + 1 (only 2j for
+    the last coarse cell of an axis with an odd cell count), so the
+    coarse mesh is nested in the fine one whatever its cell counts.
+    """
+    coarse = []
+    for g in mesh.gridlines:
+        keep = g[::2]
+        if g.size % 2 == 0:         # odd cell count: the last line too
+            keep = np.append(keep, g[-1])
+        coarse.append(keep)
+    return TensorMesh(coarse)
+
+
 def perturb(mesh: TensorMesh, fraction: float, seed: int) -> TensorMesh:
     """Randomly shift interior gridlines; boundary gridlines stay put.
 

@@ -9,6 +9,13 @@ synthesized from the closed forms, f = -a lap(u) - grad(a).grad(u)
 + b.grad(u) + c u, so the discrete solution can be compared against u
 directly. All evaluators are vectorized: they take points of shape
 (..., dim) and return (...) for scalars or (..., dim) for vectors.
+
+The built-in problems compute the terms their leaves share (p1's
+exponential and bumps, p2's exponential, sines and cosines) once per
+point set: ``f`` calls ``lap_u`` and ``grad_u`` at the same points, and
+an error norm calls ``u`` and the exact flux there. Each problem keeps
+its last point set and terms (``_last_points``); custom problems are
+unchanged.
 """
 
 from __future__ import annotations
@@ -64,6 +71,29 @@ class Problem:
         return self.u(x) if self.g is None else self.g(x)
 
 
+def _last_points(terms):
+    """terms(x), remembered for the last point array it was called with.
+
+    The key is a copy of the points, matched by value with array_equal,
+    not by identity, so a caller that overwrites its array in place gets
+    fresh terms. The terms are shared between calls and read-only; the
+    leaves build fresh arrays from them.
+    """
+    last_x = last_terms = None
+
+    def cached(x):
+        nonlocal last_x, last_terms
+        if last_x is None or not np.array_equal(x, last_x):
+            last_x = last_terms = None      # free the old entry first
+            fresh = terms(x)
+            for t in fresh:
+                t.setflags(write=False)
+            last_x, last_terms = np.array(x, copy=True), fresh
+        return last_terms
+
+    return cached
+
+
 def _bump(t):
     return t * (t - 1.0)
 
@@ -79,20 +109,22 @@ def problem1() -> Problem:
     a = exp(x1), b = (x1, x2), c = exp(x1 + x2).
     """
 
+    @_last_points
+    def parts(x):
+        return (np.exp(2.0 * x[..., 0] + x[..., 1]),
+                _bump(x[..., 0]), _bump(x[..., 1]),
+                _dbump(x[..., 0]), _dbump(x[..., 1]))
+
     def u(x):
-        return (np.exp(2.0 * x[..., 0] + x[..., 1])
-                * _bump(x[..., 0]) * _bump(x[..., 1]))
+        e, p, q, _, _ = parts(x)
+        return e * p * q
 
     def grad_u(x):
-        e = np.exp(2.0 * x[..., 0] + x[..., 1])
-        p, q = _bump(x[..., 0]), _bump(x[..., 1])
-        dp, dq = _dbump(x[..., 0]), _dbump(x[..., 1])
+        e, p, q, dp, dq = parts(x)
         return np.stack([e * (2.0 * p + dp) * q, e * p * (q + dq)], axis=-1)
 
     def lap_u(x):
-        e = np.exp(2.0 * x[..., 0] + x[..., 1])
-        p, q = _bump(x[..., 0]), _bump(x[..., 1])
-        dp, dq = _dbump(x[..., 0]), _dbump(x[..., 1])
+        e, p, q, dp, dq = parts(x)
         return (e * (4.0 * p + 4.0 * dp + 2.0) * q
                 + e * p * (q + 2.0 * dq + 2.0))
 
@@ -122,6 +154,7 @@ def problem2() -> Problem:
     """
     pi = np.pi
 
+    @_last_points
     def parts(x):
         e = np.exp(x[..., 0] + x[..., 1])
         s1, c1 = np.sin(3 * pi * x[..., 0]), np.cos(3 * pi * x[..., 0])

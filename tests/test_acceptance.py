@@ -330,9 +330,9 @@ def test_iterative_and_dense_solutions_agree():
 def test_large_triangular_system_converges_at_once():
     # 196,096 unknowns, where Jacobi-preconditioned BiCGStab stalls near
     # a relative residual of 6.4e-10
-    system = assemble_cr(build_uniform_parallel(256, 256),
-                         oscillatory_problem())
-    _, report = _solve_system(system, StudyConfig(element="cr"))
+    problem = oscillatory_problem()
+    system = assemble_cr(build_uniform_parallel(256, 256), problem)
+    _, report = _solve_system(system, problem, StudyConfig(element="cr"))
     assert report.converged and report.iterations <= 2
 
 

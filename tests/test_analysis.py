@@ -10,7 +10,7 @@ import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
-from ncflux import analysis, elements
+from ncflux import analysis, assembly, elements
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import cell_blocks, cell_quadrature, nc_basis, row_blocks
@@ -335,6 +335,20 @@ def test_study_leaves_no_reference_cycles(element, problem, fraction):
     try:
         run_study(StudyConfig(problem=problem, element=element, levels=2,
                               perturb=fraction))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_multigrid_study_leaves_no_reference_cycles():
+    # four 3d levels: the last system (11,520 unknowns) is solved through
+    # a coarse level, so the hierarchy and its V-cycle are built
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_study(StudyConfig(problem="p2", element="ncrt3d",
+                                       levels=4, perturb=0.2))
+        assert result.solver_reports[-1].dim > assembly.COARSEST_UNKNOWNS
         assert gc.collect() == 0
     finally:
         gc.enable()

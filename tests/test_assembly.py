@@ -6,12 +6,14 @@ from scipy.sparse.linalg import spsolve
 from ncflux import assembly, elements
 from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
-                             nested_dissection, reconstruct_field)
+                             nested_dissection, prolongation,
+                             reconstruct_field)
 from ncflux.cr import RawFlux, assemble_cr
 from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
-                             cell_quadrature, facet_blocks, nc_basis)
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
-                         refine_midpoint)
+                             cell_quadrature, facet_blocks, facet_quadrature,
+                             nc_basis)
+from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, coarsen,
+                         perturb, refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
@@ -632,3 +634,73 @@ def test_non_finite_problem_data_is_named(mesh, assembler, name):
                                          "finite at x = "):
         assembler(mesh, poisoned_problem(name))
     assert isinstance(assembler(mesh, poisoned_problem()), LinearSystem)
+
+
+# -- multigrid prolongation ----------------------------------------------------
+
+def odd_perturbed_cube():
+    """10 x 9 x 8 perturbed cells: axis 1 has an odd count, so its last
+    coarse cell holds a single fine cell."""
+    return perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
+                                       for n in (10, 9, 8))), 0.2, seed=5)
+
+
+def facet_means(mesh, q):
+    pts, wts = facet_quadrature(mesh)
+    return np.einsum("fq,fq->f", wts, q(pts)) / mesh.facet_measure
+
+
+def parent_cells(coarse, fine, cells):
+    """The coarse cells holding the fine cells ``cells``."""
+    index = fine.elem_index[cells] // 2
+    return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)),
+                                coarse.shape)
+
+
+SPAN_POLYNOMIALS = {
+    "1": lambda x: np.ones(x.shape[:-1]),
+    "x0": lambda x: x[..., 0],
+    "x1": lambda x: x[..., 1],
+    "x2": lambda x: x[..., 2],
+    "x0^2-x1^2": lambda x: x[..., 0] ** 2 - x[..., 1] ** 2,
+    "x0^2-x2^2": lambda x: x[..., 0] ** 2 - x[..., 2] ** 2,
+}
+
+
+@pytest.mark.parametrize("name", SPAN_POLYNOMIALS)
+def test_prolongation_reproduces_the_span_polynomials(name):
+    q = SPAN_POLYNOMIALS[name]
+    fine = odd_perturbed_cube()
+    coarse = coarsen(fine)
+    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
+    got = prolongation(coarse, fine) @ facet_means(coarse, q)[
+        coarse_dm.interior]
+    want = facet_means(fine, q)[fine_dm.interior]
+    # P carries the coarse unknowns only: compare the rows whose parent
+    # cells have no boundary facet, which see every dof they need
+    touches = coarse.facet_boundary[coarse.elem_facets].any(axis=1)
+    parents = parent_cells(coarse, fine, fine.facet_elems[fine_dm.interior])
+    rows = ~touches[parents].any(axis=1)
+    assert rows.sum() > 100
+    assert np.abs(got[rows] - want[rows]).max() \
+        <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_prolongation_takes_facet_means_of_the_parent_polynomials():
+    # random coarse unknowns, zero boundary dofs: each fine unknown is the
+    # quadrature mean over its facet of the coarse field on each parent
+    # cell, averaged over the (one or two) parents
+    fine = odd_perturbed_cube()
+    coarse = coarsen(fine)
+    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
+    v = np.random.default_rng(2).normal(size=coarse_dm.n_unknown)
+    dofs = np.zeros(coarse.nf)
+    dofs[coarse_dm.interior] = v
+    field = reconstruct_field(coarse, dofs)
+    pts, wts = facet_quadrature(fine, fine_dm.interior)
+    parents = parent_cells(coarse, fine, fine.facet_elems[fine_dm.interior])
+    means = [np.einsum("fq,fq->f", wts, field.eval_at(pts, parents[:, side]))
+             for side in (0, 1)]
+    want = 0.5 * (means[0] + means[1]) / fine.facet_measure[fine_dm.interior]
+    got = prolongation(coarse, fine) @ v
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from ncflux import elements
-from ncflux.analysis import l2_error
+from ncflux.analysis import StudyConfig, l2_error, run_study
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, TriRT,
                        assemble_cr, boundary_edge_means, cell_means,
                        corrected_flux_cr, edge_midpoint_average,
@@ -426,3 +426,24 @@ def test_flux_difference_evaluates_as_difference():
     pts, _ = tri_quadrature(mesh)
     assert np.allclose((p - q).eval_at(pts), p.eval_at(pts) - q.eval_at(pts),
                        rtol=0.0, atol=1e-13)
+
+
+def test_a_level_computes_the_field_gradients_once(monkeypatch):
+    # the raw flux and the correction both read them
+    mesh = build_uniform_parallel(6, 6)
+    field = CRField(mesh, np.random.default_rng(4).normal(size=mesh.nf))
+    grads = field.gradients()
+    assert field.gradients() is grads and not grads.flags.writeable
+    fresh = CRField(mesh, field.dofs)
+    assert np.array_equal(fresh.gradients(), grads)
+
+    computed = []
+    gradients = CRField.gradients
+
+    def spy(self):
+        computed.append(self._gradients is None)
+        return gradients(self)
+
+    monkeypatch.setattr(CRField, "gradients", spy)
+    run_study(StudyConfig(problem="p1", element="cr", levels=2, perturb=0.0))
+    assert computed == [True, False] * 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from ncflux.mesh import (TensorMesh, TriMesh, build_tensor_mesh,
-                         build_uniform_parallel, perturb, refine_midpoint)
+                         build_uniform_parallel, coarsen, perturb,
+                         refine_midpoint)
 
 from helpers import jittered_parallel, perturbed_2d_meshes
 
@@ -124,6 +125,21 @@ def test_refine_halves_intervals_exactly():
     fine = refine_midpoint(mesh)
     assert np.array_equal(fine.gridlines[0],
                           np.array([0.0, 0.125, 0.25, 0.625, 1.0]))
+
+
+@pytest.mark.parametrize("cells", [(4, 4), (5, 2), (3, 7, 2), (1, 6, 4)])
+def test_coarsen_nests_the_coarse_cells(cells):
+    mesh = perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
+                                       for n in cells)), 0.2, seed=sum(cells))
+    coarse = coarsen(mesh)
+    for g, c in zip(mesh.gridlines, coarse.gridlines):
+        n = g.size - 1
+        # every other gridline, and always the last one
+        assert np.array_equal(c, np.unique(np.append(g[::2], g[-1])))
+        assert c.size - 1 == (n + 1) // 2
+        # coarse cell j holds fine cells 2j and 2j + 1
+        i = np.arange(n)
+        assert np.all(c[i // 2] <= g[i]) and np.all(g[i + 1] <= c[i // 2 + 1])
 
 
 def test_perturb_zero_is_identity():

@@ -214,3 +214,40 @@ def test_initial_gridlines_span_the_unit_box(factory):
     for gl in prob.initial_gridlines:
         assert gl[0] == 0.0 and gl[-1] == 1.0
         assert all(b > a for a, b in zip(gl, gl[1:]))
+
+
+LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c", "f", "boundary")
+
+
+def leaves(problem):
+    return [name for name in LEAVES if getattr(problem, name) is not None]
+
+
+@pytest.mark.parametrize("factory", [problem1, problem2])
+def test_leaves_give_the_same_bits_however_the_points_arrive(factory):
+    # the built-in problems keep the terms their leaves share for the
+    # last point set, matched by value: neither the leaves called before
+    # nor a caller overwriting its points in place may change a result
+    rng = np.random.default_rng(11)
+    dim = factory().dim
+    x = rng.uniform(size=(6, 5, dim))
+    names = leaves(factory())
+    fresh = {name: getattr(factory(), name)(x) for name in names}
+    for name in names:
+        after_others = factory()
+        for other in names:
+            if other != name:
+                getattr(after_others, other)(x)
+        overwritten = factory()
+        pts = rng.uniform(size=x.shape)
+        for other in names:
+            getattr(overwritten, other)(pts)
+        pts[...] = x
+        for problem, points in ((after_others, x), (overwritten, pts)):
+            first = getattr(problem, name)(points)
+            again = getattr(problem, name)(points)
+            assert first.tobytes() == fresh[name].tobytes()
+            assert again.tobytes() == fresh[name].tobytes()
+            # every call returns a fresh array the caller may change
+            assert first.flags.writeable and not np.shares_memory(first,
+                                                                  again)

@@ -4,12 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from ncflux.assembly import assemble, nested_dissection
+from ncflux import assembly
+from ncflux.analysis import StudyConfig, _solve_system, _tensor_meshes
+from ncflux.assembly import assemble, coarse_levels, nested_dissection
 from ncflux.cr import assemble_cr
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
-from ncflux.problems import problem1
-from ncflux.sparse_solve import SolveReport, SolverError, solve
+from ncflux.problems import problem1, problem2
+from ncflux.sparse_solve import SolveReport, SolverError, _multigrid, solve
 
 from helpers import perturbed_2d_meshes, tri_meshes
 
@@ -138,3 +140,76 @@ def test_lu_preconditioned_solve_matches_dense_lu(mesh):
     assert report.converged and report.method == "bicgstab"
     assert report.residual <= 1e-12
     assert np.linalg.norm(x - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
+
+
+def test_half_step_exit_counts_as_an_iteration():
+    # Jacobi is exact on the identity, so BiCGStab stops at the half step
+    # of its first iteration, before the callback that counts iterations
+    b = np.arange(1.0, 6.0)
+    x, report = solve(sp.eye(5, format="csr"), b)
+    assert np.allclose(x, b, rtol=0.0, atol=1e-14)
+    assert report.converged and report.iterations == 1
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 8), st.integers(0, 2 ** 16),
+       st.sampled_from(["jacobi", "lu", "direct"]))
+def test_converged_solves_of_nonzero_systems_count_iterations(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    A = sp.csr_matrix(rng.normal(size=(n, n)) + 2.0 * n * np.eye(n))
+    b = rng.normal(size=n)
+    options = {"jacobi": {}, "lu": {"order": np.arange(n)},
+               "direct": {"coarse": []}}[kind]
+    x, report = solve(A, b, tol=1e-10, **options)
+    assert report.converged and report.iterations >= 1
+
+
+def multigrid_hierarchy(monkeypatch):
+    """An 8x8x8 perturbed p2 system (1,344 unknowns) with a hierarchy two
+    levels deep, coarsened down to 12 unknowns under a lowered floor."""
+    monkeypatch.setattr(assembly, "COARSEST_UNKNOWNS", 50)
+    prob = problem2()
+    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    for seed in (3, 4):
+        mesh = perturb(refine_midpoint(mesh), 0.2, seed=seed)
+    system = assemble(mesh, prob)
+    levels = coarse_levels(mesh, prob)
+    assert [A_c.shape[0] for _, A_c in levels] == [144, 12]
+    return system, levels
+
+
+def test_v_cycle_is_a_fixed_linear_map(monkeypatch):
+    system, levels = multigrid_hierarchy(monkeypatch)
+    cycle = _multigrid(system.matrix, levels)
+    rng = np.random.default_rng(8)
+    r1, r2 = rng.normal(size=(2, system.matrix.shape[0]))
+    y1, y2 = cycle @ r1, cycle @ r2
+    both = cycle @ (2.0 * r1 - 3.0 * r2)
+    assert np.linalg.norm(both - (2.0 * y1 - 3.0 * y2)) \
+        <= 1e-12 * np.linalg.norm(both)
+    assert np.array_equal(cycle @ r1, y1)
+
+
+def test_v_cycle_preconditions_a_deep_hierarchy(monkeypatch):
+    system, levels = multigrid_hierarchy(monkeypatch)
+    x, report = solve(system.matrix, system.rhs, tol=1e-12, coarse=levels)
+    x_lu = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert report.converged and 1 <= report.iterations <= 15
+    assert np.linalg.norm(x - x_lu) <= 1e-10 * np.linalg.norm(x_lu)
+
+
+def test_multigrid_study_levels_converge_in_few_iterations():
+    # the solve of every level of a 4-level p2 study; the last one
+    # (11,520 unknowns) is the first with a coarse level
+    problem = problem2()
+    config = StudyConfig(problem="p2", element="ncrt3d", levels=4)
+    iterations = []
+    for mesh in _tensor_meshes(problem, config):
+        system = assemble(mesh, problem)
+        x, report = _solve_system(system, problem, config)
+        x_lu = spla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert report.converged
+        assert np.linalg.norm(x - x_lu) <= 1e-8 * np.linalg.norm(x_lu)
+        iterations.append(report.iterations)
+    assert system.matrix.shape[0] > assembly.COARSEST_UNKNOWNS
+    assert all(1 <= it <= 15 for it in iterations), iterations
