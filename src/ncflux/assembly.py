@@ -11,9 +11,10 @@ only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
 are mesh-specific.
 
 Box element loops run over blocks of ``elements.BLOCK_POINTS``
-quadrature points (``cell_blocks``: 2,048 cells in 2d, 512 in 3d) and map
-the quadrature rule for one block at a time, so the per-point arrays stay
-the same size whatever the mesh and its dimension; the basis tables of
+quadrature points of the data rule (``cell_blocks``: 3,640 cells of 9
+points in 2d, 1,213 of 27 in 3d) and map the rule for one block at a
+time, so the per-point arrays stay the same size whatever the mesh and
+its dimension; the basis tables of
 ``nc_basis``, ``recovery`` and the box error norms of ``analysis`` take
 their blocks from the same budget when they are called. Problem data
 is checked to be finite block by block as it is sampled. The element
@@ -22,8 +23,8 @@ stiffness, convection, reaction and load are the cells' moments of the
 data (``elements.cell_moments``) against fixed product tensors of the
 span's monomials, and the basis tables map them to the dof basis as
 coeff^T S coeff, all in matmuls per cell (Kirby, Knepley, Logg and
-Scott, SIAM J. Sci. Comput. 27, 2005). ``NcrtField.gradients``
-evaluates the exact affine form ``gradient_rt``.
+Scott, SIAM J. Sci. Comput. 27, 2005). All of these integrals, and the
+boundary means, use the data rule ``elements.DATA_RULE``.
 
 ``nested_dissection`` orders the unknowns of a box or triangular mesh
 for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
@@ -43,10 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements
-from .elements import (BrokenRT, cell_blocks, cell_moments,
+from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        cell_quadrature, facet_blocks, facet_quadrature,
-                       nc_basis, row_blocks, span_polynomials, span_size,
-                       span_values)
+                       nc_basis, reference_coeffs, row_blocks,
+                       span_polynomials, span_size, span_values)
 from .mesh import TensorMesh, TriMesh, coarsen
 from .problems import Problem
 from .quadrature import monomial_exponents
@@ -157,11 +158,11 @@ def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
     """Facet means of g on boundary facets, ordered like boundary_facets,
-    sampled a block of ``facet_blocks`` at a time."""
+    by the data rule, sampled a block of ``facet_blocks`` at a time."""
     b = mesh.boundary_facets
     out = np.empty(b.size)
-    for rows in facet_blocks(mesh, b.size):
-        pts, wts = facet_quadrature(mesh, b[rows])
+    for rows in facet_blocks(mesh, b.size, DATA_RULE):
+        pts, wts = facet_quadrature(mesh, b[rows], DATA_RULE)
         vals = finite("g", g(pts), pts)
         out[rows] = (np.einsum("fq,fq->f", wts, vals)
                      / mesh.facet_measure[b[rows]])
@@ -249,14 +250,21 @@ def scatter(mesh: TensorMesh | TriMesh, blocks) -> sp.csr_matrix:
         ci[nnz:end] = c[keep]
         nnz = end
     n = dm.n_unknown
-    return sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
-                         shape=(n, n)).tocsr()
+    matrix = sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
+                           shape=(n, n)).tocsr()
+    del data, ri, ci
+    # summing duplicates leaves views into storage sized for the triplets;
+    # copied now that the triplets are freed, so each level holds only nnz
+    matrix.data = matrix.data.copy()
+    matrix.indices = matrix.indices.copy()
+    return matrix
 
 
 def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
     """Assemble stiffness, convection, reaction, and load terms.
 
-    All element integrals use the tensor Gauss rule of cell_quadrature.
+    All element integrals and the boundary means use the data rule,
+    ``elements.DATA_RULE``.
     """
     if problem.dim != mesh.dim:
         raise ValueError(
@@ -426,8 +434,8 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
     nm = stiff.shape[1]
     products = np.concatenate([t[:na].reshape(na, nm * nm) for t in terms])
     load_t = load_t[:na]
-    for blk in cell_blocks(mesh):
-        p, _ = cell_quadrature(mesh, blk)
+    for blk in cell_blocks(mesh, DATA_RULE):
+        p, _ = cell_quadrature(mesh, blk, DATA_RULE)
         n, nq = p.shape[:2]
         data = np.empty((n, nt + load, nq))
         data[:, 0] = finite("a", problem.a(p), p)
@@ -437,7 +445,7 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
             data[:, nt - 1] = finite("c", problem.c(p), p)
         if load:
             data[:, nt] = finite("f", problem.f(p), p)
-        moments = cell_moments(mesh, data, blk, degree)
+        moments = cell_moments(mesh, data, blk, degree, DATA_RULE)
         # physical derivatives are xi-derivatives over the scale
         inv_s = 1.0 / tables.scale[blk]
         moments[:, 0] *= (inv_s ** 2)[:, None]
@@ -470,6 +478,11 @@ class NcrtField:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq)."""
         xi = nc_basis(self.mesh).local_coords(pts, rows)
         return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]
+
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """Coefficients in the reference monomials of the cells rows:
+        (b, 2d + 1), see ``elements.reference_coeffs``."""
+        return reference_coeffs(self.mesh, self.coeffs[rows], rows)
 
     def values_at_centers(self) -> np.ndarray:
         # centered monomials all vanish at the center except the constant

@@ -17,6 +17,7 @@ import argparse
 import importlib
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 from .analysis import StudyConfig, emit_report, run_study
@@ -125,8 +126,15 @@ def _run_study(args: argparse.Namespace) -> int:
               f"raw={r.err_flux_raw:.3e} superclose={r.err_superclose:.3e} "
               f"recovered={r.err_recovered:.3e}", file=sys.stderr)
 
+    def show_warning(message, category, filename, lineno, file=None,
+                     line=None):
+        # one line, like the errors: the source line would be ours
+        print(f"warning: {message}", file=sys.stderr)
+
     try:
-        result = run_study(config, progress=progress)
+        with warnings.catch_warnings():
+            warnings.showwarning = show_warning
+            result = run_study(config, progress=progress)
     except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,14 +16,21 @@ coordinates from edge cofactors over 2|T| (``cr_basis``). Box tables are
 built a block of elements at a time, kept for the whole mesh and
 evaluated for the rows asked for (all by default).
 
-Box integrals of data against polynomials in xi are cell moments,
+Box rules are named by purpose: ``DATA_RULE`` (3 Gauss points per axis)
+for integrals of problem data, ``NORM_RULE`` (4 points) for the error
+norms. Box integrals of data against polynomials in xi are cell moments,
 int_K v xi^alpha (``cell_moments``): the data sampled at the mapped
 tensor rule, times the one reference table of ``quadrature.moment_table``
 (a matmul per cell), times |K| h^alpha with h = elem_ext / (2 scale).
+The reverse also holds: on a cell, x = center + (ext / 2) tau, so a
+discrete box field is a polynomial in 1, tau_k and tau_k^2, and its
+values at the mapped rule are its coefficients in those monomials
+(``reference_coeffs``) times one fixed table of them at the rule's
+points (``reference_values``), with no point mapped into the cell.
 Box quadrature is mapped for the rows asked for and not kept. Box loops
-take blocks of ``BLOCK_POINTS`` quadrature points (``cell_blocks``,
-``facet_blocks``), so the per-point arrays of a block are the same size
-in 2d and 3d.
+take blocks of ``BLOCK_POINTS`` quadrature points of the rule in use
+(``cell_blocks``, ``facet_blocks``), so the per-point arrays of a block
+are the same size in 2d and 3d and for either rule.
 
 Triangle tables and quadrature are built for the rows asked for (all by
 default), so that the triangular pipeline can work through a large mesh
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TensorMesh, TriMesh
-from .quadrature import (gauss1d_4, map_to_box, map_to_triangle,
+from .quadrature import (gauss1d, map_to_box, map_to_triangle,
                          moment_table, monomial_exponents, tensor_rule,
                          triangle_rule)
 
@@ -155,6 +162,38 @@ def _inverse(G: np.ndarray) -> np.ndarray:
     return adj / det[:, None, None]
 
 
+def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,
+                     rows=slice(None)) -> np.ndarray:
+    """Span coefficients (b, 2d) or (b, m, 2d) of fields on the cells rows
+    as coefficients in the reference monomials 1, tau_k, tau_k^2 of
+    ``quadrature.reference_monomials``: (b, 2d + 1) or (b, m, 2d + 1).
+
+    On a cell, xi = h tau with h = elem_ext / (2 scale), so xi_k becomes
+    h_k tau_k and xi_0^2 - xi_k^2 becomes h_0^2 tau_0^2 - h_k^2 tau_k^2.
+    """
+    d = mesh.dim
+    h = 0.5 * mesh.elem_ext[rows] / nc_basis(mesh).scale[rows, None]
+    if coeffs.ndim == 3:
+        h = h[:, None, :]
+    sq = h * h
+    out = np.empty(coeffs.shape[:-1] + (2 * d + 1,))
+    out[..., 0] = coeffs[..., 0]
+    out[..., 1:d + 1] = coeffs[..., 1:d + 1] * h
+    out[..., d + 1] = sq[..., 0] * coeffs[..., d + 1:].sum(axis=-1)
+    out[..., d + 2:] = -sq[..., 1:] * coeffs[..., d + 1:]
+    return out
+
+
+def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Values at the points of a mapped tensor rule of fields given by
+    their reference coefficients (b, K) or (b, m, K), with table (K, nq)
+    the rule's ``reference_monomials``: one matmul for the whole block.
+    Returns (b, nq) or (b, nq, m)."""
+    vals = (coeffs.reshape(-1, table.shape[0]) @ table).reshape(
+        coeffs.shape[:-1] + table.shape[1:])
+    return vals if coeffs.ndim == 2 else vals.transpose(0, 2, 1)
+
+
 def basis_values(tables: BasisTables, pts: np.ndarray,
                  rows=slice(None)) -> np.ndarray:
     """Basis values at pts (ne, nq, d) of the elements rows: (ne, nq, ndof)."""
@@ -178,6 +217,30 @@ class BrokenRT:
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
         return self.alpha[rows, None, :] + self.beta[rows, None, :] * pts
+
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """Coefficients of the components in the reference monomials of
+        the cells rows (``reference_coeffs``): (b, d, 2d + 1). On a cell
+        x_j = c_j + (l_j / 2) tau_j, so component j is
+        (a_j + b_j c_j) + (b_j l_j / 2) tau_j."""
+        mesh = self.mesh
+        d = mesh.dim
+        beta = self.beta[rows]
+        out = np.zeros(beta.shape + (2 * d + 1,))
+        ax = np.arange(d)
+        out[:, ax, 0] = self.alpha[rows] + beta * mesh.elem_center[rows]
+        out[:, ax, 1 + ax] = 0.5 * beta * mesh.elem_ext[rows]
+        return out
+
+    def l2_norm(self) -> float:
+        """The L2 norm over the mesh, in closed form: on a cell K with
+        center c and extents l, the squared norm is
+        |K| sum_j ((a_j + b_j c_j)^2 + b_j^2 l_j^2 / 12)."""
+        mesh = self.mesh
+        mean = self.alpha + self.beta * mesh.elem_center
+        slope = self.beta * mesh.elem_ext
+        cells = (mean * mean + slope * slope / 12.0).sum(axis=1)
+        return float(np.sqrt(mesh.elem_measure @ cells))
 
     def divergence(self) -> np.ndarray:
         return self.beta.sum(axis=1)
@@ -260,40 +323,53 @@ def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
 
 BLOCK_POINTS = 32_768    # quadrature points per block of box work
 
+# Gauss points per axis of the box rules, one per purpose. Data integrals
+# (assembly's moments of the coefficients and the load, the correction's
+# moments of a, facet means of g and facet fluxes of the exact flux) only
+# need to converge faster than the errors the study measures, and 3
+# points are exact through degree 5 per axis. The error norms are the
+# measured quantities themselves and keep 4 points, exact through 7.
+DATA_RULE = 3
+NORM_RULE = 4
 
-def cell_blocks(mesh: TensorMesh) -> list[slice]:
+
+def cell_blocks(mesh: TensorMesh, rule: int = NORM_RULE) -> list[slice]:
     """Row blocks of the cells, each with at most BLOCK_POINTS points of
-    the cell rule (one cell at least)."""
-    nq = tensor_rule(mesh.dim).npoints
+    the rule-point cell rule (one cell at least)."""
+    nq = tensor_rule(mesh.dim, rule).npoints
     return row_blocks(mesh.ne, max(1, BLOCK_POINTS // nq))
 
 
-def facet_blocks(mesh: TensorMesh, n: int | None = None) -> list[slice]:
+def facet_blocks(mesh: TensorMesh, n: int | None = None,
+                 rule: int = NORM_RULE) -> list[slice]:
     """Row blocks of n facets (all by default), each with at most
-    BLOCK_POINTS points of the facet rule (one facet at least)."""
-    nq = tensor_rule(mesh.dim - 1).npoints
+    BLOCK_POINTS points of the rule-point facet rule (one facet at
+    least)."""
+    nq = tensor_rule(mesh.dim - 1, rule).npoints
     return row_blocks(mesh.nf if n is None else n, max(1, BLOCK_POINTS // nq))
 
 
-def cell_quadrature(mesh: TensorMesh, rows=slice(None)):
-    """Mapped tensor Gauss rule on the elements ``rows``: (pts, wts)."""
-    return map_to_box(tensor_rule(mesh.dim), mesh.elem_lo[rows],
+def cell_quadrature(mesh: TensorMesh, rows=slice(None),
+                    rule: int = NORM_RULE):
+    """Mapped rule-point tensor Gauss rule on the elements ``rows``:
+    (pts, wts)."""
+    return map_to_box(tensor_rule(mesh.dim, rule), mesh.elem_lo[rows],
                       mesh.elem_ext[rows])
 
 
 def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
-                 degree: int = 2) -> np.ndarray:
+                 degree: int = 2, rule: int = NORM_RULE) -> np.ndarray:
     """Moments int_K v xi^alpha, |alpha| <= degree, of data v on the cells
     rows, in monomial_exponents(dim, degree) order.
 
     samples (b, nq) or (b, m, nq) hold v (or m data) at the points of
-    cell_quadrature(mesh, rows); None stands for v = 1, the geometry
-    moments. Since xi = h tau with h = elem_ext / (2 scale), a moment is
-    the samples times moment_table, a matmul per cell, scaled by
-    |K| h^alpha. Returns (b, n) or (b, m, n).
+    cell_quadrature(mesh, rows, rule); None stands for v = 1, the
+    geometry moments. Since xi = h tau with h = elem_ext / (2 scale), a
+    moment is the samples times moment_table, a matmul per cell, scaled
+    by |K| h^alpha. Returns (b, n) or (b, m, n).
     """
     d = mesh.dim
-    table = moment_table(d, degree)
+    table = moment_table(d, degree, rule)
     ext = mesh.elem_ext[rows]
     h = 0.5 * ext / nc_basis(mesh).scale[rows, None]
     factor = np.prod(ext, axis=1)[:, None] * np.prod(
@@ -306,13 +382,15 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     return (samples @ table) * factor[:, None, :]
 
 
-def facet_quadrature(mesh: TensorMesh, rows=slice(None)):
-    """Mapped Gauss rule on the facets ``rows`` (all by default).
+def facet_quadrature(mesh: TensorMesh, rows=slice(None),
+                     rule: int = NORM_RULE):
+    """Mapped rule-point Gauss rule on the facets ``rows`` (all by
+    default).
 
     Returns (pts (nf, nq, d), wts (nf, nq)) for the facets asked for.
     """
     d = mesh.dim
-    ref = tensor_rule(d - 1)
+    ref = tensor_rule(d - 1, rule)
     ids = np.arange(mesh.nf)[rows]
     fe = mesh.facet_elems[ids]
     inside = np.where(fe[:, 1] >= 0, fe[:, 1], fe[:, 0])
@@ -351,7 +429,7 @@ def tri_quadrature(trimesh: TriMesh, rows=slice(None)):
 
 def edge_quadrature(trimesh: TriMesh, rows=slice(None)):
     """Mapped 4-point Gauss rule on the edges ``rows``: (pts, wts)."""
-    ref = gauss1d_4()
+    ref = gauss1d(4)
     a = trimesh.vertices[trimesh.edges[rows, 0]]
     b = trimesh.vertices[trimesh.edges[rows, 1]]
     pts = a[:, None, :] + ref.points[:, None] * (b - a)[:, None, :]

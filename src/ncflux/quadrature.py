@@ -1,9 +1,13 @@
 """Gauss quadrature on intervals, tensor-product boxes, and triangles.
 
 Reference rules live on the unit interval [0, 1], the unit box [0, 1]^d,
-or the unit triangle with vertices (0, 0), (1, 0), (0, 1). Mapping helpers
-push a reference rule onto physical geometry, batched over many cells at
-once (leading axes of ``lo``/``ext``/``verts`` broadcast).
+or the unit triangle with vertices (0, 0), (1, 0), (0, 1). Interval and
+box rules are Gauss-Legendre with the point count per axis as an
+argument (``gauss1d(n)``, ``tensor_rule(dim, n)``): each caller names the
+rule its integral needs (see ``elements.DATA_RULE`` and
+``elements.NORM_RULE``). Mapping helpers push a reference rule onto
+physical geometry, batched over many cells at once (leading axes of
+``lo``/``ext``/``verts`` broadcast).
 """
 
 from __future__ import annotations
@@ -36,21 +40,24 @@ class QuadRule:
 
 
 @lru_cache(maxsize=None)
-def gauss1d_4() -> QuadRule:
-    """4-point Gauss-Legendre rule on [0, 1], exact through degree 7."""
-    t, w = np.polynomial.legendre.leggauss(4)
+def gauss1d(n: int) -> QuadRule:
+    """n-point Gauss-Legendre rule on [0, 1], exact through degree 2n - 1."""
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs >= 1 point, got {n}")
+    t, w = np.polynomial.legendre.leggauss(n)
     return QuadRule((t + 1.0) / 2.0, w / 2.0)
 
 
 @lru_cache(maxsize=None)
-def tensor_rule(dim: int) -> QuadRule:
-    """Tensor product of the 4-point Gauss rule on [0, 1]^dim.
+def tensor_rule(dim: int, n: int) -> QuadRule:
+    """Tensor product of the n-point Gauss rule on [0, 1]^dim.
 
-    4^dim points; exact for polynomials of degree <= 7 in each variable.
+    n^dim points; exact for polynomials of degree <= 2n - 1 in each
+    variable.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    line = gauss1d_4()
+    line = gauss1d(n)
     grids = np.meshgrid(*([line.points] * dim), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.ones(points.shape[0])
@@ -75,19 +82,32 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def moment_table(dim: int, degree: int) -> np.ndarray:
-    """The reference moment table w_q tau_q^alpha of the tensor rule.
+def moment_table(dim: int, degree: int, n: int) -> np.ndarray:
+    """The reference moment table w_q tau_q^alpha of the n-point tensor rule.
 
-    tau = 2 t - 1 are the tensor_rule(dim) points moved onto [-1, 1]^dim
-    and alpha runs over monomial_exponents(dim, degree); shape (nq, n).
+    tau = 2 t - 1 are the tensor_rule(dim, n) points moved onto [-1, 1]^dim
+    and alpha runs over monomial_exponents(dim, degree); shape (n^dim,
+    number of exponents).
     Samples v_q at the rule's points times this table are the means of
     v tau^alpha over the reference box. Read-only.
     """
-    rule = tensor_rule(dim)
+    rule = tensor_rule(dim, n)
     tau = 2.0 * rule.points - 1.0
     powers = np.prod(tau[:, None, :] ** monomial_exponents(dim, degree),
                      axis=2)
     table = rule.weights[:, None] * powers
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def reference_monomials(dim: int, n: int) -> np.ndarray:
+    """The monomials 1, tau_0, .., tau_{dim-1}, tau_0^2, .., tau_{dim-1}^2
+    at the points tau = 2 t - 1 of tensor_rule(dim, n); shape
+    (2 dim + 1, nq). Coefficients of a polynomial in these monomials times
+    the table are its values at the rule's points. Read-only."""
+    tau = (2.0 * tensor_rule(dim, n).points - 1.0).T
+    table = np.concatenate([np.ones((1, tau.shape[1])), tau, tau * tau])
     table.setflags(write=False)
     return table
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NcrtField
-from .elements import (BrokenRT, basis_values, cell_blocks, cell_moments,
-                       cell_quadrature, facet_blocks, facet_quadrature,
-                       nc_basis)
+from .elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
+                       cell_moments, cell_quadrature, facet_blocks,
+                       facet_quadrature, nc_basis, reference_coeffs)
 from .mesh import TensorMesh
 from .problems import Problem
 from .quadrature import monomial_exponents
@@ -100,9 +100,9 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     correction field scaled by the residual load f - b.grad u_h - c u_h,
     sampled at the element centroids. grad u_h is affine per component,
     g_j = g0_j + g1_j xi_j, so the projection's right-hand side needs
-    only the moments of a up to degree 2 (``cell_moments``), taken a
-    block of ``cell_blocks`` (``elements.BLOCK_POINTS`` quadrature
-    points) at a time.
+    only the moments of a up to degree 2 (``cell_moments``) by the data
+    rule (``elements.DATA_RULE``), taken a block of ``cell_blocks``
+    (``elements.BLOCK_POINTS`` quadrature points) at a time.
     """
     mesh = field.mesh
     d = mesh.dim
@@ -113,9 +113,10 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     square = _squares(d)
 
     def rhs():
-        for blk in cell_blocks(mesh):
-            pts, _ = cell_quadrature(mesh, blk)
-            moments = cell_moments(mesh, problem.a(pts), blk)
+        for blk in cell_blocks(mesh, DATA_RULE):
+            pts, _ = cell_quadrature(mesh, blk, DATA_RULE)
+            moments = cell_moments(mesh, problem.a(pts), blk,
+                                   rule=DATA_RULE)
             first = moments[:, 1:d + 1]
             yield (blk, g0[blk] * moments[:, :1] + g1[blk] * first,
                    g0[blk] * first + g1[blk] * moments[:, square])
@@ -136,14 +137,14 @@ def rt_interpolate(mesh: TensorMesh, vec) -> BrokenRT:
     """Canonical facet-flux interpolant of a continuous vector field.
 
     Matches the facet integrals of the normal component, facet by facet,
-    with the Gauss facet rule; the result has continuous normal
-    components by construction. vec maps points (..., d) to (..., d); it
-    is sampled a block of ``facet_blocks`` (``elements.BLOCK_POINTS``
-    facet quadrature points) at a time.
+    with the data rule (``elements.DATA_RULE``); the result has
+    continuous normal components by construction. vec maps points
+    (..., d) to (..., d); it is sampled a block of ``facet_blocks``
+    (``elements.BLOCK_POINTS`` facet quadrature points) at a time.
     """
     dofs = np.empty(mesh.nf)
-    for rows in facet_blocks(mesh):
-        pts, wts = facet_quadrature(mesh, rows)
+    for rows in facet_blocks(mesh, rule=DATA_RULE):
+        pts, wts = facet_quadrature(mesh, rows, DATA_RULE)
         normal_comp = np.take_along_axis(
             vec(pts), mesh.facet_axis[rows, None, None], axis=2)[..., 0]
         dofs[rows] = np.einsum("fq,fq->f", wts, normal_comp)
@@ -193,6 +194,14 @@ class MidpointFlux:
         mesh = self.mesh
         phi = basis_values(nc_basis(mesh, "midpoint"), pts, rows)
         return phi @ self.values[mesh.elem_facets[rows]]
+
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """Coefficients of the components in the reference monomials of
+        the cells rows: (b, d, 2d + 1), see ``elements.reference_coeffs``."""
+        mesh = self.mesh
+        span = (nc_basis(mesh, "midpoint").coeff[rows]
+                @ self.values[mesh.elem_facets[rows]])      # (b, 2d, d)
+        return reference_coeffs(mesh, span.transpose(0, 2, 1), rows)
 
 
 def midpoint_average(flux: BrokenRT) -> MidpointFlux:

@@ -157,7 +157,7 @@ def nc_coeff_by_inverse(mesh, kind):
     values by the one-point rule at the facet center."""
     d = mesh.dim
     if kind == "mean":
-        ref = tensor_rule(d - 1)
+        ref = tensor_rule(d - 1, 4)
         points, weights = ref.points, ref.weights
     else:
         points, weights = np.full((1, d - 1), 0.5), np.ones(1)

@@ -13,10 +13,12 @@ from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
 from ncflux import analysis, assembly, elements
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
-from ncflux.elements import cell_blocks, cell_quadrature, nc_basis, row_blocks
+from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
+                             cell_quadrature, nc_basis, row_blocks)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
 from ncflux.problems import problem1, problem2
-from ncflux.recovery import midpoint_average
+from ncflux.quadrature import reference_monomials
+from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
 from helpers import (cell_block_bytes, linear_problem, refined_box_mesh,
@@ -149,6 +151,78 @@ def test_level_errors_sample_the_exact_flux_once_per_block(monkeypatch):
     assert calls == [blk.stop - blk.start for blk in blocks]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reference_tables_give_the_values_of_eval_at(monkeypatch, dim):
+    # blocks of 7 cells with a partial last one, on a perturbed mesh
+    prob = problem1() if dim == 2 else problem2()
+    mesh = refined_box_mesh(prob, 64 if dim == 2 else 200)
+    monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * NORM_RULE ** dim)
+    blocks = cell_blocks(mesh, NORM_RULE)
+    assert len(blocks) > 2 and 0 < blocks[-1].stop - blocks[-1].start < 7
+    rng = np.random.default_rng(70 + dim)
+    field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+    grad = field.gradient_rt()
+    flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, dim)),
+                    rng.normal(size=(mesh.ne, dim)))
+    fields = (field, grad, flux,
+              MidpointFlux(mesh, rng.normal(size=(mesh.nf, dim))),
+              RawFlux(prob.a, grad))
+    table = reference_monomials(dim, NORM_RULE)
+    for rows in (blocks[0], blocks[-1]):
+        pts, _ = cell_quadrature(mesh, rows, NORM_RULE)
+        for obj in fields:
+            got = analysis._sample({}, obj, pts, rows, table)
+            ref = obj.eval_at(pts, rows)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["2d", "3d"])
+def test_box_error_pass_maps_no_local_coordinates(monkeypatch, kind):
+    prob = problem1() if kind == "2d" else problem2()
+    mesh = refined_box_mesh(prob, 64 if kind == "2d" else 200)
+    exact, approx = level_error_pairs(prob, mesh, 55)
+    expected = l2_error(mesh, exact, approx)
+
+    def no_points(*args):
+        raise AssertionError("a box field was evaluated at points")
+
+    monkeypatch.setattr(elements.BasisTables, "local_coords", no_points)
+    for cls in (BrokenRT, MidpointFlux, RawFlux, type(approx[0])):
+        monkeypatch.setattr(cls, "eval_at", no_points)
+    assert l2_error(mesh, exact, approx) == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_broken_rt_norm_in_closed_form_matches_the_norm_rule(dim):
+    prob = problem1() if dim == 2 else problem2()
+    mesh = refined_box_mesh(prob, 64 if dim == 2 else 200)
+    rng = np.random.default_rng(80 + dim)
+    beta = rng.normal(size=(mesh.ne, dim))
+    # a small field made of large opposite parts, like sigma - I sigma
+    alpha = 1e-3 * rng.normal(size=(mesh.ne, dim)) - beta * mesh.elem_center
+    flux = BrokenRT(mesh, alpha, beta)
+    pts, wts = cell_quadrature(mesh, rule=NORM_RULE)
+    quad = np.sqrt(np.sum(wts * (flux.eval_at(pts) ** 2).sum(axis=-1)))
+    assert type(flux.l2_norm()) is float
+    assert abs(flux.l2_norm() - quad) <= 1e-13 * quad
+    assert abs(flux.l2_norm() - l2_error(mesh, flux)) <= 1e-13 * quad
+
+
+def test_box_norms_keep_the_four_point_rule():
+    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+
+    def cube(x):
+        return x[..., 0] ** 3
+
+    assert l2_error(mesh, cube) == pytest.approx(np.sqrt(1.0 / 7.0),
+                                                 abs=1e-14)
+    # the data rule is not exact for x_0^6, and this guard would catch it
+    pts, wts = cell_quadrature(mesh, rule=DATA_RULE)
+    three = np.sqrt(np.sum(wts * cube(pts) ** 2))
+    assert abs(three - np.sqrt(1.0 / 7.0)) > 1e-7
+
+
 def test_error_sequences_of_unequal_length_rejected():
     mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
     with pytest.raises(ValueError, match="2 exact fields but 1"):
@@ -252,6 +326,17 @@ def test_triangular_study_warns_about_perturbation():
         assert record.err_u < 1e-10
 
 
+def test_triangular_perturbation_warning_points_at_the_caller():
+    prob = linear_problem(2, coef=(1.0, 1.0))
+    cfg = StudyConfig(problem="custom", element="cr", levels=1,
+                      perturb=0.2, cr_initial=2, custom=prob)
+    with pytest.warns(UserWarning, match="perturbation does not apply") \
+            as caught:
+        run_study(cfg)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+
+
 def test_orders_skipped_when_too_few_levels():
     result = run_study(StudyConfig(problem="p1", levels=2, seed=0))
     # auto skip leaves fewer than two levels, so no orders are fitted
@@ -291,6 +376,8 @@ def test_progress_callback_sees_every_level():
     (dict(perturb=0.7, levels=1), "perturb must be in"),
     (dict(element="cr", cr_initial=0), "cr_initial"),
     (dict(cr_initial=-2), "cr_initial"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(element="cr", seed=-3), "seed must be >= 0, got -3"),
 ])
 def test_bad_configuration_rejected(kw, match, monkeypatch):
     cfg = StudyConfig(**{**dict(problem="p1", element="ncrt2d", levels=2),

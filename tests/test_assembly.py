@@ -9,7 +9,7 @@ from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              nested_dissection, prolongation,
                              reconstruct_field)
 from ncflux.cr import RawFlux, assemble_cr
-from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
+from ncflux.elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
                              cell_quadrature, facet_blocks, facet_quadrature,
                              nc_basis)
 from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, coarsen,
@@ -238,7 +238,7 @@ def test_galerkin_residual_recomputed_without_matrix():
     field = solve_tensor(mesh, prob, tol=1e-13)
 
     tables = nc_basis(mesh, "mean")
-    pts, wts = cell_quadrature(mesh)
+    pts, wts = cell_quadrature(mesh, rule=DATA_RULE)
     phi = basis_values(tables, pts)
     gphi = basis_gradients(tables, pts)
     grads = field.gradient_rt().eval_at(pts)
@@ -384,7 +384,7 @@ def perturbed_level(prob, refinements, seed):
 
 def einsum_local_blocks(mesh, problem):
     tables = nc_basis(mesh, "mean")
-    p, w = cell_quadrature(mesh)
+    p, w = cell_quadrature(mesh, rule=DATA_RULE)
     phi = basis_values(tables, p)
     gphi = basis_gradients(tables, p)
     local = np.einsum("bq,bqdi,bqdj->bij", w * problem.a(p), gphi, gphi)
@@ -445,6 +445,23 @@ def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
     assert close(got.beta[:, 1:], beta_k)
     assert close(got.beta[:, 0], coef[:, d:].sum(axis=1) / s)
     assert close(got.alpha, coef[:, :d] - got.beta * tables.center)
+
+
+@pytest.mark.parametrize("kind", ["2d", "3d", "tri"])
+def test_assembled_matrix_holds_only_its_nonzeros(kind):
+    # summing the COO triplets' duplicates must not leave the matrix on
+    # storage sized for the triplets
+    if kind == "tri":
+        system = assemble_cr(build_uniform_parallel(24, 24), problem1())
+    else:
+        prob = problem1() if kind == "2d" else problem2()
+        mesh = refined_box_mesh(prob, 2000)
+        system = assemble(mesh, prob)
+    matrix = system.matrix
+    assert matrix.has_canonical_format
+    for arr in (matrix.data, matrix.indices):
+        assert arr.base is None or arr.base.size == matrix.nnz
+        assert arr.size == matrix.nnz
 
 
 @pytest.mark.parametrize("dim", [2, 3])

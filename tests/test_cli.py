@@ -318,6 +318,24 @@ def test_bad_solver_and_tol_exit_two_before_any_level(tmp_path, capsys):
     assert "tol must be in (0, 1), got -1.0" in err and "ne=" not in err
 
 
+@pytest.mark.parametrize("element", ["ncrt2d", "cr"])
+def test_negative_seed_exits_two_before_any_level(capsys, element):
+    code = main(["study", "--element", element, "--levels", "2",
+                 "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_triangular_perturbation_warning_is_one_line(capsys):
+    assert main(["study", "--element", "cr", "--levels", "1"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    warning = ("warning: gridline perturbation does not apply to "
+               "triangular studies; ignoring it")
+    assert lines[0] == warning
+    assert len(lines) == 2 and lines[1].startswith("ne=")
+
+
 def test_identical_invocations_emit_identical_bytes(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -140,6 +140,23 @@ def test_box_blocks_hold_the_point_budget(monkeypatch, dim, cells, facets,
     assert len(facet_blocks(mesh)) == mesh.nf
 
 
+@pytest.mark.parametrize("dim, cells, facets, n", [(2, 3640, 10922, 80),
+                                                   (3, 1213, 3640, 12)])
+def test_data_rule_blocks_hold_the_point_budget(dim, cells, facets, n):
+    mesh = build_tensor_mesh(*([np.linspace(0.0, 1.0, n + 1)] * dim))
+    assert mesh.ne > cells and mesh.nf > facets
+    nq = elements.DATA_RULE ** dim
+    assert cell_quadrature(mesh, slice(0, 1), elements.DATA_RULE)[1].size \
+        == nq
+    assert cells == elements.BLOCK_POINTS // nq
+    assert facets == elements.BLOCK_POINTS // (nq // elements.DATA_RULE)
+    for blocks, size, rows in (
+            (cell_blocks(mesh, elements.DATA_RULE), cells, mesh.ne),
+            (facet_blocks(mesh, rule=elements.DATA_RULE), facets, mesh.nf)):
+        assert blocks == [slice(lo, min(lo + size, rows))
+                          for lo in range(0, rows, size)]
+
+
 def test_cell_moments_match_an_einsum_over_points():
     rng = np.random.default_rng(61)
     mesh = perturb(refine_midpoint(random_mesh(3, seed=62)), 0.2, seed=63)

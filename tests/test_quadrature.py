@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ncflux.quadrature import (gauss1d_4, map_to_box, map_to_triangle,
-                               moment_table, monomial_exponents, tensor_rule,
+from ncflux.quadrature import (gauss1d, map_to_box, map_to_triangle,
+                               moment_table, monomial_exponents,
+                               reference_monomials, tensor_rule,
                                triangle_rule)
 
 
 def test_interval_rule_has_four_positive_symmetric_points():
-    rule = gauss1d_4()
+    rule = gauss1d(4)
     assert rule.npoints == 4
     assert np.all(rule.weights > 0)
     srt = np.sort(rule.points)
@@ -16,7 +17,7 @@ def test_interval_rule_has_four_positive_symmetric_points():
 
 
 def test_interval_rule_exact_through_degree_seven():
-    rule = gauss1d_4()
+    rule = gauss1d(4)
     for p in range(8):
         exact = 1.0 / (p + 1)
         val = np.sum(rule.weights * rule.points ** p)
@@ -24,14 +25,29 @@ def test_interval_rule_exact_through_degree_seven():
 
 
 def test_interval_rule_breaks_at_degree_eight():
-    rule = gauss1d_4()
+    rule = gauss1d(4)
     val = np.sum(rule.weights * rule.points ** 8)
     assert abs(val - 1.0 / 9.0) > 1e-7
 
 
+def test_three_point_rule_exact_through_degree_five():
+    rule = gauss1d(3)
+    assert rule.npoints == 3
+    for p in range(6):
+        exact = 1.0 / (p + 1)
+        val = np.sum(rule.weights * rule.points ** p)
+        assert abs(val - exact) <= 1e-15 * (1.0 + exact)
+    assert abs(np.sum(rule.weights * rule.points ** 6) - 1.0 / 7.0) > 1e-5
+
+
+def test_gauss_rule_needs_a_point():
+    with pytest.raises(ValueError, match=">= 1 point"):
+        gauss1d(0)
+
+
 @pytest.mark.parametrize("dim,npts", [(2, 16), (3, 64)])
 def test_tensor_rule_point_counts(dim, npts):
-    rule = tensor_rule(dim)
+    rule = tensor_rule(dim, 4)
     assert rule.npoints == npts
     assert rule.points.shape == (npts, dim)
     assert np.all(rule.weights > 0)
@@ -39,13 +55,13 @@ def test_tensor_rule_point_counts(dim, npts):
 
 
 def test_tensor_rule_cubic_product():
-    rule = tensor_rule(2)
+    rule = tensor_rule(2, 4)
     val = np.sum(rule.weights * rule.points[:, 0] ** 3 * rule.points[:, 1] ** 3)
     assert abs(val - 1.0 / 16.0) < 1e-14
 
 
 def test_tensor_rule_exact_per_axis_degree_seven():
-    rule = tensor_rule(2)
+    rule = tensor_rule(2, 4)
     for p in range(8):
         for q in range(8):
             exact = 1.0 / ((p + 1) * (q + 1))
@@ -56,7 +72,7 @@ def test_tensor_rule_exact_per_axis_degree_seven():
 
 def test_tensor_rule_points_symmetric_about_centroid():
     for dim in (2, 3):
-        rule = tensor_rule(dim)
+        rule = tensor_rule(dim, 4)
         mean = np.sum(rule.weights[:, None] * rule.points, axis=0)
         assert np.allclose(mean, 0.5)
 
@@ -68,15 +84,44 @@ def test_moment_table_integrates_per_axis_degree_seven_exactly(dim):
     alpha = monomial_exponents(dim, 7 * dim)
     keep = alpha.max(axis=1) <= 7
     assert keep.sum() == 8 ** dim
-    means = moment_table(dim, 7 * dim).sum(axis=0)[keep]
+    means = moment_table(dim, 7 * dim, 4).sum(axis=0)[keep]
     exact = np.prod(np.where(alpha[keep] % 2 == 0, 1.0 / (alpha[keep] + 1),
                              0.0), axis=1)
     assert np.abs(means - exact).max() <= 1e-15
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_three_point_moment_table_integrates_per_axis_degree_five(dim):
+    # one degree more, for tau_0^6
+    alpha = monomial_exponents(dim, 5 * dim + 1)
+    keep = alpha.max(axis=1) <= 5
+    assert keep.sum() == 6 ** dim
+    table = moment_table(dim, 5 * dim + 1, 3)
+    assert table.shape[0] == 3 ** dim
+    means = table.sum(axis=0)
+    exact = np.prod(np.where(alpha % 2 == 0, 1.0 / (alpha + 1), 0.0),
+                    axis=1)
+    assert np.abs(means[keep] - exact[keep]).max() <= 1e-15
+    # and not beyond: tau_0^6 is off
+    sixth = np.flatnonzero((alpha[:, 0] == 6) & (alpha.sum(axis=1) == 6))
+    assert abs(means[sixth[0]] - 1.0 / 7.0) > 1e-3
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (3, 3)])
+def test_reference_monomials_are_the_tau_powers_at_the_rule_points(dim, n):
+    table = reference_monomials(dim, n)
+    tau = 2.0 * tensor_rule(dim, n).points - 1.0
+    assert table.shape == (2 * dim + 1, n ** dim)
+    assert table is reference_monomials(dim, n)
+    assert not table.flags.writeable
+    assert np.array_equal(table[0], np.ones(n ** dim))
+    assert np.array_equal(table[1:dim + 1], tau.T)
+    assert np.array_equal(table[dim + 1:], (tau * tau).T)
+
+
 def test_moment_table_is_cached_and_read_only():
-    table = moment_table(3, 2)
-    assert table is moment_table(3, 2)
+    table = moment_table(3, 2, 4)
+    assert table is moment_table(3, 2, 4)
     assert table.shape == (64, 10)
     assert not table.flags.writeable
     assert not monomial_exponents(3, 2).flags.writeable
@@ -88,7 +133,7 @@ def test_moment_table_is_cached_and_read_only():
 
 def test_tensor_rule_rejects_bad_dimension():
     with pytest.raises(ValueError):
-        tensor_rule(0)
+        tensor_rule(0, 4)
 
 
 def _tri_monomial_exact(p, q):
@@ -128,14 +173,14 @@ def test_triangle_points_average_to_centroid():
 
 
 def test_map_to_box_weight_sum_is_cell_measure():
-    rule = tensor_rule(2)
+    rule = tensor_rule(2, 4)
     pts, wts = map_to_box(rule, np.array([0.1, 0.2]), np.array([0.4, 0.7]))
     assert abs(wts.sum() - 0.28) < 1e-15
     assert pts.shape == (16, 2)
 
 
 def test_map_to_box_batched_linear_exact():
-    rule = tensor_rule(2)
+    rule = tensor_rule(2, 4)
     rng = np.random.default_rng(0)
     lo = rng.uniform(-1.0, 1.0, size=(5, 2))
     ext = rng.uniform(0.1, 2.0, size=(5, 2))
@@ -149,7 +194,7 @@ def test_map_to_box_batched_linear_exact():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("batch", [(), (7,), (4, 5)])
 def test_map_to_box_fills_axes_like_the_broadcast_form(dim, batch):
-    rule = tensor_rule(dim)
+    rule = tensor_rule(dim, 4)
     rng = np.random.default_rng(dim + len(batch))
     lo = rng.uniform(-1.0, 1.0, size=batch + (dim,))
     ext = rng.uniform(0.1, 2.0, size=batch + (dim,))
