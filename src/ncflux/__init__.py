@@ -12,9 +12,9 @@ convergence studies from the command line.
 from .analysis import (LevelRecord, StudyConfig, StudyResult, emit_report,
                        fit_order, l2_error, run_study)
 from .assembly import LinearSystem, NcrtField, assemble, reconstruct_field
-from .cr import (CRField, EdgeMidpointField, TriRT, VertexField,
-                 assemble_cr, corrected_flux_cr, edge_midpoint_average,
-                 max_normal_jump_tri, rt_interpolate_tri, vertex_average)
+from .cr import (CRField, EdgeMidpointField, VertexField, assemble_cr,
+                 corrected_flux_cr, edge_midpoint_average,
+                 rt_interpolate_tri, vertex_average)
 from .elements import BrokenRT
 from .mesh import (TensorMesh, TriMesh, build_tensor_mesh,
                    build_uniform_parallel, perturb, refine_midpoint)
@@ -29,11 +29,11 @@ __all__ = [
     "BrokenRT", "CRField", "EdgeMidpointField", "LevelRecord",
     "LinearSystem", "MidpointFlux", "NcrtField", "Problem", "REGISTRY",
     "SolveReport", "SolverError", "StudyConfig", "StudyResult", "TensorMesh",
-    "TriMesh", "TriRT", "VertexField", "assemble", "assemble_cr",
+    "TriMesh", "VertexField", "assemble", "assemble_cr",
     "build_tensor_mesh", "build_uniform_parallel", "corrected_flux",
     "corrected_flux_cr", "correction_field", "custom_problem",
     "edge_midpoint_average", "emit_report", "fit_order", "l2_error",
-    "max_normal_jump", "max_normal_jump_tri", "midpoint_average", "perturb",
+    "max_normal_jump", "midpoint_average", "perturb",
     "problem1", "problem2", "reconstruct_field", "refine_midpoint",
     "rt_interpolate", "rt_interpolate_tri", "run_study", "solve",
     "vertex_average",

@@ -291,12 +291,12 @@ def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
 
     sigma = corrected_flux_cr(field, problem)
     interp = rt_interpolate_tri(mesh, aflux)
-    grad = field.gradients()        # kept by the field since the correction
-    # sigma.const is the mean of a times the broken gradient
-    recovered = edge_midpoint_average(mesh, sigma.const)
+    recovered = edge_midpoint_average(mesh, sigma.values_at_centers())
 
+    # the field keeps its gradient since the correction
     errors = l2_error(mesh, (problem.u, aflux, sigma - interp, aflux),
-                      (field, RawFlux(problem.a, grad), None, recovered))
+                      (field, RawFlux(problem.a, field.gradient_rt()), None,
+                       recovered))
     return LevelRecord(mesh.ne, mesh.h, *errors), report
 
 

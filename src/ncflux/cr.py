@@ -2,14 +2,21 @@
 
 The triangular pipeline is the box one with triangle kernels: solve with
 the midpoint-continuous linear element, correct the piecewise-constant
-flux with a divergence-one radial field so its normal components match
-across edges, then average to edge midpoints (order-two recovery on
-meshes where neighboring triangles form parallelograms) or to vertices
-(a cheaper variant of lower order). A TriMesh uses TensorMesh's element
-and facet names, its facets being the edges, so dof numbering, Dirichlet
-lifting and the sparse scatter are the box ones in ``ncflux.assembly``:
-``assemble_cr`` only supplies the element blocks and returns the same
-``LinearSystem`` as ``assemble``.
+flux with the divergence-one field (x - x_K)/2 so its normal components
+match across edges, then average to edge midpoints (order-two recovery
+on meshes where neighboring triangles form parallelograms) or to
+vertices (a cheaper variant of lower order). A TriMesh uses TensorMesh's
+element and facet names, its facets being the edges, so dof numbering,
+Dirichlet lifting and the sparse scatter are the box ones in
+``ncflux.assembly``: ``assemble_cr`` only supplies the element blocks
+and returns the same ``LinearSystem`` as ``assemble``.
+
+Fluxes are the box ones too. The lowest-order Raviart-Thomas field on a
+triangle, a + b x with one scalar b, is an ``elements.BrokenRT`` with
+beta = (b, b) (Raviart and Thomas, LNM 606, 1977): the broken gradient
+(``CRField.gradient_rt``), the corrected flux and the edge-flux
+interpolant are all BrokenRT, so ``recovery.correction_field`` and
+``recovery.max_normal_jump`` serve triangles as they serve boxes.
 
 Work at quadrature points is done a block of triangles (or edges) at a
 time, so its memory stays bounded as the mesh grows; evaluators take the
@@ -27,8 +34,9 @@ import numpy as np
 from .assembly import LinearSystem, finite, lift_and_scatter
 from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_values,
                        edge_quadrature, row_blocks, tri_quadrature)
-from .mesh import TriMesh
+from .mesh import TriMesh, _frozen
 from .problems import Problem
+from .recovery import correction_field
 
 
 def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
@@ -76,7 +84,7 @@ class CRField:
 
     trimesh: TriMesh
     dofs: np.ndarray             # (nf,)
-    _gradients: np.ndarray | None = dataclasses.field(
+    _gradient: BrokenRT | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -85,42 +93,35 @@ class CRField:
         local = self.dofs[self.trimesh.elem_facets[rows]]
         return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
 
-    def gradients(self) -> np.ndarray:
-        """Constant per-triangle gradients, shape (ne, 2), read-only.
+    def gradient_rt(self) -> BrokenRT:
+        """The broken gradient, constant per triangle: a BrokenRT with
+        beta = 0, its arrays read-only.
 
-        Computed on the first call and kept: a level reads them for the
+        Computed on the first call and kept: a level reads it for the
         raw flux and again for the correction.
         """
-        if self._gradients is None:
+        if self._gradient is None:
             tm = self.trimesh
             out = np.empty((tm.ne, 2))
             for rows in row_blocks(tm.ne):
                 local = self.dofs[tm.elem_facets[rows]]
                 grad = cr_basis(tm, rows).grad
                 out[rows] = (grad @ local[:, :, None])[:, :, 0]
-            out.setflags(write=False)
-            self._gradients = out
-        return self._gradients
+            self._gradient = BrokenRT(tm, _frozen(out),
+                                      _frozen(np.zeros_like(out)))
+        return self._gradient
 
 
 @dataclass
 class RawFlux:
-    """Raw discrete flux a grad u_h: a pointwise times the broken gradient.
-
-    grad holds constant per-element gradients (ne, d) or is a field with
-    eval_at(pts, rows), such as NcrtField.gradient_rt().
-    """
+    """Raw discrete flux a grad u_h: a pointwise times the broken gradient,
+    a field with eval_at(pts, rows) such as gradient_rt()."""
 
     a: Callable
-    grad: np.ndarray | BrokenRT
+    grad: BrokenRT
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        grad = self.grad
-        if isinstance(grad, np.ndarray):
-            grad = grad[rows, None, :]
-        else:
-            grad = grad.eval_at(pts, rows)
-        return self.a(pts)[..., None] * grad
+        return self.a(pts)[..., None] * self.grad.eval_at(pts, rows)
 
 
 def cell_means(trimesh: TriMesh, func) -> np.ndarray:
@@ -132,112 +133,56 @@ def cell_means(trimesh: TriMesh, func) -> np.ndarray:
     return out / trimesh.elem_measure
 
 
-def edge_normals(trimesh: TriMesh) -> np.ndarray:
-    """Global unit normals, one fixed orientation per edge."""
-    hit = trimesh._cache.get("edge_normals")
-    if hit is None:
-        v = trimesh.vertices
-        evec = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
-        hit = (np.stack([evec[:, 1], -evec[:, 0]], axis=1)
-               / trimesh.facet_measure[:, None])
-        hit.setflags(write=False)
-        trimesh._cache["edge_normals"] = hit
-    return hit
-
-
-@dataclass
-class TriRT:
-    """Per-triangle flux polynomial const + slope * (x - center).
-
-    The normal component is constant along each edge, so midpoint traces
-    determine the normal jumps exactly.
-    """
-
-    trimesh: TriMesh
-    const: np.ndarray            # (ne, 2), the value at the centroid
-    slope: np.ndarray            # (ne,)
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (ne, nq, 2) of triangles rows -> (ne, nq, 2)."""
-        rel = pts - self.trimesh.elem_center[rows, None, :]
-        return (self.const[rows, None, :]
-                + self.slope[rows, None, None] * rel)
-
-    def __sub__(self, other: "TriRT") -> "TriRT":
-        return TriRT(self.trimesh, self.const - other.const,
-                     self.slope - other.slope)
-
-    def divergence(self) -> np.ndarray:
-        return 2.0 * self.slope
-
-    def trace_at_mid(self, tris: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Full-vector traces from given triangles at given edge midpoints."""
-        tm = self.trimesh
-        rel = tm.facet_midpoint[edges] - tm.elem_center[tris]
-        return self.const[tris] + self.slope[tris, None] * rel
-
-
-def corrected_flux_cr(field: CRField, problem: Problem) -> TriRT:
+def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
     """Continuity-corrected flux of a triangular nonconforming solution.
 
     The mean diffusion coefficient scales the broken gradient; the
-    radial field (x - x_K)/2 times the mean residual load restores
+    correction field (x - x_K)/2 times the mean residual load restores
     normal continuity across edges.
     """
     tm = field.trimesh
-    grad = field.gradients()
-    abar = cell_means(tm, problem.a)
-    const = abar[:, None] * grad
-
+    grad = field.gradient_rt()
     pbar = np.empty(tm.ne)
     for rows in row_blocks(tm.ne):
         pts, wts = tri_quadrature(tm, rows)
         pv = problem.f(pts)
         if problem.b is not None:
-            pv = pv - (problem.b(pts) @ grad[rows, :, None])[:, :, 0]
+            pv = pv - (problem.b(pts) @ grad.alpha[rows, :, None])[:, :, 0]
         if problem.c is not None:
             pv = pv - problem.c(pts) * field.eval_at(pts, rows)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
     pbar /= tm.elem_measure
-    return TriRT(tm, const=const, slope=-0.5 * pbar)
+    return (grad.scaled_by(cell_means(tm, problem.a))
+            - correction_field(tm).scaled_by(pbar))
 
 
-def rt_interpolate_tri(trimesh: TriMesh, vec) -> TriRT:
+def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
     """Canonical edge-flux interpolant of a continuous vector field.
 
-    Matches the edge integrals of the normal component; one 3x3 system
-    per triangle recovers the (const, slope) representation.
+    Matches the edge integrals of the normal component. With F_i the
+    outward flux through the edge opposite vertex p_i of a triangle T,
+    the field is sum_i F_i (x - p_i) / 2|T|: slope sum_i F_i / 2|T| and
+    value sum_i F_i (c - p_i) / 2|T| at the centroid c. An edge's
+    normal (``facet_normal``) points out of T when T's counterclockwise
+    order runs along the edge from its lower to its higher vertex id.
     """
-    n = edge_normals(trimesh)
-    dofs = np.empty(trimesh.nf)
+    n = trimesh.facet_normal
+    flux = np.empty(trimesh.nf)
     for rows in row_blocks(trimesh.nf):
         pts, wts = edge_quadrature(trimesh, rows)
         normal_comp = np.einsum("eqd,ed->eq", vec(pts), n[rows])
-        dofs[rows] = np.einsum("eq,eq->e", wts, normal_comp)
+        flux[rows] = np.einsum("eq,eq->e", wts, normal_comp)
 
-    sol = np.empty((trimesh.ne, 3))
-    for rows in row_blocks(trimesh.ne):
-        te = trimesh.elem_facets[rows]
-        ln = trimesh.facet_measure[te]                 # (ne, 3)
-        nn = n[te]                                     # (ne, 3, 2)
-        rel = trimesh.facet_midpoint[te] - trimesh.elem_center[rows, None, :]
-        A = np.empty(te.shape + (3,))
-        A[:, :, :2] = ln[:, :, None] * nn
-        A[:, :, 2] = ln * np.einsum("tjd,tjd->tj", rel, nn)
-        sol[rows] = np.linalg.solve(A, dofs[te][:, :, None])[:, :, 0]
-    return TriRT(trimesh, const=sol[:, :2], slope=sol[:, 2])
-
-
-def max_normal_jump_tri(flux: TriRT) -> float:
-    """Largest normal-component jump over interior edges."""
-    tm = flux.trimesh
-    inter = tm.interior_facets
-    if inter.size == 0:
-        return 0.0
-    n = edge_normals(tm)[inter]
-    lo = flux.trace_at_mid(tm.facet_elems[inter, 0], inter)
-    hi = flux.trace_at_mid(tm.facet_elems[inter, 1], inter)
-    return float(np.abs(np.einsum("ed,ed->e", hi - lo, n)).max())
+    tri = trimesh.triangles
+    outward = np.where(tri[:, [1, 2, 0]] < tri[:, [2, 0, 1]], 1.0, -1.0)
+    F = outward * flux[trimesh.elem_facets]                # (ne, 3)
+    twice = 2.0 * trimesh.elem_measure
+    center = trimesh.elem_center
+    slope = F.sum(axis=1) / twice
+    rel = center[:, None, :] - trimesh.vertices[tri]       # c - p_i
+    value = (F[:, :, None] * rel).sum(axis=1) / twice[:, None]
+    return BrokenRT(trimesh, alpha=value - slope[:, None] * center,
+                    beta=np.repeat(slope[:, None], 2, axis=1))
 
 
 @dataclass
@@ -269,26 +214,15 @@ class VertexField:
         return lam @ self.values[self.trimesh.triangles[rows]]
 
 
-def _side_traces(trimesh: TriMesh, field) -> np.ndarray:
-    """Per-side traces at edge midpoints, (nf, 2, 2); absent sides zero."""
-    out = np.zeros((trimesh.nf, 2, 2))
-    eid = np.arange(trimesh.nf)
-    for side in (0, 1):
-        t = trimesh.facet_elems[:, side]
-        ok = t >= 0
-        if isinstance(field, TriRT):
-            out[ok, side, :] = field.trace_at_mid(t[ok], eid[ok])
-        else:
-            out[ok, side, :] = np.asarray(field)[t[ok]]
-    return out
+def edge_midpoint_average(trimesh: TriMesh,
+                          cellvals: np.ndarray) -> EdgeMidpointField:
+    """Average per-triangle values (ne, 2) into edge-midpoint values.
 
-
-def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
-    """Average an element-wise flux into edge-midpoint values.
-
-    field is either a piecewise-constant array (ne, 2) or a TriRT.
-    Interior midpoints take the plain mean of the two one-sided traces.
-    Each boundary midpoint m is filled by extrapolation,
+    A corrected flux enters through its centroid values
+    (``BrokenRT.values_at_centers``): on parallel neighbors the two
+    traces of its radial part cancel at the shared midpoint. Interior
+    midpoints take the plain mean of the two triangles' values. Each
+    boundary midpoint m is filled by extrapolation,
 
         value(m) = 2 value(m') - value(m''),
 
@@ -296,13 +230,14 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     triangle whose neighbor K' has an edge parallel to E, and m'' is the
     midpoint of that parallel edge; among candidates the parallel edge
     with midpoint closest to m wins. When the parallel edge lies on the
-    boundary its one-sided trace from K' substitutes for value(m''), and
-    a triangle with no candidate at all falls back to its own trace at m.
+    boundary the value of K' substitutes for value(m''), and a triangle
+    with no candidate at all falls back to its own value.
     """
-    traces = _side_traces(trimesh, field)
+    cellvals = np.asarray(cellvals, dtype=float)
     vals = np.empty((trimesh.nf, 2))
     inter = trimesh.interior_facets
-    vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
+    sides = cellvals[trimesh.facet_elems[inter]]
+    vals[inter] = 0.5 * (sides[:, 0, :] + sides[:, 1, :])
 
     # the candidates (d2, epp, ep, nb) of the boundary edges e, as
     # (boundary edges, 2, 3) arrays: the two other edges ep of e's
@@ -324,7 +259,7 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     mid = trimesh.facet_midpoint
     d2 = ((mid[epp] - mid[e3]) ** 2).sum(axis=-1)
 
-    # the lexicographically least candidate; no candidate keeps the own trace
+    # the lexicographically least candidate; no candidate keeps the own value
     shape = (e.size, 6)
     keys = [np.broadcast_to(k, epp.shape).reshape(shape)
             for k in (nb[:, :, None], ep[:, :, None], epp,
@@ -333,10 +268,9 @@ def edge_midpoint_average(trimesh: TriMesh, field) -> EdgeMidpointField:
     best = np.arange(e.size), pick
     found = ok.reshape(shape)[best]
     nb, ep, epp = (k[best][found] for k in keys[:3])
-    side = (trimesh.facet_elems[epp, 0] != nb).astype(int)
-    m2 = np.where(trimesh.facet_boundary[epp][:, None],
-                  traces[epp, side, :], vals[epp])
-    vals[e] = traces[e, 0, :]
+    m2 = np.where(trimesh.facet_boundary[epp][:, None], cellvals[nb],
+                  vals[epp])
+    vals[e] = cellvals[tri]
     vals[e[found]] = 2.0 * vals[ep] - m2
     return EdgeMidpointField(trimesh, vals)
 

@@ -1,5 +1,9 @@
 """Local finite element bases and the broken flux polynomial type.
 
+``BrokenRT`` is the one broken-flux type of both mesh families: a + b x
+per element, componentwise, which is the lowest-order Raviart-Thomas
+space on a box and, with b_0 = b_1, on a triangle.
+
 The scalar nonconforming space on a box element K is spanned by
 {1, x_1, ..., x_d, x_1^2 - x_2^2, ..., x_1^2 - x_d^2}; its 2d degrees of
 freedom sit on the facets of K, either as facet means ("mean") or as
@@ -205,12 +209,14 @@ def basis_values(tables: BasisTables, pts: np.ndarray,
 class BrokenRT:
     """Element-wise flux polynomial, component j of the form a_j + b_j x_j.
 
+    On a box this is the lowest-order Raviart-Thomas space; on a triangle
+    that space is a + b x with one scalar b, so there beta holds (b, b).
     The global field may jump across facets; its normal component on any
     facet is constant along that facet, so midpoint traces determine the
-    normal jumps exactly.
+    normal jumps exactly. reference_coeffs and l2_norm are box-only.
     """
 
-    mesh: TensorMesh
+    mesh: TensorMesh | TriMesh
     alpha: np.ndarray        # (ne, d)
     beta: np.ndarray         # (ne, d)
 
@@ -237,10 +243,15 @@ class BrokenRT:
         center c and extents l, the squared norm is
         |K| sum_j ((a_j + b_j c_j)^2 + b_j^2 l_j^2 / 12)."""
         mesh = self.mesh
-        mean = self.alpha + self.beta * mesh.elem_center
+        mean = self.values_at_centers()
         slope = self.beta * mesh.elem_ext
         cells = (mean * mean + slope * slope / 12.0).sum(axis=1)
         return float(np.sqrt(mesh.elem_measure @ cells))
+
+    def values_at_centers(self) -> np.ndarray:
+        """Values a + b x_K at the element centers, (ne, d): the cell
+        means, since each component is affine."""
+        return self.alpha + self.beta * self.mesh.elem_center
 
     def divergence(self) -> np.ndarray:
         return self.beta.sum(axis=1)

@@ -27,6 +27,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _cached(mesh, key: str, build) -> np.ndarray:
+    """mesh._cache[key], built by build() and frozen on first use."""
+    if key not in mesh._cache:
+        mesh._cache[key] = _frozen(build())
+    return mesh._cache[key]
+
+
 class TensorMesh:
     """Tensor-product mesh on a box, any dimension >= 1.
 
@@ -52,6 +59,8 @@ class TensorMesh:
     facet_midpoint : ndarray (nf, dim)
     facet_measure : ndarray (nf,)
     facet_boundary : ndarray (nf,) bool
+    facet_normal : ndarray (nf, dim)
+        Unit vector of each facet's axis, built on first use.
     interior_facets, boundary_facets : ndarray of int
     """
 
@@ -63,6 +72,8 @@ class TensorMesh:
         for k, g in enumerate(gls):
             if g.ndim != 1 or g.size < 2:
                 raise ValueError(f"axis {k}: need >= 2 gridlines")
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"axis {k}: gridlines must be finite")
             if not np.all(np.diff(g) > 0):
                 raise ValueError(f"axis {k}: gridlines must strictly increase")
         self.gridlines = tuple(_frozen(g) for g in gls)
@@ -189,6 +200,11 @@ class TensorMesh:
         """Largest interval length over all axes."""
         return float(max(np.diff(g).max() for g in self.gridlines))
 
+    @property
+    def facet_normal(self) -> np.ndarray:
+        return _cached(self, "facet_normal",
+                       lambda: np.eye(self.dim)[self.facet_axis])
+
     def cross_size(self, axis: int) -> int:
         """Facet-id stride for stepping one gridline along ``axis``."""
         return int(self._cross_size[axis])
@@ -283,6 +299,9 @@ class TriMesh:
         Adjacent triangle ids in increasing order; -1 where absent.
     facet_midpoint, facet_measure : ndarray (nf, 2), (nf,)
         Edge midpoints and lengths.
+    facet_normal : ndarray (nf, 2)
+        Unit edge normals, the (low, high) direction turned clockwise;
+        built on first use.
     facet_boundary : ndarray (nf,) bool
     interior_facets, boundary_facets : ndarray of int
 
@@ -299,6 +318,8 @@ class TriMesh:
         t = np.array(triangles, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices must be finite")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triangles must have shape (ne, 3)")
         if t.min() < 0 or t.max() >= v.shape[0]:
@@ -319,11 +340,10 @@ class TriMesh:
         self.elem_measure = _frozen(0.5 * det)
         self.elem_center = _frozen(v[t].mean(axis=1))
 
-        edges, elem_facets = _edge_numbering(t, self.nv)
+        edges, elem_facets, fe = _edge_tables(t, self.nv)
         self.edges = _frozen(edges)
         self.nf = edges.shape[0]
         self.elem_facets = _frozen(elem_facets)
-        fe = _facet_elems(elem_facets, self.nf)
         self.facet_elems = _frozen(fe)
 
         self.facet_midpoint = _frozen(0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
@@ -340,31 +360,44 @@ class TriMesh:
         """Largest edge length."""
         return float(self.facet_measure.max())
 
+    @property
+    def facet_normal(self) -> np.ndarray:
+        def build():
+            evec = np.diff(self.vertices[self.edges], axis=1)[:, 0]
+            return evec[:, ::-1] * [1.0, -1.0] / self.facet_measure[:, None]
+        return _cached(self, "facet_normal", build)
 
-def _edge_numbering(t, nv):
-    """Edges as (low, high) vertex pairs in lexicographic order, and the
-    (ne, 3) edge ids of each triangle, local edge j opposite vertex j."""
+
+def _edge_tables(t, nv):
+    """Edges as (low, high) vertex pairs in lexicographic order, the
+    (ne, 3) edge ids of each triangle, local edge j opposite vertex j,
+    and the (nf, 2) adjacent triangles of each edge in increasing order,
+    -1 where absent.
+
+    t is counterclockwise, so an edge between two triangles runs in
+    opposite directions in them; an edge used more than twice, or twice
+    in the same direction, means overlapping triangles and is rejected.
+    """
     a, b = t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
     # one key per (low, high) pair, ordered like the pairs themselves
-    keys, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                              return_inverse=True)
-    return np.stack(np.divmod(keys, nv), axis=1), inverse.reshape(-1, 3)
-
-
-def _facet_elems(elem_facets, nf):
-    """(nf, 2) adjacent triangles in increasing order, -1 where absent."""
-    inverse = elem_facets.ravel()
-    fe = np.full((nf, 2), -1, dtype=np.int64)
-    tri_of = np.repeat(np.arange(elem_facets.shape[0]), 3)
-    order = np.lexsort((tri_of, inverse))
-    eid = inverse[order]
-    tid = tri_of[order]
-    first = np.ones(eid.size, dtype=bool)
-    first[1:] = eid[1:] != eid[:-1]
-    fe[eid[first], 0] = tid[first]
-    second = ~first
-    fe[eid[second], 1] = tid[second]
-    return fe
+    keys, inverse, uses = np.unique(
+        np.minimum(a, b) * nv + np.maximum(a, b),
+        return_inverse=True, return_counts=True)
+    edges = np.stack(np.divmod(keys, nv), axis=1)
+    rising = np.bincount(inverse, weights=a < b, minlength=keys.size)
+    bad = np.flatnonzero((uses > 2) | ((uses == 2) & (rising != 1)))
+    if bad.size:
+        raise ValueError(
+            f"edge {tuple(edges[bad[0]].tolist())} is shared by "
+            f"{uses[bad[0]]} overlapping triangles; an edge must belong to "
+            "one triangle, or to two on opposite sides of it")
+    # uses by edge, each edge's in increasing triangle order
+    tri = np.argsort(inverse, kind="stable") // 3
+    first = np.cumsum(uses) - uses
+    fe = np.full((keys.size, 2), -1, dtype=np.int64)
+    fe[:, 0] = tri[first]
+    fe[uses == 2, 1] = tri[first[uses == 2] + 1]
+    return edges, inverse.reshape(-1, 3), fe
 
 
 def build_uniform_parallel(nx: int, ny: int,

@@ -1,4 +1,4 @@
-"""Flux correction and superconvergent recovery on box meshes.
+"""Flux correction and superconvergent recovery.
 
 The discrete flux of the nonconforming method is discontinuous across
 facets. Three ingredients repair it:
@@ -18,6 +18,12 @@ is the span's products integrated by the cells' geometry moments, and in
 ``corrected_flux`` its right-hand side is the affine gradient times the
 moments of a up to degree 2 (``elements.cell_moments``). The same code
 paths serve 2d (edges) and 3d (faces).
+
+Every broken flux is an ``elements.BrokenRT``, on boxes and on
+triangles, so the correction field and the jump check
+(``max_normal_jump``, through each mesh's ``facet_normal``) serve both
+mesh types; the projection, the interpolant and the averaging here are
+the box ones, and ``ncflux.cr`` holds their triangle counterparts.
 """
 
 from __future__ import annotations
@@ -30,27 +36,34 @@ from .assembly import NcrtField
 from .elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
                        cell_moments, cell_quadrature, facet_blocks,
                        facet_quadrature, nc_basis, reference_coeffs)
-from .mesh import TensorMesh
+from .mesh import TensorMesh, TriMesh
 from .problems import Problem
 from .quadrature import monomial_exponents
 
 
-def correction_field(mesh: TensorMesh) -> BrokenRT:
+def correction_field(mesh: TensorMesh | TriMesh) -> BrokenRT:
     """Element-wise field r with div r = 1 and special orthogonality.
 
-    On element K with extents l_1..l_d centered at x_K,
+    On element K centered at x_K, r_i(x) = gamma_i (x_i - x_K,i). On a
+    box with extents l_1..l_d,
 
-        r_i(x) = gamma_i (x_i - x_K,i),
         gamma_i = prod_{j != i} l_j^2 / sum_k prod_{j != k} l_j^2.
 
-    The coefficients make r L2(K)-orthogonal to every divergence-free
-    local flux polynomial, which is what lets a piecewise-constant
-    multiple of r cancel the normal jumps of the discrete flux.
+    On a triangle the flux space a + b x forces gamma_0 = gamma_1, so
+    gamma = (1/2, 1/2): Marini's link between the midpoint-linear and
+    the lowest-order Raviart-Thomas solutions (SIAM J. Numer. Anal. 22,
+    1985). The coefficients make r L2(K)-orthogonal to every
+    divergence-free local flux polynomial, which is what lets a
+    piecewise-constant multiple of r cancel the normal jumps of the
+    discrete flux.
     """
-    l2 = mesh.elem_ext ** 2
-    prod = np.prod(l2, axis=1, keepdims=True)
-    p = prod / l2                      # p[:, i] = prod_{j != i} l_j^2
-    gamma = p / p.sum(axis=1, keepdims=True)
+    if isinstance(mesh, TriMesh):
+        gamma = np.full((mesh.ne, 2), 0.5)
+    else:
+        l2 = mesh.elem_ext ** 2
+        prod = np.prod(l2, axis=1, keepdims=True)
+        p = prod / l2                  # p[:, i] = prod_{j != i} l_j^2
+        gamma = p / p.sum(axis=1, keepdims=True)
     return BrokenRT(mesh, alpha=-gamma * mesh.elem_center, beta=gamma)
 
 
@@ -162,20 +175,20 @@ def rt_interpolate(mesh: TensorMesh, vec) -> BrokenRT:
 
 
 def max_normal_jump(flux: BrokenRT) -> float:
-    """Largest normal-component jump over interior facets.
+    """Largest normal-component jump over interior facets, on boxes and
+    triangles alike.
 
     Normal traces of the flux polynomials are constant along each facet,
     so midpoint traces capture the jumps exactly.
     """
     mesh = flux.mesh
-    traces = flux.midpoint_traces()
     inter = mesh.interior_facets
     if inter.size == 0:
         return 0.0
-    ax = mesh.facet_axis[inter]
-    lo = traces[inter, 0, :][np.arange(inter.size), ax]
-    hi = traces[inter, 1, :][np.arange(inter.size), ax]
-    return float(np.abs(hi - lo).max())
+    traces = flux.midpoint_traces()[inter]
+    jump = np.einsum("fd,fd->f", traces[:, 1, :] - traces[:, 0, :],
+                     mesh.facet_normal[inter])
+    return float(np.abs(jump).max())
 
 
 @dataclass

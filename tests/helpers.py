@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
-from ncflux.cr import CRField, EdgeMidpointField, _side_traces, assemble_cr
+from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
 from ncflux.elements import (cell_blocks, cell_quadrature, nc_basis,
                              span_size, span_values)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
@@ -186,13 +186,14 @@ def cr_bary_by_inverse(trimesh):
                                         axis=2))
 
 
-def edge_midpoint_average_loop(trimesh, field):
-    """cr.edge_midpoint_average as a loop over the boundary edges: the
-    reference for its vectorized candidate search and tie-break."""
-    traces = _side_traces(trimesh, field)
+def edge_midpoint_average_loop(trimesh, cellvals):
+    """cr.edge_midpoint_average of per-triangle values as a loop over the
+    boundary edges: the reference for its vectorized candidate search and
+    tie-break."""
     vals = np.empty((trimesh.nf, 2))
-    inter = trimesh.interior_facets
-    vals[inter] = 0.5 * (traces[inter, 0, :] + traces[inter, 1, :])
+    for e in trimesh.interior_facets:
+        lo, hi = trimesh.facet_elems[e]
+        vals[e] = 0.5 * (cellvals[lo] + cellvals[hi])
 
     v = trimesh.vertices
     edir = v[trimesh.edges[:, 1]] - v[trimesh.edges[:, 0]]
@@ -216,14 +217,11 @@ def edge_midpoint_average_loop(trimesh, field):
                 if best is None or cand < best:
                     best = cand
         if best is None:
-            vals[e] = traces[e, 0, :]
+            vals[e] = cellvals[tri]
             continue
         _, epp, ep, nb = best
-        if trimesh.facet_boundary[epp]:
-            side = 0 if trimesh.facet_elems[epp, 0] == nb else 1
-            m2 = traces[epp, side, :]
-        else:
-            m2 = vals[epp]
+        # a boundary parallel edge takes the value of its one triangle nb
+        m2 = cellvals[nb] if trimesh.facet_boundary[epp] else vals[epp]
         vals[e] = 2.0 * vals[ep] - m2
     return EdgeMidpointField(trimesh, vals)
 

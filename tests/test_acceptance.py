@@ -17,21 +17,20 @@ from scipy.sparse.linalg import spsolve
 from ncflux.analysis import (COLUMNS, StudyConfig, _solve_system,
                              emit_report, fit_order, l2_error, run_study)
 from ncflux.assembly import assemble
-from ncflux.cr import (RawFlux, TriRT, assemble_cr, cell_means,
-                       corrected_flux_cr, edge_midpoint_average,
-                       max_normal_jump_tri, vertex_average)
-from ncflux.elements import BrokenRT, cell_quadrature
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, perturb,
-                         refine_midpoint)
+from ncflux.cr import (RawFlux, assemble_cr, cell_means, corrected_flux_cr,
+                       edge_midpoint_average, vertex_average)
+from ncflux.elements import BrokenRT, cell_quadrature, tri_quadrature
+from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
+                         perturb, refine_midpoint)
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import (correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
                              rt_interpolate)
 from ncflux.sparse_solve import solve
 
-from helpers import (linear_problem, project_onto_gradients, solve_cr,
-                     solve_tensor, source_problem, tensor_locator,
-                     tri_locator)
+from helpers import (jittered_parallel, linear_problem,
+                     project_onto_gradients, solve_cr, solve_tensor,
+                     source_problem, tensor_locator, tri_locator)
 
 # Reference orders for the stock studies at the pinned seeds, in the
 # column order err_u, err_flux_raw, err_superclose, err_recovered.
@@ -142,10 +141,9 @@ def test_corrected_flux_continuity_on_triangles():
     prob = source_problem(2, source=lambda x: fbar[locate(x)])
     field = solve_cr(mesh, prob, tol=1e-13)
     sigma = corrected_flux_cr(field, prob)
-    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.ne))
     scale = 1.0 + np.abs(fbar).max()
-    assert max_normal_jump_tri(sigma) <= 1e-8 * scale
-    assert max_normal_jump_tri(raw) > 1e-3
+    assert max_normal_jump(sigma) <= 1e-8 * scale
+    assert max_normal_jump(field.gradient_rt()) > 1e-3
 
 
 # -- criterion: linear solutions are exact for every element -------------------
@@ -177,19 +175,28 @@ def test_linear_solutions_exact_at_every_level(element, levels):
 
 # -- criterion: operator identities --------------------------------------------
 
-@pytest.mark.parametrize("mesh_factory", [perturbed_square, perturbed_cube])
+def jittered_triangles():
+    return jittered_parallel(4, 4, seed=5)
+
+
+@pytest.mark.parametrize("mesh_factory", [
+    perturbed_square, perturbed_cube, jittered_triangles])
 def test_correction_field_identities(mesh_factory):
     mesh = mesh_factory()
     r = correction_field(mesh)
     assert np.abs(r.divergence() - 1.0).max() <= 1e-15
 
-    pts, wts = cell_quadrature(mesh)
+    triangles = isinstance(mesh, TriMesh)
+    pts, wts = tri_quadrature(mesh) if triangles else cell_quadrature(mesh)
     rvals = r.eval_at(pts)
     rng = np.random.default_rng(4)
     d = mesh.dim
     for _ in range(100):
-        beta = rng.normal(size=(mesh.ne, d))
-        beta[:, -1] = -beta[:, :-1].sum(axis=1)
+        if triangles:   # the divergence-free members of a + b x
+            beta = np.zeros((mesh.ne, d))
+        else:
+            beta = rng.normal(size=(mesh.ne, d))
+            beta[:, -1] = -beta[:, :-1].sum(axis=1)
         tau = BrokenRT(mesh, rng.normal(size=(mesh.ne, d)), beta)
         dots = np.einsum("eq,eqd,eqd->e", wts, rvals, tau.eval_at(pts))
         assert np.abs(dots).max() <= 1e-13
@@ -277,8 +284,8 @@ def test_triangular_recovery_orders():
     for n in (8, 16, 32, 64):
         mesh = build_uniform_parallel(n, n)
         field = solve_cr(mesh, prob, tol=1e-12)
-        grad = field.gradients()
-        flux_cells = cell_means(mesh, prob.a)[:, None] * grad
+        grad = field.gradient_rt()
+        flux_cells = cell_means(mesh, prob.a)[:, None] * grad.alpha
         err_raw.append(l2_error(mesh, aflux, RawFlux(prob.a, grad)))
         err_edge.append(l2_error(mesh, aflux,
                                  edge_midpoint_average(mesh, flux_cells)))

@@ -77,8 +77,8 @@ def level_error_pairs(prob, mesh, seed):
     rng = np.random.default_rng(seed)
     if isinstance(mesh, TriMesh):
         field = CRField(mesh, rng.normal(size=mesh.nf))
-        grad = field.gradients()
-        recovered = edge_midpoint_average(mesh, grad)
+        grad = field.gradient_rt()
+        recovered = edge_midpoint_average(mesh, grad.values_at_centers())
     else:
         field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
         grad = field.gradient_rt()

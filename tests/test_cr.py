@@ -5,19 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from ncflux import elements
 from ncflux.analysis import StudyConfig, l2_error, run_study
-from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, TriRT,
-                       assemble_cr, boundary_edge_means, cell_means,
-                       corrected_flux_cr, edge_midpoint_average,
-                       edge_normals, max_normal_jump_tri, rt_interpolate_tri,
+from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
+                       boundary_edge_means, cell_means, corrected_flux_cr,
+                       edge_midpoint_average, rt_interpolate_tri,
                        vertex_average)
-from ncflux.elements import (cr_basis, edge_quadrature, row_blocks,
+from ncflux.elements import (BrokenRT, cr_basis, edge_quadrature, row_blocks,
                              tri_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
+from ncflux.recovery import correction_field, max_normal_jump
 
 from helpers import (edge_midpoint_average_loop, jittered_parallel,
                      linear_problem, ones_scalar, solve_cr, source_problem,
                      tri_locator, tri_meshes, zeros_scalar, zeros_vector)
+
+
+def random_tri_rt(mesh, rng):
+    """A random member of the triangles' flux space a + b x, b scalar."""
+    slope = rng.normal(size=(mesh.ne, 1))
+    return BrokenRT(mesh, rng.normal(size=(mesh.ne, 2)),
+                    np.repeat(slope, 2, axis=1))
 
 
 def linear_tau(x):
@@ -72,7 +79,7 @@ def test_galerkin_residual_recomputed_without_matrix():
     tables = cr_basis(mesh)
     pts, wts = tri_quadrature(mesh)
     phi = cr_values(tables, pts)
-    grads = field.gradients()
+    grads = field.gradient_rt().alpha
     vals = field.eval_at(pts)
     integrand = np.einsum("tq,td,tdi->ti", wts * prob.a(pts),
                           grads, tables.grad)
@@ -119,7 +126,9 @@ def test_field_values_and_gradients_for_linear_dofs():
     field = CRField(mesh, u(mesh.facet_midpoint))
     pts, _ = tri_quadrature(mesh)
     assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
-    assert np.abs(field.gradients() - np.array([-1.0, 2.0])).max() < 1e-12
+    grad = field.gradient_rt()
+    assert np.abs(grad.alpha - np.array([-1.0, 2.0])).max() < 1e-12
+    assert not grad.beta.any()
 
 
 def test_cell_means_of_linear_function_hit_centroids():
@@ -127,15 +136,6 @@ def test_cell_means_of_linear_function_hit_centroids():
     means = cell_means(mesh, lambda x: x[..., 0] + x[..., 1])
     expected = mesh.elem_center[:, 0] + mesh.elem_center[:, 1]
     assert np.abs(means - expected).max() < 1e-13
-
-
-def test_edge_normals_are_unit_and_orthogonal():
-    mesh = jittered_parallel(2, 3, seed=10)
-    n = edge_normals(mesh)
-    assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-13)
-    evec = (mesh.vertices[mesh.edges[:, 1]]
-            - mesh.vertices[mesh.edges[:, 0]])
-    assert np.abs(np.einsum("ed,ed->e", n, evec)).max() < 1e-12
 
 
 # -- corrected flux ------------------------------------------------------------
@@ -155,9 +155,9 @@ def test_corrected_flux_without_load_is_scaled_gradient():
     field = solve_cr(mesh, prob)
     sigma = corrected_flux_cr(field, prob)
     abar = cell_means(mesh, prob.a)
-    assert np.abs(sigma.const - abar[:, None] * field.gradients()).max() \
-        < 1e-13
-    assert np.abs(sigma.slope).max() < 1e-13
+    assert np.abs(sigma.alpha
+                  - abar[:, None] * field.gradient_rt().alpha).max() < 1e-13
+    assert np.abs(sigma.beta).max() < 1e-13
 
 
 def test_corrected_flux_of_zero_field_under_unit_load():
@@ -165,16 +165,20 @@ def test_corrected_flux_of_zero_field_under_unit_load():
     prob = source_problem(2, source=ones_scalar)
     field = CRField(mesh, np.zeros(mesh.nf))
     sigma = corrected_flux_cr(field, prob)
-    assert np.abs(sigma.const).max() < 1e-14
-    assert np.abs(sigma.slope + 0.5).max() < 1e-14
+    assert np.abs(sigma.values_at_centers()).max() < 1e-14
+    assert np.abs(sigma.beta + 0.5).max() < 1e-14
     assert np.abs(sigma.divergence() + 1.0).max() < 1e-14
 
 
 def test_radial_field_has_unit_divergence():
-    mesh = build_uniform_parallel(2, 2)
-    r = TriRT(mesh, const=np.zeros((mesh.ne, 2)),
-              slope=0.5 * np.ones(mesh.ne))
+    # on triangles the correction field is (x - x_K) / 2
+    mesh = jittered_parallel(2, 2, seed=10)
+    r = correction_field(mesh)
     assert np.allclose(r.divergence(), 1.0)
+    pts, _ = tri_quadrature(mesh)
+    assert np.allclose(r.eval_at(pts),
+                       0.5 * (pts - mesh.elem_center[:, None, :]),
+                       rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mesh_factory", [
@@ -190,10 +194,9 @@ def test_corrected_flux_is_normally_continuous_for_cellwise_load(
     prob = source_problem(2, source=lambda x: fbar[locate(x)])
     field = solve_cr(mesh, prob, tol=1e-13)
     sigma = corrected_flux_cr(field, prob)
-    raw = TriRT(mesh, const=field.gradients(), slope=np.zeros(mesh.ne))
     scale = 1.0 + np.abs(fbar).max()
-    assert max_normal_jump_tri(sigma) < 1e-8 * scale
-    assert max_normal_jump_tri(raw) > 1e-3
+    assert max_normal_jump(sigma) < 1e-8 * scale
+    assert max_normal_jump(field.gradient_rt()) > 1e-3
 
 
 @settings(max_examples=25)
@@ -210,10 +213,8 @@ def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
     field = CRField(mesh, system.full_dofs(
         spla.spsolve(system.matrix.tocsc(), system.rhs)))
     sigma = corrected_flux_cr(field, prob)
-    inter = mesh.interior_facets
-    scale = max(np.abs(sigma.trace_at_mid(mesh.facet_elems[inter, side],
-                                          inter)).max() for side in (0, 1))
-    assert max_normal_jump_tri(sigma) <= 1e-12 * scale
+    scale = np.abs(sigma.midpoint_traces()[mesh.interior_facets]).max()
+    assert max_normal_jump(sigma) <= 1e-12 * scale
 
 
 def test_interpolated_flux_is_normally_continuous():
@@ -221,7 +222,28 @@ def test_interpolated_flux_is_normally_continuous():
     tau = rt_interpolate_tri(
         mesh, lambda x: np.stack([np.sin(x[..., 1]) + x[..., 0] ** 2,
                                   x[..., 0] * x[..., 1]], axis=-1))
-    assert max_normal_jump_tri(tau) < 1e-12
+    assert max_normal_jump(tau) < 1e-12
+
+
+def test_interpolant_matches_the_edge_fluxes():
+    # the closed form reproduces every edge integral of the normal
+    # component, from the triangles on both sides
+    mesh = jittered_parallel(4, 3, seed=30)
+
+    def vec(x):
+        return np.stack([np.cos(x[..., 1]) + x[..., 0] ** 3,
+                         np.exp(x[..., 0]) * x[..., 1]], axis=-1)
+
+    tau = rt_interpolate_tri(mesh, vec)
+    pts, wts = edge_quadrature(mesh)
+    n = mesh.facet_normal
+    flux = np.einsum("eq,eqd,ed->e", wts, vec(pts), n)
+    traces = tau.midpoint_traces()
+    for side in (0, 1):
+        has = mesh.facet_elems[:, side] >= 0
+        got = (np.einsum("ed,ed->e", traces[has, side], n[has])
+               * mesh.facet_measure[has])
+        assert np.abs(got - flux[has]).max() < 1e-13
 
 
 def test_single_triangle_has_no_normal_jump():
@@ -229,7 +251,7 @@ def test_single_triangle_has_no_normal_jump():
                    np.array([[0, 1, 2]]))
     tau = rt_interpolate_tri(mesh, linear_tau)
     assert mesh.interior_facets.size == 0
-    assert max_normal_jump_tri(tau) == 0.0
+    assert max_normal_jump(tau) == 0.0
 
 
 def test_interpolation_reproduces_member_fields():
@@ -242,7 +264,7 @@ def test_interpolation_reproduces_member_fields():
     tau = rt_interpolate_tri(mesh, vec)
     pts, _ = tri_quadrature(mesh)
     assert np.abs(tau.eval_at(pts) - vec(pts)).max() < 1e-12
-    assert np.abs(tau.slope - 0.5).max() < 1e-12
+    assert np.abs(tau.beta - 0.5).max() < 1e-12
 
 
 # -- midpoint and vertex averaging ----------------------------------------------
@@ -270,12 +292,11 @@ def test_edge_averaging_reproduces_linear_fields_on_parallel_mesh():
 
 
 def test_edge_averaging_annihilates_radial_field_at_interior_midpoints():
-    # opposite-centroid symmetry makes the two one-sided traces cancel
+    # opposite-centroid symmetry makes the two one-sided traces cancel, so
+    # averaging a corrected flux needs only its centroid values
     mesh = build_uniform_parallel(4, 4)
-    r = TriRT(mesh, const=np.zeros((mesh.ne, 2)),
-              slope=0.5 * np.ones(mesh.ne))
-    avg = edge_midpoint_average(mesh, r)
-    assert np.abs(avg.values[mesh.interior_facets]).max() < 1e-14
+    traces = correction_field(mesh).midpoint_traces()[mesh.interior_facets]
+    assert np.abs(0.5 * (traces[:, 0] + traces[:, 1])).max() < 1e-14
 
 
 def test_edge_averaging_own_trace_fallback_on_single_triangle():
@@ -297,11 +318,11 @@ def test_edge_averaging_own_trace_fallback_on_single_triangle():
 ], ids=["1x1", "5x3", "1x4", "jittered4x4", "jittered7x3", "single"])
 def test_edge_averaging_matches_the_boundary_loop_exactly(mesh):
     rng = np.random.default_rng(mesh.ne)
-    for field in (rng.normal(size=(mesh.ne, 2)),
-                  TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
-                        slope=rng.normal(size=mesh.ne))):
-        assert np.array_equal(edge_midpoint_average(mesh, field).values,
-                              edge_midpoint_average_loop(mesh, field).values)
+    for cellvals in (rng.normal(size=(mesh.ne, 2)),
+                     random_tri_rt(mesh, rng).values_at_centers()):
+        assert np.array_equal(
+            edge_midpoint_average(mesh, cellvals).values,
+            edge_midpoint_average_loop(mesh, cellvals).values)
 
 
 def test_edge_field_evaluation_matches_stored_values():
@@ -362,8 +383,8 @@ def blocked_level(mesh, prob):
     field = CRField(mesh, system.full_dofs(x))
     sigma = corrected_flux_cr(field, prob)
     interp = rt_interpolate_tri(mesh, prob.grad_u)
-    grad = field.gradients()
-    recovered = edge_midpoint_average(mesh, grad)
+    grad = field.gradient_rt()
+    recovered = edge_midpoint_average(mesh, sigma.values_at_centers())
     errs = [l2_error(mesh, prob.u, field),
             l2_error(mesh, prob.grad_u, RawFlux(prob.a, grad)),
             l2_error(mesh, sigma - interp),
@@ -372,7 +393,9 @@ def blocked_level(mesh, prob):
 
 
 def test_blocks_give_the_single_block_results(monkeypatch):
-    mesh = jittered_parallel(24, 24, seed=23)          # 1152 triangles
+    # 1152 triangles; a jitter of a fifth of the cell side keeps them
+    # all positive, so the mesh is not folded
+    mesh = jittered_parallel(24, 24, amount=0.2 / 24, seed=23)
     prob = problem1()
     assert len(row_blocks(mesh.ne)) == 2
     blocked = blocked_level(mesh, prob)
@@ -387,8 +410,8 @@ def test_blocks_give_the_single_block_results(monkeypatch):
                               getattr(sys_w.matrix, name))
     assert np.array_equal(sys_b.rhs, sys_w.rhs)
     for a, b in ((sig_b, sig_w), (int_b, int_w)):
-        assert np.array_equal(a.const, b.const)
-        assert np.array_equal(a.slope, b.slope)
+        assert np.array_equal(a.alpha, b.alpha)
+        assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(mean_b, mean_w)
     # only the order of the block sums differs
     assert np.allclose(err_b, err_w, rtol=1e-13, atol=0.0)
@@ -401,11 +424,11 @@ def test_fields_evaluate_one_block_of_rows():
     rows = slice(5, 17)
     fields = [
         CRField(mesh, rng.normal(size=mesh.nf)),
-        TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
-              slope=rng.normal(size=mesh.ne)),
+        random_tri_rt(mesh, rng),
         EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2))),
         vertex_average(mesh, rng.normal(size=(mesh.ne, 2))),
-        RawFlux(ones_scalar, rng.normal(size=(mesh.ne, 2))),
+        RawFlux(ones_scalar,
+                CRField(mesh, rng.normal(size=mesh.nf)).gradient_rt()),
     ]
     for fld in fields:
         assert np.array_equal(fld.eval_at(pts[rows], rows),
@@ -421,8 +444,7 @@ def test_fields_evaluate_one_block_of_rows():
 def test_flux_difference_evaluates_as_difference():
     mesh = jittered_parallel(3, 3, seed=26)
     rng = np.random.default_rng(27)
-    p, q = (TriRT(mesh, const=rng.normal(size=(mesh.ne, 2)),
-                  slope=rng.normal(size=mesh.ne)) for _ in range(2))
+    p, q = (random_tri_rt(mesh, rng) for _ in range(2))
     pts, _ = tri_quadrature(mesh)
     assert np.allclose((p - q).eval_at(pts), p.eval_at(pts) - q.eval_at(pts),
                        rtol=0.0, atol=1e-13)
@@ -432,18 +454,19 @@ def test_a_level_computes_the_field_gradients_once(monkeypatch):
     # the raw flux and the correction both read them
     mesh = build_uniform_parallel(6, 6)
     field = CRField(mesh, np.random.default_rng(4).normal(size=mesh.nf))
-    grads = field.gradients()
-    assert field.gradients() is grads and not grads.flags.writeable
+    grad = field.gradient_rt()
+    assert field.gradient_rt() is grad
+    assert not (grad.alpha.flags.writeable or grad.beta.flags.writeable)
     fresh = CRField(mesh, field.dofs)
-    assert np.array_equal(fresh.gradients(), grads)
+    assert np.array_equal(fresh.gradient_rt().alpha, grad.alpha)
 
     computed = []
-    gradients = CRField.gradients
+    gradient_rt = CRField.gradient_rt
 
     def spy(self):
-        computed.append(self._gradients is None)
-        return gradients(self)
+        computed.append(self._gradient is None)
+        return gradient_rt(self)
 
-    monkeypatch.setattr(CRField, "gradients", spy)
+    monkeypatch.setattr(CRField, "gradient_rt", spy)
     run_study(StudyConfig(problem="p1", element="cr", levels=2, perturb=0.0))
     assert computed == [True, False] * 2

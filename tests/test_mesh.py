@@ -197,8 +197,12 @@ def test_nondegeneracy_warning():
 
 
 def test_gridlines_must_increase():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="axis 0: .* strictly increase"):
         build_tensor_mesh((0.0, 0.5, 0.5, 1.0), (0.0, 1.0))
+    # an infinite line would give an infinite element measure
+    for lines in ((0.0, np.inf), (0.0, np.nan, 1.0), (-np.inf, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="axis 1: .* must be finite"):
+            build_tensor_mesh((0.0, 1.0), lines)
 
 
 def test_triangle_mesh_counts():
@@ -299,6 +303,22 @@ def test_triangle_mesh_validation():
         TriMesh(verts, np.array([[0, 1, 1]]))
     with pytest.raises(ValueError):
         build_uniform_parallel(0, 2)
+    for bad in (np.nan, np.inf):
+        moved = verts.copy()
+        moved[1, 0] = bad
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            TriMesh(moved, np.array([[0, 1, 2]]))
+    # vertex 3 lies below edge (0, 1) and vertex 4 above it: two
+    # triangles on the edge's two sides are a mesh; a third triangle on
+    # the edge, a repeat, or two on one side overlap
+    five = np.concatenate([verts, [[1.0, -1.0], [0.5, 0.5]]])
+    assert TriMesh(five, np.array([[0, 1, 2], [0, 3, 1]])).nf == 5
+    for tris in ([[0, 1, 2], [0, 1, 3], [0, 1, 3]],
+                 [[0, 1, 2], [0, 1, 2]],
+                 [[0, 1, 2], [2, 1, 0]],
+                 [[0, 1, 2], [0, 1, 4]]):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by"):
+            TriMesh(five, np.array(tris))
 
 
 def test_triangle_facet_names_are_the_edge_arrays():
@@ -328,6 +348,7 @@ def test_both_mesh_types_share_one_vocabulary(factory, k, measure):
     assert mesh.facet_midpoint.shape == (nf, dim)
     assert mesh.elem_measure.shape == (ne,)
     assert mesh.facet_measure.shape == (nf,)
+    assert mesh.facet_normal.shape == (nf, dim)
     # -1 marks the missing side of exactly the boundary facets
     missing = (mesh.facet_elems < 0).sum(axis=1)
     assert missing.max() == 1
@@ -337,3 +358,24 @@ def test_both_mesh_types_share_one_vocabulary(factory, k, measure):
     both = np.concatenate([mesh.interior_facets, mesh.boundary_facets])
     assert np.array_equal(np.sort(both), np.arange(nf))
     assert mesh.elem_measure.sum() == pytest.approx(measure, rel=1e-12)
+
+
+def test_facet_normals_are_unit_and_orthogonal():
+    # on triangles orthogonal to the edge vectors, on boxes the axis vectors
+    tri = jittered_parallel(2, 3, seed=10)
+    evec = tri.vertices[tri.edges[:, 1]] - tri.vertices[tri.edges[:, 0]]
+    assert np.abs(np.einsum("ed,ed->e", tri.facet_normal, evec)).max() < 1e-12
+    box = perturb(build_tensor_mesh(GRID_X, GRID_Y, (0.0, 0.5, 2.0)), 0.2,
+                  seed=5)
+    assert np.array_equal(box.facet_normal, np.eye(3)[box.facet_axis])
+    for mesh in (tri, box):
+        n = mesh.facet_normal
+        assert mesh.facet_normal is n and not n.flags.writeable
+        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, rtol=0.0,
+                           atol=1e-13)
+        # the two neighbors of an interior facet lie on opposite sides
+        inter = mesh.interior_facets
+        offset = (mesh.elem_center[mesh.facet_elems[inter]]
+                  - mesh.facet_midpoint[inter, None, :])
+        side = np.einsum("fkd,fd->fk", offset, n[inter])
+        assert (side[:, 0] * side[:, 1] < 0).all()
