@@ -7,14 +7,18 @@ facet-flux interpolant of the exact flux (the supercloseness quantity),
 and the error of the averaged, recovered flux. Orders are least-squares
 slopes in log-log, fitted after dropping the preasymptotic levels.
 
+Boxes and triangles share one ``_level``. The mesh families differ only
+in its five stages (assemble, field from dofs, correct, interpolate,
+average), which ``run_study`` reads from this module's namespace.
+
 The error norms use the 4-point Gauss rule per axis on boxes
 (``elements.NORM_RULE``); the problem data were integrated with the
 3-point data rule, whose quadrature error falls much faster than these
 errors (Ciarlet, The Finite Element Method for Elliptic Problems, 1978,
 sec. 4.1). On boxes the discrete fields are read from reference tables
-at the rule's points, not evaluated at mapped points, and the
-supercloseness error, the norm of a piecewise affine field, is computed
-in closed form (``BrokenRT.l2_norm``).
+at the rule's points, not evaluated at mapped points. On both mesh
+families the supercloseness error, the norm of a piecewise affine field,
+is computed in closed form (``BrokenRT.l2_norm``).
 
 Box hierarchies refine by interval halving and then randomly perturb the
 gridlines of every level after the first, so the superconvergence is
@@ -251,28 +255,23 @@ def _tensor_meshes(problem: Problem, config: StudyConfig):
         yield mesh
 
 
-def _tri_meshes(config: StudyConfig):
-    for k in range(config.levels):
-        n = config.cr_initial * 2 ** k
-        yield build_uniform_parallel(n, n)
-
-
 def _exact_flux(problem: Problem):
     def flux(pts):
         return problem.a(pts)[..., None] * problem.grad_u(pts)
     return flux
 
 
-def _tensor_level(mesh: TensorMesh, problem: Problem,
-                  config: StudyConfig):
-    system = assemble(mesh, problem)
+def _level(mesh, problem: Problem, config: StudyConfig, stages):
+    """Solve, correct, average and measure one level of a study."""
+    assemble_system, make_field, correct, interpolate, average = stages
+    system = assemble_system(mesh, problem)
     x, report = _solve_system(system, problem, config)
-    field = reconstruct_field(mesh, system.full_dofs(x))
+    field = make_field(mesh, system.full_dofs(x))
     aflux = _exact_flux(problem)
 
-    sigma = corrected_flux(field, problem)
-    interp = rt_interpolate(mesh, aflux)
-    recovered = midpoint_average(sigma)
+    sigma = correct(field, problem)
+    interp = interpolate(mesh, aflux)
+    recovered = average(sigma)
 
     err_u, err_raw, err_recovered = l2_error(
         mesh, (problem.u, aflux, aflux),
@@ -283,40 +282,28 @@ def _tensor_level(mesh: TensorMesh, problem: Problem,
                        err_recovered), report
 
 
-def _cr_level(mesh: TriMesh, problem: Problem, config: StudyConfig):
-    system = assemble_cr(mesh, problem)
-    x, report = _solve_system(system, problem, config)
-    field = CRField(mesh, system.full_dofs(x))
-    aflux = _exact_flux(problem)
-
-    sigma = corrected_flux_cr(field, problem)
-    interp = rt_interpolate_tri(mesh, aflux)
-    recovered = edge_midpoint_average(mesh, sigma.values_at_centers())
-
-    # the field keeps its gradient since the correction
-    errors = l2_error(mesh, (problem.u, aflux, sigma - interp, aflux),
-                      (field, RawFlux(problem.a, field.gradient_rt()), None,
-                       recovered))
-    return LevelRecord(mesh.ne, mesh.h, *errors), report
-
-
 def run_study(config: StudyConfig,
               progress: Optional[Callable] = None) -> StudyResult:
     """Run a convergence study and fit orders over the asymptotic levels."""
     problem = _resolve_problem(config)
     skip = _check_config(config, problem)
-    if config.element == "cr" and config.perturb > 0.0:
-        # raised here, not in the mesh generator, so that it points at
-        # the caller's run_study
-        warnings.warn("gridline perturbation does not apply to "
-                      "triangular studies; ignoring it", stacklevel=2)
-
-    meshes = (_tri_meshes(config) if config.element == "cr"
-              else _tensor_meshes(problem, config))
+    # stages are read per call: a traced run swaps these module globals
+    if config.element == "cr":
+        if config.perturb > 0.0:
+            warnings.warn("gridline perturbation does not apply to "
+                          "triangular studies; ignoring it", stacklevel=2)
+        sides = (config.cr_initial * 2 ** k for k in range(config.levels))
+        meshes = (build_uniform_parallel(n, n) for n in sides)
+        stages = (assemble_cr, CRField, corrected_flux_cr, rt_interpolate_tri,
+                  lambda sigma: edge_midpoint_average(
+                      sigma.mesh, sigma.values_at_centers()))
+    else:
+        meshes = _tensor_meshes(problem, config)
+        stages = (assemble, reconstruct_field, corrected_flux, rt_interpolate,
+                  midpoint_average)
     records, reports = [], []
     for mesh in meshes:
-        level = _cr_level if isinstance(mesh, TriMesh) else _tensor_level
-        record, report = level(mesh, problem, config)
+        record, report = _level(mesh, problem, config, stages)
         records.append(record)
         reports.append(report)
         if progress is not None:

@@ -142,18 +142,18 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
     """
     tm = field.trimesh
     grad = field.gradient_rt()
-    pbar = np.empty(tm.ne)
+    abar, pbar = np.empty(tm.ne), np.empty(tm.ne)
     for rows in row_blocks(tm.ne):
         pts, wts = tri_quadrature(tm, rows)
+        abar[rows] = np.einsum("tq,tq->t", wts, problem.a(pts))
         pv = problem.f(pts)
         if problem.b is not None:
             pv = pv - (problem.b(pts) @ grad.alpha[rows, :, None])[:, :, 0]
         if problem.c is not None:
             pv = pv - problem.c(pts) * field.eval_at(pts, rows)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
-    pbar /= tm.elem_measure
-    return (grad.scaled_by(cell_means(tm, problem.a))
-            - correction_field(tm).scaled_by(pbar))
+    return (grad.scaled_by(abar / tm.elem_measure)
+            - correction_field(tm).scaled_by(pbar / tm.elem_measure))
 
 
 def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:

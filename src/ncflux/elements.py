@@ -213,7 +213,7 @@ class BrokenRT:
     that space is a + b x with one scalar b, so there beta holds (b, b).
     The global field may jump across facets; its normal component on any
     facet is constant along that facet, so midpoint traces determine the
-    normal jumps exactly. reference_coeffs and l2_norm are box-only.
+    normal jumps exactly. Only reference_coeffs is box-only.
     """
 
     mesh: TensorMesh | TriMesh
@@ -239,14 +239,13 @@ class BrokenRT:
         return out
 
     def l2_norm(self) -> float:
-        """The L2 norm over the mesh, in closed form: on a cell K with
-        center c and extents l, the squared norm is
-        |K| sum_j ((a_j + b_j c_j)^2 + b_j^2 l_j^2 / 12)."""
-        mesh = self.mesh
+        """The L2 norm over the mesh, in closed form: on an element K with
+        center c and second central moments m (``elem_second_moment``),
+        the squared norm is |K| sum_j ((a_j + b_j c_j)^2 + b_j^2 m_j)."""
         mean = self.values_at_centers()
-        slope = self.beta * mesh.elem_ext
-        cells = (mean * mean + slope * slope / 12.0).sum(axis=1)
-        return float(np.sqrt(mesh.elem_measure @ cells))
+        cells = (mean * mean
+                 + self.beta * self.beta * self.mesh.elem_second_moment)
+        return float(np.sqrt(self.mesh.elem_measure @ cells.sum(axis=1)))
 
     def values_at_centers(self) -> np.ndarray:
         """Values a + b x_K at the element centers, (ne, d): the cell

@@ -61,6 +61,8 @@ class TensorMesh:
     facet_boundary : ndarray (nf,) bool
     facet_normal : ndarray (nf, dim)
         Unit vector of each facet's axis, built on first use.
+    elem_second_moment : ndarray (ne, dim)
+        (1/|K|) int_K (x_j - c_j)^2 per cell: l_j^2 / 12.
     interior_facets, boundary_facets : ndarray of int
     """
 
@@ -205,6 +207,10 @@ class TensorMesh:
         return _cached(self, "facet_normal",
                        lambda: np.eye(self.dim)[self.facet_axis])
 
+    @property
+    def elem_second_moment(self) -> np.ndarray:
+        return self.elem_ext ** 2 / 12.0
+
     def cross_size(self, axis: int) -> int:
         """Facet-id stride for stepping one gridline along ``axis``."""
         return int(self._cross_size[axis])
@@ -302,6 +308,8 @@ class TriMesh:
     facet_normal : ndarray (nf, 2)
         Unit edge normals, the (low, high) direction turned clockwise;
         built on first use.
+    elem_second_moment : ndarray (ne, 2)
+        (1/|T|) int_T (x_j - c_j)^2 per triangle: sum_i (p_ij - c_j)^2 / 12.
     facet_boundary : ndarray (nf,) bool
     interior_facets, boundary_facets : ndarray of int
 
@@ -341,6 +349,9 @@ class TriMesh:
         self.elem_center = _frozen(v[t].mean(axis=1))
 
         edges, elem_facets, fe = _edge_tables(t, self.nv)
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=self.nv) == 0)
+        if unused.size:
+            raise ValueError(f"vertex {unused[0]} belongs to no triangle")
         self.edges = _frozen(edges)
         self.nf = edges.shape[0]
         self.elem_facets = _frozen(elem_facets)
@@ -366,6 +377,11 @@ class TriMesh:
             evec = np.diff(self.vertices[self.edges], axis=1)[:, 0]
             return evec[:, ::-1] * [1.0, -1.0] / self.facet_measure[:, None]
         return _cached(self, "facet_normal", build)
+
+    @property
+    def elem_second_moment(self) -> np.ndarray:
+        rel = self.vertices[self.triangles] - self.elem_center[:, None]
+        return (rel ** 2).sum(axis=1) / 12.0
 
 
 def _edge_tables(t, nv):

@@ -14,15 +14,16 @@ from ncflux import analysis, assembly, elements
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
-                             cell_quadrature, nc_basis, row_blocks)
+                             cell_quadrature, nc_basis, row_blocks,
+                             tri_quadrature)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
 from ncflux.problems import problem1, problem2
 from ncflux.quadrature import reference_monomials
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
-from helpers import (cell_block_bytes, linear_problem, refined_box_mesh,
-                     traced_peak)
+from helpers import (cell_block_bytes, jittered_parallel, linear_problem,
+                     refined_box_mesh, traced_peak)
 
 
 # -- error norms ----------------------------------------------------------------
@@ -72,8 +73,9 @@ def test_error_is_symmetric_in_sign():
 
 
 def level_error_pairs(prob, mesh, seed):
-    """The four (exact, approx) pairs of a study level's error pass, on a
-    random discrete field of a box or triangular mesh."""
+    """A study level's three (exact, approx) pairs and one field alone
+    (approx None), on a random discrete field of a box or triangular
+    mesh."""
     rng = np.random.default_rng(seed)
     if isinstance(mesh, TriMesh):
         field = CRField(mesh, rng.normal(size=mesh.nf))
@@ -193,16 +195,24 @@ def test_box_error_pass_maps_no_local_coordinates(monkeypatch, kind):
     assert l2_error(mesh, exact, approx) == expected
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_broken_rt_norm_in_closed_form_matches_the_norm_rule(dim):
-    prob = problem1() if dim == 2 else problem2()
-    mesh = refined_box_mesh(prob, 64 if dim == 2 else 200)
-    rng = np.random.default_rng(80 + dim)
-    beta = rng.normal(size=(mesh.ne, dim))
+@pytest.mark.parametrize("kind", [2, 3, "tri"])
+def test_broken_rt_norm_in_closed_form_matches_the_norm_rule(kind):
+    if kind == "tri":
+        # jittered, so the triangles' second moments differ; a + b x with
+        # one scalar b, and the degree-5 rule is exact for its square
+        mesh = jittered_parallel(16, 16, amount=0.01)
+        rng = np.random.default_rng(84)
+        beta = np.repeat(rng.normal(size=(mesh.ne, 1)), 2, axis=1)
+    else:
+        prob = problem1() if kind == 2 else problem2()
+        mesh = refined_box_mesh(prob, 64 if kind == 2 else 200)
+        rng = np.random.default_rng(80 + kind)
+        beta = rng.normal(size=(mesh.ne, kind))
     # a small field made of large opposite parts, like sigma - I sigma
-    alpha = 1e-3 * rng.normal(size=(mesh.ne, dim)) - beta * mesh.elem_center
+    alpha = 1e-3 * rng.normal(size=beta.shape) - beta * mesh.elem_center
     flux = BrokenRT(mesh, alpha, beta)
-    pts, wts = cell_quadrature(mesh, rule=NORM_RULE)
+    pts, wts = (tri_quadrature(mesh) if kind == "tri"
+                else cell_quadrature(mesh, rule=NORM_RULE))
     quad = np.sqrt(np.sum(wts * (flux.eval_at(pts) ** 2).sum(axis=-1)))
     assert type(flux.l2_norm()) is float
     assert abs(flux.l2_norm() - quad) <= 1e-13 * quad
@@ -458,20 +468,57 @@ def test_study_inverts_no_matrix(monkeypatch, element, problem, fraction):
 DEAD_HOOKS = {("analysis", "dense_lu"), ("analysis", "cell_means")}
 
 
-def test_every_traced_stage_is_a_module_global(monkeypatch):
-    # the benchmark times a stage by swapping the global it names; a
-    # renamed stage would silently read zero there
+def load_tracing(monkeypatch):
+    """The benchmark's perfbench/tracing.py, loaded without bytecode."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_stage_is_a_module_global(monkeypatch):
+    # the benchmark times a stage by swapping the global it names; a
+    # renamed stage would silently read zero there
     missing = set()
-    for module, name, _layer in tracing.WRAPPED:
+    for module, name, _layer in load_tracing(monkeypatch).WRAPPED:
         target = importlib.import_module(f"ncflux.{module}")
         if not callable(getattr(target, name, None)):
             missing.add((module, name))
     assert missing <= DEAD_HOOKS
+
+
+TRI_STAGES = {"assemble_cr", "build_uniform_parallel", "corrected_flux_cr",
+              "edge_midpoint_average", "l2_error", "rt_interpolate_tri",
+              "solve", "tri_quadrature"}
+BOX_STAGES = {"assemble", "cell_quadrature", "corrected_flux", "l2_error",
+              "midpoint_average", "perturb", "reconstruct_field",
+              "refine_midpoint", "rt_interpolate", "solve"}
+
+
+@pytest.mark.parametrize("element, problem, expected", [
+    ("cr", "p1", TRI_STAGES), ("ncrt2d", "p1", BOX_STAGES),
+    ("ncrt3d", "p2", BOX_STAGES)])
+def test_study_calls_every_stage_through_its_global(monkeypatch, element,
+                                                    problem, expected):
+    # a stage captured at import (say, in a module-level table) would run
+    # unseen by a benchmark that swaps the global it names
+    called = set()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name, _layer in load_tracing(monkeypatch).WRAPPED:
+        fn = getattr(analysis, name, None)
+        if module == "analysis" and fn is not None:
+            monkeypatch.setattr(analysis, name, counting(name, fn))
+    run_study(StudyConfig(problem=problem, element=element, levels=2,
+                          perturb=0.0 if element == "cr" else 0.2))
+    assert called == expected
 
 
 def test_custom_problem_without_gridlines_rejected():

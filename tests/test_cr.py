@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from ncflux import elements
+from ncflux import cr, elements
 from ncflux.analysis import StudyConfig, l2_error, run_study
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
                        boundary_edge_means, cell_means, corrected_flux_cr,
@@ -158,6 +158,31 @@ def test_corrected_flux_without_load_is_scaled_gradient():
     assert np.abs(sigma.alpha
                   - abar[:, None] * field.gradient_rt().alpha).max() < 1e-13
     assert np.abs(sigma.beta).max() < 1e-13
+
+
+def test_correction_maps_the_quadrature_once_per_block(monkeypatch):
+    # the triangle means of a come out of the residual-load loop, bit for
+    # bit the ones cell_means computes in a pass of its own
+    mesh = build_uniform_parallel(40, 40)
+    prob = problem1()
+    field = CRField(mesh, np.random.default_rng(6).normal(size=mesh.nf))
+    abar = cell_means(mesh, prob.a)
+    calls, factors = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return tri_quadrature(*args)
+
+    def recorded(self, factor):
+        factors.append(factor)
+        return scaled_by(self, factor)
+
+    scaled_by = BrokenRT.scaled_by
+    monkeypatch.setattr(cr, "tri_quadrature", counted)
+    monkeypatch.setattr(BrokenRT, "scaled_by", recorded)
+    corrected_flux_cr(field, prob)
+    assert len(calls) == len(row_blocks(mesh.ne)) == 4
+    assert np.array_equal(factors[0], abar)
 
 
 def test_corrected_flux_of_zero_field_under_unit_load():

@@ -312,13 +312,16 @@ def test_triangle_mesh_validation():
     # triangles on the edge's two sides are a mesh; a third triangle on
     # the edge, a repeat, or two on one side overlap
     five = np.concatenate([verts, [[1.0, -1.0], [0.5, 0.5]]])
-    assert TriMesh(five, np.array([[0, 1, 2], [0, 3, 1]])).nf == 5
+    assert TriMesh(five[:4], np.array([[0, 1, 2], [0, 3, 1]])).nf == 5
     for tris in ([[0, 1, 2], [0, 1, 3], [0, 1, 3]],
                  [[0, 1, 2], [0, 1, 2]],
                  [[0, 1, 2], [2, 1, 0]],
                  [[0, 1, 2], [0, 1, 4]]):
         with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by"):
             TriMesh(five, np.array(tris))
+    # a vertex no triangle uses would get no vertex average
+    with pytest.raises(ValueError, match="vertex 3 belongs to no triangle"):
+        TriMesh(np.concatenate([verts, [[5.0, 5.0]]]), np.array([[0, 1, 2]]))
 
 
 def test_triangle_facet_names_are_the_edge_arrays():
