@@ -66,7 +66,9 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     boxes or ``TRI_BLOCK`` triangles), with the quadrature mapped once
     per block; each distinct field or callable (matched by identity) is
     sampled once per block, with the block's rows for discrete fields.
-    Every norm adds its block sums in block order.
+    A block's sum of w |v|^2 is one einsum of the weights and the values
+    twice, with no squared temporary. Every norm adds its block sums in
+    block order.
 
     Box norms use the norm rule (``elements.NORM_RULE``). A box field
     that gives reference_coeffs(rows) is not evaluated at the mapped
@@ -104,8 +106,8 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
             vals = _sample(samples, ex, pts, rows, table)
             if ap is not None:
                 vals = vals - _sample(samples, ap, pts, rows, table)
-            sq = vals ** 2 if vals.ndim == wts.ndim else (vals ** 2).sum(-1)
-            totals[i] += np.sum(wts * sq)
+            spec = "bq,bq,bq->" if vals.ndim == wts.ndim else "bq,bqd,bqd->"
+            totals[i] += np.einsum(spec, wts, vals, vals)
     norms = tuple(float(np.sqrt(t)) for t in totals)
     return norms[0] if single else norms
 

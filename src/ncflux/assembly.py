@@ -109,7 +109,8 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
         rank[:, k] = np.unique(center[:, k], return_inverse=True)[1]
     # per axis and unknown, the lower and higher rank of its two elements
     pair = rank[mesh.facet_elems[dm.interior]].T        # (d, 2, n)
-    low, high = pair.min(axis=1), pair.max(axis=1)
+    low = np.minimum(pair[:, 0], pair[:, 1])
+    high = np.maximum(pair[:, 0], pair[:, 1])
     del pair
 
     # An explicit stack, filled from the right: a box's separator, then

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TensorMesh, TriMesh
+from .mesh import TensorMesh, TriMesh, _by_columns
 from .quadrature import (gauss1d, map_to_box, map_to_triangle,
                          moment_table, monomial_exponents, tensor_rule,
                          triangle_rule)
@@ -128,7 +128,7 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
         raise ValueError("element requires dimension 2 or 3")
     mu = 1.0 / 3.0 if kind == "mean" else 0.0
     even = [0] + list(range(d + 1, span_size(d)))   # 1, xi_0^2 - xi_m^2
-    scale = 0.5 * mesh.elem_ext.max(axis=1)
+    scale = 0.5 * _by_columns(np.maximum, mesh.elem_ext)
     coeff = np.zeros((mesh.ne, span_size(d), 2 * d))
     for rows in cell_blocks(mesh):
         h = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
@@ -376,14 +376,24 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     cell_quadrature(mesh, rows, rule); None stands for v = 1, the
     geometry moments. Since xi = h tau with h = elem_ext / (2 scale), a
     moment is the samples times moment_table, a matmul per cell, scaled
-    by |K| h^alpha. Returns (b, n) or (b, m, n).
+    by |K| h^alpha. The factor h^alpha is built from the powers h_k^p,
+    p <= degree, by repeated multiplication and multiplied over the axes
+    in axis order, so it is within a few ulp of the power formula and the
+    same bits for any split of the rows. Returns (b, n) or (b, m, n).
     """
     d = mesh.dim
     table = moment_table(d, degree, rule)
-    ext = mesh.elem_ext[rows]
-    h = 0.5 * ext / nc_basis(mesh).scale[rows, None]
-    factor = np.prod(ext, axis=1)[:, None] * np.prod(
-        h[:, None, :] ** monomial_exponents(d, degree), axis=2)
+    h = 0.5 * mesh.elem_ext[rows] / nc_basis(mesh).scale[rows, None]
+    # np.power would cost more than the rest of the factor
+    powers = np.empty(h.shape + (degree + 1,))
+    powers[..., 0] = 1.0
+    for p in range(1, degree + 1):
+        powers[..., p] = powers[..., p - 1] * h
+    exps = monomial_exponents(d, degree)
+    factor = powers[:, 0, exps[:, 0]]
+    for k in range(1, d):
+        factor *= powers[:, k, exps[:, k]]
+    factor *= mesh.elem_measure[rows, None]
     if samples is None:
         return factor * table.sum(axis=0)
     if samples.ndim == 2:
@@ -416,7 +426,7 @@ def facet_quadrature(mesh: TensorMesh, rows=slice(None),
         for c, j in enumerate(other):
             pts[sel, :, j] = (lo[:, None, c]
                               + ext[:, None, c] * ref.points[:, c])
-        wts[sel] = np.prod(ext, axis=1)[:, None] * ref.weights
+        wts[sel] = _by_columns(np.multiply, ext)[:, None] * ref.weights
     return pts, wts
 
 

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mesh import _by_columns
+
 
 @dataclass(frozen=True)
 class QuadRule:
@@ -144,7 +146,7 @@ def map_to_box(rule: QuadRule, lo: np.ndarray, ext: np.ndarray):
     for k in range(lo.shape[-1]):
         points[..., k] = (lo[..., k, None]
                           + ext[..., k, None] * rule.points[:, k])
-    weights = np.prod(ext, axis=-1)[..., None] * rule.weights
+    weights = _by_columns(np.multiply, ext)[..., None] * rule.weights
     return points, weights
 
 

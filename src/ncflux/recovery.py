@@ -248,7 +248,7 @@ def midpoint_average(flux: BrokenRT) -> MidpointFlux:
 
     inter = mesh.interior_facets
     m = measure[mesh.facet_elems[inter]]           # (ni, 2)
-    wsum = m.sum(axis=1, keepdims=True)
+    wsum = (m[:, 0] + m[:, 1])[:, None]
     vals[inter] = (m[:, [0]] * traces[inter, 1, :]
                    + m[:, [1]] * traces[inter, 0, :]) / wsum
 

@@ -12,11 +12,13 @@ from ncflux.cr import RawFlux, assemble_cr
 from ncflux.elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
                              cell_quadrature, facet_blocks, facet_quadrature,
                              nc_basis)
-from ncflux.mesh import (build_tensor_mesh, build_uniform_parallel, coarsen,
-                         perturb, refine_midpoint)
+from ncflux.mesh import (NONDEGENERACY_LIMIT, TensorMesh, build_tensor_mesh,
+                         build_uniform_parallel, coarsen, perturb,
+                         refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
+from ncflux.quadrature import tensor_rule
 
 from helpers import (basis_gradients, cell_block_bytes, linear_problem,
                      perturbed_2d_meshes, project_onto_gradients,
@@ -611,6 +613,53 @@ def test_nested_dissection_of_a_3d_box_mesh_is_the_cell_index_order():
     mesh = perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45)
     assert np.array_equal(nested_dissection(mesh),
                           cell_index_dissection(mesh))
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_column_wise_reductions_keep_the_reductions_bits():
+    """Reductions over an axis of length 2 or 3 are written as ufuncs on
+    the columns; they must give the bits of numpy's own reductions."""
+    gl = np.linspace(0.0, 1.0, 5)
+    meshes = [
+        perturb(refine_midpoint(refine_midpoint(
+            build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))),
+            0.2, seed=11),
+        perturb(refine_midpoint(build_tensor_mesh(gl, gl[:4], gl)),
+                0.2, seed=12),
+        TensorMesh([np.array([0.0, 0.1, 0.15, 0.6, 1.0])]),
+    ]
+    rng = np.random.default_rng(13)
+    for mesh in meshes:
+        ext = mesh.elem_ext
+        assert bits_equal(mesh.elem_measure, np.prod(ext, axis=1))
+        m = mesh.elem_measure[mesh.facet_elems[mesh.interior_facets]]
+        worst = max((ext.max(axis=1) / ext.min(axis=1)).max(),
+                    (m.max(axis=1) / m.min(axis=1)).max())
+        assert mesh.nondegeneracy == float(worst)
+        rule = tensor_rule(mesh.dim, elements.NORM_RULE)
+        assert bits_equal(cell_quadrature(mesh)[1],
+                          np.prod(ext, axis=1)[:, None] * rule.weights)
+        if mesh.dim == 1:
+            continue
+        assert bits_equal(nc_basis(mesh).scale, 0.5 * ext.max(axis=1))
+        # the rank pairs are integers: the order is the cell-index one
+        assert np.array_equal(nested_dissection(mesh),
+                              cell_index_dissection(mesh))
+        flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, mesh.dim)),
+                        rng.normal(size=(mesh.ne, mesh.dim)))
+        tr = flux.midpoint_traces()[mesh.interior_facets]
+        ref = (m[:, [0]] * tr[:, 1] + m[:, [1]] * tr[:, 0]) / m.sum(
+            axis=1, keepdims=True)
+        got = midpoint_average(flux).values
+        assert bits_equal(got[mesh.interior_facets], ref)
+    # the warning still fires past the limit
+    with pytest.warns(UserWarning, match="nondegeneracy"):
+        thin = build_tensor_mesh(gl, gl,
+                                 [0.0, 0.9 / NONDEGENERACY_LIMIT, 1.0])
+    assert thin.nondegeneracy > NONDEGENERACY_LIMIT
 
 
 # -- non-finite problem data ---------------------------------------------------

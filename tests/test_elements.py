@@ -10,7 +10,7 @@ from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import problem2
-from ncflux.quadrature import monomial_exponents
+from ncflux.quadrature import moment_table, monomial_exponents, tensor_rule
 
 from helpers import (basis_gradients, cell_block_bytes, cr_bary_by_inverse,
                      jittered_parallel, nc_coeff_by_inverse, refined_box_mesh,
@@ -175,6 +175,31 @@ def test_cell_moments_match_an_einsum_over_points():
     rows = slice(3, 11)
     assert np.abs(cell_moments(mesh, None, rows, 4) - geo[rows]).max() <= (
         1e-13 * np.abs(geo).max())
+
+
+@pytest.mark.parametrize("dim, degree", [(2, 4), (3, 2)])
+def test_cell_moments_factor_matches_the_power_formula(dim, degree):
+    mesh = perturb(refine_midpoint(random_mesh(dim, seed=64, n=4)), 0.2,
+                   seed=65)
+    ext = mesh.elem_ext
+    h = 0.5 * ext / nc_basis(mesh).scale[:, None]
+    exps = monomial_exponents(dim, degree)
+    ref = (np.prod(ext, axis=1)[:, None]
+           * np.prod(h[:, None, :] ** exps, axis=2)
+           * moment_table(dim, degree, elements.NORM_RULE).sum(axis=0))
+    got = cell_moments(mesh, None, degree=degree)
+    assert np.all(np.abs(got - ref)
+                  <= 4 * np.finfo(float).eps * np.abs(ref))
+    # blocks of 7 rows give the bits of one call over all rows
+    data = np.random.default_rng(66).normal(
+        size=(mesh.ne, 2, tensor_rule(dim, elements.NORM_RULE).npoints))
+    for samples in (None, data[:, 0], data):
+        whole = cell_moments(mesh, samples, degree=degree)
+        parts = np.concatenate([
+            cell_moments(mesh, None if samples is None else samples[rows],
+                         rows, degree)
+            for rows in (slice(lo, lo + 7) for lo in range(0, mesh.ne, 7))])
+        assert whole.tobytes() == parts.tobytes()
 
 
 def aspect_mesh(dim):

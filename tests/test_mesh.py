@@ -303,6 +303,8 @@ def test_triangle_mesh_validation():
         TriMesh(verts, np.array([[0, 1, 1]]))
     with pytest.raises(ValueError):
         build_uniform_parallel(0, 2)
+    with pytest.raises(ValueError, match="at least one triangle"):
+        TriMesh(verts, np.zeros((0, 3), int))
     for bad in (np.nan, np.inf):
         moved = verts.copy()
         moved[1, 0] = bad

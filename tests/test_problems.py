@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ncflux.problems import REGISTRY, Problem, custom_problem, problem1, problem2
+from ncflux.problems import (REGISTRY, Problem, _sin_cos, custom_problem,
+                             problem1, problem2)
 
 # Right-hand side values for the stock problems, computed symbolically
 # from f = -div(a grad u) + b . grad u + c u with 20 significant digits.
@@ -53,6 +54,16 @@ def test_p1_vanishes_on_the_boundary():
                  np.stack([np.ones_like(t), t], axis=-1)):
         assert np.allclose(prob.u(edge), 0.0, atol=1e-15)
         assert np.allclose(prob.boundary(edge), 0.0, atol=1e-15)
+
+
+def test_half_angle_sin_cos_matches_libm():
+    # every multiple of pi in the range, where tan(theta / 2) is 0 or
+    # near its poles, on top of a fine grid
+    theta = np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 200_001),
+                            np.arange(-4, 5) * np.pi])
+    s, c = _sin_cos(theta)
+    assert np.abs(s - np.sin(theta)).max() <= 1e-15
+    assert np.abs(c - np.cos(theta)).max() <= 1e-15
 
 
 def test_p2_vanishes_on_all_cube_faces():
