@@ -73,8 +73,9 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     Box norms use the norm rule (``elements.NORM_RULE``). A box field
     that gives reference_coeffs(rows) is not evaluated at the mapped
     points: its coefficients times the rule's ``reference_monomials``
-    are its values there, and a RawFlux over such a gradient is a at
-    the points times those values.
+    are its values there. A RawFlux is a at the points times its
+    gradient's values, so every flux over one a samples a once per
+    block.
     """
     single = not isinstance(exact, (list, tuple))
     if single:
@@ -114,23 +115,29 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
 
 def _sample(samples, obj, pts, rows, table):
     """obj at pts, evaluated once per block: samples holds the block's
-    values by identity. rows selects the elements of a discrete field.
-    table holds the reference monomials at the box rule's points (None
-    on triangles); a box field with reference coefficients is read from
-    it, not evaluated at pts."""
+    values by identity."""
     if id(obj) not in samples:
-        if table is not None and hasattr(obj, "reference_coeffs"):
-            vals = reference_values(obj.reference_coeffs(rows), table)
-        elif (table is not None and isinstance(obj, RawFlux)
-              and hasattr(obj.grad, "reference_coeffs")):
-            vals = obj.a(pts)[..., None] * reference_values(
-                obj.grad.reference_coeffs(rows), table)
-        elif hasattr(obj, "eval_at"):
-            vals = obj.eval_at(pts, rows)
-        else:
-            vals = obj(pts)
-        samples[id(obj)] = np.asarray(vals, dtype=float)
+        samples[id(obj)] = _values(samples, obj, pts, rows, table)
     return samples[id(obj)]
+
+
+def _values(samples, obj, pts, rows, table):
+    """obj at pts. rows selects the elements of a discrete field. table
+    holds the reference monomials at the box rule's points (None on
+    triangles); a box field with reference coefficients is read from it,
+    not evaluated at pts. A RawFlux is a times its gradient's values; a
+    goes through samples, where the raw and the exact flux share it, and
+    the gradient's values are not kept."""
+    if table is not None and hasattr(obj, "reference_coeffs"):
+        vals = reference_values(obj.reference_coeffs(rows), table)
+    elif isinstance(obj, RawFlux):
+        vals = (_sample(samples, obj.a, pts, rows, table)[..., None]
+                * _values(samples, obj.grad, pts, rows, table))
+    elif hasattr(obj, "eval_at"):
+        vals = obj.eval_at(pts, rows)
+    else:
+        vals = obj(pts)
+    return np.asarray(vals, dtype=float)
 
 
 def fit_order(h, err) -> float:
@@ -257,22 +264,16 @@ def _tensor_meshes(problem: Problem, config: StudyConfig):
         yield mesh
 
 
-def _exact_flux(problem: Problem):
-    def flux(pts):
-        return problem.a(pts)[..., None] * problem.grad_u(pts)
-    return flux
-
-
 def _level(mesh, problem: Problem, config: StudyConfig, stages):
     """Solve, correct, average and measure one level of a study."""
     assemble_system, make_field, correct, interpolate, average = stages
     system = assemble_system(mesh, problem)
     x, report = _solve_system(system, problem, config)
     field = make_field(mesh, system.full_dofs(x))
-    aflux = _exact_flux(problem)
+    aflux = RawFlux(problem.a, problem.grad_u)
 
     sigma = correct(field, problem)
-    interp = interpolate(mesh, aflux)
+    interp = interpolate(mesh, aflux.eval_at)
     recovered = average(sigma)
 
     err_u, err_raw, err_recovered = l2_error(

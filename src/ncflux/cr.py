@@ -114,23 +114,20 @@ class CRField:
 
 @dataclass
 class RawFlux:
-    """Raw discrete flux a grad u_h: a pointwise times the broken gradient,
-    a field with eval_at(pts, rows) such as gradient_rt()."""
+    """Flux a grad: a pointwise times a gradient, which is either a field
+    with eval_at(pts, rows), such as gradient_rt() for the raw discrete
+    flux a grad u_h, or a plain callable on points, such as the exact
+    grad u for the exact flux a grad u."""
 
     a: Callable
-    grad: BrokenRT
+    grad: BrokenRT | Callable
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        return self.a(pts)[..., None] * self.grad.eval_at(pts, rows)
-
-
-def cell_means(trimesh: TriMesh, func) -> np.ndarray:
-    """Triangle means of a scalar function, shape (ne,)."""
-    out = np.empty(trimesh.ne)
-    for rows in row_blocks(trimesh.ne):
-        pts, wts = tri_quadrature(trimesh, rows)
-        out[rows] = np.einsum("tq,tq->t", wts, func(pts))
-    return out / trimesh.elem_measure
+        if hasattr(self.grad, "eval_at"):
+            grad = self.grad.eval_at(pts, rows)
+        else:
+            grad = self.grad(pts)
+        return self.a(pts)[..., None] * grad
 
 
 def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:

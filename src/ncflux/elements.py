@@ -109,13 +109,15 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     The tables are closed forms in the half-extents h = elem_ext / (2 scale)
     of each cell, whose facets lie at xi_k = -h_k (dof 2k) and xi_k = +h_k
     (dof 2k + 1). The dofs of facet k take xi_k to +-h_k, every other xi_j
-    to 0, and xi_j^2 to S[k, j] = h_j^2 if j = k and mu h_j^2 otherwise,
-    with mu = 1/3 for means and 0 for midpoints. So the xi_k rows are
-    +-1/(2 h_k), and the rows of 1 and xi_0^2 - xi_m^2 are half of G^-1,
-    G the d x d matrix with rows [1, S[k, 0] - S[k, m]] (m = 1..d-1):
-    the half-sum of facet k's two dofs is row k of G times those
-    coefficients. Built a block of ``cell_blocks`` at a time and kept per
-    mesh.
+    to 0, and xi_j^2 to h_j^2 if j = k and mu h_j^2 otherwise, with
+    mu = 1/3 for means and 0 for midpoints. So the xi_k rows are
+    +-1/(2 h_k). With y_k the half-sum of facet k's two dofs, c_0 the
+    coefficient of 1 and c the coefficients of xi_0^2 - xi_m^2
+    (m = 1..d-1), facet k's equation minus facet 0's is
+    (1 - mu) M c = y_0 - y_k with M = h_0^2 11^T + diag(h_1^2, ..,
+    h_{d-1}^2), whose inverse is a closed form (``_quadratic_inverse``),
+    and facet 0's equation then gives c_0. Built a block of
+    ``cell_blocks`` at a time and kept per mesh.
     """
     if kind not in ("mean", "midpoint"):
         raise ValueError(f"unknown dof kind {kind!r}")
@@ -133,37 +135,43 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
     for rows in cell_blocks(mesh):
         h = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
         sq = h * h
-        S = np.repeat(mu * sq[:, None, :], d, axis=1)
-        for k in range(d):
-            S[:, k, k] = sq[:, k]
-        G = np.empty_like(S)
-        G[:, :, 0] = 1.0
-        G[:, :, 1:] = S[:, :, :1] - S[:, :, 1:]
-        half_inv = 0.5 * _inverse(G)
+        # dual[:, i, k]: the coefficient of y_k in c_0 (i = 0) or c_i
+        inv = _quadratic_inverse(sq) / (1.0 - mu)
+        dual = np.empty((sq.shape[0], d, d))
+        dual[:, 1:, 0] = _by_columns(np.add, inv)
+        dual[:, 1:, 1:] = -inv
+        # c_0 = y_0 - sum_m (facet 0's dof of xi_0^2 - xi_m^2) c_m
+        facet0 = sq[:, :1] - mu * sq[:, 1:]
+        dual[:, 0, :] = -_by_columns(
+            np.add, facet0[:, None, :] * dual[:, 1:, :].transpose(0, 2, 1))
+        dual[:, 0, 0] += 1.0
         for k in range(d):
             coeff[rows, 1 + k, 2 * k] = -0.5 / h[:, k]
             coeff[rows, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
-            coeff[rows, even, 2 * k:2 * k + 2] = half_inv[:, :, k, None]
+            coeff[rows, even, 2 * k:2 * k + 2] = 0.5 * dual[:, :, k, None]
     tables = BasisTables(center=mesh.elem_center, scale=scale, coeff=coeff)
     mesh._cache[key] = tables
     return tables
 
 
-def _inverse(G: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 2x2 or 3x3 matrices (n, d, d), written out
-    as the transposed cofactors over the determinant."""
-    if G.shape[-1] == 2:
-        adj = np.stack([G[:, 1, 1], -G[:, 0, 1],
-                        -G[:, 1, 0], G[:, 0, 0]], axis=1).reshape(G.shape)
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    else:
-        # cofactor (i, j) from the cyclically next rows and columns
-        a, b = np.array([1, 2, 0]), np.array([2, 0, 1])
-        cof = (G[:, a[:, None], a] * G[:, b[:, None], b]
-               - G[:, a[:, None], b] * G[:, b[:, None], a])
-        det = (G[:, 0, :] * cof[:, 0, :]).sum(axis=1)
-        adj = cof.transpose(0, 2, 1)
-    return adj / det[:, None, None]
+def _quadratic_inverse(sq: np.ndarray) -> np.ndarray:
+    """M^-1 (b, d-1, d-1) for cells with squared half-extents sq (b, d),
+    where M = h_0^2 11^T + diag(h_1^2, .., h_{d-1}^2) pairs the span's
+    quadratic members in ``nc_basis`` and in the flux projection.
+
+    M is diagonal plus rank one, so its inverse is Sherman and Morrison's
+    closed form: with a = h_0^2, b_k = h_k^2 and c = 1/a + sum_m 1/b_m,
+    entry (k, l) is -1/(b_k b_l c) off the diagonal and
+    (1/a + sum_{m != k} 1/b_m) / (b_k c) on it. The diagonal sums only
+    positive terms: c - 1/b_k would lose digits on long thin cells.
+    """
+    inv = 1.0 / sq
+    c = _by_columns(np.add, inv)
+    out = -inv[:, 1:, None] * inv[:, None, 1:] / c[:, None, None]
+    for k in range(1, sq.shape[1]):
+        others = _by_columns(np.add, np.delete(inv, k, axis=1))
+        out[:, k - 1, k - 1] = others * inv[:, k] / c
+    return out
 
 
 def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,
@@ -373,13 +381,13 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     rows, in monomial_exponents(dim, degree) order.
 
     samples (b, nq) or (b, m, nq) hold v (or m data) at the points of
-    cell_quadrature(mesh, rows, rule); None stands for v = 1, the
-    geometry moments. Since xi = h tau with h = elem_ext / (2 scale), a
-    moment is the samples times moment_table, a matmul per cell, scaled
-    by |K| h^alpha. The factor h^alpha is built from the powers h_k^p,
-    p <= degree, by repeated multiplication and multiplied over the axes
-    in axis order, so it is within a few ulp of the power formula and the
-    same bits for any split of the rows. Returns (b, n) or (b, m, n).
+    cell_quadrature(mesh, rows, rule). Since xi = h tau with
+    h = elem_ext / (2 scale), a moment is the samples times moment_table,
+    a matmul per cell, scaled by |K| h^alpha. The factor h^alpha is built
+    from the powers h_k^p, p <= degree, by repeated multiplication and
+    multiplied over the axes in axis order, so it is within a few ulp of
+    the power formula and the same bits for any split of the rows.
+    Returns (b, n) or (b, m, n).
     """
     d = mesh.dim
     table = moment_table(d, degree, rule)
@@ -394,8 +402,6 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     for k in range(1, d):
         factor *= powers[:, k, exps[:, k]]
     factor *= mesh.elem_measure[rows, None]
-    if samples is None:
-        return factor * table.sum(axis=0)
     if samples.ndim == 2:
         # one matmul per cell keeps the bits independent of the block size
         return (samples[:, None, :] @ table)[:, 0] * factor

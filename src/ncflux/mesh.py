@@ -234,11 +234,6 @@ class TensorMesh:
         return slice(int(self._block_offset[axis]),
                      int(self._block_offset[axis + 1]))
 
-    def patch(self, facet_id: int) -> tuple[int, ...]:
-        """Element ids adjacent to a facet (two interior, one boundary)."""
-        pair = self.facet_elems[facet_id]
-        return tuple(int(e) for e in pair if e >= 0)
-
 
 def build_tensor_mesh(*gridlines) -> TensorMesh:
     """Construct a TensorMesh from per-axis gridline sequences."""
@@ -432,18 +427,17 @@ def _edge_tables(t, nv):
     return edges, inverse.reshape(-1, 3), fe
 
 
-def build_uniform_parallel(nx: int, ny: int,
-                           x0: float = 0.0, x1: float = 1.0,
-                           y0: float = 0.0, y1: float = 1.0) -> TriMesh:
-    """Triangulate a rectangle into nx*ny cells split by the same diagonal.
+def build_uniform_parallel(nx: int, ny: int) -> TriMesh:
+    """Triangulate the unit square into nx*ny cells split by the same
+    diagonal.
 
     Every pair of adjacent triangles forms a parallelogram, which the
     edge-averaging recovery needs; 2*nx*ny triangles total.
     """
     if nx < 1 or ny < 1:
         raise ValueError("need nx, ny >= 1")
-    x = np.linspace(x0, x1, nx + 1)
-    y = np.linspace(y0, y1, ny + 1)
+    x = np.linspace(0.0, 1.0, nx + 1)
+    y = np.linspace(0.0, 1.0, ny + 1)
     xx, yy = np.meshgrid(x, y, indexing="ij")
     verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
 

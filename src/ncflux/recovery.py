@@ -13,11 +13,13 @@ facets. Three ingredients repair it:
   interior facets and extrapolation along inward chains at boundary
   facets.
 
-The projection never samples basis functions at points: its Gram matrix
-is the span's products integrated by the cells' geometry moments, and in
-``corrected_flux`` its right-hand side is the affine gradient times the
-moments of a up to degree 2 (``elements.cell_moments``). The same code
-paths serve 2d (edges) and 3d (faces).
+The projection never samples basis functions at points: every cell is
+symmetric about its center, so its Gram matrix is a closed form in the
+cell's half-extents, whose quadratic block is the matrix M that
+``elements.nc_basis`` inverts too, and in ``corrected_flux`` its
+right-hand side is the affine gradient times the moments of a up to
+degree 2 (``elements.cell_moments``). The same code paths serve 2d
+(edges) and 3d (faces).
 
 Every broken flux is an ``elements.BrokenRT``, on boxes and on
 triangles, so the correction field and the jump check
@@ -33,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NcrtField
-from .elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
-                       cell_moments, cell_quadrature, facet_blocks,
-                       facet_quadrature, nc_basis, reference_coeffs)
-from .mesh import TensorMesh, TriMesh
+from .elements import (DATA_RULE, BrokenRT, _quadratic_inverse,
+                       basis_values, cell_blocks, cell_moments,
+                       cell_quadrature, facet_blocks, facet_quadrature,
+                       nc_basis, reference_coeffs)
+from .mesh import TensorMesh, TriMesh, _by_columns
 from .problems import Problem
 from .quadrature import monomial_exponents
 
@@ -47,7 +50,7 @@ def correction_field(mesh: TensorMesh | TriMesh) -> BrokenRT:
     On element K centered at x_K, r_i(x) = gamma_i (x_i - x_K,i). On a
     box with extents l_1..l_d,
 
-        gamma_i = prod_{j != i} l_j^2 / sum_k prod_{j != k} l_j^2.
+        gamma_i = l_i^-2 / sum_k l_k^-2.
 
     On a triangle the flux space a + b x forces gamma_0 = gamma_1, so
     gamma = (1/2, 1/2): Marini's link between the midpoint-linear and
@@ -60,10 +63,8 @@ def correction_field(mesh: TensorMesh | TriMesh) -> BrokenRT:
     if isinstance(mesh, TriMesh):
         gamma = np.full((mesh.ne, 2), 0.5)
     else:
-        l2 = mesh.elem_ext ** 2
-        prod = np.prod(l2, axis=1, keepdims=True)
-        p = prod / l2                  # p[:, i] = prod_{j != i} l_j^2
-        gamma = p / p.sum(axis=1, keepdims=True)
+        inv = 1.0 / (mesh.elem_ext * mesh.elem_ext)
+        gamma = inv / _by_columns(np.add, inv)[:, None]
     return BrokenRT(mesh, alpha=-gamma * mesh.elem_center, beta=gamma)
 
 
@@ -72,29 +73,27 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
 
     blocks yields (rows, v0, v1) covering the elements once, with
     v0[:, j] = int_K v_j and v1[:, j] = int_K v_j xi_j, both (b, d): the
-    right-hand side is v0 and v1_0 - v1_k. The Gram matrix pairs the
-    span's members through the geometry moments int_K 1, xi_j, xi_j^2.
+    right-hand side is v0 and v1_0 - v1_k. Every cell is symmetric about
+    its center, so the Gram matrix is |K| on the e_j, zero between them
+    and the quadratic members (the first moments of xi vanish), and
+    (|K| / 3) M on the quadratic members, since int_K xi_j^2 =
+    |K| h_j^2 / 3 with h = elem_ext / (2 scale); M^-1 is the closed form
+    ``elements._quadratic_inverse``.
     """
     d = mesh.dim
-    nb = 2 * d - 1
-    ax, quad = np.arange(d), np.arange(d, nb)
-    square = _squares(d)
     tables = nc_basis(mesh, "mean")
-    coef = np.empty((mesh.ne, nb))
-    for blk, v0, v1 in blocks:
-        geo = cell_moments(mesh, None, blk)
-        first, second = geo[:, 1:d + 1], geo[:, square]
-        gram = np.zeros((geo.shape[0], nb, nb))
-        gram[:, ax, ax] = geo[:, :1]
-        gram[:, 0, quad] = gram[:, quad, 0] = first[:, :1]
-        gram[:, ax[1:], quad] = gram[:, quad, ax[1:]] = -first[:, 1:]
-        gram[:, d:, d:] = second[:, 0, None, None]
-        gram[:, quad, quad] += second[:, 1:]
-        rhs = np.concatenate([v0, v1[:, :1] - v1[:, 1:]], axis=1)
-        coef[blk] = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     s = tables.scale
+    coef = np.empty((mesh.ne, 2 * d - 1))
+    for blk, v0, v1 in blocks:
+        h = 0.5 * mesh.elem_ext[blk] / s[blk, None]
+        inv = _quadratic_inverse(h * h)
+        rhs = v1[:, :1] - v1[:, 1:]
+        measure = mesh.elem_measure[blk, None]
+        coef[blk, :d] = v0 / measure
+        coef[blk, d:] = (3.0 * _by_columns(np.add, inv * rhs[:, None, :])
+                         / measure)
     beta = np.empty((mesh.ne, d))
-    beta[:, 0] = coef[:, d:].sum(axis=1) / s
+    beta[:, 0] = _by_columns(np.add, coef[:, d:]) / s
     for k in range(1, d):
         beta[:, k] = -coef[:, d + k - 1] / s
     alpha = coef[:, :d] - beta * tables.center

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
 from ncflux.elements import (cell_blocks, cell_quadrature, nc_basis,
-                             span_size, span_values)
+                             row_blocks, span_size, span_values,
+                             tri_quadrature)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
@@ -176,6 +177,16 @@ def nc_coeff_by_inverse(mesh, kind):
             M[:, 2 * k + side, :] = np.einsum("q,eqm->em", weights,
                                               span_values(xi))
     return np.linalg.inv(M)
+
+
+def cell_means(trimesh, func):
+    """Triangle means of a scalar function, shape (ne,): the reference
+    for the triangle means that the correction sums in its own loop."""
+    out = np.empty(trimesh.ne)
+    for rows in row_blocks(trimesh.ne):
+        pts, wts = tri_quadrature(trimesh, rows)
+        out[rows] = np.einsum("tq,tq->t", wts, func(pts))
+    return out / trimesh.elem_measure
 
 
 def cr_bary_by_inverse(trimesh):

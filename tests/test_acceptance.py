@@ -17,7 +17,7 @@ from scipy.sparse.linalg import spsolve
 from ncflux.analysis import (COLUMNS, StudyConfig, _solve_system,
                              emit_report, fit_order, l2_error, run_study)
 from ncflux.assembly import assemble
-from ncflux.cr import (RawFlux, assemble_cr, cell_means, corrected_flux_cr,
+from ncflux.cr import (RawFlux, assemble_cr, corrected_flux_cr,
                        edge_midpoint_average, vertex_average)
 from ncflux.elements import BrokenRT, cell_quadrature, tri_quadrature
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
@@ -28,7 +28,7 @@ from ncflux.recovery import (correction_field, corrected_flux,
                              rt_interpolate)
 from ncflux.sparse_solve import solve
 
-from helpers import (jittered_parallel, linear_problem,
+from helpers import (cell_means, jittered_parallel, linear_problem,
                      project_onto_gradients, solve_cr, solve_tensor,
                      source_problem, tensor_locator, tri_locator)
 

@@ -86,7 +86,7 @@ def level_error_pairs(prob, mesh, seed):
         grad = field.gradient_rt()
         recovered = midpoint_average(grad)
     raw = RawFlux(prob.a, grad)
-    flux = analysis._exact_flux(prob)
+    flux = RawFlux(prob.a, prob.grad_u)
     return (prob.u, flux, raw, flux), (field, raw, None, recovered)
 
 
@@ -138,19 +138,24 @@ def test_level_errors_sample_the_exact_flux_once_per_block(monkeypatch):
     prob = problem2()
     mesh = refined_box_mesh(prob, 200)
     monkeypatch.setattr(elements, "BLOCK_POINTS", 64 * 4 ** 3)
-    calls = []
+    calls = {"grad_u": [], "a": []}
 
-    def grad_u(x):
-        calls.append(x.shape[0])
-        return prob.grad_u(x)
+    def counting(name):
+        def leaf(x):
+            calls[name].append(x.shape[0])
+            return getattr(prob, name)(x)
+        return leaf
 
-    counted = dataclasses.replace(prob, grad_u=grad_u)
+    counted = dataclasses.replace(prob, grad_u=counting("grad_u"),
+                                  a=counting("a"))
     exact, approx = level_error_pairs(counted, mesh, 54)
     assert exact[1] is exact[3]            # the exact flux, passed twice
     l2_error(mesh, exact, approx)
     blocks = cell_blocks(mesh)
     assert len(blocks) > 2
-    assert calls == [blk.stop - blk.start for blk in blocks]
+    # a is shared by the exact flux and the raw flux
+    sizes = [blk.stop - blk.start for blk in blocks]
+    assert calls == {"grad_u": sizes, "a": sizes}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -454,11 +459,15 @@ def test_multigrid_study_leaves_no_reference_cycles():
 @pytest.mark.parametrize("element, problem, fraction", [
     ("cr", "p1", 0.0), ("ncrt2d", "p1", 0.2), ("ncrt3d", "p2", 0.2)])
 def test_study_inverts_no_matrix(monkeypatch, element, problem, fraction):
-    # the element tables are closed forms: a study never calls inv
-    def no_inverse(*args, **kwargs):
-        raise AssertionError("np.linalg.inv called")
+    # the element tables and the flux projection are closed forms: a
+    # study never calls inv or solve
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        return call
 
-    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(np.linalg, "inv", forbidden("inv"))
+    monkeypatch.setattr(np.linalg, "solve", forbidden("solve"))
     result = run_study(StudyConfig(problem=problem, element=element,
                                    levels=2, perturb=fraction))
     assert len(result.records) == 2

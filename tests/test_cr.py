@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ncflux import cr, elements
 from ncflux.analysis import StudyConfig, l2_error, run_study
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
-                       boundary_edge_means, cell_means, corrected_flux_cr,
+                       boundary_edge_means, corrected_flux_cr,
                        edge_midpoint_average, rt_interpolate_tri,
                        vertex_average)
 from ncflux.elements import (BrokenRT, cr_basis, edge_quadrature, row_blocks,
@@ -15,9 +15,10 @@ from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
 
-from helpers import (edge_midpoint_average_loop, jittered_parallel,
-                     linear_problem, ones_scalar, solve_cr, source_problem,
-                     tri_locator, tri_meshes, zeros_scalar, zeros_vector)
+from helpers import (cell_means, edge_midpoint_average_loop,
+                     jittered_parallel, linear_problem, ones_scalar,
+                     solve_cr, source_problem, tri_locator, tri_meshes,
+                     zeros_scalar, zeros_vector)
 
 
 def random_tri_rt(mesh, rng):

@@ -170,10 +170,11 @@ def test_cell_moments_match_an_einsum_over_points():
         1e-13 * np.abs(ref).max())
     one = cell_moments(mesh, data[:, 0], degree=4)
     assert np.abs(one - ref[:, 0]).max() <= 1e-13 * np.abs(ref[:, 0]).max()
-    # no samples: the geometry moments, int_K xi^alpha
+    # samples of one: the geometry moments, int_K xi^alpha
     geo = np.einsum("eq,eqa->ea", wts, xi_alpha)
     rows = slice(3, 11)
-    assert np.abs(cell_moments(mesh, None, rows, 4) - geo[rows]).max() <= (
+    ones = np.ones(wts[rows].shape)
+    assert np.abs(cell_moments(mesh, ones, rows, 4) - geo[rows]).max() <= (
         1e-13 * np.abs(geo).max())
 
 
@@ -184,20 +185,21 @@ def test_cell_moments_factor_matches_the_power_formula(dim, degree):
     ext = mesh.elem_ext
     h = 0.5 * ext / nc_basis(mesh).scale[:, None]
     exps = monomial_exponents(dim, degree)
+    nq = tensor_rule(dim, elements.NORM_RULE).npoints
+    ones = np.ones((mesh.ne, nq))
+    # the samples of one times the table, summed as cell_moments sums it
     ref = (np.prod(ext, axis=1)[:, None]
            * np.prod(h[:, None, :] ** exps, axis=2)
-           * moment_table(dim, degree, elements.NORM_RULE).sum(axis=0))
-    got = cell_moments(mesh, None, degree=degree)
+           * (ones[:1] @ moment_table(dim, degree, elements.NORM_RULE)))
+    got = cell_moments(mesh, ones, degree=degree)
     assert np.all(np.abs(got - ref)
                   <= 4 * np.finfo(float).eps * np.abs(ref))
     # blocks of 7 rows give the bits of one call over all rows
-    data = np.random.default_rng(66).normal(
-        size=(mesh.ne, 2, tensor_rule(dim, elements.NORM_RULE).npoints))
-    for samples in (None, data[:, 0], data):
+    data = np.random.default_rng(66).normal(size=(mesh.ne, 2, nq))
+    for samples in (ones, data[:, 0], data):
         whole = cell_moments(mesh, samples, degree=degree)
         parts = np.concatenate([
-            cell_moments(mesh, None if samples is None else samples[rows],
-                         rows, degree)
+            cell_moments(mesh, samples[rows], rows, degree)
             for rows in (slice(lo, lo + 7) for lo in range(0, mesh.ne, 7))])
         assert whole.tobytes() == parts.tobytes()
 
