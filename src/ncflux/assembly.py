@@ -48,7 +48,7 @@ from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        cell_quadrature, facet_blocks, facet_quadrature,
                        nc_basis, reference_coeffs, row_blocks,
                        span_polynomials, span_size, span_values)
-from .mesh import TensorMesh, TriMesh, coarsen
+from .mesh import TensorMesh, TriMesh, _by_columns, _frozen, coarsen
 from .problems import Problem
 from .quadrature import monomial_exponents
 
@@ -75,7 +75,7 @@ def dof_map(mesh: TensorMesh | TriMesh) -> DofMap:
     if hit is None:
         unknown = np.full(mesh.nf, -1, dtype=np.int64)
         unknown[mesh.interior_facets] = np.arange(mesh.interior_facets.size)
-        hit = DofMap(unknown=unknown,
+        hit = DofMap(unknown=_frozen(unknown),
                      interior=mesh.interior_facets,
                      boundary=mesh.boundary_facets)
         mesh._cache["dof_map"] = hit
@@ -302,16 +302,16 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
     of the coarse cell that holds both of the fine facet's cells, or half
     from each of the two coarse cells that hold them when the fine facet
     lies on a coarse facet. The means are in closed form, in the coarse
-    cell's xi = (x - center) / scale: over an axis-aligned facet the
-    mean of xi_j is its value at the facet midpoint, and the mean of
-    xi_j^2 is that value squared, plus (L_j / scale)^2 / 12 on each axis
-    j along the facet, L_j its length there. Times the coarse coeff,
+    cell's xi = x - center: over an axis-aligned facet the mean of xi_j
+    is its value at the facet midpoint, and the mean of xi_j^2 is that
+    value squared, plus L_j^2 / 12 on each axis j along the facet, L_j
+    its length there. Times the coarse coeff,
     these give the weights of the coarse cell's dofs. Built a block of
     fine unknowns at a time; a row with two parent cells holds their
     shared coarse facet twice, and products with P add the two.
     """
     d = fine.dim
-    tables = nc_basis(coarse)
+    coeff = nc_basis(coarse)
     fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
     # the coarse cell holding each fine cell: index // 2 on every axis
     strides = np.cumprod((coarse.shape[1:] + (1,))[::-1])[::-1]
@@ -348,15 +348,14 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
         vals = np.zeros(cols.shape)
         for side, sel in ((0, slice(None)), (1, two)):
             K = parents[sel, side]
-            s = tables.scale[K, None]
-            xi = (fine.facet_midpoint[facets[sel]] - tables.center[K]) / s
-            sq = xi * xi + (length[sel] / s) ** 2 / 12.0
+            xi = fine.facet_midpoint[facets[sel]] - coarse.elem_center[K]
+            sq = xi * xi + length[sel] ** 2 / 12.0
             means = np.empty((K.size, nm))
             means[:, 0] = np.where(two[sel], 0.5, 1.0)
             means[:, 1:d + 1] = xi
             means[:, d + 1:] = sq[:, :1] - sq[:, 1:]
             means[:, 1:] *= means[:, :1]
-            vals[sel, side] = (means[:, None, :] @ tables.coeff[K])[:, 0]
+            vals[sel, side] = (means[:, None, :] @ coeff[K])[:, 0]
         keep = cols >= 0
         span = slice(indptr[rows.start], indptr[rows.stop])
         data[span] = vals[keep]
@@ -447,14 +446,9 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
         if load:
             data[:, nt] = finite("f", problem.f(p), p)
         moments = cell_moments(mesh, data, blk, degree, DATA_RULE)
-        # physical derivatives are xi-derivatives over the scale
-        inv_s = 1.0 / tables.scale[blk]
-        moments[:, 0] *= (inv_s ** 2)[:, None]
-        if problem.b is not None:
-            moments[:, 1:d + 1] *= inv_s[:, None, None]
         mono = (moments[:, :nt].reshape(n, 1, -1) @ products).reshape(
             n, nm, nm)
-        coeff = tables.coeff[blk]
+        coeff = tables[blk]
         local = coeff.transpose(0, 2, 1) @ mono @ coeff
         if not load:
             yield mesh.elem_facets[blk], local
@@ -467,8 +461,8 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
 class NcrtField:
     """A scalar field in the nonconforming space, stored by facet dofs.
 
-    coeffs holds the per-element monomial coefficients in the centered,
-    scaled local frame of its basis tables.
+    coeffs holds the per-element span coefficients in the cell's
+    centered coordinates xi = x - elem_center.
     """
 
     mesh: TensorMesh
@@ -477,7 +471,7 @@ class NcrtField:
 
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq)."""
-        xi = nc_basis(self.mesh).local_coords(pts, rows)
+        xi = pts - self.mesh.elem_center[rows, None, :]
         return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
@@ -490,24 +484,17 @@ class NcrtField:
         return self.coeffs[:, 0].copy()
 
     def gradients_at_centers(self) -> np.ndarray:
-        tables = nc_basis(self.mesh)
-        d = self.mesh.dim
-        return self.coeffs[:, 1:d + 1] / tables.scale[:, None]
+        return self.coeffs[:, 1:self.mesh.dim + 1].copy()
 
     def gradient_rt(self) -> BrokenRT:
         """The broken gradient, exactly represented component-wise."""
         mesh = self.mesh
         d = mesh.dim
-        tables = nc_basis(mesh)
-        s = tables.scale
-        c = tables.center
-        alpha = np.empty((mesh.ne, d))
         beta = np.empty((mesh.ne, d))
         quad = self.coeffs[:, d + 1:]                  # (ne, d-1)
-        beta[:, 0] = 2.0 * quad.sum(axis=1) / s**2
-        for k in range(1, d):
-            beta[:, k] = -2.0 * quad[:, k - 1] / s**2
-        alpha = self.coeffs[:, 1:d + 1] / s[:, None] - beta * c
+        beta[:, 0] = 2.0 * _by_columns(np.add, quad)
+        beta[:, 1:] = -2.0 * quad
+        alpha = self.coeffs[:, 1:d + 1] - beta * mesh.elem_center
         return BrokenRT(mesh, alpha, beta)
 
 
@@ -516,6 +503,5 @@ def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray) -> NcrtField:
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.nf,):
         raise ValueError(f"expected {mesh.nf} dof values, got {dofs.shape}")
-    tables = nc_basis(mesh)
-    coeffs = np.einsum("emj,ej->em", tables.coeff, dofs[mesh.elem_facets])
+    coeffs = np.einsum("emj,ej->em", nc_basis(mesh), dofs[mesh.elem_facets])
     return NcrtField(mesh=mesh, dofs=dofs, coeffs=coeffs)

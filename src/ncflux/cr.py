@@ -34,7 +34,7 @@ import numpy as np
 from .assembly import LinearSystem, finite, lift_and_scatter
 from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_values,
                        edge_quadrature, row_blocks, tri_quadrature)
-from .mesh import TriMesh, _frozen
+from .mesh import TriMesh, _by_columns, _frozen
 from .problems import Problem
 from .recovery import correction_field
 
@@ -175,9 +175,10 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
     F = outward * flux[trimesh.elem_facets]                # (ne, 3)
     twice = 2.0 * trimesh.elem_measure
     center = trimesh.elem_center
-    slope = F.sum(axis=1) / twice
-    rel = center[:, None, :] - trimesh.vertices[tri]       # c - p_i
-    value = (F[:, :, None] * rel).sum(axis=1) / twice[:, None]
+    slope = _by_columns(np.add, F) / twice
+    # c - p_i, (ne, 2, 3)
+    rel = center[:, :, None] - trimesh.vertices[tri].transpose(0, 2, 1)
+    value = _by_columns(np.add, F[:, None, :] * rel) / twice[:, None]
     return BrokenRT(trimesh, alpha=value - slope[:, None] * center,
                     beta=np.repeat(slope[:, None], 2, axis=1))
 

@@ -10,22 +10,22 @@ freedom sit on the facets of K, either as facet means ("mean") or as
 facet-midpoint values ("midpoint"). On triangles the space is the
 classic midpoint-continuous linear element.
 
-Monomials are expressed in centered coordinates xi = (x - center)/scale,
-which keeps the dual bases well scaled under refinement; the scale is
-uniform across components so the difference-of-squares terms stay
-inside the span. Both dual bases are closed forms, with no matrix
-inverted per element: the box tables depend only on each cell's
-half-extents (``nc_basis``), and the triangle tables are barycentric
-coordinates from edge cofactors over 2|T| (``cr_basis``). Box tables are
-built a block of elements at a time, kept for the whole mesh and
-evaluated for the rows asked for (all by default).
+This is the rotated element of Rannacher and Turek (Numer. Methods PDE
+8, 1992). Box monomials are in the cell's centered coordinates
+xi = x - x_K (x_K = ``elem_center``). Both dual bases are closed forms,
+with no matrix inverted per element: the box tables depend only on each
+cell's half-extents h = elem_ext / 2 (``nc_basis``), and the triangle
+tables are barycentric coordinates from edge cofactors over 2|T|
+(``cr_basis``). Box tables are built a block of elements at a time,
+kept read-only for the whole mesh and evaluated for the rows asked for
+(all by default).
 
 Box rules are named by purpose: ``DATA_RULE`` (3 Gauss points per axis)
 for integrals of problem data, ``NORM_RULE`` (4 points) for the error
 norms. Box integrals of data against polynomials in xi are cell moments,
 int_K v xi^alpha (``cell_moments``): the data sampled at the mapped
 tensor rule, times the one reference table of ``quadrature.moment_table``
-(a matmul per cell), times |K| h^alpha with h = elem_ext / (2 scale).
+(a matmul per cell), times |K| h^alpha with h = elem_ext / 2.
 The reverse also holds: on a cell, x = center + (ext / 2) tau, so a
 discrete box field is a polynomial in 1, tau_k and tau_k^2, and its
 values at the mapped rule are its coefficients in those monomials
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TensorMesh, TriMesh, _by_columns
+from .mesh import TensorMesh, TriMesh, _by_columns, _frozen
 from .quadrature import (gauss1d, map_to_box, map_to_triangle,
                          moment_table, monomial_exponents, tensor_rule,
                          triangle_rule)
@@ -59,7 +59,7 @@ def span_size(dim: int) -> int:
 
 
 def span_values(xi: np.ndarray) -> np.ndarray:
-    """Evaluate the local span at scaled coordinates xi (..., d)."""
+    """Evaluate the local span at centered coordinates xi (..., d)."""
     d = xi.shape[-1]
     out = np.empty(xi.shape[:-1] + (span_size(d),))
     out[..., 0] = 1.0
@@ -81,32 +81,17 @@ def span_polynomials(dim: int) -> tuple[dict, ...]:
     return tuple(polys)
 
 
-@dataclass(frozen=True)
-class BasisTables:
-    """Per-element change of basis from monomials to dof-dual functions.
-
-    coeff[e] maps dof values to monomial coefficients: a local function
-    with dof vector v is sum_m (coeff[e] @ v)[m] * monomial_m(xi). Dof
-    order matches TensorMesh.elem_facets.
-    """
-
-    center: np.ndarray        # (ne, d)
-    scale: np.ndarray         # (ne,)
-    coeff: np.ndarray         # (ne, nm, ndof)
-
-    def local_coords(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Scaled coordinates of pts (ne, nq, d) in the elements rows."""
-        return ((pts - self.center[rows, None, :])
-                / self.scale[rows, None, None])
-
-
-def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
-    """Dof-dual basis tables for the nonconforming space on a box mesh.
+def nc_basis(mesh: TensorMesh, kind: str = "mean") -> np.ndarray:
+    """Dof-dual basis tables for the nonconforming space on a box mesh:
+    coeff (ne, 2d, 2d), read-only, with coeff[e] mapping dof values to
+    span coefficients, so a local function with dof vector v is
+    sum_m (coeff[e] @ v)[m] * span_m(xi). Dof order matches
+    TensorMesh.elem_facets.
 
     kind "mean" uses facet means (the solvable space); "midpoint" uses
     facet-midpoint values (the space the recovered flux lives in).
 
-    The tables are closed forms in the half-extents h = elem_ext / (2 scale)
+    The tables are closed forms in the half-extents h = elem_ext / 2
     of each cell, whose facets lie at xi_k = -h_k (dof 2k) and xi_k = +h_k
     (dof 2k + 1). The dofs of facet k take xi_k to +-h_k, every other xi_j
     to 0, and xi_j^2 to h_j^2 if j = k and mu h_j^2 otherwise, with
@@ -130,10 +115,9 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
         raise ValueError("element requires dimension 2 or 3")
     mu = 1.0 / 3.0 if kind == "mean" else 0.0
     even = [0] + list(range(d + 1, span_size(d)))   # 1, xi_0^2 - xi_m^2
-    scale = 0.5 * _by_columns(np.maximum, mesh.elem_ext)
     coeff = np.zeros((mesh.ne, span_size(d), 2 * d))
     for rows in cell_blocks(mesh):
-        h = 0.5 * mesh.elem_ext[rows] / scale[rows, None]
+        h = 0.5 * mesh.elem_ext[rows]
         sq = h * h
         # dual[:, i, k]: the coefficient of y_k in c_0 (i = 0) or c_i
         inv = _quadratic_inverse(sq) / (1.0 - mu)
@@ -149,9 +133,8 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> BasisTables:
             coeff[rows, 1 + k, 2 * k] = -0.5 / h[:, k]
             coeff[rows, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
             coeff[rows, even, 2 * k:2 * k + 2] = 0.5 * dual[:, :, k, None]
-    tables = BasisTables(center=mesh.elem_center, scale=scale, coeff=coeff)
-    mesh._cache[key] = tables
-    return tables
+    mesh._cache[key] = _frozen(coeff)
+    return coeff
 
 
 def _quadratic_inverse(sq: np.ndarray) -> np.ndarray:
@@ -180,18 +163,18 @@ def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,
     as coefficients in the reference monomials 1, tau_k, tau_k^2 of
     ``quadrature.reference_monomials``: (b, 2d + 1) or (b, m, 2d + 1).
 
-    On a cell, xi = h tau with h = elem_ext / (2 scale), so xi_k becomes
+    On a cell, xi = h tau with h = elem_ext / 2, so xi_k becomes
     h_k tau_k and xi_0^2 - xi_k^2 becomes h_0^2 tau_0^2 - h_k^2 tau_k^2.
     """
     d = mesh.dim
-    h = 0.5 * mesh.elem_ext[rows] / nc_basis(mesh).scale[rows, None]
+    h = 0.5 * mesh.elem_ext[rows]
     if coeffs.ndim == 3:
         h = h[:, None, :]
     sq = h * h
     out = np.empty(coeffs.shape[:-1] + (2 * d + 1,))
     out[..., 0] = coeffs[..., 0]
     out[..., 1:d + 1] = coeffs[..., 1:d + 1] * h
-    out[..., d + 1] = sq[..., 0] * coeffs[..., d + 1:].sum(axis=-1)
+    out[..., d + 1] = sq[..., 0] * _by_columns(np.add, coeffs[..., d + 1:])
     out[..., d + 2:] = -sq[..., 1:] * coeffs[..., d + 1:]
     return out
 
@@ -206,11 +189,13 @@ def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return vals if coeffs.ndim == 2 else vals.transpose(0, 2, 1)
 
 
-def basis_values(tables: BasisTables, pts: np.ndarray,
+def basis_values(mesh: TensorMesh, coeff: np.ndarray, pts: np.ndarray,
                  rows=slice(None)) -> np.ndarray:
-    """Basis values at pts (ne, nq, d) of the elements rows: (ne, nq, ndof)."""
+    """Values at pts (ne, nq, d) of the elements rows of the dof basis
+    with tables coeff (``nc_basis``): (ne, nq, ndof)."""
     # xi is freed before the matmul, which keeps a block's peak lower
-    return span_values(tables.local_coords(pts, rows)) @ tables.coeff[rows]
+    return (span_values(pts - mesh.elem_center[rows, None, :])
+            @ coeff[rows])
 
 
 @dataclass
@@ -253,7 +238,8 @@ class BrokenRT:
         mean = self.values_at_centers()
         cells = (mean * mean
                  + self.beta * self.beta * self.mesh.elem_second_moment)
-        return float(np.sqrt(self.mesh.elem_measure @ cells.sum(axis=1)))
+        return float(np.sqrt(self.mesh.elem_measure
+                             @ _by_columns(np.add, cells)))
 
     def values_at_centers(self) -> np.ndarray:
         """Values a + b x_K at the element centers, (ne, d): the cell
@@ -261,7 +247,7 @@ class BrokenRT:
         return self.alpha + self.beta * self.mesh.elem_center
 
     def divergence(self) -> np.ndarray:
-        return self.beta.sum(axis=1)
+        return _by_columns(np.add, self.beta)
 
     def midpoint_traces(self) -> np.ndarray:
         """Full-vector traces at facet midpoints from both sides.
@@ -382,7 +368,7 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
 
     samples (b, nq) or (b, m, nq) hold v (or m data) at the points of
     cell_quadrature(mesh, rows, rule). Since xi = h tau with
-    h = elem_ext / (2 scale), a moment is the samples times moment_table,
+    h = elem_ext / 2, a moment is the samples times moment_table,
     a matmul per cell, scaled by |K| h^alpha. The factor h^alpha is built
     from the powers h_k^p, p <= degree, by repeated multiplication and
     multiplied over the axes in axis order, so it is within a few ulp of
@@ -391,7 +377,7 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     """
     d = mesh.dim
     table = moment_table(d, degree, rule)
-    h = 0.5 * mesh.elem_ext[rows] / nc_basis(mesh).scale[rows, None]
+    h = 0.5 * mesh.elem_ext[rows]
     # np.power would cost more than the rest of the factor
     powers = np.empty(h.shape + (degree + 1,))
     powers[..., 0] = 1.0

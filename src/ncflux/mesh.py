@@ -357,7 +357,9 @@ class TriMesh:
         self.nv = v.shape[0]
         self.ne = t.shape[0]
         self.elem_measure = _frozen(0.5 * det)
-        self.elem_center = _frozen(v[t].mean(axis=1))
+        # the mean over the three vertices, a column at a time
+        self.elem_center = _frozen(
+            _by_columns(np.add, v[t].transpose(0, 2, 1)) / 3)
 
         edges, elem_facets, fe = _edge_tables(t, self.nv)
         unused = np.flatnonzero(np.bincount(t.ravel(), minlength=self.nv) == 0)
@@ -391,8 +393,9 @@ class TriMesh:
 
     @property
     def elem_second_moment(self) -> np.ndarray:
-        rel = self.vertices[self.triangles] - self.elem_center[:, None]
-        return (rel ** 2).sum(axis=1) / 12.0
+        rel = (self.vertices[self.triangles].transpose(0, 2, 1)
+               - self.elem_center[:, :, None])
+        return _by_columns(np.add, rel ** 2) / 12.0
 
 
 def _edge_tables(t, nv):

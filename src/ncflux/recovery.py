@@ -69,7 +69,8 @@ def correction_field(mesh: TensorMesh | TriMesh) -> BrokenRT:
 
 
 def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
-    """The projection of v onto the span of e_j and xi_0 e_0 - xi_k e_k.
+    """The projection of v onto the span of e_j and xi_0 e_0 - xi_k e_k,
+    xi = x - elem_center.
 
     blocks yields (rows, v0, v1) covering the elements once, with
     v0[:, j] = int_K v_j and v1[:, j] = int_K v_j xi_j, both (b, d): the
@@ -77,15 +78,13 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
     its center, so the Gram matrix is |K| on the e_j, zero between them
     and the quadratic members (the first moments of xi vanish), and
     (|K| / 3) M on the quadratic members, since int_K xi_j^2 =
-    |K| h_j^2 / 3 with h = elem_ext / (2 scale); M^-1 is the closed form
+    |K| h_j^2 / 3 with h = elem_ext / 2; M^-1 is the closed form
     ``elements._quadratic_inverse``.
     """
     d = mesh.dim
-    tables = nc_basis(mesh, "mean")
-    s = tables.scale
     coef = np.empty((mesh.ne, 2 * d - 1))
     for blk, v0, v1 in blocks:
-        h = 0.5 * mesh.elem_ext[blk] / s[blk, None]
+        h = 0.5 * mesh.elem_ext[blk]
         inv = _quadratic_inverse(h * h)
         rhs = v1[:, :1] - v1[:, 1:]
         measure = mesh.elem_measure[blk, None]
@@ -93,10 +92,9 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
         coef[blk, d:] = (3.0 * _by_columns(np.add, inv * rhs[:, None, :])
                          / measure)
     beta = np.empty((mesh.ne, d))
-    beta[:, 0] = _by_columns(np.add, coef[:, d:]) / s
-    for k in range(1, d):
-        beta[:, k] = -coef[:, d + k - 1] / s
-    alpha = coef[:, :d] - beta * tables.center
+    beta[:, 0] = _by_columns(np.add, coef[:, d:])
+    beta[:, 1:] = -coef[:, d:]
+    alpha = coef[:, :d] - beta * mesh.elem_center
     return BrokenRT(mesh, alpha, beta)
 
 
@@ -118,10 +116,9 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     """
     mesh = field.mesh
     d = mesh.dim
-    tables = nc_basis(mesh, "mean")
     grad = field.gradient_rt()
-    g0 = grad.alpha + grad.beta * tables.center
-    g1 = grad.beta * tables.scale[:, None]
+    g0 = grad.alpha + grad.beta * mesh.elem_center
+    g1 = grad.beta
     square = _squares(d)
 
     def rhs():
@@ -204,14 +201,14 @@ class MidpointFlux:
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
         mesh = self.mesh
-        phi = basis_values(nc_basis(mesh, "midpoint"), pts, rows)
+        phi = basis_values(mesh, nc_basis(mesh, "midpoint"), pts, rows)
         return phi @ self.values[mesh.elem_facets[rows]]
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """Coefficients of the components in the reference monomials of
         the cells rows: (b, d, 2d + 1), see ``elements.reference_coeffs``."""
         mesh = self.mesh
-        span = (nc_basis(mesh, "midpoint").coeff[rows]
+        span = (nc_basis(mesh, "midpoint")[rows]
                 @ self.values[mesh.elem_facets[rows]])      # (b, 2d, d)
         return reference_coeffs(mesh, span.transpose(0, 2, 1), rows)
 

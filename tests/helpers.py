@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
-from ncflux.elements import (cell_blocks, cell_quadrature, nc_basis,
-                             row_blocks, span_size, span_values,
-                             tri_quadrature)
+from ncflux.elements import (cell_blocks, cell_quadrature, row_blocks,
+                             span_size, span_values, tri_quadrature)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
@@ -108,27 +107,24 @@ def jittered_parallel(nx, ny, amount=0.03, seed=3):
     return TriMesh(v, base.triangles.copy())
 
 
-def span_gradients(xi, inv_scale):
-    """Physical-coordinate gradients of the box span at scaled coordinates
-    xi (..., d), shape (..., d, nm): the per-point reference for the
-    moment kernels. inv_scale is 1/scale, broadcastable against
-    xi[..., 0]."""
+def span_gradients(xi):
+    """Gradients of the box span at centered coordinates xi (..., d),
+    shape (..., d, nm): the per-point reference for the moment kernels."""
     d = xi.shape[-1]
     out = np.zeros(xi.shape[:-1] + (d, span_size(d)))
     for k in range(d):
-        out[..., k, 1 + k] = inv_scale
+        out[..., k, 1 + k] = 1.0
     for k in range(1, d):
-        out[..., 0, d + k] = 2.0 * xi[..., 0] * inv_scale
-        out[..., k, d + k] = -2.0 * xi[..., k] * inv_scale
+        out[..., 0, d + k] = 2.0 * xi[..., 0]
+        out[..., k, d + k] = -2.0 * xi[..., k]
     return out
 
 
-def basis_gradients(tables, pts, rows=slice(None)):
-    """Dof-basis gradients at pts (ne, nq, d) of the elements rows, shape
-    (ne, nq, d, ndof), evaluated point by point."""
-    xi = tables.local_coords(pts, rows)
-    g = span_gradients(xi, 1.0 / tables.scale[rows, None])
-    return np.einsum("eqdm,emj->eqdj", g, tables.coeff[rows])
+def basis_gradients(mesh, coeff, pts, rows=slice(None)):
+    """Gradients at pts (ne, nq, d) of the elements rows of the dof basis
+    with tables coeff, shape (ne, nq, d, ndof), evaluated point by point."""
+    g = span_gradients(pts - mesh.elem_center[rows, None, :])
+    return np.einsum("eqdm,emj->eqdj", g, coeff[rows])
 
 
 def project_onto_gradients(mesh, values, pts, wts):
@@ -140,12 +136,10 @@ def project_onto_gradients(mesh, values, pts, wts):
     points pts of a rule with weights wts that integrates the span's
     products exactly, like cell_quadrature's.
     """
-    tables = nc_basis(mesh, "mean")
-
     def rhs():
         for blk in cell_blocks(mesh):
             wv = wts[blk, :, None] * values[blk]
-            xi = tables.local_coords(pts[blk], blk)
+            xi = pts[blk] - mesh.elem_center[blk, None, :]
             yield blk, wv.sum(axis=1), (wv * xi).sum(axis=1)
 
     return _projection(mesh, rhs())
@@ -162,14 +156,13 @@ def nc_coeff_by_inverse(mesh, kind):
         points, weights = ref.points, ref.weights
     else:
         points, weights = np.full((1, d - 1), 0.5), np.ones(1)
-    scale = 0.5 * mesh.elem_ext.max(axis=1)
-    # half[:, k] is the facet offset l_k/(2s) in scaled coordinates
-    half = 0.5 * mesh.elem_ext / scale[:, None]
+    # half[:, k] is the facet offset l_k / 2 in centered coordinates
+    half = 0.5 * mesh.elem_ext
     M = np.empty((mesh.ne, 2 * d, span_size(d)))
     for k in range(d):
         other = [j for j in range(d) if j != k]
         xi = np.empty((mesh.ne, weights.size, d))
-        # map [0,1]^{d-1} onto the scaled facet, symmetric about 0
+        # map [0,1]^{d-1} onto the centered facet, symmetric about 0
         for c, j in enumerate(other):
             xi[:, :, j] = (2.0 * points[:, c] - 1.0) * half[:, None, j]
         for side, sign in ((0, -1.0), (1, 1.0)):

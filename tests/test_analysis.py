@@ -10,7 +10,7 @@ import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
-from ncflux import analysis, assembly, elements
+from ncflux import analysis, assembly, elements, recovery
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
@@ -194,10 +194,56 @@ def test_box_error_pass_maps_no_local_coordinates(monkeypatch, kind):
     def no_points(*args):
         raise AssertionError("a box field was evaluated at points")
 
-    monkeypatch.setattr(elements.BasisTables, "local_coords", no_points)
+    # the span's point evaluators, in every module that looks them up
+    for module in (analysis, assembly, elements, recovery):
+        for name in ("span_values", "basis_values"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_points)
     for cls in (BrokenRT, MidpointFlux, RawFlux, type(approx[0])):
         monkeypatch.setattr(cls, "eval_at", no_points)
     assert l2_error(mesh, exact, approx) == expected
+
+
+def arrays_in(obj):
+    """The numpy arrays reachable from obj through containers and
+    dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from arrays_in(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from arrays_in(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("config", [
+    StudyConfig(problem="p1", element="ncrt2d", levels=1),
+    StudyConfig(problem="p2", element="ncrt3d", levels=1),
+    StudyConfig(problem="p1", element="cr", levels=1, cr_initial=2,
+                perturb=0.0)], ids=["2d", "3d", "tri"])
+def test_mesh_caches_are_read_only_after_a_level(monkeypatch, config):
+    # a write into a cached table would corrupt every later use of it
+    meshes = []
+    level = analysis._level
+
+    def kept(mesh, *args):
+        meshes.append(mesh)
+        return level(mesh, *args)
+
+    monkeypatch.setattr(analysis, "_level", kept)
+    run_study(config)
+    cache = meshes[0]._cache
+    assert "dof_map" in cache
+    if config.element != "cr":
+        assert ("nc_basis", "mean") in cache
+        assert ("nc_basis", "midpoint") in cache
+    arrays = list(arrays_in(cache))
+    assert len(arrays) >= len(cache)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("kind", [2, 3, "tri"])

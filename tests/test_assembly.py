@@ -8,10 +8,10 @@ from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
                              nested_dissection, prolongation,
                              reconstruct_field)
-from ncflux.cr import RawFlux, assemble_cr
+from ncflux.cr import RawFlux, assemble_cr, rt_interpolate_tri
 from ncflux.elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
-                             cell_quadrature, facet_blocks, facet_quadrature,
-                             nc_basis)
+                             cell_quadrature, edge_quadrature, facet_blocks,
+                             facet_quadrature, nc_basis, reference_coeffs)
 from ncflux.mesh import (NONDEGENERACY_LIMIT, TensorMesh, build_tensor_mesh,
                          build_uniform_parallel, coarsen, perturb,
                          refine_midpoint)
@@ -20,9 +20,10 @@ from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.quadrature import tensor_rule
 
-from helpers import (basis_gradients, cell_block_bytes, linear_problem,
-                     perturbed_2d_meshes, project_onto_gradients,
-                     refined_box_mesh, solve_tensor, traced_peak, tri_meshes)
+from helpers import (basis_gradients, cell_block_bytes, jittered_parallel,
+                     linear_problem, perturbed_2d_meshes,
+                     project_onto_gradients, refined_box_mesh, solve_tensor,
+                     traced_peak, tri_meshes)
 
 
 def polynomial_problem():
@@ -43,7 +44,6 @@ def polynomial_problem():
 
 def dense_reference_system(mesh, problem, npts=5):
     """Assemble the full facet-by-facet matrix with an independent loop."""
-    tables = nc_basis(mesh, "mean")
     gl, gw = np.polynomial.legendre.leggauss(npts)
     amat = np.zeros((mesh.nf, mesh.nf))
     load = np.zeros(mesh.nf)
@@ -55,11 +55,11 @@ def dense_reference_system(mesh, problem, npts=5):
         px, py = np.meshgrid(x1, x2, indexing="ij")
         pts = np.stack([px.ravel(), py.ravel()], axis=-1)[None]
         wts = (np.outer(gw, gw).ravel() * ext[0] * ext[1] / 4.0)[None]
-        sub_tables = nc_basis(
-            build_tensor_mesh((lo[0], lo[0] + ext[0]), (lo[1], lo[1] + ext[1])),
-            "mean")
-        phi = basis_values(sub_tables, pts)[0]             # (nq, 4)
-        gphi = basis_gradients(sub_tables, pts)[0]         # (nq, 2, 4)
+        sub = build_tensor_mesh((lo[0], lo[0] + ext[0]),
+                                (lo[1], lo[1] + ext[1]))
+        sub_tables = nc_basis(sub, "mean")
+        phi = basis_values(sub, sub_tables, pts)[0]        # (nq, 4)
+        gphi = basis_gradients(sub, sub_tables, pts)[0]    # (nq, 2, 4)
         w = wts[0]
         aval = problem.a(pts[0])
         local = np.einsum("q,qdi,qdj->ij", w * aval, gphi, gphi)
@@ -220,7 +220,7 @@ def test_gradient_rt_agrees_with_pointwise_gradients():
         build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=5)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
     pts, _ = cell_quadrature(mesh)
-    gphi = basis_gradients(nc_basis(mesh), pts)
+    gphi = basis_gradients(mesh, nc_basis(mesh), pts)
     pointwise = np.einsum("eqdj,ej->eqd", gphi,
                           field.dofs[mesh.elem_facets])
     rt = field.gradient_rt()
@@ -241,8 +241,8 @@ def test_galerkin_residual_recomputed_without_matrix():
 
     tables = nc_basis(mesh, "mean")
     pts, wts = cell_quadrature(mesh, rule=DATA_RULE)
-    phi = basis_values(tables, pts)
-    gphi = basis_gradients(tables, pts)
+    phi = basis_values(mesh, tables, pts)
+    gphi = basis_gradients(mesh, tables, pts)
     grads = field.gradient_rt().eval_at(pts)
     vals = field.eval_at(pts)
     integrand = np.einsum("eq,eqd,eqdi->ei",
@@ -303,7 +303,7 @@ def test_dof_map_partitions_facets(mesh_factory, assembler):
 
 def chunked_level(mesh, prob):
     """The per-level box quantities of the study, for comparing block sizes."""
-    tables = (nc_basis(mesh, "mean").coeff, nc_basis(mesh, "midpoint").coeff)
+    tables = (nc_basis(mesh, "mean"), nc_basis(mesh, "midpoint"))
     system = assemble(mesh, prob)
     x = spsolve(system.matrix, system.rhs)
     field = reconstruct_field(mesh, system.full_dofs(x))
@@ -387,8 +387,8 @@ def perturbed_level(prob, refinements, seed):
 def einsum_local_blocks(mesh, problem):
     tables = nc_basis(mesh, "mean")
     p, w = cell_quadrature(mesh, rule=DATA_RULE)
-    phi = basis_values(tables, p)
-    gphi = basis_gradients(tables, p)
+    phi = basis_values(mesh, tables, p)
+    gphi = basis_gradients(mesh, tables, p)
     local = np.einsum("bq,bqdi,bqdj->bij", w * problem.a(p), gphi, gphi)
     if problem.b is not None:
         bdotg = np.einsum("bqd,bqdj->bqj", problem.b(p), gphi)
@@ -402,8 +402,7 @@ def einsum_local_blocks(mesh, problem):
 def einsum_projection(mesh, values, pts, wts):
     d = mesh.dim
     nb = 2 * d - 1
-    tables = nc_basis(mesh, "mean")
-    xi = tables.local_coords(pts)
+    xi = pts - mesh.elem_center[:, None, :]
     B = np.zeros(pts.shape[:2] + (d, nb))
     for j in range(d):
         B[:, :, j, j] = 1.0
@@ -424,7 +423,6 @@ def close(got, ref, rel=1e-13):
 def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
     mesh = perturbed_level(prob, refinements, seed)
     assert (prob.b is not None and prob.c is not None) == (mesh.dim == 2)
-    tables = nc_basis(mesh, "mean")
     pts, wts = cell_quadrature(mesh)
 
     blocks = list(assembly._local_blocks(mesh, prob))
@@ -440,13 +438,11 @@ def test_matmul_kernels_match_their_einsum_form(prob, refinements, seed):
     values = prob.a(pts)[..., None] * field.gradient_rt().eval_at(pts)
     coef = einsum_projection(mesh, values, pts, wts)
     got = project_onto_gradients(mesh, values, pts, wts)
-    s = tables.scale
     d = mesh.dim
     # the projection's coefficients, read back from its affine form
-    beta_k = -coef[:, d:] / s[:, None]
-    assert close(got.beta[:, 1:], beta_k)
-    assert close(got.beta[:, 0], coef[:, d:].sum(axis=1) / s)
-    assert close(got.alpha, coef[:, :d] - got.beta * tables.center)
+    assert close(got.beta[:, 1:], -coef[:, d:])
+    assert close(got.beta[:, 0], coef[:, d:].sum(axis=1))
+    assert close(got.alpha, coef[:, :d] - got.beta * mesh.elem_center)
 
 
 @pytest.mark.parametrize("kind", ["2d", "3d", "tri"])
@@ -644,7 +640,6 @@ def test_column_wise_reductions_keep_the_reductions_bits():
                           np.prod(ext, axis=1)[:, None] * rule.weights)
         if mesh.dim == 1:
             continue
-        assert bits_equal(nc_basis(mesh).scale, 0.5 * ext.max(axis=1))
         # the rank pairs are integers: the order is the cell-index one
         assert np.array_equal(nested_dissection(mesh),
                               cell_index_dissection(mesh))
@@ -655,6 +650,41 @@ def test_column_wise_reductions_keep_the_reductions_bits():
             axis=1, keepdims=True)
         got = midpoint_average(flux).values
         assert bits_equal(got[mesh.interior_facets], ref)
+        assert bits_equal(flux.divergence(), flux.beta.sum(axis=1))
+        mean = flux.values_at_centers()
+        cells = mean * mean + flux.beta ** 2 * mesh.elem_second_moment
+        assert flux.l2_norm() == float(np.sqrt(
+            mesh.elem_measure @ cells.sum(axis=1)))
+        d = mesh.dim
+        field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
+        assert bits_equal(field.gradient_rt().beta[:, 0],
+                          2.0 * field.coeffs[:, d + 1:].sum(axis=1))
+        sq0 = (0.5 * ext[:, 0]) ** 2
+        for coeffs, sq in ((field.coeffs, sq0),
+                           (rng.normal(size=(mesh.ne, 2, 2 * d)),
+                            sq0[:, None])):
+            assert bits_equal(reference_coeffs(mesh, coeffs)[..., d + 1],
+                              sq * coeffs[..., d + 1:].sum(axis=-1))
+    # triangles: centroids, second moments and the edge-flux interpolant
+    tri = jittered_parallel(6, 5, amount=0.05)
+    v = tri.vertices[tri.triangles]
+    assert bits_equal(tri.elem_center, v.mean(axis=1))
+    rel = v - tri.elem_center[:, None]
+    assert bits_equal(tri.elem_second_moment, (rel ** 2).sum(axis=1) / 12.0)
+    vec = polynomial_problem().grad_u
+    pts, wts = edge_quadrature(tri)
+    flux = np.einsum("eq,eq->e", wts,
+                     np.einsum("eqd,ed->eq", vec(pts), tri.facet_normal))
+    t = tri.triangles
+    F = (np.where(t[:, [1, 2, 0]] < t[:, [2, 0, 1]], 1.0, -1.0)
+         * flux[tri.elem_facets])
+    twice = 2.0 * tri.elem_measure
+    slope = F.sum(axis=1) / twice
+    c_p = tri.elem_center[:, None] - v
+    value = (F[:, :, None] * c_p).sum(axis=1) / twice[:, None]
+    got = rt_interpolate_tri(tri, vec)
+    assert bits_equal(got.beta[:, 0], slope)
+    assert bits_equal(got.alpha, value - slope[:, None] * tri.elem_center)
     # the warning still fires past the limit
     with pytest.warns(UserWarning, match="nondegeneracy"):
         thin = build_tensor_mesh(gl, gl,

@@ -5,8 +5,8 @@ from ncflux import elements
 from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
                              cell_moments, cell_quadrature, cr_basis,
                              cr_values, edge_quadrature, facet_blocks,
-                             facet_quadrature, nc_basis, span_size,
-                             span_values, tri_quadrature)
+                             facet_quadrature, nc_basis, reference_coeffs,
+                             span_size, span_values, tri_quadrature)
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import problem2
@@ -54,7 +54,7 @@ def test_span_values_are_the_stacked_columns_bit_for_bit(dim):
 
 def test_span_gradient_of_quadratic_member():
     xi = np.array([[0.3, -0.2, 0.5]])
-    g = span_gradients(xi, 1.0)
+    g = span_gradients(xi)
     x, y, z = xi[0]
     # gradient of x^2 - y^2 is (2x, -2y, 0)
     assert np.allclose(g[0, :, 4], [2 * x, -2 * y, 0.0])
@@ -71,8 +71,8 @@ def test_mean_basis_duality_by_independent_facet_quadrature(dim):
     for e in range(mesh.ne):
         facets = mesh.elem_facets[e]
         # facet means of the local basis functions should be the identity
-        xi = (pts[facets] - tables.center[e]) / tables.scale[e]
-        vals = span_values(xi) @ tables.coeff[e]          # (ndof, nq, ndof)
+        xi = pts[facets] - mesh.elem_center[e]
+        vals = span_values(xi) @ tables[e]          # (ndof, nq, ndof)
         means = np.einsum("fq,fqj->fj", wts[facets],
                           vals) / mesh.facet_measure[facets][:, None]
         assert np.allclose(means, np.eye(2 * dim), atol=1e-12)
@@ -83,7 +83,7 @@ def test_midpoint_basis_duality(dim):
     mesh = random_mesh(dim, seed=10 + dim)
     tables = nc_basis(mesh, "midpoint")
     mids = mesh.facet_midpoint[mesh.elem_facets]           # (ne, ndof, d)
-    vals = basis_values(tables, mids)                      # (ne, ndof, ndof)
+    vals = basis_values(mesh, tables, mids)        # (ne, ndof, ndof)
     assert np.allclose(vals, np.eye(2 * dim), atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_duality_over_random_aspect_ratios():
     mesh = build_tensor_mesh(gx, gy)                       # 100 elements
     tables = nc_basis(mesh, "midpoint")
     mids = mesh.facet_midpoint[mesh.elem_facets]
-    vals = basis_values(tables, mids)
+    vals = basis_values(mesh, tables, mids)
     assert np.abs(vals - np.eye(4)).max() < 1e-12
 
 
@@ -104,7 +104,7 @@ def test_partition_of_unity(kind):
         build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=1)
     tables = nc_basis(mesh, kind)
     pts, _ = cell_quadrature(mesh)
-    vals = basis_values(tables, pts)
+    vals = basis_values(mesh, tables, pts)
     assert np.allclose(vals.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_basis_tables_allocate_one_block_at_a_time(monkeypatch):
     # the facet samples of the whole mesh at once took 21
     for kind in ("mean", "midpoint"):
         peak = traced_peak(nc_basis, mesh, kind)
-        assert nc_basis(mesh, kind).coeff.nbytes == 2.25 * block_bytes
+        assert nc_basis(mesh, kind).nbytes == 2.25 * block_bytes
         assert 2.25 * block_bytes <= peak <= 4 * block_bytes
 
 
@@ -157,11 +157,20 @@ def test_data_rule_blocks_hold_the_point_budget(dim, cells, facets, n):
                           for lo in range(0, rows, size)]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moments_and_reference_coefficients_build_no_tables(dim):
+    mesh = perturb(refine_midpoint(random_mesh(dim, seed=67)), 0.2, seed=68)
+    nq = tensor_rule(dim, elements.NORM_RULE).npoints
+    cell_moments(mesh, np.ones((mesh.ne, nq)), degree=2)
+    reference_coeffs(mesh, np.ones((mesh.ne, span_size(dim))))
+    assert [key for key in mesh._cache if "nc_basis" in key] == []
+
+
 def test_cell_moments_match_an_einsum_over_points():
     rng = np.random.default_rng(61)
     mesh = perturb(refine_midpoint(random_mesh(3, seed=62)), 0.2, seed=63)
     pts, wts = cell_quadrature(mesh)
-    xi = nc_basis(mesh).local_coords(pts)
+    xi = pts - mesh.elem_center[:, None, :]
     alpha = monomial_exponents(3, 4)
     xi_alpha = np.prod(xi[:, :, None, :] ** alpha, axis=3)
     data = rng.normal(size=(mesh.ne, 2, pts.shape[1]))
@@ -183,7 +192,7 @@ def test_cell_moments_factor_matches_the_power_formula(dim, degree):
     mesh = perturb(refine_midpoint(random_mesh(dim, seed=64, n=4)), 0.2,
                    seed=65)
     ext = mesh.elem_ext
-    h = 0.5 * ext / nc_basis(mesh).scale[:, None]
+    h = 0.5 * ext
     exps = monomial_exponents(dim, degree)
     nq = tensor_rule(dim, elements.NORM_RULE).npoints
     ones = np.ones((mesh.ne, nq))
@@ -216,7 +225,7 @@ def test_closed_form_tables_match_the_inverted_moment_matrices(dim, kind):
     mesh = aspect_mesh(dim)
     ext = mesh.elem_ext
     assert (ext.max(axis=1) / ext.min(axis=1)).max() == pytest.approx(8.0)
-    got = nc_basis(mesh, kind).coeff
+    got = nc_basis(mesh, kind)
     ref = nc_coeff_by_inverse(mesh, kind)
     rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert rel.max() <= 1e-14
@@ -268,7 +277,7 @@ def test_mean_basis_element_integral_identity():
     mesh = random_mesh(2, seed=3)
     tables = nc_basis(mesh, "mean")
     pts, wts = cell_quadrature(mesh)
-    vals = basis_values(tables, pts)
+    vals = basis_values(mesh, tables, pts)
     integral = np.einsum("eq,eqj->ej", wts, vals)
     l1 = mesh.elem_ext[:, 0]
     l2 = mesh.elem_ext[:, 1]
@@ -282,9 +291,9 @@ def test_mean_basis_reproduces_coordinate_on_unit_square():
     tables = nc_basis(mesh, "mean")
     # facet means of x1: 0 and 1 on the axis-0 facets, 1/2 on the others
     dofs = mesh.facet_midpoint[mesh.elem_facets[0], 0]
-    coeff = tables.coeff[0] @ dofs
+    coeff = tables[0] @ dofs
     pts, _ = cell_quadrature(mesh)
-    xi = tables.local_coords(pts)
+    xi = pts - mesh.elem_center[:, None, :]
     vals = span_values(xi)[0] @ coeff
     assert np.allclose(vals, pts[0, :, 0], atol=1e-13)
 
@@ -297,9 +306,9 @@ def test_midpoint_interpolation_of_quadratic_member():
         return x[..., 0] ** 2 - x[..., 1] ** 2
 
     dofs = func(mesh.facet_midpoint)
-    coeff = np.einsum("emj,ej->em", tables.coeff, dofs[mesh.elem_facets])
+    coeff = np.einsum("emj,ej->em", tables, dofs[mesh.elem_facets])
     pts, _ = cell_quadrature(mesh)
-    xi = tables.local_coords(pts)
+    xi = pts - mesh.elem_center[:, None, :]
     vals = np.einsum("eqm,em->eq", span_values(xi), coeff)
     assert np.allclose(vals, func(pts), atol=1e-11)
 
@@ -308,7 +317,7 @@ def test_mean_to_midpoint_change_of_basis_well_conditioned():
     mesh = build_tensor_mesh((0.0, 0.4), (0.0, 0.7))
     mean = nc_basis(mesh, "mean")
     mid = nc_basis(mesh, "midpoint")
-    change = np.linalg.solve(mid.coeff[0], mean.coeff[0])
+    change = np.linalg.solve(mid[0], mean[0])
     assert np.linalg.cond(change) < 100.0
 
 
@@ -318,13 +327,13 @@ def test_basis_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     pts = mesh.elem_center[:, None, :] + 0.1 * mesh.elem_ext[:, None, :] \
         * rng.uniform(-1.0, 1.0, size=(mesh.ne, 3, 2))
-    g = basis_gradients(tables, pts)
+    g = basis_gradients(mesh, tables, pts)
     h = 1e-6
     for k in range(2):
         dx = np.zeros(2)
         dx[k] = h
-        fd = (basis_values(tables, pts + dx)
-              - basis_values(tables, pts - dx)) / (2 * h)
+        fd = (basis_values(mesh, tables, pts + dx)
+              - basis_values(mesh, tables, pts - dx)) / (2 * h)
         assert np.abs(fd - g[:, :, k, :]).max() < 1e-6
 
 
@@ -332,7 +341,7 @@ def test_constant_representation_has_zero_gradient():
     mesh = random_mesh(2, seed=9)
     tables = nc_basis(mesh, "mean")
     pts, _ = cell_quadrature(mesh)
-    g = basis_gradients(tables, pts)
+    g = basis_gradients(mesh, tables, pts)
     # all-ones dof vector represents the constant 1
     total = g.sum(axis=-1)
     assert np.abs(total).max() < 1e-12
