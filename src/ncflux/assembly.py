@@ -8,7 +8,8 @@ assembled system only carries interior unknowns. Both mesh families
 expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
 ``boundary_facets``), so numbering, lifting and scatter exist once here;
 only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
-are mesh-specific.
+are mesh-specific. The unknowns are the interior facets in facet-id
+order; ``unknown_index`` maps a facet id to its unknown.
 
 Box element loops run over blocks of ``elements.BLOCK_POINTS``
 quadrature points of the data rule (``cell_blocks``: 3,640 cells of 9
@@ -48,38 +49,19 @@ from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        cell_quadrature, facet_blocks, facet_quadrature,
                        nc_basis, reference_coeffs, row_blocks,
                        span_polynomials, span_size, span_values)
-from .mesh import TensorMesh, TriMesh, _by_columns, _frozen, coarsen
+from .mesh import TensorMesh, TriMesh, _by_columns, _cached, coarsen
 from .problems import Problem
 from .quadrature import monomial_exponents
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Facet-based dof numbering: interior facets are unknowns.
-
-    dof_map caches it on its mesh, so it holds no reference to the mesh:
-    that would be a cycle, and a mesh would outlive its level.
-    """
-
-    unknown: np.ndarray          # (nf,) unknown index, -1 on the boundary
-    interior: np.ndarray         # (n_unknown,) facet ids
-    boundary: np.ndarray         # (nb,) facet ids
-
-    @property
-    def n_unknown(self) -> int:
-        return self.interior.size
-
-
-def dof_map(mesh: TensorMesh | TriMesh) -> DofMap:
-    hit = mesh._cache.get("dof_map")
-    if hit is None:
+def unknown_index(mesh: TensorMesh | TriMesh) -> np.ndarray:
+    """(nf,) unknown index of each facet: interior facets are the unknowns,
+    in facet-id order; -1 on the boundary. Cached on the mesh, read-only."""
+    def build():
         unknown = np.full(mesh.nf, -1, dtype=np.int64)
         unknown[mesh.interior_facets] = np.arange(mesh.interior_facets.size)
-        hit = DofMap(unknown=_frozen(unknown),
-                     interior=mesh.interior_facets,
-                     boundary=mesh.boundary_facets)
-        mesh._cache["dof_map"] = hit
-    return hit
+        return unknown
+    return _cached(mesh, "unknown_index", build)
 
 
 # Leaf size of nested_dissection as a rank-box volume: 64 cells on boxes;
@@ -101,14 +83,13 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
     on triangles), and pieces of at most one unknown, keep facet-id
     order. Returns order with order[i] the unknown placed i-th.
     """
-    dm = dof_map(mesh)
     leaf = ND_LEAF if isinstance(mesh, TensorMesh) else ND_LEAF_TRI
     center = mesh.elem_center
     rank = np.empty(center.shape, dtype=np.int32)
     for k in range(center.shape[1]):
         rank[:, k] = np.unique(center[:, k], return_inverse=True)[1]
     # per axis and unknown, the lower and higher rank of its two elements
-    pair = rank[mesh.facet_elems[dm.interior]].T        # (d, 2, n)
+    pair = rank[mesh.facet_elems[mesh.interior_facets]].T  # (d, 2, n)
     low = np.minimum(pair[:, 0], pair[:, 1])
     high = np.maximum(pair[:, 0], pair[:, 1])
     del pair
@@ -117,7 +98,7 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
     # its right half, then its left half, so the order reads left, right,
     # separator. (A recursive closure would be a reference cycle, keeping
     # these arrays alive until a full garbage collection.)
-    order = np.empty(dm.n_unknown, dtype=np.int64)
+    order = np.empty(mesh.interior_facets.size, dtype=np.int64)
     end = order.size
     stack = [(np.arange(end), (0,) * rank.shape[1],
               tuple(int(r) + 1 for r in rank.max(axis=0)))]
@@ -177,14 +158,13 @@ class LinearSystem:
     mesh: TensorMesh | TriMesh
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dofmap: DofMap
-    bc_values: np.ndarray        # per boundary facet, ordered like boundary
+    bc_values: np.ndarray        # ordered like mesh.boundary_facets
 
     def full_dofs(self, x: np.ndarray) -> np.ndarray:
         """Combine solved unknowns with boundary values into (nf,)."""
         full = np.empty(self.mesh.nf)
-        full[self.dofmap.interior] = x
-        full[self.dofmap.boundary] = self.bc_values
+        full[self.mesh.interior_facets] = x
+        full[self.mesh.boundary_facets] = self.bc_values
         return full
 
 
@@ -199,9 +179,9 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
     and the right-hand side is summed from zero in that order, so the
     result does not depend on the block size.
     """
-    dm = dof_map(mesh)
+    unknown = unknown_index(mesh)
     g_full = np.zeros(mesh.nf)
-    g_full[dm.boundary] = bc_values
+    g_full[mesh.boundary_facets] = bc_values
 
     ne, ndof = mesh.elem_facets.shape
     load_ids = np.empty(ndof * ne, dtype=np.int32)
@@ -212,7 +192,7 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
         nonlocal nload
         for facets, local, load in blocks:
             load -= np.einsum("bij,bj->bi", local, g_full[facets])
-            unk = dm.unknown[facets].ravel()
+            unk = unknown[facets].ravel()
             keep = unk >= 0
             end = nload + np.count_nonzero(keep)
             load_ids[nload:end] = unk[keep]
@@ -222,8 +202,8 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
 
     matrix = scatter(mesh, lifted())
     rhs = np.bincount(load_ids[:nload], weights=load_vals[:nload],
-                      minlength=dm.n_unknown)
-    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs, dofmap=dm,
+                      minlength=mesh.interior_facets.size)
+    return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs,
                         bc_values=bc_values)
 
 
@@ -233,7 +213,7 @@ def scatter(mesh: TensorMesh | TriMesh, blocks) -> sp.csr_matrix:
     element blocks. Triplets are kept in element order, so the result
     does not depend on the block size.
     """
-    dm = dof_map(mesh)
+    unknown = unknown_index(mesh)
     ne, ndof = mesh.elem_facets.shape
     # COO triplets, at most ndof^2 per element; int32 ids are what scipy keeps
     data = np.empty(ndof * ndof * ne)
@@ -241,7 +221,7 @@ def scatter(mesh: TensorMesh | TriMesh, blocks) -> sp.csr_matrix:
     ci = np.empty(ndof * ndof * ne, dtype=np.int32)
     nnz = 0
     for facets, local in blocks:
-        unk = dm.unknown[facets]
+        unk = unknown[facets]
         r = np.repeat(unk, ndof, axis=1).ravel()
         c = np.tile(unk, (1, ndof)).ravel()
         keep = (r >= 0) & (c >= 0)
@@ -250,7 +230,7 @@ def scatter(mesh: TensorMesh | TriMesh, blocks) -> sp.csr_matrix:
         ri[nnz:end] = r[keep]
         ci[nnz:end] = c[keep]
         nnz = end
-    n = dm.n_unknown
+    n = mesh.interior_facets.size
     matrix = sp.coo_matrix((data[:nnz], (ri[:nnz], ci[:nnz])),
                            shape=(n, n)).tocsr()
     del data, ri, ci
@@ -288,7 +268,7 @@ def coarse_levels(mesh: TensorMesh, problem: Problem) -> list:
     at COARSEST_UNKNOWNS unknowns, so a small system has no levels.
     """
     levels = []
-    while dof_map(mesh).n_unknown > COARSEST_UNKNOWNS:
+    while mesh.interior_facets.size > COARSEST_UNKNOWNS:
         fine, mesh = mesh, coarsen(mesh)
         matrix = scatter(mesh, _local_blocks(mesh, problem, load=False))
         levels.append((prolongation(mesh, fine), matrix))
@@ -312,12 +292,11 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
     """
     d = fine.dim
     coeff = nc_basis(coarse)
-    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
+    interior, coarse_unknown = fine.interior_facets, unknown_index(coarse)
     # the coarse cell holding each fine cell: index // 2 on every axis
-    strides = np.cumprod((coarse.shape[1:] + (1,))[::-1])[::-1]
-    parent = (fine.elem_index // 2) @ strides
+    parent = np.ravel_multi_index((fine.elem_index // 2).T, coarse.shape)
     nm = span_size(d)
-    blocks = row_blocks(fine_dm.n_unknown,
+    blocks = row_blocks(interior.size,
                         max(1, elements.BLOCK_POINTS // nm))
 
     def parent_dofs(facets):
@@ -327,20 +306,20 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
         two = parents[:, 0] != parents[:, 1]
         cols = np.full((facets.size, 2, nm), -1)
         for side, sel in ((0, slice(None)), (1, two)):
-            cols[sel, side] = coarse_dm.unknown[
+            cols[sel, side] = coarse_unknown[
                 coarse.elem_facets[parents[sel, side]]]
         return parents, two, cols
 
     # the row lengths first, so P is written in place a block at a time
-    indptr = np.zeros(fine_dm.n_unknown + 1, dtype=np.int32)
+    indptr = np.zeros(interior.size + 1, dtype=np.int32)
     for rows in blocks:
-        cols = parent_dofs(fine_dm.interior[rows])[2]
+        cols = parent_dofs(interior[rows])[2]
         indptr[rows.start + 1:rows.stop + 1] = (cols >= 0).sum(axis=(1, 2))
     np.cumsum(indptr, out=indptr)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     for rows in blocks:
-        facets = fine_dm.interior[rows]
+        facets = interior[rows]
         parents, two, cols = parent_dofs(facets)
         along = np.arange(d) != fine.facet_axis[facets, None]
         length = np.where(along, fine.elem_ext[fine.facet_elems[facets, 0]],
@@ -361,7 +340,7 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
         data[span] = vals[keep]
         indices[span] = cols[keep]
     return sp.csr_matrix((data, indices, indptr),
-                         shape=(fine_dm.n_unknown, coarse_dm.n_unknown))
+                         shape=(interior.size, coarse.interior_facets.size))
 
 
 def _poly_mul(p: dict, q: dict) -> dict:

@@ -82,8 +82,8 @@ def read_config_file(path: str) -> list:
 def load_custom(spec: str) -> Problem:
     """Import MODULE:ATTR and return the Problem it names or builds.
 
-    A module that does not import, or has no ATTR, is a ValueError naming
-    the spec.
+    A module that fails on import, a missing ATTR and a factory that
+    raises are each a ValueError naming the spec, whatever they raise.
     """
     module_name, _, attr = spec.partition(":")
     if not module_name or not attr:
@@ -91,10 +91,11 @@ def load_custom(spec: str) -> Problem:
                          f"got {spec!r}")
     try:
         obj = getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
-        raise ValueError(f"custom spec {spec!r}: {exc}") from exc
-    if callable(obj) and not isinstance(obj, Problem):
-        obj = obj()
+        if callable(obj) and not isinstance(obj, Problem):
+            obj = obj()
+    except Exception as exc:
+        raise ValueError(
+            f"custom spec {spec!r}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(obj, Problem):
         raise TypeError(f"{spec} is not a Problem (got {type(obj).__name__})")
     return obj
@@ -102,6 +103,9 @@ def load_custom(spec: str) -> Problem:
 
 def _run_study(args: argparse.Namespace) -> int:
     if args.out:
+        if os.path.isdir(args.out):
+            print(f"error: --out {args.out} is a directory", file=sys.stderr)
+            return 2
         folder = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(folder):
             print(f"error: --out {args.out}: directory {folder} does not "

@@ -1,11 +1,15 @@
 """Axis-aligned tensor-product meshes and triangulations.
 
-A TensorMesh is the product of one sorted gridline array per axis. Facets
-(edges in 2d, faces in 3d) are numbered in blocks by normal axis; inside
-the block the gridline position varies slowest, so the facet one layer
-deeper into the mesh is always ``id +- cross_size(axis)``. That layout is
-what the midpoint-averaging recovery relies on to follow its
-boundary-extrapolation chains without searching.
+A TensorMesh is the product of one sorted gridline array per axis. Its
+facets (edges in 2d, faces in 3d) are numbered by normal axis first, then
+by gridline position along that axis, then by the cell of the other axes
+in C order. ``facet_elems[f]`` is (lower, upper) along the normal, -1
+where a side is missing, and ``elem_facets[e]`` lists (axis 0 low, axis 0
+high, axis 1 low, ...). Every caller reads topology through these two
+tables, which both mesh types share; none computes facet ids. The
+numbering is still fixed: ``assembly.nested_dissection`` keeps facet-id
+order inside its leaves, so the 2d preconditioner, and through it the
+reports' bytes, depend on it.
 
 Meshes are immutable: all derived arrays are computed once and write-
 protected. Refinement and perturbation return new meshes.
@@ -13,6 +17,7 @@ protected. Refinement and perturbation return new meshes.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -57,14 +62,14 @@ class TensorMesh:
         Number of intervals per axis.
     ne, nf : int
         Element and facet counts.
+    elem_index : ndarray (ne, dim) int
+        Cell index along each axis; cells are numbered in C order.
     elem_lo, elem_ext, elem_center : ndarray (ne, dim)
     elem_measure : ndarray (ne,)
     elem_facets : ndarray (ne, 2*dim) int
         Global facet ids, ordered (axis0 low, axis0 high, axis1 low, ...).
     facet_axis : ndarray (nf,) int
         Normal axis of each facet.
-    facet_pos : ndarray (nf,) int
-        Gridline index of the facet along its normal axis.
     facet_elems : ndarray (nf, 2) int
         Adjacent element ids (lower side, upper side); -1 where absent.
     facet_midpoint : ndarray (nf, dim)
@@ -115,81 +120,53 @@ class TensorMesh:
         self.elem_center = _frozen(lo + 0.5 * ext)
         self.elem_measure = _frozen(_by_columns(np.multiply, ext))
 
-    def _facet_block_shapes(self):
-        # facets with normal axis k: (n_k + 1) positions x other-axis intervals
-        d, shape = self.dim, self.shape
-        return [(shape[k] + 1,) + tuple(shape[j] for j in range(d) if j != k)
-                for k in range(d)]
-
     def _build_facets(self):
-        d, shape = self.dim, self.shape
-        blocks = self._facet_block_shapes()
-        sizes = [int(np.prod(b)) for b in blocks]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        nf = int(offsets[-1])
-        self.nf = nf
-        self._block_offset = _frozen(offsets)
-        # number of facets sharing a normal-axis position (cross section size)
-        self._cross_size = _frozen(np.array(
-            [sizes[k] // (shape[k] + 1) for k in range(d)], dtype=np.int64))
-
-        axis = np.empty(nf, dtype=np.int64)
-        pos = np.empty(nf, dtype=np.int64)
-        mid = np.empty((nf, d))
-        meas = np.empty(nf)
-        elems = np.full((nf, 2), -1, dtype=np.int64)
-
+        # one block of facet ids per normal axis k, shaped (n_k + 1,) + the
+        # other axes' cell counts: the gridline position, then the other
+        # axes' cells in C order
+        d, shape, idx = self.dim, self.shape, self.elem_index
         centers = [0.5 * (g[:-1] + g[1:]) for g in self.gridlines]
         lens = [np.diff(g) for g in self.gridlines]
-        estrides = np.array(
-            [int(np.prod(shape[j + 1:])) for j in range(d)], dtype=np.int64)
-
+        ef = np.empty((self.ne, 2 * d), dtype=np.int64)
+        axes, mids, measures = [], [], []
+        start = 0
         for k in range(d):
-            sl = slice(offsets[k], offsets[k + 1])
-            bidx = np.indices(blocks[k]).reshape(d, -1).T   # (size_k, d)
-            p = bidx[:, 0]
-            cross = bidx[:, 1:]                              # other-axis intervals
             other = [j for j in range(d) if j != k]
-            axis[sl] = k
-            pos[sl] = p
-            mid[sl, k] = self.gridlines[k][p]
-            m = np.ones(len(p))
+            block = (shape[k] + 1,) + tuple(shape[j] for j in other)
+            size = math.prod(block)
+            # a cell's low facet sits at its own position, its high one a
+            # cross section further
+            ef[:, 2 * k] = start + np.ravel_multi_index(
+                idx[:, [k] + other].T, block)
+            ef[:, 2 * k + 1] = ef[:, 2 * k] + size // block[0]
+            pos = np.indices(block).reshape(d, -1)
+            mid = np.empty((size, d))
+            mid[:, k] = self.gridlines[k][pos[0]]
+            measure = np.ones(size)
             for c, j in enumerate(other):
-                mid[sl, j] = centers[j][cross[:, c]]
-                m = m * lens[j][cross[:, c]]
-            meas[sl] = m
-            # adjacent elements: i_k = p-1 (lower side), i_k = p (upper side)
-            base = cross @ estrides[other]
-            lower = base + (p - 1) * estrides[k]
-            upper = base + p * estrides[k]
-            block = elems[sl]
-            block[p > 0, 0] = lower[p > 0]
-            block[p < shape[k], 1] = upper[p < shape[k]]
-            elems[sl] = block
+                mid[:, j] = centers[j][pos[c + 1]]
+                measure = measure * lens[j][pos[c + 1]]
+            axes.append(np.full(size, k, dtype=np.int64))
+            mids.append(mid)
+            measures.append(measure)
+            start += size
+        self.nf = start
+        # cell e is the lower neighbor of its high facets, the upper
+        # neighbor of its low ones
+        elems = np.full((self.nf, 2), -1, dtype=np.int64)
+        cells = np.arange(self.ne)[:, None]
+        elems[ef[:, 1::2], 0] = cells
+        elems[ef[:, 0::2], 1] = cells
 
-        self.facet_axis = _frozen(axis)
-        self.facet_pos = _frozen(pos)
-        self.facet_midpoint = _frozen(mid)
-        self.facet_measure = _frozen(meas)
+        self.elem_facets = _frozen(ef)
         self.facet_elems = _frozen(elems)
+        self.facet_axis = _frozen(np.concatenate(axes))
+        self.facet_midpoint = _frozen(np.concatenate(mids))
+        self.facet_measure = _frozen(np.concatenate(measures))
         bnd = (elems[:, 0] < 0) | (elems[:, 1] < 0)
         self.facet_boundary = _frozen(bnd)
         self.interior_facets = _frozen(np.flatnonzero(~bnd))
         self.boundary_facets = _frozen(np.flatnonzero(bnd))
-
-        # element -> facet table, (axis0 lo, axis0 hi, axis1 lo, ...)
-        ef = np.empty((self.ne, 2 * d), dtype=np.int64)
-        idx = self.elem_index
-        cs = self._cross_size
-        for k in range(d):
-            other = [j for j in range(d) if j != k]
-            fstrides = np.array(
-                [int(np.prod([shape[o] for o in other[c + 1:]]))
-                 for c in range(len(other))], dtype=np.int64)
-            cross_flat = idx[:, other] @ fstrides
-            ef[:, 2 * k] = offsets[k] + idx[:, k] * cs[k] + cross_flat
-            ef[:, 2 * k + 1] = offsets[k] + (idx[:, k] + 1) * cs[k] + cross_flat
-        self.elem_facets = _frozen(ef)
 
     def _check_nondegeneracy(self):
         ext = self.elem_ext
@@ -224,15 +201,6 @@ class TensorMesh:
     @property
     def elem_second_moment(self) -> np.ndarray:
         return self.elem_ext ** 2 / 12.0
-
-    def cross_size(self, axis: int) -> int:
-        """Facet-id stride for stepping one gridline along ``axis``."""
-        return int(self._cross_size[axis])
-
-    def facet_block(self, axis: int) -> slice:
-        """Slice of facet ids whose normal is ``axis``."""
-        return slice(int(self._block_offset[axis]),
-                     int(self._block_offset[axis + 1]))
 
 
 def build_tensor_mesh(*gridlines) -> TensorMesh:

@@ -248,25 +248,22 @@ def midpoint_average(flux: BrokenRT) -> MidpointFlux:
     vals[inter] = (m[:, [0]] * traces[inter, 1, :]
                    + m[:, [1]] * traces[inter, 0, :]) / wsum
 
-    for k in range(d):
-        block = mesh.facet_block(k)
-        ids_all = np.arange(block.start, block.stop)
-        pos = mesh.facet_pos[block]
-        step = mesh.cross_size(k)
-        n_k = mesh.shape[k]
-        for side, sign in ((0, 1), (1, -1)):
-            ids = ids_all[pos == (0 if side == 0 else n_k)]
-            e1 = ids + sign * step
-            e2 = ids + 2 * sign * step
-            inner = 1 if side == 0 else 0
-            K = mesh.facet_elems[ids, inner]
-            Kp = mesh.facet_elems[e1, inner]
-            w = measure[Kp] / (measure[K] + measure[Kp])
-            wp = measure[K] / (measure[K] + measure[Kp])
-            # When E'' is the opposite boundary facet (two elements
-            # across), K' is its one adjacent element: below it on the
-            # low-side chain, above it on the high-side chain.
-            m2 = np.where(mesh.facet_boundary[e2][:, None],
-                          traces[e2, side, :], vals[e2])
-            vals[ids] = (vals[e1] - wp[:, None] * m2) / w[:, None]
+    # the chain of each boundary facet E: its one cell K, the facet E' of
+    # K opposite E, the cell K' across E', and the facet E'' of K'
+    # opposite E'
+    bnd = mesh.boundary_facets
+    inner = (mesh.facet_elems[bnd, 0] < 0).astype(np.int64)   # K's side
+    opposite = 2 * mesh.facet_axis[bnd] + inner
+    K = mesh.facet_elems[bnd, inner]
+    e1 = mesh.elem_facets[K, opposite]
+    Kp = mesh.facet_elems[e1, inner]
+    e2 = mesh.elem_facets[Kp, opposite]
+    w = measure[Kp] / (measure[K] + measure[Kp])
+    wp = measure[K] / (measure[K] + measure[Kp])
+    # When E'' is the opposite boundary facet (two elements across), K'
+    # is its one adjacent element: below it on the low-side chain, above
+    # it on the high-side chain.
+    m2 = np.where(mesh.facet_boundary[e2][:, None],
+                  traces[e2, 1 - inner, :], vals[e2])
+    vals[bnd] = (vals[e1] - wp[:, None] * m2) / w[:, None]
     return MidpointFlux(mesh, vals)

@@ -5,9 +5,9 @@ from scipy.sparse.linalg import spsolve
 
 from ncflux import assembly, elements
 from ncflux.analysis import l2_error
-from ncflux.assembly import (LinearSystem, assemble, boundary_means, dof_map,
+from ncflux.assembly import (LinearSystem, assemble, boundary_means,
                              nested_dissection, prolongation,
-                             reconstruct_field)
+                             reconstruct_field, unknown_index)
 from ncflux.cr import RawFlux, assemble_cr, rt_interpolate_tri
 from ncflux.elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
                              cell_quadrature, edge_quadrature, facet_blocks,
@@ -79,13 +79,12 @@ def test_assembled_matrix_matches_dense_reference():
     problem = polynomial_problem()
     system = assemble(mesh, problem)
     amat, load = dense_reference_system(mesh, problem)
-    dm = system.dofmap
-    ref = amat[np.ix_(dm.interior, dm.interior)]
+    inter, bnd = mesh.interior_facets, mesh.boundary_facets
+    ref = amat[np.ix_(inter, inter)]
     got = system.matrix.toarray()
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() < 1e-12 * scale
-    ref_rhs = (load[dm.interior]
-               - amat[np.ix_(dm.interior, dm.boundary)] @ system.bc_values)
+    ref_rhs = (load[inter] - amat[np.ix_(inter, bnd)] @ system.bc_values)
     assert np.abs(system.rhs - ref_rhs).max() < 1e-12 * max(
         1.0, np.abs(ref_rhs).max())
 
@@ -123,7 +122,7 @@ def test_linear_solution_is_reproduced_exactly(dim):
     exact_dofs = prob.u(mesh.facet_midpoint)
 
     system = assemble(mesh, prob)
-    residual = system.matrix @ exact_dofs[system.dofmap.interior] - system.rhs
+    residual = system.matrix @ exact_dofs[mesh.interior_facets] - system.rhs
     assert np.abs(residual).max() < 1e-12
 
     field = solve_tensor(mesh, prob)
@@ -288,17 +287,23 @@ def test_dimension_mismatch_rejected():
      assemble),
     (lambda: build_uniform_parallel(3, 2), assemble_cr),
 ], ids=["box", "tri"])
-def test_dof_map_partitions_facets(mesh_factory, assembler):
+def test_unknown_index_partitions_facets(mesh_factory, assembler):
     mesh = mesh_factory()
-    dm = dof_map(mesh)
-    assert dm.n_unknown == mesh.interior_facets.size
-    assert np.all(dm.unknown[dm.boundary] == -1)
-    assert np.all(dm.unknown[dm.interior] == np.arange(dm.n_unknown))
-    assert dm.n_unknown + dm.boundary.size == mesh.nf
+    inter, bnd = mesh.interior_facets, mesh.boundary_facets
+    unknown = unknown_index(mesh)
+    assert unknown is unknown_index(mesh)
+    assert not unknown.flags.writeable
+    assert np.all(unknown[bnd] == -1)
+    assert np.array_equal(unknown[inter], np.arange(inter.size))
+    assert inter.size + bnd.size == mesh.nf
     system = assembler(mesh, problem1())
     assert isinstance(system, LinearSystem)
-    assert system.dofmap is dm
-    assert system.full_dofs(np.zeros(dm.n_unknown)).shape == (mesh.nf,)
+    assert system.matrix.shape == (inter.size, inter.size)
+    x = np.arange(1.0, inter.size + 1)
+    full = system.full_dofs(x)
+    assert full.shape == (mesh.nf,)
+    assert np.array_equal(full[inter], x)
+    assert np.array_equal(full[bnd], system.bc_values)
 
 
 def chunked_level(mesh, prob):
@@ -487,7 +492,7 @@ def test_box_fields_evaluate_one_block_of_rows(dim):
 @given(st.one_of(perturbed_2d_meshes(), tri_meshes()))
 def test_nested_dissection_is_a_permutation_of_the_unknowns(mesh):
     order = nested_dissection(mesh)
-    assert np.array_equal(np.sort(order), np.arange(dof_map(mesh).n_unknown))
+    assert np.array_equal(np.sort(order), np.arange(mesh.interior_facets.size))
 
 
 def check_dissection(mesh, matrix, order, lo, hi):
@@ -504,7 +509,7 @@ def check_dissection(mesh, matrix, order, lo, hi):
     k = int(np.argmax(ext))
     mid = (lo[k] + hi[k]) // 2
     cut = mesh.gridlines[k][mid]
-    facets = dof_map(mesh).interior[order]
+    facets = mesh.interior_facets[order]
     x = mesh.facet_midpoint[facets, k]
     sep = (mesh.facet_axis[facets] == k) & (x == cut)
     nl = np.count_nonzero(x < cut)
@@ -541,7 +546,7 @@ def check_tri_dissection(mesh, matrix, order, lo, hi):
     k = int(np.argmax(ext))
     mid = (lo[k] + hi[k]) // 2
     cut = np.unique(mesh.elem_center[:, k])[mid]
-    edges = dof_map(mesh).interior[order]
+    edges = mesh.interior_facets[order]
     x = mesh.elem_center[mesh.facet_elems[edges], k]  # (n, 2)
     is_left = (x < cut).all(axis=1)
     is_right = (x >= cut).all(axis=1)
@@ -566,17 +571,17 @@ def test_nested_dissection_separates_triangles(mesh):
     cuts = check_tri_dissection(mesh, matrix, nested_dissection(mesh),
                                 (0, 0), ranks)
     assert (cuts > 0) == (np.prod(ranks) > assembly.ND_LEAF_TRI
-                          and dof_map(mesh).n_unknown > 1)
+                          and mesh.interior_facets.size > 1)
 
 
 def cell_index_dissection(mesh):
     """The box-only order nested_dissection generalizes: cut the cell
     index box at the middle gridline of its longer side, recursively;
     the interior facets on that gridline are the separator."""
-    dm = dof_map(mesh)
-    axis = mesh.facet_axis[dm.interior]
+    inter = mesh.interior_facets
+    axis = mesh.facet_axis[inter]
     # cell index of the upper neighbour
-    coord = mesh.elem_index[mesh.facet_elems[dm.interior, 1]]
+    coord = mesh.elem_index[mesh.facet_elems[inter, 1]]
     out = []
 
     def split(unk, lo, hi):
@@ -593,7 +598,7 @@ def cell_index_dissection(mesh):
         split(unk[~left & ~sep], lo[:k] + (mid,) + lo[k + 1:], hi)
         out.append(unk[sep])
 
-    split(np.arange(dm.n_unknown), (0,) * mesh.dim, tuple(mesh.shape))
+    split(np.arange(inter.size), (0,) * mesh.dim, tuple(mesh.shape))
     return np.concatenate(out)
 
 
@@ -768,14 +773,14 @@ def test_prolongation_reproduces_the_span_polynomials(name):
     q = SPAN_POLYNOMIALS[name]
     fine = odd_perturbed_cube()
     coarse = coarsen(fine)
-    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
     got = prolongation(coarse, fine) @ facet_means(coarse, q)[
-        coarse_dm.interior]
-    want = facet_means(fine, q)[fine_dm.interior]
+        coarse.interior_facets]
+    want = facet_means(fine, q)[fine.interior_facets]
     # P carries the coarse unknowns only: compare the rows whose parent
     # cells have no boundary facet, which see every dof they need
     touches = coarse.facet_boundary[coarse.elem_facets].any(axis=1)
-    parents = parent_cells(coarse, fine, fine.facet_elems[fine_dm.interior])
+    parents = parent_cells(coarse, fine,
+                           fine.facet_elems[fine.interior_facets])
     rows = ~touches[parents].any(axis=1)
     assert rows.sum() > 100
     assert np.abs(got[rows] - want[rows]).max() \
@@ -788,15 +793,15 @@ def test_prolongation_takes_facet_means_of_the_parent_polynomials():
     # cell, averaged over the (one or two) parents
     fine = odd_perturbed_cube()
     coarse = coarsen(fine)
-    fine_dm, coarse_dm = dof_map(fine), dof_map(coarse)
-    v = np.random.default_rng(2).normal(size=coarse_dm.n_unknown)
+    inter = fine.interior_facets
+    v = np.random.default_rng(2).normal(size=coarse.interior_facets.size)
     dofs = np.zeros(coarse.nf)
-    dofs[coarse_dm.interior] = v
+    dofs[coarse.interior_facets] = v
     field = reconstruct_field(coarse, dofs)
-    pts, wts = facet_quadrature(fine, fine_dm.interior)
-    parents = parent_cells(coarse, fine, fine.facet_elems[fine_dm.interior])
+    pts, wts = facet_quadrature(fine, inter)
+    parents = parent_cells(coarse, fine, fine.facet_elems[inter])
     means = [np.einsum("fq,fq->f", wts, field.eval_at(pts, parents[:, side]))
              for side in (0, 1)]
-    want = 0.5 * (means[0] + means[1]) / fine.facet_measure[fine_dm.interior]
+    want = 0.5 * (means[0] + means[1]) / fine.facet_measure[inter]
     got = prolongation(coarse, fine) @ v
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

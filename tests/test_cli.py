@@ -206,6 +206,13 @@ def test_out_into_missing_directory_exits_before_any_level(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_out_naming_a_directory_exits_before_any_level(tmp_path, capsys):
+    assert main(["study", "--levels", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {tmp_path} is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_two(tmp_path):
     code = main(["study", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
@@ -270,6 +277,26 @@ def test_unimportable_spec_exits_two_naming_it(capsys, spec, why):
     err = capsys.readouterr().err
     assert f"error: custom spec {spec!r}" in err and why in err
     assert "Traceback" not in err and "ne=" not in err
+
+
+@pytest.mark.parametrize("module, source, why", [
+    ("cli_syntax_fixture", "def make(:\n", "SyntaxError: "),
+    ("cli_raising_fixture", "raise RuntimeError('no data here')\n",
+     "RuntimeError: no data here"),
+    ("cli_factory_fixture", "def make():\n    raise RuntimeError('no data')\n",
+     "RuntimeError: no data"),
+])
+def test_spec_that_raises_exits_two_naming_it(tmp_path, monkeypatch, capsys,
+                                              module, source, why):
+    (tmp_path / f"{module}.py").write_text(source)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    spec = f"{module}:make"
+    code = main(["study", "--problem", "custom", "--custom-spec", spec,
+                 "--levels", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: custom spec {spec!r}: {why}")
+    assert err.count("\n") == 1 and "ne=" not in err
 
 
 def test_spec_without_custom_problem_exits_before_any_level(tmp_path,

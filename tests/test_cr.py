@@ -45,7 +45,7 @@ def test_linear_solution_is_reproduced_exactly(mesh_factory):
     exact = prob.u(mesh.facet_midpoint)
 
     system = assemble_cr(mesh, prob)
-    residual = system.matrix @ exact[system.dofmap.interior] - system.rhs
+    residual = system.matrix @ exact[mesh.interior_facets] - system.rhs
     assert np.abs(residual).max() < 1e-12
 
     field = solve_cr(mesh, prob)

@@ -2,13 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from ncflux.mesh import (TensorMesh, TriMesh, build_tensor_mesh,
                          build_uniform_parallel, coarsen, perturb,
                          refine_midpoint)
 
-from helpers import jittered_parallel, perturbed_2d_meshes
+from helpers import jittered_parallel
 
 GRID_X = (0.0, 0.4, 0.8, 1.0)
 GRID_Y = (0.0, 0.7, 1.0)
@@ -54,31 +53,38 @@ def test_element_facet_table_is_consistent():
         assert np.allclose(hi, mesh.elem_lo[:, k] + mesh.elem_ext[:, k])
 
 
-@settings(max_examples=25)
-@given(perturbed_2d_meshes())
-def test_facet_numbering_contract(mesh):
-    # midpoint_average follows boundary chains by id +- cross_size(axis):
-    # the facet one gridline further along axis k shares the element
-    # between the two, and elem_facets names exactly those facets
-    ids = np.arange(mesh.nf)
-    for k in range(mesh.dim):
-        step = mesh.cross_size(k)
-        block = ids[mesh.facet_block(k)]
-        assert (mesh.facet_axis[block] == k).all()
-        inner = block[mesh.facet_pos[block] < mesh.shape[k]]
-        nxt = inner + step
-        assert (mesh.facet_axis[nxt] == k).all()
-        assert np.array_equal(mesh.facet_pos[nxt], mesh.facet_pos[inner] + 1)
-        assert np.array_equal(mesh.facet_elems[inner, 1],
-                              mesh.facet_elems[nxt, 0])
-        assert (mesh.facet_elems[inner, 1] >= 0).all()
-        lo, hi = mesh.elem_facets[:, 2 * k], mesh.elem_facets[:, 2 * k + 1]
-        assert np.array_equal(hi, lo + step)
-        assert np.array_equal(mesh.facet_elems[lo, 1], np.arange(mesh.ne))
-        assert np.array_equal(mesh.facet_elems[hi, 0], np.arange(mesh.ne))
-    # every element is named once per side of each axis, and nowhere else
-    named = np.sort(mesh.facet_elems[mesh.facet_elems >= 0])
-    assert np.array_equal(named, np.repeat(np.arange(mesh.ne), 2 * mesh.dim))
+def test_facet_numbering():
+    # facet ids run by normal axis, then gridline position along it, then
+    # the cell of the other axes in C order; nested dissection keeps this
+    # order inside its leaves, so the reports depend on it
+    meshes = [perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
+                                          for n in shape)), 0.3, seed=3)
+              for shape in [(3,), (3, 2), (2, 3, 4)]]
+    for mesh in meshes:
+        d, shape = mesh.dim, mesh.shape
+        f = 0
+        for k in range(d):
+            other = [j for j in range(d) if j != k]
+            for p in range(shape[k] + 1):
+                for cross in np.ndindex(*(shape[j] for j in other)):
+                    cell = np.empty(d, dtype=int)
+                    cell[other] = cross
+                    assert mesh.facet_axis[f] == k
+                    assert mesh.facet_midpoint[f, k] == mesh.gridlines[k][p]
+                    for c, j in enumerate(other):
+                        g = mesh.gridlines[j]
+                        assert mesh.facet_midpoint[f, j] == 0.5 * (
+                            g[cross[c]] + g[cross[c] + 1])
+                    # (lower, upper) cells along axis k, -1 where missing
+                    for side, i in ((0, p - 1), (1, p)):
+                        e = -1
+                        if 0 <= i < shape[k]:
+                            cell[k] = i
+                            e = np.ravel_multi_index(cell, shape)
+                            assert mesh.elem_facets[e, 2 * k + 1 - side] == f
+                        assert mesh.facet_elems[f, side] == e
+                    f += 1
+        assert f == mesh.nf
 
 
 def facet_patch(mesh, facet_id):
