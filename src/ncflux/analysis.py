@@ -169,12 +169,13 @@ class StudyConfig:
 
     element is "ncrt2d" or "ncrt3d" (box meshes, facet-mean dofs) or
     "cr" (triangles). skip counts the leading levels excluded from the
-    order fit; None picks the element default. perturb is the gridline
-    perturbation fraction for box hierarchies, ignored with a warning on
-    triangular ones. tol in (0, 1) bounds the true relative residual of
-    every BiCGStab solve. cr_initial is the per-side cell count of the
-    first triangular level. custom supplies the Problem when
-    problem="custom". These defaults are the command line's defaults.
+    order fit; None picks the element default, and an explicit skip must
+    leave two levels. perturb is the gridline perturbation fraction for
+    box hierarchies, ignored with a warning on triangular ones. tol in
+    (0, 1) bounds the true relative residual of every BiCGStab solve.
+    cr_initial is the per-side cell count of the first triangular level.
+    custom supplies the Problem when problem="custom". These defaults
+    are the command line's defaults.
     """
 
     problem: str = "p1"
@@ -229,6 +230,9 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
     skip = _AUTO_SKIP[config.element] if config.skip is None else config.skip
     if skip < 0:
         raise ValueError("skip must be nonnegative")
+    if config.skip is not None and config.levels - skip < 2:
+        raise ValueError(f"skip={skip} leaves fewer than 2 of "
+                         f"levels={config.levels} to fit orders over")
     return skip
 
 

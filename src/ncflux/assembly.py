@@ -15,9 +15,9 @@ Box element loops run over blocks of ``elements.BLOCK_POINTS``
 quadrature points of the data rule (``cell_blocks``: 3,640 cells of 9
 points in 2d, 1,213 of 27 in 3d) and map the rule for one block at a
 time, so the per-point arrays stay the same size whatever the mesh and
-its dimension; the basis tables of
-``nc_basis``, ``recovery`` and the box error norms of ``analysis`` take
-their blocks from the same budget when they are called. Problem data
+its dimension. The basis tables (``nc_basis``) are built for each block
+too and not kept, and ``recovery`` and the box error norms of
+``analysis`` take their blocks from the same budget. Problem data
 is checked to be finite block by block as it is sampled. The element
 kernel never forms basis functions or gradients at the points: the
 stiffness, convection, reaction and load are the cells' moments of the
@@ -64,11 +64,10 @@ def unknown_index(mesh: TensorMesh | TriMesh) -> np.ndarray:
     return _cached(mesh, "unknown_index", build)
 
 
-# Leaf size of nested_dissection as a rank-box volume: 64 cells on boxes;
-# 16 ranks, which hold 8 triangles of a uniform mesh, on triangles, whose
-# factor fills less with small leaves for little extra ordering time.
-ND_LEAF = 64
-ND_LEAF_TRI = 16
+# Leaf size of nested_dissection as a rank-box volume, one for both mesh
+# families: 16 box cells, or 8 triangles of a uniform mesh. Against 64-cell
+# leaves the last ncrt2d factor's L+U holds 10.5M, not 12.0M, nonzeros.
+ND_LEAF = 16
 
 
 def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
@@ -79,11 +78,10 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
     The box of ranks is cut at the middle of its longer side; the
     unknowns whose two elements fall on different sides of the cut
     separate the two halves, which are ordered first, each by the same
-    rule, then the separator. Boxes of at most ND_LEAF ranks (ND_LEAF_TRI
-    on triangles), and pieces of at most one unknown, keep facet-id
-    order. Returns order with order[i] the unknown placed i-th.
+    rule, then the separator. Boxes of at most ND_LEAF ranks, and pieces
+    of at most one unknown, keep facet-id order. Returns order with
+    order[i] the unknown placed i-th.
     """
-    leaf = ND_LEAF if isinstance(mesh, TensorMesh) else ND_LEAF_TRI
     center = mesh.elem_center
     rank = np.empty(center.shape, dtype=np.int32)
     for k in range(center.shape[1]):
@@ -107,7 +105,7 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
         ext = [h - l for l, h in zip(lo, hi)]
         # where centroids share no coordinates the rank box is far larger
         # than its elements; a piece of one unknown needs no more cuts
-        if unk.size <= 1 or math.prod(ext) <= leaf:
+        if unk.size <= 1 or math.prod(ext) <= ND_LEAF:
             order[end - unk.size:end] = unk
             end -= unk.size
             continue
@@ -285,10 +283,10 @@ def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
     cell's xi = x - center: over an axis-aligned facet the mean of xi_j
     is its value at the facet midpoint, and the mean of xi_j^2 is that
     value squared, plus L_j^2 / 12 on each axis j along the facet, L_j
-    its length there. Times the coarse coeff,
-    these give the weights of the coarse cell's dofs. Built a block of
-    fine unknowns at a time; a row with two parent cells holds their
-    shared coarse facet twice, and products with P add the two.
+    its length there. Times the coarse tables, built once for the whole
+    coarse mesh, these give the weights of the coarse cell's dofs. Built
+    a block of fine unknowns at a time; a row with two parent cells
+    holds their shared coarse facet twice, and products with P add the two.
     """
     d = fine.dim
     coeff = nc_basis(coarse)
@@ -401,7 +399,6 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
     # basis as coeff^T S coeff; all products are batched matmuls per cell.
     # Yields (facets, local, load), or (facets, local) without the load.
     d = mesh.dim
-    tables = nc_basis(mesh, "mean")
     stiff, conv, react, load_t = _product_tensors(d)
     # the data rows: a, then b's components, then c; the load f last
     terms = ([stiff] + (conv if problem.b is not None else [])
@@ -427,7 +424,7 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
         moments = cell_moments(mesh, data, blk, degree, DATA_RULE)
         mono = (moments[:, :nt].reshape(n, 1, -1) @ products).reshape(
             n, nm, nm)
-        coeff = tables[blk]
+        coeff = nc_basis(mesh, "mean", blk)
         local = coeff.transpose(0, 2, 1) @ mono @ coeff
         if not load:
             yield mesh.elem_facets[blk], local
@@ -482,5 +479,8 @@ def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray) -> NcrtField:
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.nf,):
         raise ValueError(f"expected {mesh.nf} dof values, got {dofs.shape}")
-    coeffs = np.einsum("emj,ej->em", nc_basis(mesh), dofs[mesh.elem_facets])
+    coeffs = np.empty((mesh.ne, span_size(mesh.dim)))
+    for blk in cell_blocks(mesh):
+        coeffs[blk] = np.einsum("emj,ej->em", nc_basis(mesh, "mean", blk),
+                                dofs[mesh.elem_facets[blk]])
     return NcrtField(mesh=mesh, dofs=dofs, coeffs=coeffs)

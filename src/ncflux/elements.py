@@ -16,9 +16,8 @@ xi = x - x_K (x_K = ``elem_center``). Both dual bases are closed forms,
 with no matrix inverted per element: the box tables depend only on each
 cell's half-extents h = elem_ext / 2 (``nc_basis``), and the triangle
 tables are barycentric coordinates from edge cofactors over 2|T|
-(``cr_basis``). Box tables are built a block of elements at a time,
-kept read-only for the whole mesh and evaluated for the rows asked for
-(all by default).
+(``cr_basis``). Both are built for the rows asked for (all by default)
+and not kept, so a block pass holds only its own block's tables.
 
 Box rules are named by purpose: ``DATA_RULE`` (3 Gauss points per axis)
 for integrals of problem data, ``NORM_RULE`` (4 points) for the error
@@ -36,10 +35,9 @@ take blocks of ``BLOCK_POINTS`` quadrature points of the rule in use
 (``cell_blocks``, ``facet_blocks``), so the per-point arrays of a block
 are the same size in 2d and 3d and for either rule.
 
-Triangle tables and quadrature are built for the rows asked for (all by
-default), so that the triangular pipeline can work through a large mesh
-in blocks of ``TRI_BLOCK`` rows without holding per-point arrays for the
-whole mesh.
+Triangle quadrature is built for the rows asked for too, so that the
+triangular pipeline can work through a large mesh in blocks of
+``TRI_BLOCK`` rows without holding per-point arrays for the whole mesh.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TensorMesh, TriMesh, _by_columns, _frozen
+from .mesh import TensorMesh, TriMesh, _by_columns
 from .quadrature import (gauss1d, map_to_box, map_to_triangle,
                          moment_table, monomial_exponents, tensor_rule,
                          triangle_rule)
@@ -81,12 +79,13 @@ def span_polynomials(dim: int) -> tuple[dict, ...]:
     return tuple(polys)
 
 
-def nc_basis(mesh: TensorMesh, kind: str = "mean") -> np.ndarray:
-    """Dof-dual basis tables for the nonconforming space on a box mesh:
-    coeff (ne, 2d, 2d), read-only, with coeff[e] mapping dof values to
-    span coefficients, so a local function with dof vector v is
-    sum_m (coeff[e] @ v)[m] * span_m(xi). Dof order matches
-    TensorMesh.elem_facets.
+def nc_basis(mesh: TensorMesh, kind: str = "mean",
+             rows=slice(None)) -> np.ndarray:
+    """Dof-dual basis tables of the cells ``rows`` (all by default) for
+    the nonconforming space on a box mesh: coeff (b, 2d, 2d), with
+    coeff[e] mapping dof values to span coefficients, so a local function
+    with dof vector v is sum_m (coeff[e] @ v)[m] * span_m(xi). Dof order
+    matches TensorMesh.elem_facets.
 
     kind "mean" uses facet means (the solvable space); "midpoint" uses
     facet-midpoint values (the space the recovered flux lives in).
@@ -101,39 +100,36 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean") -> np.ndarray:
     (m = 1..d-1), facet k's equation minus facet 0's is
     (1 - mu) M c = y_0 - y_k with M = h_0^2 11^T + diag(h_1^2, ..,
     h_{d-1}^2), whose inverse is a closed form (``_quadratic_inverse``),
-    and facet 0's equation then gives c_0. Built a block of
-    ``cell_blocks`` at a time and kept per mesh.
+    and facet 0's equation then gives c_0. Built for the rows asked for
+    and not kept, like ``cr_basis``'s; every row is computed on its own,
+    so its bits do not depend on the other rows asked for.
     """
     if kind not in ("mean", "midpoint"):
         raise ValueError(f"unknown dof kind {kind!r}")
-    key = ("nc_basis", kind)
-    hit = mesh._cache.get(key)
-    if hit is not None:
-        return hit
     d = mesh.dim
     if d not in (2, 3):
         raise ValueError("element requires dimension 2 or 3")
     mu = 1.0 / 3.0 if kind == "mean" else 0.0
-    even = [0] + list(range(d + 1, span_size(d)))   # 1, xi_0^2 - xi_m^2
-    coeff = np.zeros((mesh.ne, span_size(d), 2 * d))
-    for rows in cell_blocks(mesh):
-        h = 0.5 * mesh.elem_ext[rows]
-        sq = h * h
-        # dual[:, i, k]: the coefficient of y_k in c_0 (i = 0) or c_i
-        inv = _quadratic_inverse(sq) / (1.0 - mu)
-        dual = np.empty((sq.shape[0], d, d))
-        dual[:, 1:, 0] = _by_columns(np.add, inv)
-        dual[:, 1:, 1:] = -inv
-        # c_0 = y_0 - sum_m (facet 0's dof of xi_0^2 - xi_m^2) c_m
-        facet0 = sq[:, :1] - mu * sq[:, 1:]
-        dual[:, 0, :] = -_by_columns(
-            np.add, facet0[:, None, :] * dual[:, 1:, :].transpose(0, 2, 1))
-        dual[:, 0, 0] += 1.0
-        for k in range(d):
-            coeff[rows, 1 + k, 2 * k] = -0.5 / h[:, k]
-            coeff[rows, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
-            coeff[rows, even, 2 * k:2 * k + 2] = 0.5 * dual[:, :, k, None]
-    mesh._cache[key] = _frozen(coeff)
+    h = 0.5 * mesh.elem_ext[rows]
+    sq = h * h
+    # dual[:, i, k]: the coefficient of y_k in c_0 (i = 0) or c_i
+    inv = _quadratic_inverse(sq) / (1.0 - mu)
+    dual = np.empty((sq.shape[0], d, d))
+    dual[:, 1:, 0] = _by_columns(np.add, inv)
+    dual[:, 1:, 1:] = -inv
+    # c_0 = y_0 - sum_m (facet 0's dof of xi_0^2 - xi_m^2) c_m
+    facet0 = sq[:, :1] - mu * sq[:, 1:]
+    dual[:, 0, :] = -_by_columns(
+        np.add, facet0[:, None, :] * dual[:, 1:, :].transpose(0, 2, 1))
+    dual[:, 0, 0] += 1.0
+    coeff = np.zeros((sq.shape[0], span_size(d), 2 * d))
+    for k in range(d):
+        coeff[:, 1 + k, 2 * k] = -0.5 / h[:, k]
+        coeff[:, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
+    # each of facet k's two dofs weighs half of y_k in 1, xi_0^2 - xi_m^2
+    dual *= 0.5
+    coeff[:, 0, 0::2] = coeff[:, 0, 1::2] = dual[:, 0]
+    coeff[:, d + 1:, 0::2] = coeff[:, d + 1:, 1::2] = dual[:, 1:]
     return coeff
 
 
@@ -152,7 +148,7 @@ def _quadratic_inverse(sq: np.ndarray) -> np.ndarray:
     c = _by_columns(np.add, inv)
     out = -inv[:, 1:, None] * inv[:, None, 1:] / c[:, None, None]
     for k in range(1, sq.shape[1]):
-        others = _by_columns(np.add, np.delete(inv, k, axis=1))
+        others = _by_columns(np.add, inv[:, np.arange(inv.shape[1]) != k])
         out[:, k - 1, k - 1] = others * inv[:, k] / c
     return out
 
@@ -192,10 +188,10 @@ def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 def basis_values(mesh: TensorMesh, coeff: np.ndarray, pts: np.ndarray,
                  rows=slice(None)) -> np.ndarray:
     """Values at pts (ne, nq, d) of the elements rows of the dof basis
-    with tables coeff (``nc_basis``): (ne, nq, ndof)."""
+    with their tables coeff (``nc_basis(mesh, kind, rows)``):
+    (ne, nq, ndof)."""
     # xi is freed before the matmul, which keeps a block's peak lower
-    return (span_values(pts - mesh.elem_center[rows, None, :])
-            @ coeff[rows])
+    return span_values(pts - mesh.elem_center[rows, None, :]) @ coeff
 
 
 @dataclass

@@ -201,14 +201,14 @@ class MidpointFlux:
     def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
         mesh = self.mesh
-        phi = basis_values(mesh, nc_basis(mesh, "midpoint"), pts, rows)
+        phi = basis_values(mesh, nc_basis(mesh, "midpoint", rows), pts, rows)
         return phi @ self.values[mesh.elem_facets[rows]]
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """Coefficients of the components in the reference monomials of
         the cells rows: (b, d, 2d + 1), see ``elements.reference_coeffs``."""
         mesh = self.mesh
-        span = (nc_basis(mesh, "midpoint")[rows]
+        span = (nc_basis(mesh, "midpoint", rows)
                 @ self.values[mesh.elem_facets[rows]])      # (b, 2d, d)
         return reference_coeffs(mesh, span.transpose(0, 2, 1), rows)
 

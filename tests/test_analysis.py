@@ -14,8 +14,7 @@ from ncflux import analysis, assembly, elements, recovery
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
-                             cell_quadrature, nc_basis, row_blocks,
-                             tri_quadrature)
+                             cell_quadrature, row_blocks, tri_quadrature)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
 from ncflux.problems import problem1, problem2
 from ncflux.quadrature import reference_monomials
@@ -95,7 +94,6 @@ def test_box_error_norms_allocate_one_block_at_a_time(monkeypatch):
     mesh = refined_box_mesh(prob, 4096)
     exact, approx = level_error_pairs(prob, mesh, 51)
     pts, wts = cell_quadrature(mesh)       # whole-mesh rule, for its size
-    nc_basis(mesh, "midpoint")
 
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
@@ -237,10 +235,9 @@ def test_mesh_caches_are_read_only_after_a_level(monkeypatch, config):
     monkeypatch.setattr(analysis, "_level", kept)
     run_study(config)
     cache = meshes[0]._cache
-    assert "unknown_index" in cache
-    if config.element != "cr":
-        assert ("nc_basis", "mean") in cache
-        assert ("nc_basis", "midpoint") in cache
+    assert not cache["unknown_index"].flags.writeable
+    # basis tables are built for each block and not kept
+    assert not [key for key in cache if "nc_basis" in key]
     arrays = list(arrays_in(cache))
     assert len(arrays) >= len(cache)
     assert not any(a.flags.writeable for a in arrays)
@@ -402,6 +399,16 @@ def test_orders_skipped_when_too_few_levels():
     result = run_study(StudyConfig(problem="p1", levels=2, seed=0))
     # auto skip leaves fewer than two levels, so no orders are fitted
     assert result.orders == {}
+
+
+@pytest.mark.parametrize("levels, skip", [(3, 5), (3, 2), (1, 0)])
+def test_explicit_skip_must_leave_two_levels(monkeypatch, levels, skip):
+    def no_level(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(analysis, "_level", no_level)
+    with pytest.raises(ValueError, match=f"skip={skip} .* levels={levels}"):
+        run_study(StudyConfig(problem="p1", levels=levels, skip=skip))
 
 
 def test_orders_fitted_with_explicit_skip():

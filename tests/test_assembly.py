@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
-from ncflux import assembly, elements
+from ncflux import assembly, elements, sparse_solve
 from ncflux.analysis import l2_error
 from ncflux.assembly import (LinearSystem, assemble, boundary_means,
                              nested_dissection, prolongation,
@@ -343,7 +343,7 @@ def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
         assert len(blocks) > 2
         assert n % (blocks[0].stop - blocks[0].start) != 0
     chunked = chunked_level(mesh, prob)
-    # a fresh mesh, so its basis tables are built again in one block
+    # a fresh mesh, with every box loop in one block
     mesh = mesh_factory()
     monkeypatch.setattr(elements, "BLOCK_POINTS", mesh.nf * 4 ** mesh.dim)
     assert len(cell_blocks(mesh)) == len(facet_blocks(mesh)) == 1
@@ -370,14 +370,19 @@ def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
 
 def test_assembly_allocates_one_block_at_a_time(monkeypatch):
     prob = problem2()
-    mesh = refined_box_mesh(prob, 4096)
-    nc_basis(mesh, "mean")
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
+    # fresh meshes, so nothing is built before the calls measured
+    mesh = refined_box_mesh(prob, 4096)
     block_bytes = cell_block_bytes(mesh)
-    # 12.1 blocks measured: the triplets and the matrix take about 9, a
-    # block's quadrature, data samples and moments the rest. A block's
-    # per-point basis gradients, (block, nq, d, ndof), would add 4.5
+    # 14.2 blocks measured: the triplets and the matrix take about 9, a
+    # block's quadrature, data samples, moments and basis tables the
+    # rest. A block's per-point basis gradients, (block, nq, d, ndof),
+    # would add 4.5, and the whole mesh's basis tables 2.25 and more
     assert traced_peak(assemble, mesh, prob) <= 15 * block_bytes
+    # 0.62 blocks measured: the field's coefficients take 0.375
+    mesh = refined_box_mesh(prob, 4096)
+    dofs = np.random.default_rng(57).normal(size=mesh.nf)
+    assert traced_peak(reconstruct_field, mesh, dofs) <= block_bytes
 
 
 # -- moment kernels against their per-point einsum form -----------------------
@@ -541,7 +546,7 @@ def check_tri_dissection(mesh, matrix, order, lo, hi):
     coordinate of rank mid. Halves are told apart by the centroids of an
     edge's two triangles against that coordinate."""
     ext = [h - l for l, h in zip(lo, hi)]
-    if order.size <= 1 or np.prod(ext) <= assembly.ND_LEAF_TRI:
+    if order.size <= 1 or np.prod(ext) <= assembly.ND_LEAF:
         return 0
     k = int(np.argmax(ext))
     mid = (lo[k] + hi[k]) // 2
@@ -570,7 +575,7 @@ def test_nested_dissection_separates_triangles(mesh):
     ranks = tuple(np.unique(c).size for c in mesh.elem_center.T)
     cuts = check_tri_dissection(mesh, matrix, nested_dissection(mesh),
                                 (0, 0), ranks)
-    assert (cuts > 0) == (np.prod(ranks) > assembly.ND_LEAF_TRI
+    assert (cuts > 0) == (np.prod(ranks) > assembly.ND_LEAF
                           and mesh.interior_facets.size > 1)
 
 
@@ -607,6 +612,34 @@ def cell_index_dissection(mesh):
 def test_nested_dissection_of_boxes_is_the_cell_index_order(mesh):
     assert np.array_equal(nested_dissection(mesh),
                           cell_index_dissection(mesh))
+
+
+# L+U nonzeros of the float32 factor in nested-dissection order with
+# 16-rank leaves; 64-cell leaves gave 397,856 on the box mesh
+ND_FILL = {"box": 314_944, "tri": 354_624}
+
+
+@pytest.mark.parametrize("kind", ["box", "tri"])
+def test_nested_dissection_factor_fill_stays_bounded(monkeypatch, kind):
+    if kind == "box":
+        gl = np.linspace(0.0, 1.0, 65)
+        mesh = perturb(build_tensor_mesh(gl, gl), 0.2, seed=7)
+        system = assemble(mesh, problem1())
+    else:
+        mesh = build_uniform_parallel(64, 64)
+        system = assemble_cr(mesh, problem1())
+    factors = []
+    splu = sparse_solve.spla.splu
+
+    def kept(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(sparse_solve.spla, "splu", kept)
+    sparse_solve.solve(system.matrix, system.rhs,
+                       order=nested_dissection(mesh))
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 1.02 * ND_FILL[kind]
 
 
 def test_nested_dissection_of_a_3d_box_mesh_is_the_cell_index_order():

@@ -119,6 +119,15 @@ def test_orders_reported_on_stderr(capsys):
     assert "order err_u" in capsys.readouterr().err
 
 
+def test_skip_leaving_too_few_levels_exits_before_any_level(capsys):
+    code = main(["study", "--levels", "3", "--skip", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ne=" not in captured.err
+    assert "skip=5" in captured.err and "levels=3" in captured.err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("levels=3\nseed=5\n")

@@ -112,14 +112,26 @@ def test_basis_tables_allocate_one_block_at_a_time(monkeypatch):
     mesh = refined_box_mesh(problem2(), 4096)
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
+    rows = cell_blocks(mesh)[0]
     # a block is one cell block's mapped quadrature points and weights.
-    # The tables of the whole mesh take 2.25 blocks, and a block of cells
-    # adds its half-extents and d x d matrices (2.59 blocks at the peak);
-    # the facet samples of the whole mesh at once took 21
+    # The tables of that block's cells take 0.14 blocks and peak at 0.24
+    # with their half-extents and d x d matrices; the tables of the whole
+    # mesh take 2.25 blocks
     for kind in ("mean", "midpoint"):
-        peak = traced_peak(nc_basis, mesh, kind)
-        assert nc_basis(mesh, kind).nbytes == 2.25 * block_bytes
-        assert 2.25 * block_bytes <= peak <= 4 * block_bytes
+        peak = traced_peak(nc_basis, mesh, kind, rows)
+        assert nc_basis(mesh, kind, rows).nbytes == 0.140625 * block_bytes
+        assert peak <= 0.3 * block_bytes
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["mean", "midpoint"])
+def test_basis_tables_of_rows_are_the_rows_of_the_whole_mesh(dim, kind):
+    mesh = perturb(refine_midpoint(random_mesh(dim, seed=69)), 0.2, seed=70)
+    whole = nc_basis(mesh, kind)
+    assert whole.shape == (mesh.ne, span_size(dim), 2 * dim)
+    picked = np.random.default_rng(71).permutation(mesh.ne)[:mesh.ne // 3]
+    for rows in (slice(3, mesh.ne - 2), picked, slice(None)):
+        assert nc_basis(mesh, kind, rows).tobytes() == whole[rows].tobytes()
 
 
 @pytest.mark.parametrize("dim, cells, facets, n", [(2, 2048, 8192, 64),
@@ -158,12 +170,17 @@ def test_data_rule_blocks_hold_the_point_budget(dim, cells, facets, n):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_moments_and_reference_coefficients_build_no_tables(dim):
+def test_moments_and_reference_coefficients_build_no_tables(monkeypatch,
+                                                            dim):
     mesh = perturb(refine_midpoint(random_mesh(dim, seed=67)), 0.2, seed=68)
     nq = tensor_rule(dim, elements.NORM_RULE).npoints
+
+    def no_tables(*args):
+        raise AssertionError("basis tables were built")
+
+    monkeypatch.setattr(elements, "nc_basis", no_tables)
     cell_moments(mesh, np.ones((mesh.ne, nq)), degree=2)
     reference_coeffs(mesh, np.ones((mesh.ne, span_size(dim))))
-    assert [key for key in mesh._cache if "nc_basis" in key] == []
 
 
 def test_cell_moments_match_an_einsum_over_points():

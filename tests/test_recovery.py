@@ -6,7 +6,7 @@ from scipy.sparse.linalg import spsolve
 from ncflux import elements
 from ncflux.analysis import fit_order, l2_error
 from ncflux.assembly import assemble, reconstruct_field
-from ncflux.elements import BrokenRT, cell_quadrature, nc_basis
+from ncflux.elements import BrokenRT, cell_quadrature
 from ncflux.mesh import build_tensor_mesh, perturb
 from ncflux.problems import custom_problem, problem2
 from ncflux.recovery import (MidpointFlux, correction_field, corrected_flux,
@@ -254,7 +254,6 @@ def test_corrected_flux_allocates_one_block_at_a_time(monkeypatch):
     mesh = refined_box_mesh(prob, 4096)
     rng = np.random.default_rng(52)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
-    nc_basis(mesh, "mean")
 
     monkeypatch.setattr(elements, "BLOCK_POINTS", 256 * 4 ** 3)
     block_bytes = cell_block_bytes(mesh)
