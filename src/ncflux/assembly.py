@@ -29,6 +29,9 @@ boundary means, use the data rule ``elements.DATA_RULE``.
 
 ``nested_dissection`` orders the unknowns of a box or triangular mesh
 for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
+It cuts the boxes of centroid ranks of a tree depth all at once, stops a
+box at ``ND_LEAF`` ranks or one cell, records each cell's sides of the
+cuts in an int64 path (so at most 31 cuts) and sorts the unknowns once.
 ``coarse_levels`` builds the multigrid hierarchy that preconditions the
 3d solve: the matrix re-assembled on ever coarser meshes
 (``mesh.coarsen``), without load or boundary data, and the closed-form
@@ -37,7 +40,6 @@ for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,57 +70,55 @@ def unknown_index(mesh: TensorMesh | TriMesh) -> np.ndarray:
 # families: 16 box cells, or 8 triangles of a uniform mesh. Against 64-cell
 # leaves the last ncrt2d factor's L+U holds 10.5M, not 12.0M, nonzeros.
 ND_LEAF = 16
+ND_MAX_CUTS = 31  # two bits a cut in a cell's int64 path
 
 
 def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
     """Fill-reducing order of the unknowns of a mesh (George, 1973).
 
-    Every element is ranked, per axis, among the distinct coordinates of
-    the element centroids; on a box mesh the ranks are the cell indices.
-    The box of ranks is cut at the middle of its longer side; the
-    unknowns whose two elements fall on different sides of the cut
-    separate the two halves, which are ordered first, each by the same
-    rule, then the separator. Boxes of at most ND_LEAF ranks, and pieces
-    of at most one unknown, keep facet-id order. Returns order with
-    order[i] the unknown placed i-th.
+    Elements are ranked per axis among the distinct centroid coordinates
+    (on boxes: the cell indices). Each box of ranks is cut at the middle
+    of its longer side until it spans at most ND_LEAF ranks or holds at
+    most one cell, and each cell's path keeps its sides (00 left, 01
+    right). An unknown's key is its cells' shared path, with 10 at the
+    cut that parts them, so one stable sort gives every box's left half,
+    right half, then separator. Returns order, order[i] the unknown placed
+    i-th; raises ValueError if the mesh needs more than ND_MAX_CUTS cuts.
     """
-    center = mesh.elem_center
-    rank = np.empty(center.shape, dtype=np.int32)
-    for k in range(center.shape[1]):
-        rank[:, k] = np.unique(center[:, k], return_inverse=True)[1]
-    # per axis and unknown, the lower and higher rank of its two elements
-    pair = rank[mesh.facet_elems[mesh.interior_facets]].T  # (d, 2, n)
-    low = np.minimum(pair[:, 0], pair[:, 1])
-    high = np.maximum(pair[:, 0], pair[:, 1])
-    del pair
+    rank = np.stack([np.unique(c, return_inverse=True)[1]
+                     for c in mesh.elem_center.T])  # (d, ne)
+    path = np.zeros(rank.shape[1], dtype=np.int64)
+    # a depth's boxes as rank ranges [lo, hi), (d, boxes); cells, their box
+    hi = rank.max(axis=1, keepdims=True) + 1
+    lo = np.zeros_like(hi)
+    cells, box = np.arange(path.size), np.zeros_like(path)
+    for depth in range(ND_MAX_CUTS + 1):
+        # only boxes still to cut are kept, renumbered in order
+        keep = ((np.bincount(box, minlength=lo.shape[1]) > 1)
+                & (np.prod(hi - lo, axis=0) > ND_LEAF))
+        lo, hi, inside = lo[:, keep], hi[:, keep], keep[box]
+        cells, box = cells[inside], (np.cumsum(keep) - 1)[box[inside]]
+        if not cells.size:
+            break
+        if depth == ND_MAX_CUTS:
+            raise ValueError(f"a mesh of {path.size} cells needs more than "
+                             f"{ND_MAX_CUTS} nested-dissection cuts")
+        every, k = np.arange(lo.shape[1]), np.argmax(hi - lo, axis=0)
+        mid = (lo[k, every] + hi[k, every]) // 2
+        right = rank[k[box], cells] >= mid[box]
+        path[cells] |= right.astype(np.int64) << 2 * (ND_MAX_CUTS - 1 - depth)
+        box = 2 * box + right  # both halves of every box, left first
+        lo, hi = lo.repeat(2, axis=1), hi.repeat(2, axis=1)
+        lo[k, 2 * every + 1] = hi[k, 2 * every] = mid
 
-    # An explicit stack, filled from the right: a box's separator, then
-    # its right half, then its left half, so the order reads left, right,
-    # separator. (A recursive closure would be a reference cycle, keeping
-    # these arrays alive until a full garbage collection.)
-    order = np.empty(mesh.interior_facets.size, dtype=np.int64)
-    end = order.size
-    stack = [(np.arange(end), (0,) * rank.shape[1],
-              tuple(int(r) + 1 for r in rank.max(axis=0)))]
-    while stack:
-        unk, lo, hi = stack.pop()
-        ext = [h - l for l, h in zip(lo, hi)]
-        # where centroids share no coordinates the rank box is far larger
-        # than its elements; a piece of one unknown needs no more cuts
-        if unk.size <= 1 or math.prod(ext) <= ND_LEAF:
-            order[end - unk.size:end] = unk
-            end -= unk.size
-            continue
-        k = ext.index(max(ext))
-        mid = (lo[k] + hi[k]) // 2
-        left = high[k, unk] < mid
-        right = low[k, unk] >= mid
-        sep = unk[~(left | right)]
-        order[end - sep.size:end] = sep
-        end -= sep.size
-        stack.append((unk[left], lo, hi[:k] + (mid,) + hi[k + 1:]))
-        stack.append((unk[right], lo[:k] + (mid,) + lo[k + 1:], hi))
-    return order
+    a, b = path[mesh.facet_elems[mesh.interior_facets]].T
+    apart = a ^ b
+    # frexp's exponent of apart is the high bit of the parting cut's digit
+    # (apart's highest bit set is its low bit). It is exact: apart's bits
+    # sit at even positions only, so rounding to 53 bits never carries.
+    high = np.frexp(apart.astype(np.float64))[1]
+    return np.argsort(np.where(apart != 0, ((a >> high) | 1) << high, a),
+                      kind="stable")
 
 
 def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Shared factories for the test suite."""
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ncflux.assembly import assemble, reconstruct_field
+from ncflux.assembly import ND_LEAF, assemble, reconstruct_field
 from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
 from ncflux.elements import (cell_blocks, cell_quadrature, row_blocks,
                              span_size, span_values, tri_quadrature)
@@ -254,6 +256,60 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def stack_dissection(mesh):
+    """The reference order of nested_dissection: the rank box cut one box
+    at a time, partitioning the unknowns, on an explicit stack."""
+    center = mesh.elem_center
+    rank = np.empty(center.shape, dtype=np.int32)
+    for k in range(center.shape[1]):
+        rank[:, k] = np.unique(center[:, k], return_inverse=True)[1]
+    # per axis and unknown, the lower and higher rank of its two elements
+    pair = rank[mesh.facet_elems[mesh.interior_facets]].T  # (d, 2, n)
+    low = np.minimum(pair[:, 0], pair[:, 1])
+    high = np.maximum(pair[:, 0], pair[:, 1])
+    del pair
+
+    # An explicit stack, filled from the right: a box's separator, then
+    # its right half, then its left half, so the order reads left, right,
+    # separator. (A recursive closure would be a reference cycle, keeping
+    # these arrays alive until a full garbage collection.)
+    order = np.empty(mesh.interior_facets.size, dtype=np.int64)
+    end = order.size
+    stack = [(np.arange(end), (0,) * rank.shape[1],
+              tuple(int(r) + 1 for r in rank.max(axis=0)))]
+    while stack:
+        unk, lo, hi = stack.pop()
+        ext = [h - l for l, h in zip(lo, hi)]
+        # where centroids share no coordinates the rank box is far larger
+        # than its elements; a piece of one unknown needs no more cuts
+        if unk.size <= 1 or math.prod(ext) <= ND_LEAF:
+            order[end - unk.size:end] = unk
+            end -= unk.size
+            continue
+        k = ext.index(max(ext))
+        mid = (lo[k] + hi[k]) // 2
+        left = high[k, unk] < mid
+        right = low[k, unk] >= mid
+        sep = unk[~(left | right)]
+        order[end - sep.size:end] = sep
+        end -= sep.size
+        stack.append((unk[left], lo, hi[:k] + (mid,) + hi[k + 1:]))
+        stack.append((unk[right], lo[:k] + (mid,) + lo[k + 1:], hi))
+    return order
+
+
+def diagonal_strip(ne):
+    """What nested_dissection reads of a mesh, for ne cells in a row on
+    the diagonal: centroid i at (i, i), cells i and i + 1 sharing the
+    interior facet i. Every cut halves the strip only every second
+    depth, so it needs the most cuts for its cell count."""
+    i = np.arange(ne)
+    return SimpleNamespace(
+        elem_center=np.stack([i, i], axis=1).astype(float),
+        facet_elems=np.stack([i[:-1], i[1:]], axis=1),
+        interior_facets=i[:-1])
 
 
 @st.composite

@@ -20,10 +20,10 @@ from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.quadrature import tensor_rule
 
-from helpers import (basis_gradients, cell_block_bytes, jittered_parallel,
-                     linear_problem, perturbed_2d_meshes,
+from helpers import (basis_gradients, cell_block_bytes, diagonal_strip,
+                     jittered_parallel, linear_problem, perturbed_2d_meshes,
                      project_onto_gradients, refined_box_mesh, solve_tensor,
-                     traced_peak, tri_meshes)
+                     stack_dissection, traced_peak, tri_meshes)
 
 
 def polynomial_problem():
@@ -647,6 +647,54 @@ def test_nested_dissection_of_a_3d_box_mesh_is_the_cell_index_order():
     mesh = perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45)
     assert np.array_equal(nested_dissection(mesh),
                           cell_index_dissection(mesh))
+
+
+@settings(max_examples=50)
+@given(st.one_of(perturbed_2d_meshes(), tri_meshes()))
+def test_nested_dissection_is_the_stack_order(mesh):
+    assert np.array_equal(nested_dissection(mesh), stack_dissection(mesh))
+
+
+def test_nested_dissection_is_the_stack_order_on_fixed_meshes():
+    gl = np.linspace(0.0, 1.0, 9)
+    with pytest.warns(UserWarning, match="nondegeneracy"):
+        strip = perturb(build_tensor_mesh(np.linspace(0.0, 1.0, 4),
+                                          np.linspace(0.0, 1.0, 201)),
+                        0.2, seed=46)
+    meshes = [
+        perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45),
+        build_uniform_parallel(5, 37),
+        strip,
+        perturb(build_tensor_mesh(gl[::2], gl[::2]), 0.2, seed=47),
+        build_uniform_parallel(1, 1),
+    ]
+    assert meshes[3].ne <= assembly.ND_LEAF
+    assert meshes[4].interior_facets.size == 1
+    for mesh in meshes:
+        assert np.array_equal(nested_dissection(mesh), stack_dissection(mesh))
+
+
+@pytest.mark.parametrize("mesh", [
+    diagonal_strip(1000), diagonal_strip(4000),
+    jittered_parallel(32, 32, amount=0.2 / 32, seed=5)],
+    ids=["strip-1000", "strip-4000", "jittered-32x32"])
+def test_nested_dissection_memory_is_linear_in_the_cells(mesh):
+    """A diagonal needs about 2 log2(ne) - 4 cuts and a jittered mesh a
+    rank box of ne^2, so boxes kept at every depth, rather than only
+    those still to cut, would reach 2^depth."""
+    ne = mesh.elem_center.shape[0]
+    assert traced_peak(nested_dissection, mesh) <= 160 * ne
+
+
+def test_nested_dissection_of_a_diagonal_strip():
+    """The deepest tree for its cell count: the stack order at 20,000
+    cells, and a ValueError from 163,841 cells, the smallest diagonal
+    that needs a 32nd cut, on."""
+    mesh = diagonal_strip(20_000)
+    assert np.array_equal(nested_dissection(mesh), stack_dissection(mesh))
+    assert nested_dissection(diagonal_strip(163_840)).size == 163_839
+    with pytest.raises(ValueError, match="163841 cells needs more than 31"):
+        nested_dissection(diagonal_strip(163_841))
 
 
 def bits_equal(a, b):
