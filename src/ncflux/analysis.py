@@ -15,10 +15,13 @@ The error norms use the 4-point Gauss rule per axis on boxes
 (``elements.NORM_RULE``); the problem data were integrated with the
 3-point data rule, whose quadrature error falls much faster than these
 errors (Ciarlet, The Finite Element Method for Elliptic Problems, 1978,
-sec. 4.1). On boxes the discrete fields are read from reference tables
-at the rule's points, not evaluated at mapped points. On both mesh
-families the supercloseness error, the norm of a piecewise affine field,
-is computed in closed form (``BrokenRT.l2_norm``).
+sec. 4.1). The discrete fields are read from reference tables at the
+rule's points, not evaluated at mapped points, on boxes and on
+triangles. The exact data of a level are ``problems.Term``s, so each
+block of the norms samples u, grad u and a in one ``Problem.sample``
+call. On both mesh families the supercloseness error, the norm of a
+piecewise affine field, is computed in closed form
+(``BrokenRT.l2_norm``).
 
 Box hierarchies refine by interval halving and then randomly perturb the
 gridlines of every level after the first, so the superconvergence is
@@ -41,10 +44,11 @@ from .assembly import (assemble, coarse_levels, nested_dissection,
 from .cr import (CRField, RawFlux, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
 from .elements import (NORM_RULE, cell_blocks, cell_quadrature,
-                       reference_values, row_blocks, tri_quadrature)
+                       cr_rule_table, reference_values, row_blocks,
+                       tri_quadrature)
 from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
                    refine_midpoint)
-from .problems import Problem, REGISTRY
+from .problems import Problem, REGISTRY, Term
 from .quadrature import reference_monomials
 from .recovery import corrected_flux, midpoint_average, rt_interpolate
 from .sparse_solve import solve
@@ -65,17 +69,19 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     integral is summed a block of elements at a time (``cell_blocks``
     boxes or ``TRI_BLOCK`` triangles), with the quadrature mapped once
     per block; each distinct field or callable (matched by identity) is
-    sampled once per block, with the block's rows for discrete fields.
-    A block's sum of w |v|^2 is one einsum of the weights and the values
-    twice, with no squared temporary. Every norm adds its block sums in
-    block order.
+    sampled once per block, with the block's rows for discrete fields,
+    and the ``problems.Term``s of one problem, RawFlux parts included,
+    in one ``Problem.sample`` call. A block's sum of w |v|^2 is one
+    einsum of the weights and the values twice, with no squared
+    temporary. Every norm adds its block sums in block order.
 
-    Box norms use the norm rule (``elements.NORM_RULE``). A box field
-    that gives reference_coeffs(rows) is not evaluated at the mapped
-    points: its coefficients times the rule's ``reference_monomials``
-    are its values there. A RawFlux is a at the points times its
-    gradient's values, so every flux over one a samples a once per
-    block.
+    Box norms use the norm rule (``elements.NORM_RULE``). A field that
+    gives reference_coeffs(rows) is not evaluated at the mapped points:
+    its coefficients times the rule's table (``reference_monomials`` on
+    boxes, ``cr_rule_table`` on triangles) are its values there; a
+    triangle BrokenRT, constant or affine per triangle, keeps eval_at.
+    A RawFlux is a at the points times its gradient's values, so every
+    flux over one a samples a once per block.
     """
     single = not isinstance(exact, (list, tuple))
     if single:
@@ -94,15 +100,19 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
             return cell_quadrature(mesh, rows, NORM_RULE)
     elif isinstance(mesh, TriMesh):
         blocks = row_blocks(mesh.ne)
+        table = cr_rule_table()
 
         def quadrature(rows):
             return tri_quadrature(mesh, rows)
     else:
         raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
+    groups = _term_groups((*exact, *approx))
     totals = [0.0] * len(exact)
     for rows in blocks:
         pts, wts = quadrature(rows)
         samples = {}        # the previous block's samples are freed first
+        for problem, names in groups:
+            samples[id(problem)] = problem.sample(pts, names)
         for i, (ex, ap) in enumerate(zip(exact, approx)):
             vals = _sample(samples, ex, pts, rows, table)
             if ap is not None:
@@ -111,6 +121,19 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
             totals[i] += np.einsum(spec, wts, vals, vals)
     norms = tuple(float(np.sqrt(t)) for t in totals)
     return norms[0] if single else norms
+
+
+def _term_groups(objs) -> list:
+    """(problem, names) for each problem with Terms among objs, directly
+    or as the parts of a RawFlux."""
+    groups = {}
+    for obj in objs:
+        for part in (obj.a, obj.grad) if isinstance(obj, RawFlux) else (obj,):
+            if isinstance(part, Term):
+                names = groups.setdefault(id(part.problem),
+                                          (part.problem, {}))[1]
+                names[part.name] = None
+    return [(problem, tuple(names)) for problem, names in groups.values()]
 
 
 def _sample(samples, obj, pts, rows, table):
@@ -123,13 +146,17 @@ def _sample(samples, obj, pts, rows, table):
 
 def _values(samples, obj, pts, rows, table):
     """obj at pts. rows selects the elements of a discrete field. table
-    holds the reference monomials at the box rule's points (None on
-    triangles); a box field with reference coefficients is read from it,
-    not evaluated at pts. A RawFlux is a times its gradient's values; a
-    goes through samples, where the raw and the exact flux share it, and
-    the gradient's values are not kept."""
-    if table is not None and hasattr(obj, "reference_coeffs"):
+    holds the basis of the rule's reference coefficients; a field with
+    reference coefficients, save a triangle BrokenRT, is read from it,
+    not evaluated at pts. A Term is read from its problem's sample of
+    the block, when samples holds one. A RawFlux is a times its
+    gradient's values; a goes through samples, where the raw and the
+    exact flux share it, and the gradient's values are not kept."""
+    if (hasattr(obj, "reference_coeffs")
+            and not isinstance(getattr(obj, "mesh", None), TriMesh)):
         vals = reference_values(obj.reference_coeffs(rows), table)
+    elif isinstance(obj, Term) and id(obj.problem) in samples:
+        vals = samples[id(obj.problem)][obj.name]
     elif isinstance(obj, RawFlux):
         vals = (_sample(samples, obj.a, pts, rows, table)[..., None]
                 * _values(samples, obj.grad, pts, rows, table))
@@ -274,15 +301,15 @@ def _level(mesh, problem: Problem, config: StudyConfig, stages):
     system = assemble_system(mesh, problem)
     x, report = _solve_system(system, problem, config)
     field = make_field(mesh, system.full_dofs(x))
-    aflux = RawFlux(problem.a, problem.grad_u)
+    u, a, flux = (Term(problem, name) for name in ("u", "a", "flux"))
 
     sigma = correct(field, problem)
-    interp = interpolate(mesh, aflux.eval_at)
+    interp = interpolate(mesh, flux)
     recovered = average(sigma)
 
     err_u, err_raw, err_recovered = l2_error(
-        mesh, (problem.u, aflux, aflux),
-        (field, RawFlux(problem.a, field.gradient_rt()), recovered))
+        mesh, (u, flux, flux),
+        (field, RawFlux(a, field.gradient_rt()), recovered))
     # sigma - interp is a BrokenRT, whose norm has a closed form
     err_superclose = (sigma - interp).l2_norm()
     return LevelRecord(mesh.ne, mesh.h, err_u, err_raw, err_superclose,

@@ -17,12 +17,13 @@ points in 2d, 1,213 of 27 in 3d) and map the rule for one block at a
 time, so the per-point arrays stay the same size whatever the mesh and
 its dimension. The basis tables (``nc_basis``) are built for each block
 too and not kept, and ``recovery`` and the box error norms of
-``analysis`` take their blocks from the same budget. Problem data
-is checked to be finite block by block as it is sampled. The element
-kernel never forms basis functions or gradients at the points: the
-stiffness, convection, reaction and load are the cells' moments of the
-data (``elements.cell_moments``) against fixed product tensors of the
-span's monomials, and the basis tables map them to the dof basis as
+``analysis`` take their blocks from the same budget. Each block asks
+for its data in one ``Problem.sample`` call, which checks them to be
+finite. The element kernel never forms basis functions or gradients at
+the points: the stiffness, convection, reaction and load are the cells'
+moments of the data (``elements.cell_moments``) against fixed product
+tensors of the span's monomials, and the basis tables map them to the
+dof basis as
 coeff^T S coeff, all in matmuls per cell (Kirby, Knepley, Logg and
 Scott, SIAM J. Sci. Comput. 27, 2005). All of these integrals, and the
 boundary means, use the data rule ``elements.DATA_RULE``.
@@ -52,7 +53,7 @@ from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        nc_basis, reference_coeffs, row_blocks,
                        span_polynomials, span_size, span_values)
 from .mesh import TensorMesh, TriMesh, _by_columns, _cached, coarsen
-from .problems import Problem
+from .problems import Problem, finite
 from .quadrature import monomial_exponents
 
 
@@ -119,21 +120,6 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
     high = np.frexp(apart.astype(np.float64))[1]
     return np.argsort(np.where(apart != 0, ((a >> high) | 1) << high, a),
                       kind="stable")
-
-
-def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """values, the samples of problem data name at pts, if all are finite.
-
-    Raises ValueError naming the data and the first point with a NaN or
-    infinite sample, so bad input stops assembly instead of reaching a
-    report.
-    """
-    ok = np.isfinite(values)
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError(f"problem data {name} is not finite at "
-                         f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
-    return values
 
 
 def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
@@ -413,14 +399,15 @@ def _local_blocks(mesh: TensorMesh, problem: Problem, load: bool = True):
     for blk in cell_blocks(mesh, DATA_RULE):
         p, _ = cell_quadrature(mesh, blk, DATA_RULE)
         n, nq = p.shape[:2]
+        sampled = problem.sample(p, ("a", "b", "c") + ("f",) * load)
         data = np.empty((n, nt + load, nq))
-        data[:, 0] = finite("a", problem.a(p), p)
-        if problem.b is not None:
-            data[:, 1:d + 1] = finite("b", problem.b(p), p).transpose(0, 2, 1)
-        if problem.c is not None:
-            data[:, nt - 1] = finite("c", problem.c(p), p)
+        data[:, 0] = sampled["a"]
+        if "b" in sampled:
+            data[:, 1:d + 1] = sampled["b"].transpose(0, 2, 1)
+        if "c" in sampled:
+            data[:, nt - 1] = sampled["c"]
         if load:
-            data[:, nt] = finite("f", problem.f(p), p)
+            data[:, nt] = sampled["f"]
         moments = cell_moments(mesh, data, blk, degree, DATA_RULE)
         mono = (moments[:, :nt].reshape(n, 1, -1) @ products).reshape(
             n, nm, nm)

@@ -21,6 +21,11 @@ interpolant are all BrokenRT, so ``recovery.correction_field`` and
 Work at quadrature points is done a block of triangles (or edges) at a
 time, so its memory stays bounded as the mesh grows; evaluators take the
 points of one block and the block's ``rows`` (all triangles by default).
+At the points of the triangle rule the basis values are one constant
+table (``elements.cr_rule_table``): assembly, the correction's load and
+the error norms (through ``reference_coeffs``) read it, and only the
+constant gradients come from ``cr_basis``. ``eval_at`` serves arbitrary
+points.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import LinearSystem, finite, lift_and_scatter
-from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_values,
-                       edge_quadrature, row_blocks, tri_quadrature)
+from .assembly import LinearSystem, lift_and_scatter
+from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_rule_table,
+                       cr_values, edge_quadrature, reference_values,
+                       row_blocks, tri_quadrature)
 from .mesh import TriMesh, _by_columns, _frozen
-from .problems import Problem
+from .problems import Problem, finite
 from .recovery import correction_field
 
 
@@ -57,24 +63,21 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
 
 
 def _local_blocks(trimesh: TriMesh, problem: Problem):
+    table = cr_rule_table()                            # (3, nq)
     for rows in row_blocks(trimesh.ne):
-        tables = cr_basis(trimesh, rows)
+        gphi = cr_basis(trimesh, rows).grad            # (ne, 2, 3), constant
         pts, wts = tri_quadrature(trimesh, rows)
-        phi = cr_values(tables, pts)                   # (ne, nq, 3)
-        gphi = tables.grad                             # (ne, 2, 3), constant
+        data = problem.sample(pts, ("a", "b", "c", "f"))
 
         # one matmul per triangle keeps the bits independent of the block
-        aint = (wts[:, None, :]
-                @ finite("a", problem.a(pts), pts)[:, :, None])[:, 0]
+        aint = (wts[:, None, :] @ data["a"][:, :, None])[:, 0]
         local = aint[:, :, None] * (gphi.transpose(0, 2, 1) @ gphi)
-        wphi_t = (phi * wts[:, :, None]).transpose(0, 2, 1)   # (ne, 3, nq)
-        if problem.b is not None:
-            local += wphi_t @ (finite("b", problem.b(pts), pts) @ gphi)
-        if problem.c is not None:
-            local += (wphi_t * finite("c", problem.c(pts), pts)[:, None, :]
-                      ) @ phi
-        fvals = finite("f", problem.f(pts), pts)
-        load = (wphi_t @ fvals[:, :, None])[:, :, 0]
+        wphi_t = wts[:, None, :] * table               # (ne, 3, nq)
+        if "b" in data:
+            local += wphi_t @ (data["b"] @ gphi)
+        if "c" in data:
+            local += (wphi_t * data["c"][:, None, :]) @ table.T
+        load = (wphi_t @ data["f"][:, :, None])[:, :, 0]
         yield trimesh.elem_facets[rows], local, load
 
 
@@ -92,6 +95,12 @@ class CRField:
         tables = cr_basis(self.trimesh, rows)
         local = self.dofs[self.trimesh.elem_facets[rows]]
         return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
+
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """The local dofs of the triangles rows, (b, 3): times
+        ``elements.cr_rule_table`` they are the values at the mapped
+        triangle rule."""
+        return self.dofs[self.trimesh.elem_facets[rows]]
 
     def gradient_rt(self) -> BrokenRT:
         """The broken gradient, constant per triangle: a BrokenRT with
@@ -116,8 +125,7 @@ class CRField:
 class RawFlux:
     """Flux a grad: a pointwise times a gradient, which is either a field
     with eval_at(pts, rows), such as gradient_rt() for the raw discrete
-    flux a grad u_h, or a plain callable on points, such as the exact
-    grad u for the exact flux a grad u."""
+    flux a grad u_h, or a plain callable on points."""
 
     a: Callable
     grad: BrokenRT | Callable
@@ -139,15 +147,18 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
     """
     tm = field.trimesh
     grad = field.gradient_rt()
+    table = cr_rule_table()
     abar, pbar = np.empty(tm.ne), np.empty(tm.ne)
     for rows in row_blocks(tm.ne):
         pts, wts = tri_quadrature(tm, rows)
-        abar[rows] = np.einsum("tq,tq->t", wts, problem.a(pts))
-        pv = problem.f(pts)
-        if problem.b is not None:
-            pv = pv - (problem.b(pts) @ grad.alpha[rows, :, None])[:, :, 0]
-        if problem.c is not None:
-            pv = pv - problem.c(pts) * field.eval_at(pts, rows)
+        data = problem.sample(pts, ("a", "b", "c", "f"))
+        abar[rows] = np.einsum("tq,tq->t", wts, data["a"])
+        pv = data["f"]
+        if "b" in data:
+            pv = pv - (data["b"] @ grad.alpha[rows, :, None])[:, :, 0]
+        if "c" in data:
+            pv = pv - data["c"] * reference_values(
+                field.reference_coeffs(rows), table)
         pbar[rows] = np.einsum("tq,tq->t", wts, pv)
     return (grad.scaled_by(abar / tm.elem_measure)
             - correction_field(tm).scaled_by(pbar / tm.elem_measure))
@@ -198,6 +209,11 @@ class EdgeMidpointField:
         phi = cr_values(cr_basis(self.trimesh, rows), pts)
         local = self.values[self.trimesh.elem_facets[rows]]  # (ne, 3, 2)
         return phi @ local
+
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """The components' local dofs on the triangles rows, (b, 2, 3),
+        for ``elements.cr_rule_table``."""
+        return self.values[self.trimesh.elem_facets[rows]].transpose(0, 2, 1)
 
 
 @dataclass

@@ -38,11 +38,18 @@ are the same size in 2d and 3d and for either rule.
 Triangle quadrature is built for the rows asked for too, so that the
 triangular pipeline can work through a large mesh in blocks of
 ``TRI_BLOCK`` rows without holding per-point arrays for the whole mesh.
+The triangle rule maps affinely, so the basis values at its points are
+one constant table for every triangle (``cr_rule_table``): a field's
+local dofs times it are its values there (``reference_values``), as box
+fields' reference coefficients are with
+``quadrature.reference_monomials``. ``cr_basis`` serves the constant
+gradients, and ``cr_values`` fields at arbitrary points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,10 +183,11 @@ def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,
 
 
 def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Values at the points of a mapped tensor rule of fields given by
-    their reference coefficients (b, K) or (b, m, K), with table (K, nq)
-    the rule's ``reference_monomials``: one matmul for the whole block.
-    Returns (b, nq) or (b, nq, m)."""
+    """Values at the points of a mapped rule of fields given by their
+    reference coefficients (b, K) or (b, m, K), with table (K, nq) the
+    tensor rule's ``reference_monomials`` or the triangle rule's
+    ``cr_rule_table``: one matmul for the whole block. Returns (b, nq)
+    or (b, nq, m)."""
     vals = (coeffs.reshape(-1, table.shape[0]) @ table).reshape(
         coeffs.shape[:-1] + table.shape[1:])
     return vals if coeffs.ndim == 2 else vals.transpose(0, 2, 1)
@@ -306,6 +314,21 @@ def cr_basis(trimesh: TriMesh, rows=slice(None)) -> CRTables:
     bary[:, 2, :] = x[:, prv] - x[:, nxt]
     bary /= 2.0 * trimesh.elem_measure[rows, None, None]
     return CRTables(bary=bary, grad=-2.0 * bary[:, 1:, :])
+
+
+@lru_cache(maxsize=None)
+def cr_rule_table() -> np.ndarray:
+    """Basis values 1 - 2 lambda_j at the points of ``triangle_rule``,
+    shape (3, nq), the same on every triangle: the rule maps a reference
+    point t to v_0 + t_0 (v_1 - v_0) + t_1 (v_2 - v_0), where
+    lambda = (1 - t_0 - t_1, t_0, t_1). Local dofs (b, 3) times the
+    table are values at the mapped rule (``reference_values``).
+    Read-only."""
+    t = triangle_rule().points
+    lam = np.stack([1.0 - t[:, 0] - t[:, 1], t[:, 0], t[:, 1]])
+    table = 1.0 - 2.0 * lam
+    table.setflags(write=False)
+    return table
 
 
 def cr_barycentrics(tables: CRTables, pts: np.ndarray) -> np.ndarray:

@@ -154,16 +154,19 @@ def map_to_triangle(rule: QuadRule, verts: np.ndarray):
     """Map the triangle rule onto physical triangles.
 
     verts has shape (..., 3, 2); returns points (..., nq, 2) and weights
-    (..., nq) summing to each triangle's area.
+    (..., nq) summing to each triangle's area. A reference point t maps
+    to v_0 + t_0 (v_1 - v_0) + t_1 (v_2 - v_0), written one coordinate
+    at a time as in ``map_to_box``.
     """
     verts = np.asarray(verts, dtype=float)
     v0 = verts[..., 0, :]
     e1 = verts[..., 1, :] - v0
     e2 = verts[..., 2, :] - v0
     t = rule.points
-    points = (v0[..., None, :]
-              + t[:, 0, None] * e1[..., None, :]
-              + t[:, 1, None] * e2[..., None, :])
+    points = np.empty(v0.shape[:-1] + t.shape)
+    for k in range(t.shape[1]):
+        points[..., k] = (v0[..., k, None] + t[:, 0] * e1[..., k, None]
+                          + t[:, 1] * e2[..., k, None])
     det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
     weights = np.abs(det)[..., None] * rule.weights
     return points, weights

@@ -124,21 +124,21 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     def rhs():
         for blk in cell_blocks(mesh, DATA_RULE):
             pts, _ = cell_quadrature(mesh, blk, DATA_RULE)
-            moments = cell_moments(mesh, problem.a(pts), blk,
-                                   rule=DATA_RULE)
+            moments = cell_moments(mesh, problem.sample(pts, ("a",))["a"],
+                                   blk, rule=DATA_RULE)
             first = moments[:, 1:d + 1]
             yield (blk, g0[blk] * moments[:, :1] + g1[blk] * first,
                    g0[blk] * first + g1[blk] * moments[:, square])
 
     q = _projection(mesh, rhs())
 
-    xc = mesh.elem_center
-    p = problem.f(xc)
-    if problem.b is not None:
-        p = p - np.einsum("ed,ed->e", problem.b(xc),
+    data = problem.sample(mesh.elem_center, ("f", "b", "c"))
+    p = data["f"]
+    if "b" in data:
+        p = p - np.einsum("ed,ed->e", data["b"],
                           field.gradients_at_centers())
-    if problem.c is not None:
-        p = p - problem.c(xc) * field.values_at_centers()
+    if "c" in data:
+        p = p - data["c"] * field.values_at_centers()
     return q - correction_field(mesh).scaled_by(p)
 
 

@@ -16,7 +16,7 @@ from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
                              cell_quadrature, row_blocks, tri_quadrature)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
-from ncflux.problems import problem1, problem2
+from ncflux.problems import Problem, Term, custom_problem, problem1, problem2
 from ncflux.quadrature import reference_monomials
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
@@ -581,6 +581,63 @@ def test_study_calls_every_stage_through_its_global(monkeypatch, element,
     run_study(StudyConfig(problem=problem, element=element, levels=2,
                           perturb=0.0 if element == "cr" else 0.2))
     assert called == expected
+
+
+def nan_gradient_problem():
+    """u = x_0^2 with a = 1 and a load that does not need grad u, whose
+    grad_u is NaN where |x_0 - 0.5| < 0.05."""
+    def grad_u(x):
+        g = np.stack([2.0 * x[..., 0], 0.0 * x[..., 1]], axis=-1)
+        return np.where(np.abs(x[..., :1] - 0.5) < 0.05, np.nan, g)
+
+    return custom_problem(
+        dim=2, u=lambda x: x[..., 0] ** 2, grad_u=grad_u,
+        lap_u=lambda x: np.full(x.shape[:-1], 2.0),
+        a=lambda x: np.ones(x.shape[:-1]),
+        initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+
+
+@pytest.mark.parametrize("element", ["ncrt2d", "cr"])
+def test_non_finite_exact_gradient_stops_the_study(element):
+    # assembly and correction never read grad_u here; the interpolant
+    # and the error norms do, and must not carry NaN into the report
+    cfg = StudyConfig(problem="custom", element=element, levels=3,
+                      perturb=0.0, cr_initial=2,
+                      custom=nan_gradient_problem())
+    with pytest.raises(ValueError, match="problem data grad_u is not "
+                                         "finite at x = "):
+        run_study(cfg)
+
+
+@pytest.mark.parametrize("kind", ["box", "tri"])
+def test_level_errors_sample_a_problem_once_per_block(monkeypatch, kind):
+    prob = problem1()
+    if kind == "box":
+        mesh = refined_box_mesh(prob, 64)
+        monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * NORM_RULE ** 2)
+        blocks = cell_blocks(mesh)
+    else:
+        mesh = jittered_parallel(12, 12, amount=0.2 / 12)
+        monkeypatch.setattr(elements, "TRI_BLOCK", 50)
+        blocks = row_blocks(mesh.ne)
+    assert len(blocks) > 2
+    exact, approx = level_error_pairs(prob, mesh, 56)
+    expected = l2_error(mesh, exact, approx)
+    calls = []
+    sample = Problem.sample
+
+    def counting(self, pts, names):
+        calls.append(tuple(sorted(names)))
+        return sample(self, pts, names)
+
+    monkeypatch.setattr(Problem, "sample", counting)
+    u, a, flux = (Term(prob, name) for name in ("u", "a", "flux"))
+    raw = approx[1]
+    got = l2_error(mesh, (u, flux, RawFlux(a, raw.grad), flux),
+                   (approx[0], RawFlux(a, raw.grad), None, approx[3]))
+    assert calls == [("a", "flux", "u")] * len(blocks)
+    # the same bits as the leaves, sampled one by one
+    assert got == expected
 
 
 def test_custom_problem_without_gridlines_rejected():

@@ -9,8 +9,8 @@ from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
                        boundary_edge_means, corrected_flux_cr,
                        edge_midpoint_average, rt_interpolate_tri,
                        vertex_average)
-from ncflux.elements import (BrokenRT, cr_basis, edge_quadrature, row_blocks,
-                             tri_quadrature)
+from ncflux.elements import (BrokenRT, cr_basis, cr_rule_table, cr_values,
+                             edge_quadrature, row_blocks, tri_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
@@ -496,3 +496,47 @@ def test_a_level_computes_the_field_gradients_once(monkeypatch):
     monkeypatch.setattr(CRField, "gradient_rt", spy)
     run_study(StudyConfig(problem="p1", element="cr", levels=2, perturb=0.0))
     assert computed == [True, False] * 2
+
+
+# -- the triangle rule's basis table -------------------------------------------
+
+@settings(max_examples=25)
+@given(tri_meshes())
+def test_rule_table_is_the_basis_at_the_mapped_rule(mesh):
+    tables = cr_basis(mesh)
+    expected = cr_values(tables, tri_quadrature(mesh)[0])
+    # cr_values sums terms of up to 2 |bary| (x and y lie in [0, 1]),
+    # which grow as 1 / h and round with them: 1.2e-14 on 16 x 16 cells
+    size = 2.0 * np.abs(tables.bary).sum(axis=1).max()
+    assert np.abs(cr_rule_table().T - expected).max() <= 1e-15 * size
+    assert not cr_rule_table().flags.writeable
+
+
+@settings(max_examples=25)
+@given(tri_meshes(), st.integers(0, 2**16))
+def test_table_norms_of_tri_fields_match_eval_at(mesh, seed):
+    rng = np.random.default_rng(seed)
+    pts, wts = tri_quadrature(mesh)
+    for field in (CRField(mesh, rng.normal(size=mesh.nf)),
+                  EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2)))):
+        vals = field.eval_at(pts)
+        spec = "bq,bq,bq->" if vals.ndim == 2 else "bq,bqd,bqd->"
+        expected = np.sqrt(np.einsum(spec, wts, vals, vals))
+        assert abs(l2_error(mesh, field) - expected) <= 1e-13 * expected
+
+
+def test_a_cr_study_evaluates_no_basis_at_mapped_points(monkeypatch):
+    called = []
+    for module in (cr, elements):
+        for name in ("cr_values", "cr_barycentrics"):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+    mesh = build_uniform_parallel(2, 2)
+    CRField(mesh, np.zeros(mesh.nf)).eval_at(tri_quadrature(mesh)[0])
+    assert "cr_values" in called              # the counters count
+    called.clear()
+    run_study(StudyConfig(problem="p1", element="cr", levels=3,
+                          perturb=0.0))
+    assert called == []

@@ -1,8 +1,12 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from ncflux.problems import (REGISTRY, Problem, _sin_cos, custom_problem,
-                             problem1, problem2)
+from ncflux.problems import (REGISTRY, SAMPLED, Problem, _sin_cos,
+                             custom_problem, problem1, problem2)
 
 # Right-hand side values for the stock problems, computed symbolically
 # from f = -div(a grad u) + b . grad u + c u with 20 significant digits.
@@ -236,9 +240,9 @@ def leaves(problem):
 
 @pytest.mark.parametrize("factory", [problem1, problem2])
 def test_leaves_give_the_same_bits_however_the_points_arrive(factory):
-    # the built-in problems keep the terms their leaves share for the
-    # last point set, matched by value: neither the leaves called before
-    # nor a caller overwriting its points in place may change a result
+    # every call evaluates from the points it is given and keeps nothing:
+    # neither the leaves called before nor a caller overwriting its
+    # points in place may change a result
     rng = np.random.default_rng(11)
     dim = factory().dim
     x = rng.uniform(size=(6, 5, dim))
@@ -262,3 +266,164 @@ def test_leaves_give_the_same_bits_however_the_points_arrive(factory):
             # every call returns a fresh array the caller may change
             assert first.flags.writeable and not np.shares_memory(first,
                                                                   again)
+
+
+# -- Problem.sample -----------------------------------------------------------
+
+def leaf_problem(counts=None):
+    """A custom problem with every leaf (grad_a, b and c included) written
+    as a plain function; counts, if given, tallies the calls per leaf."""
+    forms = dict(
+        u=lambda x: np.sin(x[..., 0]) * np.exp(x[..., 1]),
+        grad_u=lambda x: np.stack([np.cos(x[..., 0]) * np.exp(x[..., 1]),
+                                   np.sin(x[..., 0]) * np.exp(x[..., 1])],
+                                  axis=-1),
+        lap_u=lambda x: 0.0 * x[..., 0],
+        a=lambda x: 1.0 + x[..., 0] ** 2,
+        grad_a=lambda x: np.stack([2.0 * x[..., 0], 0.0 * x[..., 1]],
+                                  axis=-1),
+        b=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1),
+        c=lambda x: 2.0 + x[..., 1],
+    )
+    if counts is not None:
+        def counted(name, fn):
+            def leaf(x):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(x)
+            return leaf
+        forms = {name: counted(name, fn) for name, fn in forms.items()}
+    return custom_problem(dim=2, **forms)
+
+
+def from_leaves(problem, name, x):
+    """The datum name at x from the problem's leaves, one at a time, with
+    f in the order of its formula."""
+    if name == "flux":
+        return problem.a(x)[..., None] * problem.grad_u(x)
+    if name != "f":
+        return getattr(problem, name)(x)
+    out = -problem.a(x) * problem.lap_u(x)
+    if problem.grad_a is not None:
+        out = out - np.einsum("...d,...d->...", problem.grad_a(x),
+                              problem.grad_u(x))
+    if problem.b is not None:
+        out = out + np.einsum("...d,...d->...", problem.b(x),
+                              problem.grad_u(x))
+    if problem.c is not None:
+        out = out + problem.c(x) * problem.u(x)
+    return out
+
+
+def sampled_names(problem):
+    """The names sample returns for the problem."""
+    return [n for n in SAMPLED
+            if n not in ("b", "c") or getattr(problem, n) is not None]
+
+
+@pytest.mark.parametrize("factory", [problem1, problem2, leaf_problem])
+def test_sample_gives_the_bits_of_the_leaves(factory):
+    problem = factory()
+    x = np.random.default_rng(21).uniform(size=(5, 7, problem.dim))
+    names = sampled_names(problem)
+    together = problem.sample(x, names)
+    assert list(together) == names
+    for name in names:
+        expected = from_leaves(problem, name, x).tobytes()
+        assert together[name].tobytes() == expected
+        assert problem.sample(x, (name,))[name].tobytes() == expected
+    assert problem.f(x).tobytes() == together["f"].tobytes()
+
+
+def test_default_sample_calls_each_leaf_at_most_once():
+    counts = {}
+    problem = leaf_problem(counts)
+    x = np.random.default_rng(22).uniform(size=(4, 3, 2))
+    for names in [SAMPLED, ("f",), ("f", "flux"), ("a", "grad_u", "u")]:
+        counts.clear()
+        problem.sample(x, names)
+        assert counts and max(counts.values()) == 1
+    # with a prescribed load, f calls only the source
+    counts.clear()
+    driven = dataclasses.replace(problem, source=lambda x: x[..., 0] + 1.0)
+    driven.sample(x, ("f",))
+    assert counts == {}
+
+
+@pytest.mark.parametrize("factory", [problem1, problem2, leaf_problem])
+def test_sample_returns_fresh_writeable_arrays(factory):
+    problem = factory()
+    x = np.random.default_rng(23).uniform(size=(6, problem.dim))
+    names = sampled_names(problem)
+    first, again = problem.sample(x, names), problem.sample(x, names)
+    arrays = list(first.values()) + list(again.values())
+    for i, arr in enumerate(arrays):
+        assert arr.flags.writeable
+        assert not np.shares_memory(arr, x)
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(arr, other)
+
+
+@pytest.mark.parametrize("factory", [problem1, problem2])
+def test_two_threads_sampling_different_points_get_the_serial_bits(factory):
+    problem = factory()
+    rng = np.random.default_rng(24)
+    point_sets = [rng.uniform(size=(200, 7, problem.dim)) for _ in range(16)]
+    names = sampled_names(problem)
+
+    def run(x):
+        return {n: v.tobytes() for n, v in problem.sample(x, names).items()}
+
+    serial = [run(x) for x in point_sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # threads switch inside a sample call
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, point_sets, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_replaced_leaves_are_sampled():
+    # the built-in terms function serves only the leaves it was built with
+    x = np.random.default_rng(25).uniform(size=(4, 5, 2))
+    base = problem1()
+    changed = dataclasses.replace(base, a=lambda x: 2.0 + x[..., 1])
+    got = changed.sample(x, ("a", "f", "flux"))
+    for name in ("a", "f", "flux"):
+        assert got[name].tobytes() == from_leaves(changed, name, x).tobytes()
+    assert not np.array_equal(got["f"], base.sample(x, ("f",))["f"])
+    no_reaction = dataclasses.replace(base, c=None)
+    assert (no_reaction.sample(x, ("f",))["f"].tobytes()
+            == from_leaves(no_reaction, "f", x).tobytes())
+
+
+def test_sample_names_the_first_datum_that_is_not_finite():
+    def grad_u(x):
+        g = np.stack([np.ones(x.shape[:-1]), x[..., 1]], axis=-1)
+        return np.where(np.abs(x[..., :1] - 0.5) < 0.1, np.nan, g)
+
+    problem = dataclasses.replace(leaf_problem(), grad_u=grad_u)
+    x = np.array([[0.2, 0.3], [0.52, 0.7]])
+    assert np.isfinite(problem.sample(x[:1], ("grad_u",))["grad_u"]).all()
+    with pytest.raises(ValueError, match=r"grad_u is not finite at "
+                                         r"x = \[0\.52 0\.7 \]"):
+        problem.sample(x, ("a", "grad_u", "u"))
+    # a datum formed from a non-finite leaf is named by the leaf
+    for derived in ("flux", "f"):
+        with pytest.raises(ValueError, match="grad_u is not finite"):
+            problem.sample(x, (derived,))
+    # finite leaves whose product overflows
+    huge = dataclasses.replace(problem,
+                               a=lambda x: np.full(x.shape[:-1], 1e308),
+                               grad_u=lambda x: np.full(x.shape, 10.0))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="flux is not finite"):
+        huge.sample(x, ("flux",))
+
+
+def test_sample_leaves_out_absent_data_and_rejects_unknown_names():
+    x = np.zeros((2, 3))
+    assert list(problem2().sample(x, ("a", "b", "c", "f"))) == ["a", "f"]
+    with pytest.raises(ValueError, match="unknown problem data .'lap_u'."):
+        problem2().sample(x, ("lap_u",))
