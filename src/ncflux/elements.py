@@ -242,8 +242,9 @@ class BrokenRT:
         mean = self.values_at_centers()
         cells = (mean * mean
                  + self.beta * self.beta * self.mesh.elem_second_moment)
-        return float(np.sqrt(self.mesh.elem_measure
-                             @ _by_columns(np.add, cells)))
+        # numpy's pairwise sum, not a BLAS dot: the same at any thread count
+        return float(np.sqrt(np.add.reduce(self.mesh.elem_measure
+                                           * _by_columns(np.add, cells))))
 
     def values_at_centers(self) -> np.ndarray:
         """Values a + b x_K at the element centers, (ne, d): the cell

@@ -1,19 +1,21 @@
 """Sparse linear solvers with a uniform report.
 
 The Krylov method is BiCGStab (H. A. van der Vorst, SIAM J. Sci. Stat.
-Comput. 13, 1992). It is deterministic: the same matrix and right-hand
-side produce bit-identical solutions.
+Comput. 13, 1992), written here as one loop. Its inner products and
+norms are numpy's pairwise sums (``_dot``, ``_norm``), not BLAS, whose
+partial sums depend on the thread count; so the same system gives
+bit-identical solutions at any BLAS thread count.
 
-The preconditioner is picked by the caller; the study driver picks it by
-the mesh's dimension.
+The caller picks the preconditioner, a fixed linear map r -> y; the
+study driver picks it by the mesh's dimension.
 
 * ``order``, a fill-reducing order of the unknowns: a single-precision
   SuperLU factor (X. S. Li, ACM TOMS 31, 2005) of the matrix in that
-  order. The study driver uses it for every 2d system, on boxes and on
-  triangles, with a nested-dissection order
-  (``assembly.nested_dissection``; A. George, SIAM J. Numer. Anal. 10,
-  1973): BiCGStab then needs one or two iterations, and the float32
-  factor takes half the memory of a float64 one.
+  order. The study driver uses it for every 2d system, with a
+  nested-dissection order (``assembly.nested_dissection``; A. George,
+  SIAM J. Numer. Anal. 10, 1973): BiCGStab then needs one or two
+  iterations, and the float32 factor takes half the memory of a
+  float64 one.
 * ``coarse``, the coarse levels of a geometric multigrid hierarchy
   (``assembly.coarse_levels``): one V-cycle with damped Jacobi smoothing
   and a float64 SuperLU factor of the coarsest matrix. The study driver
@@ -24,24 +26,23 @@ the mesh's dimension.
   to need no coarse level is solved by the factor alone.
 * neither: Jacobi.
 
-Each is a fixed linear map, so BiCGStab and its restarts stay valid.
-
-Convergence is judged on the true residual. A BiCGStab breakdown (rho or
-omega near zero), or a stop on the recurrence residual while the true
-residual is still above the tolerance, is not final: the solve restarts
-from the current iterate with a fresh shadow residual (Saad, *Iterative
-Methods for Sparse Linear Systems*, sec. 7.4) while that keeps lowering
-the true residual within the iteration budget. A system that converges
-at once takes a single scipy call. Where restarts make no progress,
-`SolverError` is raised, and the study driver lets it end the study.
+Convergence is judged on the true residual. Each pass of the outer loop
+starts from the true residual of the iterate with a fresh shadow vector
+(Saad, *Iterative Methods for Sparse Linear Systems*, sec. 7.4) and
+ends on a breakdown (rho or omega near zero) or when its recurrence
+residual falls below the tolerance. Another pass follows while the true
+residual is above the tolerance, the last pass lowered it, and the
+iteration budget is not spent; otherwise `SolverError` is raised, and
+the study driver lets it end the study.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -62,8 +63,13 @@ class SolverError(RuntimeError):
         self.report = report
 
 
-def _relative_residual(A, b, x, bnorm):
-    return float(np.linalg.norm(b - A @ x) / bnorm)
+def _dot(u, v):
+    """u . v by numpy's pairwise sum, the same at any BLAS thread count."""
+    return float(np.add.reduce(u * v))
+
+
+def _norm(u):
+    return math.sqrt(_dot(u, u))
 
 
 def _inverse_diagonal(A):
@@ -88,10 +94,10 @@ def _lu_preconditioner(A, order):
 
     def apply(r):
         y = np.empty(r.shape[0])
-        y[order] = lu.solve(r.ravel()[order].astype(np.float32))
+        y[order] = lu.solve(r[order].astype(np.float32))
         return y
 
-    return spla.LinearOperator(A.shape, matvec=apply, dtype=float)
+    return apply
 
 
 # damped Jacobi smoothing of the V-cycle: sweeps before and after the
@@ -127,7 +133,6 @@ def _multigrid(A, coarse):
             x += t
 
     def apply(r):
-        r = r.ravel()
         down = []                       # per smoothed level: (x, r)
         for M, P, w in zip(mats, prolong, damped):
             x = w * r
@@ -142,81 +147,80 @@ def _multigrid(A, coarse):
             x = x_fine
         return x
 
-    return spla.LinearOperator(A.shape, matvec=apply, dtype=float)
+    return apply
 
 
 def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
     """Solve A x = b by BiCGStab; returns (x, SolveReport).
 
     Convergence means the true relative residual |b - A x| / |b| is at
-    most tol, within a budget of 20 * dim iterations summed over all
-    attempts. When BiCGStab breaks down, or stops on its recurrence
-    residual while the true one is still above tol, it restarts from its
-    iterate as long as each attempt lowers the true relative residual;
-    SolverError is raised when an attempt brings no decrease or the
-    budget runs out. The report then carries the total iterations and
-    the final true residual. An iteration counts once it has applied the
-    preconditioner, so an attempt that stops at the half step of an
-    iteration counts that iteration too.
+    most tol within 20 * dim iterations, summed over the passes; an
+    iteration counts once it applies the preconditioner. Otherwise
+    SolverError is raised, carrying the report.
 
-    The preconditioner is Jacobi, unless one of these is given:
-    order, a permutation of the unknowns, makes it a float32 sparse LU
-    factor of A in that order (see _lu_preconditioner); coarse, the
-    levels (P, A_c) of a multigrid hierarchy below A (possibly none),
-    makes it one V-cycle (see _multigrid). Either is freed before solve
-    returns.
+    The preconditioner, freed before solve returns, is Jacobi, a float32
+    sparse LU factor in the order given (see _lu_preconditioner), or one
+    V-cycle over the coarse levels (P, A_c) given, possibly none (see
+    _multigrid). ValueError is raised when both order and coarse are
+    given, or when A or b holds a non-finite entry.
     """
-    n = A.shape[0]
+    if order is not None and coarse is not None:
+        raise ValueError("solve takes order or coarse, not both")
     b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
+    for name, values in (("right-hand side b", b), ("matrix A", A.data)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    n = A.shape[0]
+    bnorm = _norm(b)
     if n == 0 or bnorm == 0.0:
-        report = SolveReport(method="bicgstab", converged=True, iterations=0,
-                             residual=0.0, dim=n)
-        return np.zeros(n), report
-    max_iter = 20 * n
+        return np.zeros(n), SolveReport(method="bicgstab", converged=True,
+                                        iterations=0, residual=0.0, dim=n)
     if order is not None:
         M = _lu_preconditioner(A, order)
     elif coarse is not None:
         M = _multigrid(A, coarse)
     else:
-        M = sp.diags(_inverse_diagonal(A))
-
-    count, begun = 0, False
-
-    def precondition(r):
-        nonlocal begun
-        begun = True
-        return M @ r
-
-    def tick(_):
-        nonlocal count, begun
-        count, begun = count + 1, False
-
-    def attempt(start):
-        nonlocal count, begun
-        out = spla.bicgstab(A, b, x0=start, rtol=tol, atol=0.0,
-                            M=spla.LinearOperator(A.shape, precondition,
-                                                  dtype=float),
-                            maxiter=max_iter - count, callback=tick)
-        # an exit at the half step skips the callback
-        count, begun = count + begun, False
-        return out
-
-    x, info = attempt(None)
-    # A breakdown, or a stop on the recurrence residual while the true
-    # one is above tol: restart from the iterate (true residual, fresh
-    # shadow vector) for as long as each attempt lowers the true residual.
-    prev, res = 1.0, _relative_residual(A, b, x, bnorm)
-    while (info < 0 or (info == 0 and res > tol)) and res < prev \
-            and count < max_iter:
-        x, info = attempt(x)
-        prev, res = res, _relative_residual(A, b, x, bnorm)
+        M = partial(np.multiply, _inverse_diagonal(A))
+    # scipy's bicgstab thresholds: a breakdown, and the recurrence stop
+    tiny, atol = np.finfo(float).eps ** 2, tol * bnorm
+    budget = 20 * n
+    x, r = np.zeros(n), b.copy()    # after M, whose factor sets the peak
+    count, prev, res = 0, math.inf, 1.0
+    while res > tol and res < prev and count < budget:
+        # one pass from the true residual r, with a fresh shadow vector
+        shadow = r.copy()
+        p = v = np.zeros(n)
+        rho_prev = alpha = omega = 1.0  # so p = r on the first iteration
+        while count < budget and _norm(r) >= atol:
+            rho = _dot(shadow, r)
+            if abs(rho) < tiny or abs(omega) < tiny:
+                break
+            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
+            phat = M(p)
+            count += 1
+            v = A @ phat
+            rv = _dot(shadow, v)
+            if rv == 0.0:
+                break
+            alpha = rho / rv
+            r -= alpha * v
+            x += alpha * phat
+            if _norm(r) < atol:
+                break
+            shat = M(r)
+            t = A @ shat
+            tt = _dot(t, t)
+            omega = _dot(t, r) / tt if tt else 0.0  # t = 0: a breakdown
+            x += omega * shat
+            r -= omega * t
+            rho_prev = rho
+        r = b - A @ x
+        prev, res = res, _norm(r) / bnorm
     del M                       # frees the LU factors, if any
-    converged = info == 0 and res <= tol
-    report = SolveReport(method="bicgstab", converged=converged,
+    report = SolveReport(method="bicgstab", converged=res <= tol,
                          iterations=count, residual=res, dim=n)
-    if not converged:
+    if not report.converged:
         raise SolverError(
-            f"bicgstab did not converge (info={info}, "
-            f"relative residual {res:.3e})", report)
+            f"bicgstab did not converge (relative residual {res:.3e})",
+            report)
     return x, report

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from ncflux.cli import build_parser, load_custom, main, read_config_file
 from ncflux.problems import Problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 MODULE_SOURCE = '''\
 import numpy as np
@@ -379,6 +383,31 @@ def test_identical_invocations_emit_identical_bytes(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def study_stdout(argv, threads):
+    """stdout of `ncflux study` in a child process with the BLAS thread
+    count set."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.update(dict.fromkeys(THREAD_VARIABLES, str(threads)))
+    return subprocess.run([sys.executable, "-m", "ncflux.cli", "study",
+                           *argv], env=env, capture_output=True,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--element", "ncrt2d", "--levels", "6"],
+    ["--element", "cr", "--levels", "2", "--cr-initial", "64"],
+    # the last level is solved with the multigrid V-cycle
+    ["--element", "ncrt3d", "--problem", "p2", "--levels", "4"],
+])
+def test_reports_do_not_depend_on_the_blas_thread_count(argv):
+    assert study_stdout(argv, 1) == study_stdout(argv, 2)
 
 
 def test_command_is_required():

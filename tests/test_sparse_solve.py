@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -78,15 +81,23 @@ def test_solutions_are_deterministic():
     assert np.array_equal(x1, x2)
 
 
-def test_singular_system_raises_with_report():
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    b = np.array([1.0, 0.0])
+def _assert_raises_with_report(rows, b):
+    A = sp.csr_matrix(np.array(rows))
     with pytest.raises(SolverError) as exc:
-        solve(A, b)
+        solve(A, np.array(b))
     report = exc.value.report
     assert isinstance(report, SolveReport)
     assert not report.converged
     assert report.dim == 2
+
+
+def test_singular_system_raises_with_report():
+    _assert_raises_with_report([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
+
+
+def test_omega_breakdown_raises_with_report():
+    # A M r = 0 at the half step, so omega is undefined: a breakdown
+    _assert_raises_with_report([[0.0, 0.0], [1.0, -1.0]], [1.0, 1.0])
 
 
 def test_bicgstab_restarts_after_rho_breakdown():
@@ -118,15 +129,38 @@ def test_bicgstab_stops_restarting_without_progress():
 
 
 def test_converged_means_the_true_residual_is_below_tol():
-    # with two BLAS threads, scipy's BiCGStab stops on this system on its
-    # recurrence residual while the true relative residual is about 5e-9
+    # Jacobi-preconditioned, BiCGStab stops on this system on its
+    # recurrence residual after hundreds of iterations; the report gives
+    # the true relative residual of x, reduced by numpy's pairwise sum
     system = assemble_cr(build_uniform_parallel(64, 64), problem1())
     A, b = system.matrix, system.rhs
     x, report = solve(A, b, tol=1e-10)
     assert report.converged
     assert report.residual <= 1e-10
-    true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    d = b - A @ x
+    true = math.sqrt(np.add.reduce(d * d)) / math.sqrt(np.add.reduce(b * b))
     assert true == report.residual
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "lu", "direct"])
+@pytest.mark.parametrize("where", ["right-hand side b", "matrix A"])
+def test_non_finite_input_is_rejected_at_once(where, kind):
+    # unchecked, a NaN would spin through the whole iteration budget
+    n = 20_000
+    A, b = sp.eye(n, format="csr"), np.ones(n)
+    (b if where == "right-hand side b" else A.data)[n // 2] = np.nan
+    options = {"jacobi": {}, "lu": {"order": np.arange(n)},
+               "direct": {"coarse": []}}[kind]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=where):
+        solve(A, b, **options)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_order_and_coarse_together_are_rejected():
+    with pytest.raises(ValueError, match="order or coarse"):
+        solve(sp.eye(3, format="csr"), np.ones(3), order=np.arange(3),
+              coarse=[])
 
 
 @settings(max_examples=15)
@@ -144,7 +178,7 @@ def test_lu_preconditioned_solve_matches_dense_lu(mesh):
 
 def test_half_step_exit_counts_as_an_iteration():
     # Jacobi is exact on the identity, so BiCGStab stops at the half step
-    # of its first iteration, before the callback that counts iterations
+    # of its first iteration
     b = np.arange(1.0, 6.0)
     x, report = solve(sp.eye(5, format="csr"), b)
     assert np.allclose(x, b, rtol=0.0, atol=1e-14)
@@ -183,11 +217,11 @@ def test_v_cycle_is_a_fixed_linear_map(monkeypatch):
     cycle = _multigrid(system.matrix, levels)
     rng = np.random.default_rng(8)
     r1, r2 = rng.normal(size=(2, system.matrix.shape[0]))
-    y1, y2 = cycle @ r1, cycle @ r2
-    both = cycle @ (2.0 * r1 - 3.0 * r2)
+    y1, y2 = cycle(r1), cycle(r2)
+    both = cycle(2.0 * r1 - 3.0 * r2)
     assert np.linalg.norm(both - (2.0 * y1 - 3.0 * y2)) \
         <= 1e-12 * np.linalg.norm(both)
-    assert np.array_equal(cycle @ r1, y1)
+    assert np.array_equal(cycle(r1), y1)
 
 
 def test_v_cycle_preconditions_a_deep_hierarchy(monkeypatch):
