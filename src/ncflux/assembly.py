@@ -6,10 +6,11 @@ data enters by lifting: boundary dofs are fixed to facet means of g and
 their coupling columns are folded into the right-hand side, so the
 assembled system only carries interior unknowns. Both mesh families
 expose the same facet names (``nf``, ``elem_facets``, ``interior_facets``,
-``boundary_facets``), so numbering, lifting and scatter exist once here;
-only the element-local kernels (``assemble`` here, ``cr.assemble_cr``)
-are mesh-specific. The unknowns are the interior facets in facet-id
-order; ``unknown_index`` maps a facet id to its unknown.
+``boundary_facets``) and facet rule, so numbering, boundary means,
+lifting and scatter exist once here; only the element-local kernels
+(``assemble`` here, ``cr.assemble_cr``) are mesh-specific. The
+unknowns are the interior facets in facet-id order; ``unknown_index``
+maps a facet id to its unknown.
 
 Box element loops run over blocks of ``elements.BLOCK_POINTS``
 quadrature points of the data rule (``cell_blocks``: 3,640 cells of 9
@@ -122,13 +123,14 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
                       kind="stable")
 
 
-def boundary_means(mesh: TensorMesh, g) -> np.ndarray:
-    """Facet means of g on boundary facets, ordered like boundary_facets,
-    by the data rule, sampled a block of ``facet_blocks`` at a time."""
+def boundary_means(mesh: TensorMesh | TriMesh, g) -> np.ndarray:
+    """Facet means of g on the boundary facets of either mesh family,
+    ordered like boundary_facets, by the data rule (``facet_quadrature``),
+    sampled a block of ``facet_blocks`` at a time."""
     b = mesh.boundary_facets
     out = np.empty(b.size)
-    for rows in facet_blocks(mesh, b.size, DATA_RULE):
-        pts, wts = facet_quadrature(mesh, b[rows], DATA_RULE)
+    for rows in facet_blocks(mesh, b.size):
+        pts, wts = facet_quadrature(mesh, b[rows])
         vals = finite("g", g(pts), pts)
         out[rows] = (np.einsum("fq,fq->f", wts, vals)
                      / mesh.facet_measure[b[rows]])

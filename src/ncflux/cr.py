@@ -7,19 +7,20 @@ match across edges, then average to edge midpoints (order-two recovery
 on meshes where neighboring triangles form parallelograms) or to
 vertices (a cheaper variant of lower order). A TriMesh uses TensorMesh's
 element and facet names, its facets being the edges, so dof numbering,
-Dirichlet lifting and the sparse scatter are the box ones in
-``ncflux.assembly``: ``assemble_cr`` only supplies the element blocks
-and returns the same ``LinearSystem`` as ``assemble``.
+boundary means, Dirichlet lifting and the sparse scatter are the box
+ones in ``ncflux.assembly``: ``assemble_cr`` only supplies the element
+blocks and returns the same ``LinearSystem`` as ``assemble``.
 
 Fluxes are the box ones too. The lowest-order Raviart-Thomas field on a
 triangle, a + b x with one scalar b, is an ``elements.BrokenRT`` with
 beta = (b, b) (Raviart and Thomas, LNM 606, 1977): the broken gradient
 (``CRField.gradient_rt``), the corrected flux and the edge-flux
 interpolant are all BrokenRT, so ``recovery.correction_field`` and
-``recovery.max_normal_jump`` serve triangles as they serve boxes.
+``recovery.max_normal_jump`` serve triangles as they serve boxes, and
+the interpolant matches the edge fluxes of ``recovery.facet_fluxes``.
 
-Work at quadrature points is done a block of triangles (or edges) at a
-time, so its memory stays bounded as the mesh grows; evaluators take the
+Work at quadrature points is done a block of triangles at a time, so
+its memory stays bounded as the mesh grows; evaluators take the
 points of one block and the block's ``rows`` (all triangles by default).
 At the points of the triangle rule the basis values are one constant
 table (``elements.cr_rule_table``): assembly, the correction's load and
@@ -36,21 +37,13 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import LinearSystem, lift_and_scatter
+from .assembly import LinearSystem, boundary_means, lift_and_scatter
 from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_rule_table,
-                       cr_values, edge_quadrature, reference_values,
-                       row_blocks, tri_quadrature)
+                       cr_values, reference_values, row_blocks,
+                       tri_quadrature)
 from .mesh import TriMesh, _by_columns, _frozen
-from .problems import Problem, finite
-from .recovery import correction_field
-
-
-def boundary_edge_means(trimesh: TriMesh, g) -> np.ndarray:
-    """Edge means of g on boundary edges, ordered like boundary_facets."""
-    b = trimesh.boundary_facets
-    pts, wts = edge_quadrature(trimesh, b)
-    vals = finite("g", g(pts), pts)
-    return np.einsum("eq,eq->e", wts, vals) / trimesh.facet_measure[b]
+from .problems import Problem
+from .recovery import correction_field, facet_fluxes
 
 
 def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
@@ -58,7 +51,7 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
     if problem.dim != 2:
         raise ValueError("triangular meshes are two-dimensional")
     return lift_and_scatter(trimesh,
-                            boundary_edge_means(trimesh, problem.boundary),
+                            boundary_means(trimesh, problem.boundary),
                             _local_blocks(trimesh, problem))
 
 
@@ -167,20 +160,15 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
 def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
     """Canonical edge-flux interpolant of a continuous vector field.
 
-    Matches the edge integrals of the normal component. With F_i the
-    outward flux through the edge opposite vertex p_i of a triangle T,
-    the field is sum_i F_i (x - p_i) / 2|T|: slope sum_i F_i / 2|T| and
-    value sum_i F_i (c - p_i) / 2|T| at the centroid c. An edge's
-    normal (``facet_normal``) points out of T when T's counterclockwise
-    order runs along the edge from its lower to its higher vertex id.
+    Matches the edge integrals of the normal component
+    (``recovery.facet_fluxes``). With F_i the outward flux through the
+    edge opposite vertex p_i of a triangle T, the field is
+    sum_i F_i (x - p_i) / 2|T|: slope sum_i F_i / 2|T| and value
+    sum_i F_i (c - p_i) / 2|T| at the centroid c. An edge's normal
+    (``facet_normal``) points out of T when T's counterclockwise order
+    runs along the edge from its lower to its higher vertex id.
     """
-    n = trimesh.facet_normal
-    flux = np.empty(trimesh.nf)
-    for rows in row_blocks(trimesh.nf):
-        pts, wts = edge_quadrature(trimesh, rows)
-        normal_comp = np.einsum("eqd,ed->eq", vec(pts), n[rows])
-        flux[rows] = np.einsum("eq,eq->e", wts, normal_comp)
-
+    flux = facet_fluxes(trimesh, vec)
     tri = trimesh.triangles
     outward = np.where(tri[:, [1, 2, 0]] < tri[:, [2, 0, 1]], 1.0, -1.0)
     F = outward * flux[trimesh.elem_facets]                # (ne, 3)

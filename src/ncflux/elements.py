@@ -33,7 +33,9 @@ points (``reference_values``), with no point mapped into the cell.
 Box quadrature is mapped for the rows asked for and not kept. Box loops
 take blocks of ``BLOCK_POINTS`` quadrature points of the rule in use
 (``cell_blocks``, ``facet_blocks``), so the per-point arrays of a block
-are the same size in 2d and 3d and for either rule.
+are the same size in 2d and 3d and for either rule. Both elements' dofs
+are facet means, so box facets and triangle edges alike take the data
+rule (``facet_quadrature``).
 
 Triangle quadrature is built for the rows asked for too, so that the
 triangular pipeline can work through a large mesh in blocks of
@@ -54,9 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import TensorMesh, TriMesh, _by_columns
-from .quadrature import (gauss1d, map_to_box, map_to_triangle,
-                         moment_table, monomial_exponents, tensor_rule,
-                         triangle_rule)
+from .quadrature import (map_to_box, map_to_triangle, moment_table,
+                         monomial_exponents, tensor_rule, triangle_rule)
 
 
 def span_size(dim: int) -> int:
@@ -343,15 +344,15 @@ def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * cr_barycentrics(tables, pts)
 
 
-# -- box quadrature, mapped on demand -----------------------------------------
+# -- box and facet quadrature, mapped on demand -------------------------------
 
-BLOCK_POINTS = 32_768    # quadrature points per block of box work
+BLOCK_POINTS = 32_768    # quadrature points per block of box or facet work
 
-# Gauss points per axis of the box rules, one per purpose. Data integrals
+# Gauss points per axis of the rules, one per purpose. Data integrals
 # (assembly's moments of the coefficients and the load, the correction's
-# moments of a, facet means of g and facet fluxes of the exact flux) only
-# need to converge faster than the errors the study measures, and 3
-# points are exact through degree 5 per axis. The error norms are the
+# moments of a, and on any facet means of g and fluxes of the exact flux)
+# only need to converge faster than the errors the study measures, and 3
+# points are exact through degree 5 per axis. The box error norms are the
 # measured quantities themselves and keep 4 points, exact through 7.
 DATA_RULE = 3
 NORM_RULE = 4
@@ -364,12 +365,11 @@ def cell_blocks(mesh: TensorMesh, rule: int = NORM_RULE) -> list[slice]:
     return row_blocks(mesh.ne, max(1, BLOCK_POINTS // nq))
 
 
-def facet_blocks(mesh: TensorMesh, n: int | None = None,
-                 rule: int = NORM_RULE) -> list[slice]:
+def facet_blocks(mesh: TensorMesh | TriMesh,
+                 n: int | None = None) -> list[slice]:
     """Row blocks of n facets (all by default), each with at most
-    BLOCK_POINTS points of the rule-point facet rule (one facet at
-    least)."""
-    nq = tensor_rule(mesh.dim - 1, rule).npoints
+    BLOCK_POINTS points of ``facet_quadrature`` (one facet at least)."""
+    nq = tensor_rule(mesh.dim - 1, DATA_RULE).npoints
     return row_blocks(mesh.nf if n is None else n, max(1, BLOCK_POINTS // nq))
 
 
@@ -414,15 +414,17 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     return (samples @ table) * factor[:, None, :]
 
 
-def facet_quadrature(mesh: TensorMesh, rows=slice(None),
-                     rule: int = NORM_RULE):
-    """Mapped rule-point Gauss rule on the facets ``rows`` (all by
-    default).
-
-    Returns (pts (nf, nq, d), wts (nf, nq)) for the facets asked for.
-    """
+def facet_quadrature(mesh: TensorMesh | TriMesh, rows=slice(None)):
+    """The data rule mapped onto the facets ``rows`` (all by default):
+    the tensor rule over a box facet, the Gauss rule along a triangle edge
+    from its low vertex to its high one. Returns (pts (nf, nq, d),
+    wts (nf, nq)) for the facets asked for."""
     d = mesh.dim
-    ref = tensor_rule(d - 1, rule)
+    ref = tensor_rule(d - 1, DATA_RULE)
+    if isinstance(mesh, TriMesh):
+        a, b = np.moveaxis(mesh.vertices[mesh.edges[rows]], 1, 0)
+        pts = a[:, None, :] + ref.points * (b - a)[:, None, :]
+        return pts, mesh.facet_measure[rows, None] * ref.weights
     ids = np.arange(mesh.nf)[rows]
     fe = mesh.facet_elems[ids]
     inside = np.where(fe[:, 1] >= 0, fe[:, 1], fe[:, 0])
@@ -444,7 +446,7 @@ def facet_quadrature(mesh: TensorMesh, rows=slice(None),
 
 # -- triangle quadrature, by blocks of rows -----------------------------------
 
-TRI_BLOCK = 1024     # triangles (or edges) per block of per-point work
+TRI_BLOCK = 1024     # triangles per block of per-point work
 
 
 def row_blocks(n: int, size: int | None = None) -> list[slice]:
@@ -457,13 +459,3 @@ def tri_quadrature(trimesh: TriMesh, rows=slice(None)):
     """Mapped degree-5 rule on the triangles ``rows``: (pts, wts)."""
     verts = trimesh.vertices[trimesh.triangles[rows]]
     return map_to_triangle(triangle_rule(), verts)
-
-
-def edge_quadrature(trimesh: TriMesh, rows=slice(None)):
-    """Mapped 4-point Gauss rule on the edges ``rows``: (pts, wts)."""
-    ref = gauss1d(4)
-    a = trimesh.vertices[trimesh.edges[rows, 0]]
-    b = trimesh.vertices[trimesh.edges[rows, 1]]
-    pts = a[:, None, :] + ref.points[:, None] * (b - a)[:, None, :]
-    wts = trimesh.facet_measure[rows, None] * ref.weights
-    return pts, wts

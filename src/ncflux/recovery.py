@@ -22,8 +22,8 @@ degree 2 (``elements.cell_moments``). The same code paths serve 2d
 (edges) and 3d (faces).
 
 Every broken flux is an ``elements.BrokenRT``, on boxes and on
-triangles, so the correction field and the jump check
-(``max_normal_jump``, through each mesh's ``facet_normal``) serve both
+triangles, so the correction field, the interpolants' facet fluxes
+(``facet_fluxes``) and the jump check (``max_normal_jump``) serve both
 mesh types; the projection, the interpolant and the averaging here are
 the box ones, and ``ncflux.cr`` holds their triangle counterparts.
 """
@@ -142,21 +142,28 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     return q - correction_field(mesh).scaled_by(p)
 
 
+def facet_fluxes(mesh: TensorMesh | TriMesh, vec) -> np.ndarray:
+    """(nf,) int_F vec . n_F over the facets F of either mesh family, n_F
+    their ``facet_normal``, by the data rule (``facet_quadrature``); vec
+    maps points (..., d) to (..., d) and is sampled a block of
+    ``facet_blocks`` at a time."""
+    flux = np.empty(mesh.nf)
+    for rows in facet_blocks(mesh):
+        pts, wts = facet_quadrature(mesh, rows)
+        normal_comp = np.einsum("fqd,fd->fq", vec(pts),
+                                mesh.facet_normal[rows])
+        flux[rows] = np.einsum("fq,fq->f", wts, normal_comp)
+    return flux
+
+
 def rt_interpolate(mesh: TensorMesh, vec) -> BrokenRT:
     """Canonical facet-flux interpolant of a continuous vector field.
 
-    Matches the facet integrals of the normal component, facet by facet,
-    with the data rule (``elements.DATA_RULE``); the result has
-    continuous normal components by construction. vec maps points
-    (..., d) to (..., d); it is sampled a block of ``facet_blocks``
-    (``elements.BLOCK_POINTS`` facet quadrature points) at a time.
+    Matches the facet integrals of the normal component
+    (``facet_fluxes``), facet by facet; the result has continuous normal
+    components by construction.
     """
-    dofs = np.empty(mesh.nf)
-    for rows in facet_blocks(mesh, rule=DATA_RULE):
-        pts, wts = facet_quadrature(mesh, rows, DATA_RULE)
-        normal_comp = np.take_along_axis(
-            vec(pts), mesh.facet_axis[rows, None, None], axis=2)[..., 0]
-        dofs[rows] = np.einsum("fq,fq->f", wts, normal_comp)
+    dofs = facet_fluxes(mesh, vec)
 
     d = mesh.dim
     alpha = np.empty((mesh.ne, d))

@@ -527,7 +527,8 @@ def test_study_inverts_no_matrix(monkeypatch, element, problem, fraction):
 
 
 # hooks that perfbench/tracing.py still lists but the package no longer has
-DEAD_HOOKS = {("analysis", "dense_lu"), ("analysis", "cell_means")}
+DEAD_HOOKS = {("analysis", "dense_lu"), ("analysis", "cell_means"),
+              ("cr", "edge_quadrature")}
 
 
 def load_tracing(monkeypatch):

@@ -10,11 +10,11 @@ from ncflux.assembly import (LinearSystem, assemble, boundary_means,
                              reconstruct_field, unknown_index)
 from ncflux.cr import RawFlux, assemble_cr, rt_interpolate_tri
 from ncflux.elements import (DATA_RULE, BrokenRT, basis_values, cell_blocks,
-                             cell_quadrature, edge_quadrature, facet_blocks,
-                             facet_quadrature, nc_basis, reference_coeffs)
-from ncflux.mesh import (NONDEGENERACY_LIMIT, TensorMesh, build_tensor_mesh,
-                         build_uniform_parallel, coarsen, perturb,
-                         refine_midpoint)
+                             cell_quadrature, facet_blocks, facet_quadrature,
+                             nc_basis, reference_coeffs)
+from ncflux.mesh import (NONDEGENERACY_LIMIT, TensorMesh, TriMesh,
+                         build_tensor_mesh, build_uniform_parallel, coarsen,
+                         perturb, refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              rt_interpolate)
 from ncflux.problems import custom_problem, problem1, problem2
@@ -159,6 +159,43 @@ def test_boundary_means_of_coordinate_on_known_facet():
     sel = np.isclose(mids[:, 0], 0.2) & np.isclose(mids[:, 1], 0.0)
     assert sel.sum() == 1
     assert bm[sel][0] == pytest.approx(0.2, abs=1e-14)
+
+
+@pytest.mark.parametrize("mesh_factory", [
+    lambda: perturb(build_tensor_mesh(*([np.linspace(0.0, 1.0, 4)] * 2)),
+                    0.2, seed=7),
+    lambda: jittered_parallel(3, 3, seed=7),
+], ids=["box", "tri"])
+def test_boundary_means_of_linear_data(mesh_factory):
+    mesh = mesh_factory()
+    bm = boundary_means(mesh, lambda x: x[..., 0] - 2.0 * x[..., 1])
+    mids = mesh.facet_midpoint[mesh.boundary_facets]
+    assert np.abs(bm - (mids[:, 0] - 2.0 * mids[:, 1])).max() < 1e-13
+
+
+def test_boundary_means_on_edges_take_three_points_exact_to_degree_5():
+    # a jittered triangulation turned and sheared, so that no boundary
+    # edge is axis-aligned
+    base = jittered_parallel(4, 3, amount=0.05, seed=11)
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    mesh = TriMesh(base.vertices @ (turn @ [[1.0, 0.4], [0.0, 1.0]]).T,
+                   base.triangles)
+    sampled = []
+
+    def g(x):
+        sampled.append(x.shape)
+        x0, x1 = x[..., 0], x[..., 1]
+        return x0 ** 5 - 3.0 * x0 ** 2 * x1 ** 3 + x1
+
+    bm = boundary_means(mesh, g)
+    b = mesh.boundary_facets
+    assert sampled == [(b.size, 3, 2)]
+    # the mean of g along each edge by an independent 6-point Gauss rule
+    t, w = np.polynomial.legendre.leggauss(6)
+    lo, hi = (mesh.vertices[mesh.edges[b, j]] for j in (0, 1))
+    pts = 0.5 * ((lo + hi)[:, None, :] + t[:, None] * (hi - lo)[:, None, :])
+    want = 0.5 * g(pts) @ w
+    assert np.abs(bm - want).max() < 1e-13 * np.abs(want).max()
 
 
 def test_boundary_means_against_antiderivative():
@@ -336,7 +373,8 @@ def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
                                               prob):
     mesh = mesh_factory()
     # every box loop reads the point budget from elements at call time:
-    # 7 cells or 28 facets a block, the last block a partial one
+    # 7 cells a block of the norm rule, and 37 facets (2d) or 49 (3d) of
+    # the facet rule, the last block a partial one
     monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * 4 ** mesh.dim)
     for blocks, n in ((cell_blocks(mesh), mesh.ne),
                       (facet_blocks(mesh), mesh.nf)):
@@ -758,7 +796,7 @@ def test_column_wise_reductions_keep_the_reductions_bits():
     rel = v - tri.elem_center[:, None]
     assert bits_equal(tri.elem_second_moment, (rel ** 2).sum(axis=1) / 12.0)
     vec = polynomial_problem().grad_u
-    pts, wts = edge_quadrature(tri)
+    pts, wts = facet_quadrature(tri)
     flux = np.einsum("eq,eq->e", wts,
                      np.einsum("eqd,ed->eq", vec(pts), tri.facet_normal))
     t = tri.triangles

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from ncflux import cr, elements
 from ncflux.analysis import StudyConfig, l2_error, run_study
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
-                       boundary_edge_means, corrected_flux_cr,
-                       edge_midpoint_average, rt_interpolate_tri,
-                       vertex_average)
+                       corrected_flux_cr, edge_midpoint_average,
+                       rt_interpolate_tri, vertex_average)
 from ncflux.elements import (BrokenRT, cr_basis, cr_rule_table, cr_values,
-                             edge_quadrature, row_blocks, tri_quadrature)
+                             facet_quadrature, row_blocks, tri_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
@@ -109,13 +108,6 @@ def test_three_dimensional_problem_rejected():
     mesh = build_uniform_parallel(2, 2)
     with pytest.raises(ValueError):
         assemble_cr(mesh, problem2())
-
-
-def test_boundary_edge_means_of_linear_data():
-    mesh = jittered_parallel(3, 3, seed=7)
-    bm = boundary_edge_means(mesh, lambda x: x[..., 0] - 2.0 * x[..., 1])
-    mids = mesh.facet_midpoint[mesh.boundary_facets]
-    assert np.abs(bm - (mids[:, 0] - 2.0 * mids[:, 1])).max() < 1e-13
 
 
 def test_field_values_and_gradients_for_linear_dofs():
@@ -261,7 +253,7 @@ def test_interpolant_matches_the_edge_fluxes():
                          np.exp(x[..., 0]) * x[..., 1]], axis=-1)
 
     tau = rt_interpolate_tri(mesh, vec)
-    pts, wts = edge_quadrature(mesh)
+    pts, wts = facet_quadrature(mesh)
     n = mesh.facet_normal
     flux = np.einsum("eq,eqd,ed->e", wts, vec(pts), n)
     traces = tau.midpoint_traces()
@@ -462,8 +454,8 @@ def test_fields_evaluate_one_block_of_rows():
     block_pts, block_wts = tri_quadrature(mesh, rows)
     assert np.array_equal(block_pts, pts[rows])
     assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])
-    edge_pts, _ = edge_quadrature(mesh)
-    assert np.array_equal(edge_quadrature(mesh, mesh.boundary_facets)[0],
+    edge_pts, _ = facet_quadrature(mesh)
+    assert np.array_equal(facet_quadrature(mesh, mesh.boundary_facets)[0],
                           edge_pts[mesh.boundary_facets])
 
 

@@ -4,8 +4,8 @@ import pytest
 from ncflux import elements
 from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
                              cell_moments, cell_quadrature, cr_basis,
-                             cr_values, edge_quadrature, facet_blocks,
-                             facet_quadrature, nc_basis, reference_coeffs,
+                             cr_values, facet_blocks, facet_quadrature,
+                             nc_basis, reference_coeffs,
                              span_size, span_values, tri_quadrature)
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
@@ -141,15 +141,18 @@ def test_box_blocks_hold_the_point_budget(monkeypatch, dim, cells, facets,
     mesh = build_tensor_mesh(*([np.linspace(0.0, 1.0, n + 1)] * dim))
     assert mesh.ne > cells and mesh.nf > facets
     nq = cell_quadrature(mesh, slice(0, 1))[1].size
-    assert cells * nq == facets * nq // 4 == elements.BLOCK_POINTS
-    for blocks, size, rows in ((cell_blocks(mesh), cells, mesh.ne),
-                               (facet_blocks(mesh), facets, mesh.nf)):
-        assert blocks == [slice(lo, min(lo + size, rows))
-                          for lo in range(0, rows, size)]
+    assert cells * nq == elements.BLOCK_POINTS
+    assert cell_blocks(mesh) == [slice(lo, min(lo + cells, mesh.ne))
+                                 for lo in range(0, mesh.ne, cells)]
+    # the first n facets (the boundary ones, say) within one block's
+    # budget are one block
+    assert facets * elements.DATA_RULE ** (dim - 1) <= elements.BLOCK_POINTS
+    assert facet_blocks(mesh, facets) == [slice(0, facets)]
     # a budget below one element's points still takes one at a time
     monkeypatch.setattr(elements, "BLOCK_POINTS", 1)
     assert cell_blocks(mesh)[:2] == [slice(0, 1), slice(1, 2)]
     assert len(facet_blocks(mesh)) == mesh.nf
+    assert facet_blocks(mesh, facets)[:2] == [slice(0, 1), slice(1, 2)]
 
 
 @pytest.mark.parametrize("dim, cells, facets, n", [(2, 3640, 10922, 80),
@@ -160,11 +163,13 @@ def test_data_rule_blocks_hold_the_point_budget(dim, cells, facets, n):
     nq = elements.DATA_RULE ** dim
     assert cell_quadrature(mesh, slice(0, 1), elements.DATA_RULE)[1].size \
         == nq
+    assert facet_quadrature(mesh, slice(0, 1))[1].size \
+        == nq // elements.DATA_RULE
     assert cells == elements.BLOCK_POINTS // nq
     assert facets == elements.BLOCK_POINTS // (nq // elements.DATA_RULE)
     for blocks, size, rows in (
             (cell_blocks(mesh, elements.DATA_RULE), cells, mesh.ne),
-            (facet_blocks(mesh, rule=elements.DATA_RULE), facets, mesh.nf)):
+            (facet_blocks(mesh), facets, mesh.nf)):
         assert blocks == [slice(lo, min(lo + size, rows))
                           for lo in range(0, rows, size)]
 
@@ -469,15 +474,21 @@ def test_cell_quadrature_weights_sum_to_measures():
     assert pts.shape == (mesh.ne, 64, 3)
 
 
-def test_facet_quadrature_weights_sum_to_measures():
-    mesh = random_mesh(2, seed=13)
+@pytest.mark.parametrize("mesh_factory", [
+    lambda: random_mesh(2, seed=13),
+    lambda: jittered_parallel(4, 3, amount=0.05, seed=13),
+], ids=["box", "tri"])
+def test_facet_quadrature_weights_sum_to_measures(mesh_factory):
+    mesh = mesh_factory()
     pts, wts = facet_quadrature(mesh)
+    assert pts.shape == (mesh.nf, elements.DATA_RULE, 2)
     assert np.allclose(wts.sum(axis=1), mesh.facet_measure, atol=1e-13)
-    # points lie on their facet
-    ax = mesh.facet_axis
-    onfacet = np.take_along_axis(pts, ax[:, None, None], axis=2)[..., 0]
-    assert np.allclose(onfacet, mesh.facet_midpoint[
-        np.arange(mesh.nf)[:, None], ax[:, None]])
+    # points lie on their facet, inside it
+    rel = pts - mesh.facet_midpoint[:, None, :]
+    across = np.einsum("fqd,fd->fq", rel, mesh.facet_normal)
+    assert np.abs(across).max() < 1e-14
+    along = np.hypot(rel[..., 0], rel[..., 1])
+    assert (along < 0.5 * mesh.facet_measure[:, None]).all()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -498,9 +509,3 @@ def test_tri_quadrature_weights_sum_to_areas():
     mesh = build_uniform_parallel(3, 2)
     pts, wts = tri_quadrature(mesh)
     assert np.allclose(wts.sum(axis=1), mesh.elem_measure, atol=1e-14)
-
-
-def test_edge_quadrature_weights_sum_to_lengths():
-    mesh = build_uniform_parallel(3, 2)
-    pts, wts = edge_quadrature(mesh)
-    assert np.allclose(wts.sum(axis=1), mesh.facet_measure, atol=1e-14)
