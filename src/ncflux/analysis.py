@@ -43,13 +43,10 @@ from .assembly import (assemble, coarse_levels, nested_dissection,
                        reconstruct_field)
 from .cr import (CRField, RawFlux, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
-from .elements import (NORM_RULE, cell_blocks, cell_quadrature,
-                       cr_rule_table, reference_values, row_blocks,
-                       tri_quadrature)
-from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
-                   refine_midpoint)
+from .elements import (NORM_RULE, cell_blocks, cell_quadrature, cell_table,
+                       reference_values)
+from .mesh import TensorMesh, build_uniform_parallel, perturb, refine_midpoint
 from .problems import Problem, REGISTRY, Term
-from .quadrature import reference_monomials
 from .recovery import corrected_flux, midpoint_average, rt_interpolate
 from .sparse_solve import solve
 
@@ -66,22 +63,21 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     and vector integrands are both accepted. exact and approx may also be
     equal-length lists or tuples (approx entries may be None); then the
     norms of all pairs come back as a tuple, measured in one pass. The
-    integral is summed a block of elements at a time (``cell_blocks``
-    boxes or ``TRI_BLOCK`` triangles), with the quadrature mapped once
-    per block; each distinct field or callable (matched by identity) is
-    sampled once per block, with the block's rows for discrete fields,
-    and the ``problems.Term``s of one problem, RawFlux parts included,
-    in one ``Problem.sample`` call. A block's sum of w |v|^2 is one
-    einsum of the weights and the values twice, with no squared
-    temporary. Every norm adds its block sums in block order.
+    mesh, boxes or triangles, gives its blocks, its rule and its table
+    (``elements.cell_blocks``, ``cell_quadrature`` and ``cell_table``
+    with ``elements.NORM_RULE``; triangles take their one rule), and the
+    quadrature is mapped once per block; each distinct field or callable
+    (matched by identity) is sampled once per block, with the block's
+    rows for discrete fields, and the ``problems.Term``s of one problem,
+    RawFlux parts included, in one ``Problem.sample`` call. A block's
+    sum of w |v|^2 is one einsum of the weights and the values twice,
+    with no squared temporary. Every norm adds its block sums in block
+    order.
 
-    Box norms use the norm rule (``elements.NORM_RULE``). A field that
-    gives reference_coeffs(rows) is not evaluated at the mapped points:
-    its coefficients times the rule's table (``reference_monomials`` on
-    boxes, ``cr_rule_table`` on triangles) are its values there; a
-    triangle BrokenRT, constant or affine per triangle, keeps eval_at.
-    A RawFlux is a at the points times its gradient's values, so every
-    flux over one a samples a once per block.
+    A field that gives reference_coeffs(rows) is not evaluated at the
+    mapped points: its coefficients times the mesh's table are its
+    values there. A RawFlux is a at the points times its gradient's
+    values, so every flux over one a samples a once per block.
     """
     single = not isinstance(exact, (list, tuple))
     if single:
@@ -91,25 +87,12 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     if len(approx) != len(exact):
         raise ValueError(f"{len(exact)} exact fields but {len(approx)} "
                          "approximations")
-    table = None
-    if isinstance(mesh, TensorMesh):
-        blocks = cell_blocks(mesh, NORM_RULE)
-        table = reference_monomials(mesh.dim, NORM_RULE)
-
-        def quadrature(rows):
-            return cell_quadrature(mesh, rows, NORM_RULE)
-    elif isinstance(mesh, TriMesh):
-        blocks = row_blocks(mesh.ne)
-        table = cr_rule_table()
-
-        def quadrature(rows):
-            return tri_quadrature(mesh, rows)
-    else:
-        raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
+    blocks = cell_blocks(mesh, NORM_RULE)
+    table = cell_table(mesh, NORM_RULE)
     groups = _term_groups((*exact, *approx))
     totals = [0.0] * len(exact)
     for rows in blocks:
-        pts, wts = quadrature(rows)
+        pts, wts = cell_quadrature(mesh, rows, NORM_RULE)
         samples = {}        # the previous block's samples are freed first
         for problem, names in groups:
             samples[id(problem)] = problem.sample(pts, names)
@@ -147,13 +130,12 @@ def _sample(samples, obj, pts, rows, table):
 def _values(samples, obj, pts, rows, table):
     """obj at pts. rows selects the elements of a discrete field. table
     holds the basis of the rule's reference coefficients; a field with
-    reference coefficients, save a triangle BrokenRT, is read from it,
-    not evaluated at pts. A Term is read from its problem's sample of
-    the block, when samples holds one. A RawFlux is a times its
-    gradient's values; a goes through samples, where the raw and the
-    exact flux share it, and the gradient's values are not kept."""
-    if (hasattr(obj, "reference_coeffs")
-            and not isinstance(getattr(obj, "mesh", None), TriMesh)):
+    reference coefficients is read from it, not evaluated at pts. A Term
+    is read from its problem's sample of the block, when samples holds
+    one. A RawFlux is a times its gradient's values; a goes through
+    samples, where the raw and the exact flux share it, and the
+    gradient's values are not kept."""
+    if hasattr(obj, "reference_coeffs"):
         vals = reference_values(obj.reference_coeffs(rows), table)
     elif isinstance(obj, Term) and id(obj.problem) in samples:
         vals = samples[id(obj.problem)][obj.name]

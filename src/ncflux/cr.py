@@ -19,14 +19,14 @@ interpolant are all BrokenRT, so ``recovery.correction_field`` and
 ``recovery.max_normal_jump`` serve triangles as they serve boxes, and
 the interpolant matches the edge fluxes of ``recovery.facet_fluxes``.
 
-Work at quadrature points is done a block of triangles at a time, so
-its memory stays bounded as the mesh grows; evaluators take the
-points of one block and the block's ``rows`` (all triangles by default).
-At the points of the triangle rule the basis values are one constant
-table (``elements.cr_rule_table``): assembly, the correction's load and
-the error norms (through ``reference_coeffs``) read it, and only the
-constant gradients come from ``cr_basis``. ``eval_at`` serves arbitrary
-points.
+So are the cell passes: they loop over ``elements.cell_blocks`` and
+map ``elements.cell_quadrature``, as the box passes do; evaluators take
+the points of one block and its ``rows`` (all triangles by default).
+At the triangle rule's points the basis values are one constant table
+(``elements.cell_table``): assembly, the correction's load and the
+error norms (through ``reference_coeffs``) read it, and only the
+constant gradients come from ``cr_basis``. ``eval_at`` serves
+arbitrary points.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .assembly import LinearSystem, boundary_means, lift_and_scatter
-from .elements import (BrokenRT, cr_barycentrics, cr_basis, cr_rule_table,
-                       cr_values, reference_values, row_blocks,
-                       tri_quadrature)
+from .elements import (BrokenRT, cell_blocks, cell_quadrature, cell_table,
+                       cr_barycentrics, cr_basis, cr_values, reference_values)
 from .mesh import TriMesh, _by_columns, _frozen
 from .problems import Problem
 from .recovery import correction_field, facet_fluxes
@@ -56,10 +55,10 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
 
 
 def _local_blocks(trimesh: TriMesh, problem: Problem):
-    table = cr_rule_table()                            # (3, nq)
-    for rows in row_blocks(trimesh.ne):
+    table = cell_table(trimesh)                        # (3, nq)
+    for rows in cell_blocks(trimesh):
         gphi = cr_basis(trimesh, rows).grad            # (ne, 2, 3), constant
-        pts, wts = tri_quadrature(trimesh, rows)
+        pts, wts = cell_quadrature(trimesh, rows)
         data = problem.sample(pts, ("a", "b", "c", "f"))
 
         # one matmul per triangle keeps the bits independent of the block
@@ -91,7 +90,7 @@ class CRField:
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """The local dofs of the triangles rows, (b, 3): times
-        ``elements.cr_rule_table`` they are the values at the mapped
+        ``elements.cell_table`` they are the values at the mapped
         triangle rule."""
         return self.dofs[self.trimesh.elem_facets[rows]]
 
@@ -105,7 +104,7 @@ class CRField:
         if self._gradient is None:
             tm = self.trimesh
             out = np.empty((tm.ne, 2))
-            for rows in row_blocks(tm.ne):
+            for rows in cell_blocks(tm):
                 local = self.dofs[tm.elem_facets[rows]]
                 grad = cr_basis(tm, rows).grad
                 out[rows] = (grad @ local[:, :, None])[:, :, 0]
@@ -140,10 +139,10 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
     """
     tm = field.trimesh
     grad = field.gradient_rt()
-    table = cr_rule_table()
+    table = cell_table(tm)
     abar, pbar = np.empty(tm.ne), np.empty(tm.ne)
-    for rows in row_blocks(tm.ne):
-        pts, wts = tri_quadrature(tm, rows)
+    for rows in cell_blocks(tm):
+        pts, wts = cell_quadrature(tm, rows)
         data = problem.sample(pts, ("a", "b", "c", "f"))
         abar[rows] = np.einsum("tq,tq->t", wts, data["a"])
         pv = data["f"]
@@ -200,7 +199,7 @@ class EdgeMidpointField:
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """The components' local dofs on the triangles rows, (b, 2, 3),
-        for ``elements.cr_rule_table``."""
+        for ``elements.cell_table``."""
         return self.values[self.trimesh.elem_facets[rows]].transpose(0, 2, 1)
 
 

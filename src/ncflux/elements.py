@@ -25,27 +25,22 @@ norms. Box integrals of data against polynomials in xi are cell moments,
 int_K v xi^alpha (``cell_moments``): the data sampled at the mapped
 tensor rule, times the one reference table of ``quadrature.moment_table``
 (a matmul per cell), times |K| h^alpha with h = elem_ext / 2.
-The reverse also holds: on a cell, x = center + (ext / 2) tau, so a
-discrete box field is a polynomial in 1, tau_k and tau_k^2, and its
-values at the mapped rule are its coefficients in those monomials
-(``reference_coeffs``) times one fixed table of them at the rule's
-points (``reference_values``), with no point mapped into the cell.
-Box quadrature is mapped for the rows asked for and not kept. Box loops
-take blocks of ``BLOCK_POINTS`` quadrature points of the rule in use
-(``cell_blocks``, ``facet_blocks``), so the per-point arrays of a block
-are the same size in 2d and 3d and for either rule. Both elements' dofs
-are facet means, so box facets and triangle edges alike take the data
-rule (``facet_quadrature``).
+Both elements' dofs are facet means, so box facets and triangle edges
+alike take the data rule (``facet_quadrature``).
 
-Triangle quadrature is built for the rows asked for too, so that the
-triangular pipeline can work through a large mesh in blocks of
-``TRI_BLOCK`` rows without holding per-point arrays for the whole mesh.
-The triangle rule maps affinely, so the basis values at its points are
-one constant table for every triangle (``cr_rule_table``): a field's
-local dofs times it are its values there (``reference_values``), as box
-fields' reference coefficients are with
-``quadrature.reference_monomials``. ``cr_basis`` serves the constant
-gradients, and ``cr_values`` fields at arbitrary points.
+The cells of either mesh are blocked (``cell_blocks``: at most
+``BLOCK_POINTS`` points of the rule in use per box block, ``TRI_BLOCK``
+triangles), mapped for the rows asked for and not kept
+(``cell_quadrature``; triangles take the 7-point degree-5 rule for data
+and norms alike) and tabulated (``cell_table``). Both maps are affine,
+so a discrete field's values at the mapped rule are its reference
+coefficients times the table (``reference_values``), with no point
+mapped into the cell. On a box, x = center + (ext / 2) tau makes a
+field a polynomial in 1, tau_k and tau_k^2 (``reference_coeffs``); on a
+triangle the coefficients are the local dofs, or an affine field's
+values at the edge midpoints, and the table is the basis 1 - 2 lambda_j
+at the rule's points (``cr_rule_table``). ``cr_basis`` serves the
+constant gradients, and ``cr_values`` fields at arbitrary points.
 """
 
 from __future__ import annotations
@@ -57,7 +52,8 @@ import numpy as np
 
 from .mesh import TensorMesh, TriMesh, _by_columns
 from .quadrature import (map_to_box, map_to_triangle, moment_table,
-                         monomial_exponents, tensor_rule, triangle_rule)
+                         monomial_exponents, reference_monomials,
+                         tensor_rule, triangle_rule)
 
 
 def span_size(dim: int) -> int:
@@ -184,11 +180,10 @@ def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,
 
 
 def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Values at the points of a mapped rule of fields given by their
-    reference coefficients (b, K) or (b, m, K), with table (K, nq) the
-    tensor rule's ``reference_monomials`` or the triangle rule's
-    ``cr_rule_table``: one matmul for the whole block. Returns (b, nq)
-    or (b, nq, m)."""
+    """Values at the points of ``cell_quadrature`` of fields given by
+    their reference coefficients (b, K) or (b, m, K), with table (K, nq)
+    the mesh's ``cell_table``: one matmul for the whole block. Returns
+    (b, nq) or (b, nq, m)."""
     vals = (coeffs.reshape(-1, table.shape[0]) @ table).reshape(
         coeffs.shape[:-1] + table.shape[1:])
     return vals if coeffs.ndim == 2 else vals.transpose(0, 2, 1)
@@ -211,7 +206,7 @@ class BrokenRT:
     that space is a + b x with one scalar b, so there beta holds (b, b).
     The global field may jump across facets; its normal component on any
     facet is constant along that facet, so midpoint traces determine the
-    normal jumps exactly. Only reference_coeffs is box-only.
+    normal jumps exactly.
     """
 
     mesh: TensorMesh | TriMesh
@@ -223,13 +218,20 @@ class BrokenRT:
         return self.alpha[rows, None, :] + self.beta[rows, None, :] * pts
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
-        """Coefficients of the components in the reference monomials of
-        the cells rows (``reference_coeffs``): (b, d, 2d + 1). On a cell
+        """Reference coefficients of the components on the cells rows,
+        for ``cell_table``. On a box, the coefficients in the reference
+        monomials (``reference_coeffs``), (b, d, 2d + 1): on a cell
         x_j = c_j + (l_j / 2) tau_j, so component j is
-        (a_j + b_j c_j) + (b_j l_j / 2) tau_j."""
+        (a_j + b_j c_j) + (b_j l_j / 2) tau_j. On a triangle, the values
+        at the three edge midpoints, (b, 2, 3): an affine function is
+        the sum of its midpoint values times the basis 1 - 2 lambda_j."""
         mesh = self.mesh
-        d = mesh.dim
         beta = self.beta[rows]
+        if isinstance(mesh, TriMesh):
+            mid = mesh.facet_midpoint[mesh.elem_facets[rows]]  # (b, 3, 2)
+            return (self.alpha[rows, :, None]
+                    + beta[:, :, None] * mid.transpose(0, 2, 1))
+        d = mesh.dim
         out = np.zeros(beta.shape + (2 * d + 1,))
         ax = np.arange(d)
         out[:, ax, 0] = self.alpha[rows] + beta * mesh.elem_center[rows]
@@ -344,9 +346,10 @@ def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * cr_barycentrics(tables, pts)
 
 
-# -- box and facet quadrature, mapped on demand -------------------------------
+# -- cell and facet quadrature, mapped on demand ------------------------------
 
 BLOCK_POINTS = 32_768    # quadrature points per block of box or facet work
+TRI_BLOCK = 1024         # triangles per block of per-point work
 
 # Gauss points per axis of the rules, one per purpose. Data integrals
 # (assembly's moments of the coefficients and the load, the correction's
@@ -358,9 +361,25 @@ DATA_RULE = 3
 NORM_RULE = 4
 
 
-def cell_blocks(mesh: TensorMesh, rule: int = NORM_RULE) -> list[slice]:
-    """Row blocks of the cells, each with at most BLOCK_POINTS points of
-    the rule-point cell rule (one cell at least)."""
+def row_blocks(n: int, size: int) -> list[slice]:
+    """Slices of at most size rows covering range(n)."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _triangles(mesh) -> bool:
+    """True on a TriMesh, False on a TensorMesh, TypeError otherwise."""
+    if not isinstance(mesh, (TensorMesh, TriMesh)):
+        raise TypeError(f"unsupported mesh type {type(mesh).__name__}")
+    return isinstance(mesh, TriMesh)
+
+
+def cell_blocks(mesh: TensorMesh | TriMesh,
+                rule: int = NORM_RULE) -> list[slice]:
+    """Row blocks of the cells: ``TRI_BLOCK`` triangles, or boxes with at
+    most BLOCK_POINTS points of the rule-point cell rule (one cell at
+    least)."""
+    if _triangles(mesh):
+        return row_blocks(mesh.ne, TRI_BLOCK)
     nq = tensor_rule(mesh.dim, rule).npoints
     return row_blocks(mesh.ne, max(1, BLOCK_POINTS // nq))
 
@@ -373,12 +392,26 @@ def facet_blocks(mesh: TensorMesh | TriMesh,
     return row_blocks(mesh.nf if n is None else n, max(1, BLOCK_POINTS // nq))
 
 
-def cell_quadrature(mesh: TensorMesh, rows=slice(None),
+def cell_quadrature(mesh: TensorMesh | TriMesh, rows=slice(None),
                     rule: int = NORM_RULE):
-    """Mapped rule-point tensor Gauss rule on the elements ``rows``:
-    (pts, wts)."""
+    """The cell rule mapped onto the cells ``rows``: (pts, wts). Boxes
+    take the rule-point tensor Gauss rule; triangles take the 7-point
+    degree-5 rule whatever rule names."""
+    if _triangles(mesh):
+        return map_to_triangle(triangle_rule(),
+                               mesh.vertices[mesh.triangles[rows]])
     return map_to_box(tensor_rule(mesh.dim, rule), mesh.elem_lo[rows],
                       mesh.elem_ext[rows])
+
+
+def cell_table(mesh: TensorMesh | TriMesh,
+               rule: int = NORM_RULE) -> np.ndarray:
+    """The table (K, nq) of reference coefficients at the points of
+    ``cell_quadrature(mesh, rows, rule)`` (``reference_values``):
+    ``reference_monomials`` on boxes, ``cr_rule_table`` on triangles."""
+    if _triangles(mesh):
+        return cr_rule_table()
+    return reference_monomials(mesh.dim, rule)
 
 
 def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
@@ -442,20 +475,3 @@ def facet_quadrature(mesh: TensorMesh | TriMesh, rows=slice(None)):
                               + ext[:, None, c] * ref.points[:, c])
         wts[sel] = _by_columns(np.multiply, ext)[:, None] * ref.weights
     return pts, wts
-
-
-# -- triangle quadrature, by blocks of rows -----------------------------------
-
-TRI_BLOCK = 1024     # triangles per block of per-point work
-
-
-def row_blocks(n: int, size: int | None = None) -> list[slice]:
-    """Slices of at most size (TRI_BLOCK by default) rows covering range(n)."""
-    size = TRI_BLOCK if size is None else size
-    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def tri_quadrature(trimesh: TriMesh, rows=slice(None)):
-    """Mapped degree-5 rule on the triangles ``rows``: (pts, wts)."""
-    verts = trimesh.vertices[trimesh.triangles[rows]]
-    return map_to_triangle(triangle_rule(), verts)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import ND_LEAF, assemble, reconstruct_field
 from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
-from ncflux.elements import (cell_blocks, cell_quadrature, row_blocks,
-                             span_size, span_values, tri_quadrature)
+from ncflux.elements import (cell_blocks, cell_quadrature, span_size,
+                             span_values)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
@@ -178,8 +178,8 @@ def cell_means(trimesh, func):
     """Triangle means of a scalar function, shape (ne,): the reference
     for the triangle means that the correction sums in its own loop."""
     out = np.empty(trimesh.ne)
-    for rows in row_blocks(trimesh.ne):
-        pts, wts = tri_quadrature(trimesh, rows)
+    for rows in cell_blocks(trimesh):
+        pts, wts = cell_quadrature(trimesh, rows)
         out[rows] = np.einsum("tq,tq->t", wts, func(pts))
     return out / trimesh.elem_measure
 

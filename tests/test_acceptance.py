@@ -19,7 +19,7 @@ from ncflux.analysis import (COLUMNS, StudyConfig, _solve_system,
 from ncflux.assembly import assemble
 from ncflux.cr import (RawFlux, assemble_cr, corrected_flux_cr,
                        edge_midpoint_average, vertex_average)
-from ncflux.elements import BrokenRT, cell_quadrature, tri_quadrature
+from ncflux.elements import BrokenRT, cell_quadrature
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import custom_problem, problem1, problem2
@@ -187,7 +187,7 @@ def test_correction_field_identities(mesh_factory):
     assert np.abs(r.divergence() - 1.0).max() <= 1e-15
 
     triangles = isinstance(mesh, TriMesh)
-    pts, wts = tri_quadrature(mesh) if triangles else cell_quadrature(mesh)
+    pts, wts = cell_quadrature(mesh)
     rvals = r.eval_at(pts)
     rng = np.random.default_rng(4)
     d = mesh.dim

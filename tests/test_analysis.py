@@ -14,10 +14,9 @@ from ncflux import analysis, assembly, elements, recovery
 from ncflux.assembly import reconstruct_field
 from ncflux.cr import CRField, RawFlux, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
-                             cell_quadrature, row_blocks, tri_quadrature)
+                             cell_quadrature, cell_table, reference_values)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
 from ncflux.problems import Problem, Term, custom_problem, problem1, problem2
-from ncflux.quadrature import reference_monomials
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
@@ -115,12 +114,11 @@ def test_error_sequence_gives_the_floats_of_separate_calls(monkeypatch,
         prob = problem1()
         mesh = build_uniform_parallel(6, 6)
         monkeypatch.setattr(elements, "TRI_BLOCK", 7)
-        n, blocks = mesh.ne, row_blocks(mesh.ne)
     else:
         prob = problem1() if kind == "2d" else problem2()
         mesh = refined_box_mesh(prob, 64 if kind == "2d" else 200)
         monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * 4 ** mesh.dim)
-        n, blocks = mesh.ne, cell_blocks(mesh)
+    n, blocks = mesh.ne, cell_blocks(mesh)
     assert len(blocks) > 2 and n % 7 != 0
     exact, approx = level_error_pairs(prob, mesh, 53)
     together = l2_error(mesh, exact, approx)
@@ -172,7 +170,7 @@ def test_reference_tables_give_the_values_of_eval_at(monkeypatch, dim):
     fields = (field, grad, flux,
               MidpointFlux(mesh, rng.normal(size=(mesh.nf, dim))),
               RawFlux(prob.a, grad))
-    table = reference_monomials(dim, NORM_RULE)
+    table = cell_table(mesh, NORM_RULE)
     for rows in (blocks[0], blocks[-1]):
         pts, _ = cell_quadrature(mesh, rows, NORM_RULE)
         for obj in fields:
@@ -259,12 +257,39 @@ def test_broken_rt_norm_in_closed_form_matches_the_norm_rule(kind):
     # a small field made of large opposite parts, like sigma - I sigma
     alpha = 1e-3 * rng.normal(size=beta.shape) - beta * mesh.elem_center
     flux = BrokenRT(mesh, alpha, beta)
-    pts, wts = (tri_quadrature(mesh) if kind == "tri"
-                else cell_quadrature(mesh, rule=NORM_RULE))
+    pts, wts = cell_quadrature(mesh, rule=NORM_RULE)
     quad = np.sqrt(np.sum(wts * (flux.eval_at(pts) ** 2).sum(axis=-1)))
     assert type(flux.l2_norm()) is float
     assert abs(flux.l2_norm() - quad) <= 1e-13 * quad
     assert abs(flux.l2_norm() - l2_error(mesh, flux)) <= 1e-13 * quad
+
+
+def test_triangle_flux_norm_reads_the_rule_table(monkeypatch):
+    # a + b x with one scalar b per triangle, over two blocks: its values
+    # at the three edge midpoints times the rule's table are its values
+    # at the mapped rule, so the norm maps no point into a triangle
+    mesh = jittered_parallel(24, 24, amount=0.2 / 24, seed=31)
+    blocks = cell_blocks(mesh)
+    assert len(blocks) == 2
+    rng = np.random.default_rng(86)
+    beta = np.repeat(rng.normal(size=(mesh.ne, 1)), 2, axis=1)
+    flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, 2)), beta)
+    refs = [flux.eval_at(cell_quadrature(mesh, rows)[0], rows)
+            for rows in blocks]
+    norm = flux.l2_norm()
+
+    def no_points(*args):
+        raise AssertionError("a triangle flux was evaluated at points")
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(BrokenRT, "eval_at", no_points)
+        for rows, ref in zip(blocks, refs):
+            got = reference_values(flux.reference_coeffs(rows),
+                                   cell_table(mesh))
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert abs(l2_error(mesh, flux) - norm) <= 1e-13 * norm
 
 
 def test_box_norms_keep_the_four_point_rule():
@@ -289,8 +314,12 @@ def test_error_sequences_of_unequal_length_rejected():
 
 
 def test_unsupported_mesh_type_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unsupported mesh type object"):
         l2_error(object(), lambda x: x)
+    # the elements' cell functions, which l2_error asks, check the type
+    for cell_function in (cell_blocks, cell_quadrature, cell_table):
+        with pytest.raises(TypeError, match="unsupported mesh type dict"):
+            cell_function({})
 
 
 # -- order fitting ----------------------------------------------------------------
@@ -528,7 +557,8 @@ def test_study_inverts_no_matrix(monkeypatch, element, problem, fraction):
 
 # hooks that perfbench/tracing.py still lists but the package no longer has
 DEAD_HOOKS = {("analysis", "dense_lu"), ("analysis", "cell_means"),
-              ("cr", "edge_quadrature")}
+              ("cr", "edge_quadrature"), ("analysis", "tri_quadrature"),
+              ("cr", "tri_quadrature")}
 
 
 def load_tracing(monkeypatch):
@@ -552,9 +582,9 @@ def test_every_traced_stage_is_a_module_global(monkeypatch):
     assert missing <= DEAD_HOOKS
 
 
-TRI_STAGES = {"assemble_cr", "build_uniform_parallel", "corrected_flux_cr",
-              "edge_midpoint_average", "l2_error", "rt_interpolate_tri",
-              "solve", "tri_quadrature"}
+TRI_STAGES = {"assemble_cr", "build_uniform_parallel", "cell_quadrature",
+              "corrected_flux_cr", "edge_midpoint_average", "l2_error",
+              "rt_interpolate_tri", "solve"}
 BOX_STAGES = {"assemble", "cell_quadrature", "corrected_flux", "l2_error",
               "midpoint_average", "perturb", "reconstruct_field",
               "refine_midpoint", "rt_interpolate", "solve"}
@@ -616,11 +646,10 @@ def test_level_errors_sample_a_problem_once_per_block(monkeypatch, kind):
     if kind == "box":
         mesh = refined_box_mesh(prob, 64)
         monkeypatch.setattr(elements, "BLOCK_POINTS", 7 * NORM_RULE ** 2)
-        blocks = cell_blocks(mesh)
     else:
         mesh = jittered_parallel(12, 12, amount=0.2 / 12)
         monkeypatch.setattr(elements, "TRI_BLOCK", 50)
-        blocks = row_blocks(mesh.ne)
+    blocks = cell_blocks(mesh)
     assert len(blocks) > 2
     exact, approx = level_error_pairs(prob, mesh, 56)
     expected = l2_error(mesh, exact, approx)

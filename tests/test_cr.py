@@ -8,8 +8,9 @@ from ncflux.analysis import StudyConfig, l2_error, run_study
 from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
                        corrected_flux_cr, edge_midpoint_average,
                        rt_interpolate_tri, vertex_average)
-from ncflux.elements import (BrokenRT, cr_basis, cr_rule_table, cr_values,
-                             facet_quadrature, row_blocks, tri_quadrature)
+from ncflux.elements import (BrokenRT, cell_blocks, cell_quadrature,
+                             cr_basis, cr_rule_table, cr_values,
+                             facet_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
@@ -77,7 +78,7 @@ def test_galerkin_residual_recomputed_without_matrix():
 
     from ncflux.elements import cr_basis, cr_values
     tables = cr_basis(mesh)
-    pts, wts = tri_quadrature(mesh)
+    pts, wts = cell_quadrature(mesh)
     phi = cr_values(tables, pts)
     grads = field.gradient_rt().alpha
     vals = field.eval_at(pts)
@@ -117,7 +118,7 @@ def test_field_values_and_gradients_for_linear_dofs():
         return 4.0 - x[..., 0] + 2.0 * x[..., 1]
 
     field = CRField(mesh, u(mesh.facet_midpoint))
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
     grad = field.gradient_rt()
     assert np.abs(grad.alpha - np.array([-1.0, 2.0])).max() < 1e-12
@@ -164,17 +165,17 @@ def test_correction_maps_the_quadrature_once_per_block(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return tri_quadrature(*args)
+        return cell_quadrature(*args)
 
     def recorded(self, factor):
         factors.append(factor)
         return scaled_by(self, factor)
 
     scaled_by = BrokenRT.scaled_by
-    monkeypatch.setattr(cr, "tri_quadrature", counted)
+    monkeypatch.setattr(cr, "cell_quadrature", counted)
     monkeypatch.setattr(BrokenRT, "scaled_by", recorded)
     corrected_flux_cr(field, prob)
-    assert len(calls) == len(row_blocks(mesh.ne)) == 4
+    assert len(calls) == len(cell_blocks(mesh)) == 4
     assert np.array_equal(factors[0], abar)
 
 
@@ -193,7 +194,7 @@ def test_radial_field_has_unit_divergence():
     mesh = jittered_parallel(2, 2, seed=10)
     r = correction_field(mesh)
     assert np.allclose(r.divergence(), 1.0)
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     assert np.allclose(r.eval_at(pts),
                        0.5 * (pts - mesh.elem_center[:, None, :]),
                        rtol=0.0, atol=1e-15)
@@ -280,7 +281,7 @@ def test_interpolation_reproduces_member_fields():
                         axis=-1)
 
     tau = rt_interpolate_tri(mesh, vec)
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     assert np.abs(tau.eval_at(pts) - vec(pts)).max() < 1e-12
     assert np.abs(tau.beta - 0.5).max() < 1e-12
 
@@ -359,7 +360,7 @@ def test_vertex_averaging_preserves_constants():
     cellvals = np.tile([0.25, 4.0], (mesh.ne, 1))
     fld = vertex_average(mesh, cellvals)
     assert np.abs(fld.values - np.array([0.25, 4.0])).max() < 1e-13
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     assert np.abs(fld.eval_at(pts) - np.array([0.25, 4.0])).max() < 1e-13
 
 
@@ -415,10 +416,10 @@ def test_blocks_give_the_single_block_results(monkeypatch):
     # all positive, so the mesh is not folded
     mesh = jittered_parallel(24, 24, amount=0.2 / 24, seed=23)
     prob = problem1()
-    assert len(row_blocks(mesh.ne)) == 2
+    assert len(cell_blocks(mesh)) == 2
     blocked = blocked_level(mesh, prob)
     monkeypatch.setattr(elements, "TRI_BLOCK", mesh.nf)
-    assert len(row_blocks(mesh.ne)) == 1
+    assert len(cell_blocks(mesh)) == 1
     whole = blocked_level(mesh, prob)
 
     (sys_b, sig_b, int_b, mean_b, err_b) = blocked
@@ -438,7 +439,7 @@ def test_blocks_give_the_single_block_results(monkeypatch):
 def test_fields_evaluate_one_block_of_rows():
     mesh = jittered_parallel(4, 3, seed=24)
     rng = np.random.default_rng(25)
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     rows = slice(5, 17)
     fields = [
         CRField(mesh, rng.normal(size=mesh.nf)),
@@ -451,7 +452,7 @@ def test_fields_evaluate_one_block_of_rows():
     for fld in fields:
         assert np.array_equal(fld.eval_at(pts[rows], rows),
                               fld.eval_at(pts)[rows])
-    block_pts, block_wts = tri_quadrature(mesh, rows)
+    block_pts, block_wts = cell_quadrature(mesh, rows)
     assert np.array_equal(block_pts, pts[rows])
     assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])
     edge_pts, _ = facet_quadrature(mesh)
@@ -463,7 +464,7 @@ def test_flux_difference_evaluates_as_difference():
     mesh = jittered_parallel(3, 3, seed=26)
     rng = np.random.default_rng(27)
     p, q = (random_tri_rt(mesh, rng) for _ in range(2))
-    pts, _ = tri_quadrature(mesh)
+    pts, _ = cell_quadrature(mesh)
     assert np.allclose((p - q).eval_at(pts), p.eval_at(pts) - q.eval_at(pts),
                        rtol=0.0, atol=1e-13)
 
@@ -496,7 +497,7 @@ def test_a_level_computes_the_field_gradients_once(monkeypatch):
 @given(tri_meshes())
 def test_rule_table_is_the_basis_at_the_mapped_rule(mesh):
     tables = cr_basis(mesh)
-    expected = cr_values(tables, tri_quadrature(mesh)[0])
+    expected = cr_values(tables, cell_quadrature(mesh)[0])
     # cr_values sums terms of up to 2 |bary| (x and y lie in [0, 1]),
     # which grow as 1 / h and round with them: 1.2e-14 on 16 x 16 cells
     size = 2.0 * np.abs(tables.bary).sum(axis=1).max()
@@ -508,7 +509,7 @@ def test_rule_table_is_the_basis_at_the_mapped_rule(mesh):
 @given(tri_meshes(), st.integers(0, 2**16))
 def test_table_norms_of_tri_fields_match_eval_at(mesh, seed):
     rng = np.random.default_rng(seed)
-    pts, wts = tri_quadrature(mesh)
+    pts, wts = cell_quadrature(mesh)
     for field in (CRField(mesh, rng.normal(size=mesh.nf)),
                   EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2)))):
         vals = field.eval_at(pts)
@@ -526,7 +527,7 @@ def test_a_cr_study_evaluates_no_basis_at_mapped_points(monkeypatch):
                 return _fn(*args)
             monkeypatch.setattr(module, name, counting)
     mesh = build_uniform_parallel(2, 2)
-    CRField(mesh, np.zeros(mesh.nf)).eval_at(tri_quadrature(mesh)[0])
+    CRField(mesh, np.zeros(mesh.nf)).eval_at(cell_quadrature(mesh)[0])
     assert "cr_values" in called              # the counters count
     called.clear()
     run_study(StudyConfig(problem="p1", element="cr", levels=3,

@@ -6,7 +6,7 @@ from ncflux.elements import (BrokenRT, basis_values, cell_blocks,
                              cell_moments, cell_quadrature, cr_basis,
                              cr_values, facet_blocks, facet_quadrature,
                              nc_basis, reference_coeffs,
-                             span_size, span_values, tri_quadrature)
+                             span_size, span_values)
 from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import problem2
@@ -467,11 +467,15 @@ def test_broken_rt_arithmetic():
 
 # -- batched quadrature ------------------------------------------------------
 
-def test_cell_quadrature_weights_sum_to_measures():
-    mesh = random_mesh(3, seed=12)
+@pytest.mark.parametrize("mesh_factory, nq", [
+    (lambda: random_mesh(3, seed=12), 64),
+    (lambda: build_uniform_parallel(3, 2), 7),
+], ids=["box", "tri"])
+def test_cell_quadrature_weights_sum_to_measures(mesh_factory, nq):
+    mesh = mesh_factory()
     pts, wts = cell_quadrature(mesh)
-    assert np.allclose(wts.sum(axis=1), mesh.elem_measure, atol=1e-13)
-    assert pts.shape == (mesh.ne, 64, 3)
+    assert np.allclose(wts.sum(axis=1), mesh.elem_measure, atol=1e-14)
+    assert pts.shape == (mesh.ne, nq, mesh.dim)
 
 
 @pytest.mark.parametrize("mesh_factory", [
@@ -491,9 +495,12 @@ def test_facet_quadrature_weights_sum_to_measures(mesh_factory):
     assert (along < 0.5 * mesh.facet_measure[:, None]).all()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, "tri"])
 def test_box_quadrature_of_rows_is_the_whole_mesh_rule_sliced(dim):
-    mesh = perturb(random_mesh(dim, seed=14, n=4), 0.2, seed=15)
+    if dim == "tri":
+        mesh = jittered_parallel(4, 3, amount=0.05, seed=15)
+    else:
+        mesh = perturb(random_mesh(dim, seed=14, n=4), 0.2, seed=15)
     cells, facets = cell_quadrature(mesh), facet_quadrature(mesh)
     for rows in (slice(5, 17), np.array([9, 2, 13, 2])):
         for whole, part in ((cells, cell_quadrature(mesh, rows)),
@@ -503,9 +510,3 @@ def test_box_quadrature_of_rows_is_the_whole_mesh_rule_sliced(dim):
     b = mesh.boundary_facets
     for whole, part in zip(facets, facet_quadrature(mesh, b)):
         assert np.array_equal(part, whole[b])
-
-
-def test_tri_quadrature_weights_sum_to_areas():
-    mesh = build_uniform_parallel(3, 2)
-    pts, wts = tri_quadrature(mesh)
-    assert np.allclose(wts.sum(axis=1), mesh.elem_measure, atol=1e-14)
