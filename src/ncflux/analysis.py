@@ -41,10 +41,10 @@ import numpy as np
 
 from .assembly import (assemble, coarse_levels, nested_dissection,
                        reconstruct_field)
-from .cr import (CRField, RawFlux, assemble_cr, corrected_flux_cr,
+from .cr import (CRField, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
-from .elements import (NORM_RULE, cell_blocks, cell_quadrature, cell_table,
-                       reference_values)
+from .elements import (NORM_RULE, RawFlux, cell_blocks, cell_quadrature,
+                       cell_table, reference_values)
 from .mesh import TensorMesh, build_uniform_parallel, perturb, refine_midpoint
 from .problems import Problem, REGISTRY, Term
 from .recovery import corrected_flux, midpoint_average, rt_interpolate
@@ -58,11 +58,13 @@ _AUTO_SKIP = {"ncrt2d": 3, "ncrt3d": 2, "cr": 0}
 def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     """L2 norm of exact - approx over the mesh (of exact when approx is None).
 
-    exact and approx are each a discrete field, evaluated by
-    eval_at(pts, rows), or a plain callable on quadrature points. Scalar
-    and vector integrands are both accepted. exact and approx may also be
-    equal-length lists or tuples (approx entries may be None); then the
-    norms of all pairs come back as a tuple, measured in one pass. The
+    exact and approx are each a table field or a callable: a discrete
+    field that gives reference_coeffs(rows), a RawFlux, or a plain
+    callable on quadrature points such as a ``problems.Term``; anything
+    else raises TypeError. Scalar and vector integrands are both
+    accepted. exact and approx may also be equal-length lists or tuples
+    (approx entries may be None); then the norms of all pairs come back
+    as a tuple, measured in one pass. The
     mesh, boxes or triangles, gives its blocks, its rule and its table
     (``elements.cell_blocks``, ``cell_quadrature`` and ``cell_table``
     with ``elements.NORM_RULE``; triangles take their one rule), and the
@@ -74,10 +76,10 @@ def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
     with no squared temporary. Every norm adds its block sums in block
     order.
 
-    A field that gives reference_coeffs(rows) is not evaluated at the
-    mapped points: its coefficients times the mesh's table are its
-    values there. A RawFlux is a at the points times its gradient's
-    values, so every flux over one a samples a once per block.
+    A table field is not evaluated at the mapped points: its
+    coefficients times the mesh's table are its values there. A RawFlux
+    is a at the points times its gradient's values, so every flux over
+    one a samples a once per block.
     """
     single = not isinstance(exact, (list, tuple))
     if single:
@@ -128,13 +130,13 @@ def _sample(samples, obj, pts, rows, table):
 
 
 def _values(samples, obj, pts, rows, table):
-    """obj at pts. rows selects the elements of a discrete field. table
-    holds the basis of the rule's reference coefficients; a field with
-    reference coefficients is read from it, not evaluated at pts. A Term
-    is read from its problem's sample of the block, when samples holds
-    one. A RawFlux is a times its gradient's values; a goes through
-    samples, where the raw and the exact flux share it, and the
-    gradient's values are not kept."""
+    """obj at pts. rows selects the elements of a table field, whose
+    reference coefficients times table, the basis of the rule's
+    reference coefficients, are its values. A Term is read from its
+    problem's sample of the block, when samples holds one. A RawFlux is
+    a times its gradient's values; a goes through samples, where the raw
+    and the exact flux share it, and the gradient's values are not kept.
+    Anything else is called on pts."""
     if hasattr(obj, "reference_coeffs"):
         vals = reference_values(obj.reference_coeffs(rows), table)
     elif isinstance(obj, Term) and id(obj.problem) in samples:
@@ -142,10 +144,11 @@ def _values(samples, obj, pts, rows, table):
     elif isinstance(obj, RawFlux):
         vals = (_sample(samples, obj.a, pts, rows, table)[..., None]
                 * _values(samples, obj.grad, pts, rows, table))
-    elif hasattr(obj, "eval_at"):
-        vals = obj.eval_at(pts, rows)
-    else:
+    elif callable(obj):
         vals = obj(pts)
+    else:
+        raise TypeError("l2_error needs a table field or callable, got "
+                        f"{type(obj).__name__}")
     return np.asarray(vals, dtype=float)
 
 
@@ -283,6 +286,7 @@ def _level(mesh, problem: Problem, config: StudyConfig, stages):
     system = assemble_system(mesh, problem)
     x, report = _solve_system(system, problem, config)
     field = make_field(mesh, system.full_dofs(x))
+    del system, x       # the matrix is not read again; free it now
     u, a, flux = (Term(problem, name) for name in ("u", "a", "flux"))
 
     sigma = correct(field, problem)
@@ -330,6 +334,13 @@ def run_study(config: StudyConfig,
         h = np.array([r.h for r in records[skip:]])
         for col in COLUMNS:
             err = np.array([getattr(r, col) for r in records[skip:]])
+            bad = np.flatnonzero(~(err > 0))
+            if bad.size:
+                level = skip + int(bad[0])
+                raise ValueError(
+                    f"cannot fit the order of {col}: it is "
+                    f"{float(err[bad[0]])!r} on level {level + 1} of "
+                    f"{len(records)} (ne={records[level].ne}), not positive")
             orders[col] = fit_order(h, err)
     return StudyResult(config=config, records=records, orders=orders,
                        solver_reports=reports)

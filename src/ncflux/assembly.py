@@ -52,7 +52,7 @@ from . import elements
 from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        cell_quadrature, facet_blocks, facet_quadrature,
                        nc_basis, reference_coeffs, row_blocks,
-                       span_polynomials, span_size, span_values)
+                       span_polynomials, span_size)
 from .mesh import TensorMesh, TriMesh, _by_columns, _cached, coarsen
 from .problems import Problem, finite
 from .quadrature import monomial_exponents
@@ -433,11 +433,6 @@ class NcrtField:
     mesh: TensorMesh
     dofs: np.ndarray             # (nf,)
     coeffs: np.ndarray           # (ne, nm)
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (ne, nq, d) of the elements rows -> (ne, nq)."""
-        xi = pts - self.mesh.elem_center[rows, None, :]
-        return (span_values(xi) @ self.coeffs[rows, :, None])[..., 0]
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """Coefficients in the reference monomials of the cells rows:

@@ -25,21 +25,21 @@ the points of one block and its ``rows`` (all triangles by default).
 At the triangle rule's points the basis values are one constant table
 (``elements.cell_table``): assembly, the correction's load and the
 error norms (through ``reference_coeffs``) read it, and only the
-constant gradients come from ``cr_basis``. ``eval_at`` serves
-arbitrary points.
+constant gradients come from ``cr_basis``. Every field here gives its
+values at each triangle's edge midpoints as its reference coefficients,
+and none is evaluated at arbitrary points.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .assembly import LinearSystem, boundary_means, lift_and_scatter
 from .elements import (BrokenRT, cell_blocks, cell_quadrature, cell_table,
-                       cr_barycentrics, cr_basis, cr_values, reference_values)
+                       cr_basis, reference_values)
 from .mesh import TriMesh, _by_columns, _frozen
 from .problems import Problem
 from .recovery import correction_field, facet_fluxes
@@ -82,12 +82,6 @@ class CRField:
     _gradient: BrokenRT | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
 
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (ne, nq, 2) of the triangles rows -> (ne, nq)."""
-        tables = cr_basis(self.trimesh, rows)
-        local = self.dofs[self.trimesh.elem_facets[rows]]
-        return (cr_values(tables, pts) @ local[:, :, None])[:, :, 0]
-
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """The local dofs of the triangles rows, (b, 3): times
         ``elements.cell_table`` they are the values at the mapped
@@ -111,23 +105,6 @@ class CRField:
             self._gradient = BrokenRT(tm, _frozen(out),
                                       _frozen(np.zeros_like(out)))
         return self._gradient
-
-
-@dataclass
-class RawFlux:
-    """Flux a grad: a pointwise times a gradient, which is either a field
-    with eval_at(pts, rows), such as gradient_rt() for the raw discrete
-    flux a grad u_h, or a plain callable on points."""
-
-    a: Callable
-    grad: BrokenRT | Callable
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        if hasattr(self.grad, "eval_at"):
-            grad = self.grad.eval_at(pts, rows)
-        else:
-            grad = self.grad(pts)
-        return self.a(pts)[..., None] * grad
 
 
 def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
@@ -185,17 +162,12 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
 class EdgeMidpointField:
     """Vector field with one value per edge midpoint.
 
-    Componentwise it lives in the midpoint-linear space, so values
-    anywhere come from the triangle's three edge basis functions.
+    Componentwise it lives in the midpoint-linear space, so its values
+    are the triangle's three edge basis functions times the local dofs.
     """
 
     trimesh: TriMesh
     values: np.ndarray           # (nf, 2)
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        phi = cr_values(cr_basis(self.trimesh, rows), pts)
-        local = self.values[self.trimesh.elem_facets[rows]]  # (ne, 3, 2)
-        return phi @ local
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """The components' local dofs on the triangles rows, (b, 2, 3),
@@ -210,9 +182,13 @@ class VertexField:
     trimesh: TriMesh
     values: np.ndarray           # (nv, 2)
 
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        lam = cr_barycentrics(cr_basis(self.trimesh, rows), pts)
-        return lam @ self.values[self.trimesh.triangles[rows]]
+    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
+        """The components' values at the edge midpoints of the triangles
+        rows, (b, 2, 3), for ``elements.cell_table``: a linear field lies
+        in the midpoint-linear space, and at the midpoint of the edge
+        opposite vertex j it is the mean of the other two vertex values."""
+        v = self.values[self.trimesh.triangles[rows]]       # (b, 3, 2)
+        return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]]).transpose(0, 2, 1)
 
 
 def edge_midpoint_average(trimesh: TriMesh,

@@ -1,8 +1,9 @@
-"""Local finite element bases and the broken flux polynomial type.
+"""Local finite element bases and the broken flux types.
 
 ``BrokenRT`` is the one broken-flux type of both mesh families: a + b x
 per element, componentwise, which is the lowest-order Raviart-Thomas
-space on a box and, with b_0 = b_1, on a triangle.
+space on a box and, with b_0 = b_1, on a triangle. ``RawFlux`` is a
+coefficient times a gradient, such as the raw discrete flux a grad u_h.
 
 The scalar nonconforming space on a box element K is spanned by
 {1, x_1, ..., x_d, x_1^2 - x_2^2, ..., x_1^2 - x_d^2}; its 2d degrees of
@@ -40,13 +41,15 @@ field a polynomial in 1, tau_k and tau_k^2 (``reference_coeffs``); on a
 triangle the coefficients are the local dofs, or an affine field's
 values at the edge midpoints, and the table is the basis 1 - 2 lambda_j
 at the rule's points (``cr_rule_table``). ``cr_basis`` serves the
-constant gradients, and ``cr_values`` fields at arbitrary points.
+constant gradients. No discrete field is evaluated at arbitrary points:
+its values at a rule are its reference coefficients times the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -60,21 +63,9 @@ def span_size(dim: int) -> int:
     return 2 * dim
 
 
-def span_values(xi: np.ndarray) -> np.ndarray:
-    """Evaluate the local span at centered coordinates xi (..., d)."""
-    d = xi.shape[-1]
-    out = np.empty(xi.shape[:-1] + (span_size(d),))
-    out[..., 0] = 1.0
-    out[..., 1:d + 1] = xi
-    sq0 = xi[..., 0] ** 2
-    for k in range(1, d):
-        out[..., d + k] = sq0 - xi[..., k] ** 2
-    return out
-
-
 def span_polynomials(dim: int) -> tuple[dict, ...]:
     """The span's members as {exponent tuple: coefficient} polynomials in
-    xi, in span_values order: 1, xi_k, xi_0^2 - xi_k^2."""
+    xi, in coefficient order: 1, xi_k, xi_0^2 - xi_k^2."""
     unit = [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
     polys = [{(0,) * dim: 1.0}] + [{e: 1.0} for e in unit]
     for k in range(1, dim):
@@ -189,15 +180,6 @@ def reference_values(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     return vals if coeffs.ndim == 2 else vals.transpose(0, 2, 1)
 
 
-def basis_values(mesh: TensorMesh, coeff: np.ndarray, pts: np.ndarray,
-                 rows=slice(None)) -> np.ndarray:
-    """Values at pts (ne, nq, d) of the elements rows of the dof basis
-    with their tables coeff (``nc_basis(mesh, kind, rows)``):
-    (ne, nq, ndof)."""
-    # xi is freed before the matmul, which keeps a block's peak lower
-    return span_values(pts - mesh.elem_center[rows, None, :]) @ coeff
-
-
 @dataclass
 class BrokenRT:
     """Element-wise flux polynomial, component j of the form a_j + b_j x_j.
@@ -212,10 +194,6 @@ class BrokenRT:
     mesh: TensorMesh | TriMesh
     alpha: np.ndarray        # (ne, d)
     beta: np.ndarray         # (ne, d)
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
-        return self.alpha[rows, None, :] + self.beta[rows, None, :] * pts
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """Reference coefficients of the components on the cells rows,
@@ -254,9 +232,6 @@ class BrokenRT:
         means, since each component is affine."""
         return self.alpha + self.beta * self.mesh.elem_center
 
-    def divergence(self) -> np.ndarray:
-        return _by_columns(np.add, self.beta)
-
     def midpoint_traces(self) -> np.ndarray:
         """Full-vector traces at facet midpoints from both sides.
 
@@ -272,10 +247,6 @@ class BrokenRT:
             out[ok, side, :] = self.alpha[e[ok]] + self.beta[e[ok]] * mid[ok]
         return out
 
-    def __add__(self, other: "BrokenRT") -> "BrokenRT":
-        return BrokenRT(self.mesh, self.alpha + other.alpha,
-                        self.beta + other.beta)
-
     def __sub__(self, other: "BrokenRT") -> "BrokenRT":
         return BrokenRT(self.mesh, self.alpha - other.alpha,
                         self.beta - other.beta)
@@ -284,6 +255,17 @@ class BrokenRT:
         """Multiply by an element-wise scalar (ne,)."""
         f = np.asarray(factor)[:, None]
         return BrokenRT(self.mesh, self.alpha * f, self.beta * f)
+
+
+@dataclass
+class RawFlux:
+    """Flux a grad: a pointwise times a gradient, which is either a table
+    field (with reference_coeffs(rows)), such as gradient_rt() for the raw
+    discrete flux a grad u_h, or a plain callable on points.
+    ``analysis.l2_error`` reads its values."""
+
+    a: Callable
+    grad: BrokenRT | Callable
 
 
 @dataclass(frozen=True)
@@ -333,17 +315,6 @@ def cr_rule_table() -> np.ndarray:
     table = 1.0 - 2.0 * lam
     table.setflags(write=False)
     return table
-
-
-def cr_barycentrics(tables: CRTables, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates at pts (ne, nq, 2) -> (ne, nq, 3)."""
-    ones = np.ones(pts.shape[:-1] + (1,))
-    return np.concatenate([ones, pts], axis=-1) @ tables.bary
-
-
-def cr_values(tables: CRTables, pts: np.ndarray) -> np.ndarray:
-    """Basis values at pts (ne, nq, 2) -> (ne, nq, 3)."""
-    return 1.0 - 2.0 * cr_barycentrics(tables, pts)
 
 
 # -- cell and facet quadrature, mapped on demand ------------------------------

@@ -135,10 +135,6 @@ class Problem:
                 out[name] = vals[name]
         return out
 
-    def f(self, x: np.ndarray) -> np.ndarray:
-        """Right-hand side synthesized from the closed forms."""
-        return self.sample(x, ("f",))["f"]
-
     def boundary(self, x: np.ndarray) -> np.ndarray:
         return self.u(x) if self.g is None else self.g(x)
 

@@ -107,9 +107,13 @@ def reference_monomials(dim: int, n: int) -> np.ndarray:
     """The monomials 1, tau_0, .., tau_{dim-1}, tau_0^2, .., tau_{dim-1}^2
     at the points tau = 2 t - 1 of tensor_rule(dim, n); shape
     (2 dim + 1, nq). Coefficients of a polynomial in these monomials times
-    the table are its values at the rule's points. Read-only."""
+    the table are its values at the rule's points. Read-only and
+    C-ordered, like the other constant tables."""
     tau = (2.0 * tensor_rule(dim, n).points - 1.0).T
-    table = np.concatenate([np.ones((1, tau.shape[1])), tau, tau * tau])
+    table = np.empty((2 * dim + 1, tau.shape[1]))
+    table[0] = 1.0
+    table[1:dim + 1] = tau
+    table[dim + 1:] = tau * tau
     table.setflags(write=False)
     return table
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from .assembly import NcrtField
 from .elements import (DATA_RULE, BrokenRT, _quadratic_inverse,
-                       basis_values, cell_blocks, cell_moments,
-                       cell_quadrature, facet_blocks, facet_quadrature,
-                       nc_basis, reference_coeffs)
+                       cell_blocks, cell_moments, cell_quadrature,
+                       facet_blocks, facet_quadrature, nc_basis,
+                       reference_coeffs)
 from .mesh import TensorMesh, TriMesh, _by_columns
 from .problems import Problem
 from .quadrature import monomial_exponents
@@ -199,17 +199,11 @@ class MidpointFlux:
     """Vector field with one value per facet midpoint.
 
     Componentwise it lives in the midpoint-dof nonconforming space, so
-    values anywhere come from the midpoint-dual basis of each element.
+    the midpoint-dual basis of each element gives its span coefficients.
     """
 
     mesh: TensorMesh
     values: np.ndarray           # (nf, d)
-
-    def eval_at(self, pts: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Values at points (ne, nq, d) of the elements rows -> (ne, nq, d)."""
-        mesh = self.mesh
-        phi = basis_values(mesh, nc_basis(mesh, "midpoint", rows), pts, rows)
-        return phi @ self.values[mesh.elem_facets[rows]]
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """Coefficients of the components in the reference monomials of

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from ncflux.assembly import ND_LEAF, assemble, reconstruct_field
-from ncflux.cr import CRField, EdgeMidpointField, assemble_cr
-from ncflux.elements import (cell_blocks, cell_quadrature, span_size,
-                             span_values)
+from ncflux.assembly import ND_LEAF, NcrtField, assemble, reconstruct_field
+from ncflux.cr import CRField, EdgeMidpointField, VertexField, assemble_cr
+from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
+                             nc_basis, span_size)
 from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
-from ncflux.recovery import _projection
+from ncflux.recovery import MidpointFlux, _projection
 from ncflux.sparse_solve import solve
 
 
@@ -107,6 +107,80 @@ def jittered_parallel(nx, ny, amount=0.03, seed=3):
                  | (v[:, 1] < eps) | (v[:, 1] > 1.0 - eps))
     v[interior] += rng.uniform(-amount, amount, size=(interior.sum(), 2))
     return TriMesh(v, base.triangles.copy())
+
+
+# -- point evaluators: the oracles of the reference tables ------------------
+#
+# The package reads every discrete field as reference coefficients times a
+# constant table. These evaluate the same fields at given points from first
+# principles: the box span, barycentric coordinates as area ratios, and
+# a + b x for a broken flux.
+
+def span_values(xi):
+    """The box span 1, xi_k, xi_0^2 - xi_k^2 at centered coordinates
+    xi (..., d), shape (..., 2d)."""
+    d = xi.shape[-1]
+    sq0 = xi[..., 0] ** 2
+    return np.stack([np.ones(xi.shape[:-1])]
+                    + [xi[..., k] for k in range(d)]
+                    + [sq0 - xi[..., k] ** 2 for k in range(1, d)], axis=-1)
+
+
+def basis_values(mesh, coeff, pts, rows=slice(None)):
+    """Values at pts (ne, nq, d) of the dof basis of the box cells rows
+    with tables coeff (ne, 2d, ndof), shape (ne, nq, ndof)."""
+    return span_values(pts - mesh.elem_center[rows, None, :]) @ coeff
+
+
+def barycentrics(trimesh, pts, rows=slice(None)):
+    """Barycentric coordinates at pts (ne, nq, 2) of the triangles rows,
+    shape (ne, nq, 3): lambda_j is the signed area of the triangle of the
+    point and the two other vertices over the triangle's area."""
+    v = trimesh.vertices[trimesh.triangles[rows]][:, None]   # (ne, 1, 3, 2)
+    p = pts[..., None, :]
+    a = v[..., [1, 2, 0], :] - p
+    b = v[..., [2, 0, 1], :] - p
+    twice = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return twice / (2.0 * trimesh.elem_measure[rows, None, None])
+
+
+def cr_values(trimesh, pts, rows=slice(None)):
+    """The triangle basis 1 - 2 lambda_j at pts (ne, nq, 2) of the
+    triangles rows, shape (ne, nq, 3)."""
+    return 1.0 - 2.0 * barycentrics(trimesh, pts, rows)
+
+
+def divergence(flux):
+    """The divergence of a broken flux a + b x, sum_j b_j per cell."""
+    return flux.beta.sum(axis=1)
+
+
+def eval_at(obj, pts, rows=slice(None)):
+    """Values at pts (ne, nq, d) of the cells rows of a discrete field,
+    a broken flux or a RawFlux of either mesh family, point by point."""
+    if isinstance(obj, BrokenRT):
+        return obj.alpha[rows, None, :] + obj.beta[rows, None, :] * pts
+    if isinstance(obj, RawFlux):
+        grad = (obj.grad(pts) if callable(obj.grad)
+                else eval_at(obj.grad, pts, rows))
+        return obj.a(pts)[..., None] * grad
+    if isinstance(obj, NcrtField):
+        xi = pts - obj.mesh.elem_center[rows, None, :]
+        return (span_values(xi) @ obj.coeffs[rows, :, None])[..., 0]
+    if isinstance(obj, MidpointFlux):
+        mesh = obj.mesh
+        coeff = nc_basis(mesh, "midpoint", rows)
+        return (basis_values(mesh, coeff, pts, rows)
+                @ obj.values[mesh.elem_facets[rows]])
+    tm = getattr(obj, "trimesh", None)
+    if isinstance(obj, CRField):
+        local = obj.dofs[tm.elem_facets[rows]]
+        return (cr_values(tm, pts, rows) @ local[:, :, None])[..., 0]
+    if isinstance(obj, EdgeMidpointField):
+        return cr_values(tm, pts, rows) @ obj.values[tm.elem_facets[rows]]
+    if isinstance(obj, VertexField):
+        return barycentrics(tm, pts, rows) @ obj.values[tm.triangles[rows]]
+    raise TypeError(f"no point evaluator for {type(obj).__name__}")
 
 
 def span_gradients(xi):

@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,19 @@ import pytest
 
 from ncflux.analysis import (COLUMNS, LevelRecord, StudyConfig, StudyResult,
                              emit_report, fit_order, l2_error, run_study)
-from ncflux import analysis, assembly, elements, recovery
+from ncflux import analysis, assembly, elements
 from ncflux.assembly import reconstruct_field
-from ncflux.cr import CRField, RawFlux, edge_midpoint_average
-from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, cell_blocks,
-                             cell_quadrature, cell_table, reference_values)
+from ncflux.cr import CRField, edge_midpoint_average
+from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, RawFlux,
+                             cell_blocks, cell_quadrature, cell_table,
+                             reference_values)
 from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
 from ncflux.problems import Problem, Term, custom_problem, problem1, problem2
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
-from helpers import (cell_block_bytes, jittered_parallel, linear_problem,
-                     refined_box_mesh, traced_peak)
+from helpers import (cell_block_bytes, eval_at, jittered_parallel,
+                     linear_problem, refined_box_mesh, traced_peak)
 
 
 # -- error norms ----------------------------------------------------------------
@@ -68,6 +70,28 @@ def test_error_is_symmetric_in_sign():
     b = l2_error(mesh, lambda x: x[..., 1], lambda x: x[..., 0])
     assert a == pytest.approx(b, abs=1e-15)
     assert a > 0.0
+
+
+class PointField:
+    """A field that can only be evaluated at points."""
+
+    def eval_at(self, pts, rows=slice(None)):
+        return pts[..., 0]
+
+
+@pytest.mark.parametrize("approx", [PointField(), np.zeros(3), 1.0],
+                         ids=["point_field", "array", "float"])
+@pytest.mark.parametrize("mesh", [
+    build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 1.0)),
+    build_uniform_parallel(2, 2)], ids=["box", "tri"])
+def test_unusable_field_is_a_type_error(mesh, approx):
+    # l2_error reads a table field's reference coefficients or calls a
+    # callable on the rule's points, and nothing else
+    match = f"table field or callable, got {type(approx).__name__}$"
+    with pytest.raises(TypeError, match=match):
+        l2_error(mesh, lambda x: x[..., 0], approx)
+    with pytest.raises(TypeError, match=match):
+        l2_error(mesh, approx)
 
 
 def level_error_pairs(prob, mesh, seed):
@@ -175,7 +199,7 @@ def test_reference_tables_give_the_values_of_eval_at(monkeypatch, dim):
         pts, _ = cell_quadrature(mesh, rows, NORM_RULE)
         for obj in fields:
             got = analysis._sample({}, obj, pts, rows, table)
-            ref = obj.eval_at(pts, rows)
+            ref = eval_at(obj, pts, rows)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -186,18 +210,21 @@ def test_box_error_pass_maps_no_local_coordinates(monkeypatch, kind):
     mesh = refined_box_mesh(prob, 64 if kind == "2d" else 200)
     exact, approx = level_error_pairs(prob, mesh, 55)
     expected = l2_error(mesh, exact, approx)
+    values = analysis._values
+    read = []
 
-    def no_points(*args):
-        raise AssertionError("a box field was evaluated at points")
+    def no_points(samples, obj, pts, rows, table):
+        # a table field is read from its coefficients: hand it no points
+        if hasattr(obj, "reference_coeffs"):
+            read.append(type(obj))
+            pts = None
+        return values(samples, obj, pts, rows, table)
 
-    # the span's point evaluators, in every module that looks them up
-    for module in (analysis, assembly, elements, recovery):
-        for name in ("span_values", "basis_values"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, no_points)
-    for cls in (BrokenRT, MidpointFlux, RawFlux, type(approx[0])):
-        monkeypatch.setattr(cls, "eval_at", no_points)
+    monkeypatch.setattr(analysis, "_values", no_points)
     assert l2_error(mesh, exact, approx) == expected
+    # the field, the raw flux's gradient and the recovered flux, per block
+    assert set(read) == {type(approx[0]), BrokenRT, MidpointFlux}
+    assert len(read) == 3 * len(cell_blocks(mesh))
 
 
 def arrays_in(obj):
@@ -258,7 +285,7 @@ def test_broken_rt_norm_in_closed_form_matches_the_norm_rule(kind):
     alpha = 1e-3 * rng.normal(size=beta.shape) - beta * mesh.elem_center
     flux = BrokenRT(mesh, alpha, beta)
     pts, wts = cell_quadrature(mesh, rule=NORM_RULE)
-    quad = np.sqrt(np.sum(wts * (flux.eval_at(pts) ** 2).sum(axis=-1)))
+    quad = np.sqrt(np.sum(wts * (eval_at(flux, pts) ** 2).sum(axis=-1)))
     assert type(flux.l2_norm()) is float
     assert abs(flux.l2_norm() - quad) <= 1e-13 * quad
     assert abs(flux.l2_norm() - l2_error(mesh, flux)) <= 1e-13 * quad
@@ -274,16 +301,19 @@ def test_triangle_flux_norm_reads_the_rule_table(monkeypatch):
     rng = np.random.default_rng(86)
     beta = np.repeat(rng.normal(size=(mesh.ne, 1)), 2, axis=1)
     flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, 2)), beta)
-    refs = [flux.eval_at(cell_quadrature(mesh, rows)[0], rows)
+    refs = [eval_at(flux, cell_quadrature(mesh, rows)[0], rows)
             for rows in blocks]
     norm = flux.l2_norm()
 
+    quadrature = analysis.cell_quadrature
+
     def no_points(*args):
-        raise AssertionError("a triangle flux was evaluated at points")
+        # the weights alone: the norm of a table field reads no point
+        return None, quadrature(*args)[1]
 
     for patched in (False, True):
         if patched:
-            monkeypatch.setattr(BrokenRT, "eval_at", no_points)
+            monkeypatch.setattr(analysis, "cell_quadrature", no_points)
         for rows, ref in zip(blocks, refs):
             got = reference_values(flux.reference_coeffs(rows),
                                    cell_table(mesh))
@@ -438,6 +468,26 @@ def test_explicit_skip_must_leave_two_levels(monkeypatch, levels, skip):
     monkeypatch.setattr(analysis, "_level", no_level)
     with pytest.raises(ValueError, match=f"skip={skip} .* levels={levels}"):
         run_study(StudyConfig(problem="p1", levels=levels, skip=skip))
+
+
+def test_an_order_fit_names_the_column_and_level_that_is_not_positive(
+        monkeypatch):
+    level = analysis._level
+    levels = []
+
+    def superclose_zero_on_level_2(*args):
+        record, report = level(*args)
+        levels.append(record)
+        if len(levels) == 2:
+            record = dataclasses.replace(record, err_superclose=0.0)
+        return record, report
+
+    monkeypatch.setattr(analysis, "_level", superclose_zero_on_level_2)
+    with pytest.raises(ValueError) as caught:
+        run_study(StudyConfig(problem="p1", levels=3, seed=0, skip=0))
+    assert str(caught.value) == (
+        "cannot fit the order of err_superclose: it is 0.0 on level 2 of 3 "
+        f"(ne={levels[1].ne}), not positive")
 
 
 def test_orders_fitted_with_explicit_skip():
@@ -612,6 +662,35 @@ def test_study_calls_every_stage_through_its_global(monkeypatch, element,
     run_study(StudyConfig(problem=problem, element=element, levels=2,
                           perturb=0.0 if element == "cr" else 0.2))
     assert called == expected
+
+
+@pytest.mark.parametrize("element, stages", [
+    ("ncrt2d", ("assemble", "corrected_flux")),
+    ("ncrt3d", ("assemble", "corrected_flux")),
+    ("cr", ("assemble_cr", "corrected_flux_cr"))])
+def test_a_level_frees_its_matrix_before_the_correction(monkeypatch, element,
+                                                        stages):
+    # the matrix is the level's largest array, and nothing after the solve
+    # reads it
+    assemble_name, correct_name = stages
+    assemble, correct = (getattr(analysis, name) for name in stages)
+    matrices, alive = [], []
+
+    def assembling(*args):
+        system = assemble(*args)
+        matrices.append(weakref.ref(system.matrix))
+        return system
+
+    def correcting(*args):
+        alive.append(matrices[-1]() is not None)
+        return correct(*args)
+
+    monkeypatch.setattr(analysis, assemble_name, assembling)
+    monkeypatch.setattr(analysis, correct_name, correcting)
+    run_study(StudyConfig(problem="p2" if element == "ncrt3d" else "p1",
+                          element=element, levels=2,
+                          perturb=0.0 if element == "cr" else 0.2))
+    assert alive == [False, False]
 
 
 def nan_gradient_problem():

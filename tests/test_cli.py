@@ -47,6 +47,12 @@ def make():
         initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
 
 
+def zero():
+    return custom_problem(
+        2, _zero, lambda x: np.zeros(x.shape), _zero, a=_one,
+        initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+
+
 def one_interval():
     return custom_problem(
         2, _u, _grad, _zero, a=_one,
@@ -334,6 +340,18 @@ def test_one_interval_gridlines_exit_two_before_any_level(problem_module,
     err = capsys.readouterr().err
     assert "initial_gridlines" in err and "axis 0 has 2" in err
     assert "Traceback" not in err and "ne=" not in err
+
+
+def test_zero_error_column_exits_two_naming_it(problem_module, capsys):
+    # u = 0 is solved exactly, so no order can be fitted to err_u
+    code = main(["study", "--problem", "custom", "--custom-spec",
+                 f"{problem_module}:zero", "--levels", "2", "--skip", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: cannot fit the order of err_u: it is 0.0 on "
+                      "level 1 of 2 (ne=4), not positive"]
+    assert "Traceback" not in err
 
 
 def test_unknown_problem_exits_two(capsys):

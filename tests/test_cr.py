@@ -3,22 +3,22 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from ncflux import cr, elements
+from ncflux import analysis, assembly, cr, elements, recovery
 from ncflux.analysis import StudyConfig, l2_error, run_study
-from ncflux.cr import (CRField, EdgeMidpointField, RawFlux, assemble_cr,
+from ncflux.cr import (CRField, EdgeMidpointField, assemble_cr,
                        corrected_flux_cr, edge_midpoint_average,
                        rt_interpolate_tri, vertex_average)
-from ncflux.elements import (BrokenRT, cell_blocks, cell_quadrature,
-                             cr_basis, cr_rule_table, cr_values,
-                             facet_quadrature)
+from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
+                             cr_basis, cr_rule_table, facet_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
-from ncflux.problems import custom_problem, problem1, problem2
+from ncflux.problems import Term, custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
 
-from helpers import (cell_means, edge_midpoint_average_loop,
-                     jittered_parallel, linear_problem, ones_scalar,
-                     solve_cr, source_problem, tri_locator, tri_meshes,
-                     zeros_scalar, zeros_vector)
+from helpers import (cell_means, cr_values, divergence,
+                     edge_midpoint_average_loop, eval_at, jittered_parallel,
+                     linear_problem, ones_scalar, solve_cr,
+                     source_problem, tri_locator, tri_meshes, zeros_scalar,
+                     zeros_vector)
 
 
 def random_tri_rt(mesh, rng):
@@ -76,19 +76,19 @@ def test_galerkin_residual_recomputed_without_matrix():
     )
     field = solve_cr(mesh, prob, tol=1e-13)
 
-    from ncflux.elements import cr_basis, cr_values
     tables = cr_basis(mesh)
     pts, wts = cell_quadrature(mesh)
-    phi = cr_values(tables, pts)
+    phi = cr_values(mesh, pts)
     grads = field.gradient_rt().alpha
-    vals = field.eval_at(pts)
+    vals = eval_at(field, pts)
     integrand = np.einsum("tq,td,tdi->ti", wts * prob.a(pts),
                           grads, tables.grad)
-    integrand += np.einsum("tq,tqi->ti",
-                           wts * (prob.c(pts) * vals - prob.f(pts)), phi)
+    load = Term(prob, "f")(pts)
+    integrand += np.einsum("tq,tqi->ti", wts * (prob.c(pts) * vals - load),
+                           phi)
     residual = np.zeros(mesh.nf)
     np.add.at(residual, mesh.elem_facets.ravel(), integrand.ravel())
-    scale = np.abs(np.einsum("tq,tq->", wts, np.abs(prob.f(pts))))
+    scale = np.abs(np.einsum("tq,tq->", wts, np.abs(load)))
     assert np.abs(residual[mesh.interior_facets]).max() < 1e-8 * scale
 
 
@@ -119,7 +119,7 @@ def test_field_values_and_gradients_for_linear_dofs():
 
     field = CRField(mesh, u(mesh.facet_midpoint))
     pts, _ = cell_quadrature(mesh)
-    assert np.abs(field.eval_at(pts) - u(pts)).max() < 1e-12
+    assert np.abs(eval_at(field, pts) - u(pts)).max() < 1e-12
     grad = field.gradient_rt()
     assert np.abs(grad.alpha - np.array([-1.0, 2.0])).max() < 1e-12
     assert not grad.beta.any()
@@ -186,16 +186,16 @@ def test_corrected_flux_of_zero_field_under_unit_load():
     sigma = corrected_flux_cr(field, prob)
     assert np.abs(sigma.values_at_centers()).max() < 1e-14
     assert np.abs(sigma.beta + 0.5).max() < 1e-14
-    assert np.abs(sigma.divergence() + 1.0).max() < 1e-14
+    assert np.abs(divergence(sigma) + 1.0).max() < 1e-14
 
 
 def test_radial_field_has_unit_divergence():
     # on triangles the correction field is (x - x_K) / 2
     mesh = jittered_parallel(2, 2, seed=10)
     r = correction_field(mesh)
-    assert np.allclose(r.divergence(), 1.0)
+    assert np.allclose(divergence(r), 1.0)
     pts, _ = cell_quadrature(mesh)
-    assert np.allclose(r.eval_at(pts),
+    assert np.allclose(eval_at(r, pts),
                        0.5 * (pts - mesh.elem_center[:, None, :]),
                        rtol=0.0, atol=1e-15)
 
@@ -282,7 +282,7 @@ def test_interpolation_reproduces_member_fields():
 
     tau = rt_interpolate_tri(mesh, vec)
     pts, _ = cell_quadrature(mesh)
-    assert np.abs(tau.eval_at(pts) - vec(pts)).max() < 1e-12
+    assert np.abs(eval_at(tau, pts) - vec(pts)).max() < 1e-12
     assert np.abs(tau.beta - 0.5).max() < 1e-12
 
 
@@ -351,7 +351,8 @@ def test_edge_field_evaluation_matches_stored_values():
     from ncflux.cr import EdgeMidpointField
     fld = EdgeMidpointField(mesh, vals)
     mids = mesh.facet_midpoint[mesh.elem_facets]
-    got = fld.eval_at(mids)
+    # the basis at the midpoints times the field's reference coefficients
+    got = cr_values(mesh, mids) @ fld.reference_coeffs().transpose(0, 2, 1)
     assert np.abs(got - vals[mesh.elem_facets]).max() < 1e-12
 
 
@@ -361,7 +362,7 @@ def test_vertex_averaging_preserves_constants():
     fld = vertex_average(mesh, cellvals)
     assert np.abs(fld.values - np.array([0.25, 4.0])).max() < 1e-13
     pts, _ = cell_quadrature(mesh)
-    assert np.abs(fld.eval_at(pts) - np.array([0.25, 4.0])).max() < 1e-13
+    assert np.abs(eval_at(fld, pts) - np.array([0.25, 4.0])).max() < 1e-13
 
 
 def test_vertex_averaging_matches_direct_accumulation():
@@ -383,7 +384,7 @@ def test_vertex_field_is_continuous_across_edges():
     # evaluate at interior edge midpoints from both adjacent triangles
     inter = mesh.interior_facets
     pts = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
-    vals = fld.eval_at(pts)
+    vals = eval_at(fld, pts)
     acc = np.full((mesh.nf, 2, 2), np.nan)
     for t in range(mesh.ne):
         for j, e in enumerate(mesh.elem_facets[t]):
@@ -450,8 +451,10 @@ def test_fields_evaluate_one_block_of_rows():
                 CRField(mesh, rng.normal(size=mesh.nf)).gradient_rt()),
     ]
     for fld in fields:
-        assert np.array_equal(fld.eval_at(pts[rows], rows),
-                              fld.eval_at(pts)[rows])
+        if isinstance(fld, RawFlux):        # a times its gradient's values
+            fld = fld.grad
+        assert np.array_equal(fld.reference_coeffs(rows),
+                              fld.reference_coeffs()[rows])
     block_pts, block_wts = cell_quadrature(mesh, rows)
     assert np.array_equal(block_pts, pts[rows])
     assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])
@@ -465,7 +468,7 @@ def test_flux_difference_evaluates_as_difference():
     rng = np.random.default_rng(27)
     p, q = (random_tri_rt(mesh, rng) for _ in range(2))
     pts, _ = cell_quadrature(mesh)
-    assert np.allclose((p - q).eval_at(pts), p.eval_at(pts) - q.eval_at(pts),
+    assert np.allclose(eval_at(p - q, pts), eval_at(p, pts) - eval_at(q, pts),
                        rtol=0.0, atol=1e-13)
 
 
@@ -497,9 +500,9 @@ def test_a_level_computes_the_field_gradients_once(monkeypatch):
 @given(tri_meshes())
 def test_rule_table_is_the_basis_at_the_mapped_rule(mesh):
     tables = cr_basis(mesh)
-    expected = cr_values(tables, cell_quadrature(mesh)[0])
-    # cr_values sums terms of up to 2 |bary| (x and y lie in [0, 1]),
-    # which grow as 1 / h and round with them: 1.2e-14 on 16 x 16 cells
+    expected = cr_values(mesh, cell_quadrature(mesh)[0])
+    # the bound scales with the barycentric coefficients, up to 2 |bary|
+    # (x and y lie in [0, 1]), which grow as 1 / h
     size = 2.0 * np.abs(tables.bary).sum(axis=1).max()
     assert np.abs(cr_rule_table().T - expected).max() <= 1e-15 * size
     assert not cr_rule_table().flags.writeable
@@ -511,25 +514,31 @@ def test_table_norms_of_tri_fields_match_eval_at(mesh, seed):
     rng = np.random.default_rng(seed)
     pts, wts = cell_quadrature(mesh)
     for field in (CRField(mesh, rng.normal(size=mesh.nf)),
-                  EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2)))):
-        vals = field.eval_at(pts)
+                  EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2))),
+                  vertex_average(mesh, rng.normal(size=(mesh.ne, 2)))):
+        vals = eval_at(field, pts)
         spec = "bq,bq,bq->" if vals.ndim == 2 else "bq,bqd,bqd->"
         expected = np.sqrt(np.einsum(spec, wts, vals, vals))
         assert abs(l2_error(mesh, field) - expected) <= 1e-13 * expected
 
 
 def test_a_cr_study_evaluates_no_basis_at_mapped_points(monkeypatch):
-    called = []
-    for module in (cr, elements):
-        for name in ("cr_values", "cr_barycentrics"):
-            def counting(*args, _fn=getattr(module, name), _name=name):
-                called.append(_name)
-                return _fn(*args)
-            monkeypatch.setattr(module, name, counting)
-    mesh = build_uniform_parallel(2, 2)
-    CRField(mesh, np.zeros(mesh.nf)).eval_at(cell_quadrature(mesh)[0])
-    assert "cr_values" in called              # the counters count
-    called.clear()
+    # the package has no point evaluator of the triangle basis, so every
+    # basis value a study reads comes from the rule's table
+    modules = (analysis, assembly, cr, elements, recovery)
+    called = [f"{module.__name__}.{name}" for module in modules
+              for name in ("cr_values", "cr_barycentrics", "eval_at")
+              if hasattr(module, name)]
+    called += [f"{cls.__name__}.eval_at" for cls in (
+        CRField, EdgeMidpointField, cr.VertexField, BrokenRT, RawFlux)
+        if hasattr(cls, "eval_at")]
+    assert called == []
+    for module in (analysis, cr):
+        def counting(*args, _fn=module.cell_table):
+            called.append(args[0].ne)
+            return _fn(*args)
+        monkeypatch.setattr(module, "cell_table", counting)
     run_study(StudyConfig(problem="p1", element="cr", levels=3,
                           perturb=0.0))
-    assert called == []
+    # assembly, the correction and the norms of each level
+    assert called == [ne for ne in (128, 512, 2048) for _ in range(3)]

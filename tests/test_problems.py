@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ncflux.problems import (REGISTRY, SAMPLED, Problem, _sin_cos,
+from ncflux.problems import (REGISTRY, SAMPLED, Problem, Term, _sin_cos,
                              custom_problem, problem1, problem2)
 
 # Right-hand side values for the stock problems, computed symbolically
@@ -113,14 +113,15 @@ def test_p1_source_matches_symbolic_oracle():
     prob = problem1()
     pts = np.array(sorted(P1_SOURCE_ORACLE))
     expected = np.array([P1_SOURCE_ORACLE[tuple(p)] for p in pts])
-    assert np.allclose(prob.f(pts), expected, rtol=1e-12, atol=1e-14)
+    assert np.allclose(Term(prob, "f")(pts), expected, rtol=1e-12,
+                       atol=1e-14)
 
 
 def test_p2_source_matches_symbolic_oracle():
     prob = problem2()
     pts = np.array(sorted(P2_SOURCE_ORACLE))
     expected = np.array([P2_SOURCE_ORACLE[tuple(p)] for p in pts])
-    assert np.allclose(prob.f(pts), expected, rtol=1e-12)
+    assert np.allclose(Term(prob, "f")(pts), expected, rtol=1e-12)
 
 
 def test_p1_point_value_anchor():
@@ -149,7 +150,8 @@ def test_custom_linear_solution_with_advection_and_reaction():
         c=lambda x: np.full(x.shape[:-1], 5.0),
     )
     pts = interior_points(2, 20, seed=4)
-    assert np.allclose(prob.f(pts), 3.0 + 5.0 * pts[..., 0], atol=1e-14)
+    assert np.allclose(Term(prob, "f")(pts), 3.0 + 5.0 * pts[..., 0],
+                       atol=1e-14)
 
 
 def test_custom_quadratic_poisson_source():
@@ -161,7 +163,7 @@ def test_custom_quadratic_poisson_source():
         a=lambda x: np.ones(x.shape[:-1]),
     )
     pts = interior_points(2, 20, seed=5)
-    assert np.allclose(prob.f(pts), -4.0, atol=1e-14)
+    assert np.allclose(Term(prob, "f")(pts), -4.0, atol=1e-14)
 
 
 def test_explicit_source_short_circuits_synthesis():
@@ -174,7 +176,7 @@ def test_explicit_source_short_circuits_synthesis():
         source=lambda x: np.full(x.shape[:-1], 7.5),
     )
     pts = interior_points(2, 10, seed=6)
-    assert np.allclose(prob.f(pts), 7.5)
+    assert np.allclose(Term(prob, "f")(pts), 7.5)
 
 
 def test_boundary_defaults_to_solution_trace():
@@ -234,8 +236,13 @@ def test_initial_gridlines_span_the_unit_box(factory):
 LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c", "f", "boundary")
 
 
+def leaf(problem, name):
+    """The callable of a leaf; the load f is its Term."""
+    return Term(problem, "f") if name == "f" else getattr(problem, name)
+
+
 def leaves(problem):
-    return [name for name in LEAVES if getattr(problem, name) is not None]
+    return [name for name in LEAVES if leaf(problem, name) is not None]
 
 
 @pytest.mark.parametrize("factory", [problem1, problem2])
@@ -247,20 +254,20 @@ def test_leaves_give_the_same_bits_however_the_points_arrive(factory):
     dim = factory().dim
     x = rng.uniform(size=(6, 5, dim))
     names = leaves(factory())
-    fresh = {name: getattr(factory(), name)(x) for name in names}
+    fresh = {name: leaf(factory(), name)(x) for name in names}
     for name in names:
         after_others = factory()
         for other in names:
             if other != name:
-                getattr(after_others, other)(x)
+                leaf(after_others, other)(x)
         overwritten = factory()
         pts = rng.uniform(size=x.shape)
         for other in names:
-            getattr(overwritten, other)(pts)
+            leaf(overwritten, other)(pts)
         pts[...] = x
         for problem, points in ((after_others, x), (overwritten, pts)):
-            first = getattr(problem, name)(points)
-            again = getattr(problem, name)(points)
+            first = leaf(problem, name)(points)
+            again = leaf(problem, name)(points)
             assert first.tobytes() == fresh[name].tobytes()
             assert again.tobytes() == fresh[name].tobytes()
             # every call returns a fresh array the caller may change
@@ -331,7 +338,7 @@ def test_sample_gives_the_bits_of_the_leaves(factory):
         expected = from_leaves(problem, name, x).tobytes()
         assert together[name].tobytes() == expected
         assert problem.sample(x, (name,))[name].tobytes() == expected
-    assert problem.f(x).tobytes() == together["f"].tobytes()
+    assert Term(problem, "f")(x).tobytes() == together["f"].tobytes()
 
 
 def test_default_sample_calls_each_leaf_at_most_once():

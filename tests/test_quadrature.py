@@ -119,6 +119,21 @@ def test_reference_monomials_are_the_tau_powers_at_the_rule_points(dim, n):
     assert np.array_equal(table[dim + 1:], (tau * tau).T)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_tables_are_c_ordered_and_read_only(dim):
+    # a block's values are coefficients times one of these tables; with
+    # an F-ordered reference_monomials, a 3d study's error norms kept a
+    # second BLAS thread busy
+    from ncflux.elements import cr_rule_table
+
+    tables = [reference_monomials(dim, n) for n in (3, 4)]
+    tables += [moment_table(dim, 2, n) for n in (3, 4)]
+    tables.append(cr_rule_table())
+    for table in tables:
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+
+
 def test_moment_table_is_cached_and_read_only():
     table = moment_table(3, 2, 4)
     assert table is moment_table(3, 2, 4)
