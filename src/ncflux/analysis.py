@@ -9,7 +9,9 @@ slopes in log-log, fitted after dropping the preasymptotic levels.
 
 Boxes and triangles share one ``_level``. The mesh families differ only
 in its five stages (assemble, field from dofs, correct, interpolate,
-average), which ``run_study`` reads from this module's namespace.
+average), which ``run_study`` reads from this module's namespace. Every
+level is solved with the map ``assembly.preconditioner`` picks by the
+mesh's dimension.
 
 The error norms use the 4-point Gauss rule per axis on boxes
 (``elements.NORM_RULE``); the problem data were integrated with the
@@ -39,8 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (assemble, coarse_levels, nested_dissection,
-                       reconstruct_field)
+from .assembly import assemble, preconditioner, reconstruct_field
 from .cr import (CRField, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri)
 from .elements import (NORM_RULE, RawFlux, cell_blocks, cell_quadrature,
@@ -248,18 +249,6 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
     return skip
 
 
-def _solve_system(system, problem: Problem, config: StudyConfig):
-    mesh = system.mesh
-    # 2d meshes, boxes and triangles: LU-preconditioned in nested-
-    # dissection order. 3d boxes: a multigrid V-cycle over the level's
-    # own mesh, coarsened (the LU factor's fill grows too fast in 3d).
-    if mesh.dim == 2:
-        return solve(system.matrix, system.rhs, tol=config.tol,
-                     order=nested_dissection(mesh))
-    return solve(system.matrix, system.rhs, tol=config.tol,
-                 coarse=coarse_levels(mesh, problem))
-
-
 def _tensor_meshes(problem: Problem, config: StudyConfig):
     if problem.initial_gridlines is None:
         raise ValueError(f"problem {problem.name!r} has no initial gridlines; "
@@ -284,7 +273,9 @@ def _level(mesh, problem: Problem, config: StudyConfig, stages):
     """Solve, correct, average and measure one level of a study."""
     assemble_system, make_field, correct, interpolate, average = stages
     system = assemble_system(mesh, problem)
-    x, report = _solve_system(system, problem, config)
+    # a temporary: the factor or hierarchy is freed when solve returns
+    x, report = solve(system.matrix, system.rhs, config.tol,
+                      preconditioner(system, problem))
     field = make_field(mesh, system.full_dofs(x))
     del system, x       # the matrix is not read again; free it now
     u, a, flux = (Term(problem, name) for name in ("u", "a", "flux"))

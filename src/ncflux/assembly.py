@@ -29,8 +29,10 @@ coeff^T S coeff, all in matmuls per cell (Kirby, Knepley, Logg and
 Scott, SIAM J. Sci. Comput. 27, 2005). All of these integrals, and the
 boundary means, use the data rule ``elements.DATA_RULE``.
 
+``preconditioner`` picks the map that preconditions a study's solve
+(``sparse_solve.solve``) by the mesh's dimension.
 ``nested_dissection`` orders the unknowns of a box or triangular mesh
-for the sparse LU that preconditions the 2d solve (``sparse_solve.solve``).
+for the sparse LU that preconditions the 2d solve.
 It cuts the boxes of centroid ranks of a tree depth all at once, stops a
 box at ``ND_LEAF`` ranks or one cell, records each cell's sides of the
 cuts in an int64 path (so at most 31 cuts) and sorts the unknowns once.
@@ -56,6 +58,7 @@ from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
 from .mesh import TensorMesh, TriMesh, _by_columns, _cached, coarsen
 from .problems import Problem, finite
 from .quadrature import monomial_exponents
+from .sparse_solve import lu_preconditioner, multigrid
 
 
 def unknown_index(mesh: TensorMesh | TriMesh) -> np.ndarray:
@@ -259,6 +262,19 @@ def coarse_levels(mesh: TensorMesh, problem: Problem) -> list:
         matrix = scatter(mesh, _local_blocks(mesh, problem, load=False))
         levels.append((prolongation(mesh, fine), matrix))
     return levels
+
+
+def preconditioner(system: LinearSystem, problem: Problem):
+    """The preconditioner a study solves system with, by the mesh's
+    dimension: on every 2d mesh, boxes and triangles, the float32 LU
+    factor in nested-dissection order (``sparse_solve.lu_preconditioner``);
+    on 3d boxes, one V-cycle over the level's own mesh, coarsened
+    (``sparse_solve.multigrid`` over ``coarse_levels``), since the LU
+    factor's fill grows too fast in 3d."""
+    mesh = system.mesh
+    if mesh.dim == 2:
+        return lu_preconditioner(system.matrix, nested_dissection(mesh))
+    return multigrid(system.matrix, coarse_levels(mesh, problem))
 
 
 def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:

@@ -11,8 +11,11 @@ directly. All evaluators are vectorized: they take points of shape
 (..., dim) and return (...) for scalars or (..., dim) for vectors.
 
 A pass asks for the data it needs at one point set with
-``Problem.sample(pts, names)``, which returns fresh arrays and checks
-each one to be finite (``finite``), naming the datum and the point. By
+``Problem.sample(pts, names)``, which returns fresh arrays. It
+broadcasts a constant leaf, such as ``a = lambda x: 1.0``, to the
+points' shape, and raises ValueError for a leaf of the wrong shape, a
+value that is not finite (``finite``) and an a that is not positive,
+naming the datum and, for a value, the point. By
 default it calls each leaf at most once and synthesizes f from those
 same arrays. The built-in problems have one terms function each, which
 computes every exponential, bump and half-angle pair once for all the
@@ -44,6 +47,8 @@ Vector = Callable[[np.ndarray], np.ndarray]
 SAMPLED = ("u", "grad_u", "a", "b", "c", "f", "flux")
 # the leaves sample evaluates, in evaluation order
 _LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c")
+# the leaves whose values carry a trailing axis of length dim
+_VECTORS = ("grad_u", "grad_a", "b")
 
 
 def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -58,6 +63,30 @@ def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         i = np.unravel_index(np.argmin(ok), ok.shape)
         raise ValueError(f"problem data {name} is not finite at "
                          f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
+    return values
+
+
+def _checked(name: str, values, pts: np.ndarray) -> np.ndarray:
+    """values, the samples of leaf name at pts, in the shape of the
+    points: (...) for a scalar datum, (..., dim) for grad_u, grad_a and
+    b. A Python or numpy scalar is broadcast to that shape; any other
+    shape raises ValueError naming the datum. The values are checked by
+    ``finite``, and a must be positive at every point (ellipticity).
+    """
+    shape = pts.shape if name in _VECTORS else pts.shape[:-1]
+    if np.ndim(values) == 0:
+        values = np.full(shape, values, dtype=float)
+    elif np.shape(values) != shape:
+        raise ValueError(f"problem data {name} has shape "
+                         f"{np.shape(values)}, expected {shape} at points "
+                         f"of shape {pts.shape}")
+    finite(name, values, pts)
+    if name == "a":
+        ok = values > 0.0
+        if not ok.all():
+            i = np.unravel_index(np.argmin(ok), ok.shape)
+            raise ValueError(f"problem data a is not positive at "
+                             f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
     return values
 
 
@@ -95,7 +124,9 @@ class Problem:
         all of them read (the built-in problems), or else leaf by leaf.
         f and the flux are formed from those same arrays. Each leaf
         value, then f and the flux, is checked by ``finite``, so a
-        non-finite datum is named by the leaf it comes from.
+        non-finite datum is named by the leaf it comes from. A leaf
+        value or a prescribed source is first brought to the points'
+        shape, and a must be positive (``_checked``).
         """
         names = [n for n in names
                  if n not in ("b", "c") or getattr(self, n) is not None]
@@ -122,12 +153,12 @@ class Problem:
         else:
             vals = {n: leaf(pts) for n, leaf in zip(deps, leaves)}
         for name, v in vals.items():
-            finite(name, v, pts)
+            vals[name] = _checked(name, v, pts)
         out = {}
         for name in names:
             if name == "f":
-                out[name] = finite(name, _source(vals) if synthesize
-                                   else self.source(pts), pts)
+                out[name] = (finite(name, _source(vals), pts) if synthesize
+                             else _checked(name, self.source(pts), pts))
             elif name == "flux":
                 out[name] = finite(name, vals["a"][..., None]
                                    * vals["grad_u"], pts)

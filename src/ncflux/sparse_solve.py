@@ -6,25 +6,26 @@ norms are numpy's pairwise sums (``_dot``, ``_norm``), not BLAS, whose
 partial sums depend on the thread count; so the same system gives
 bit-identical solutions at any BLAS thread count.
 
-The caller picks the preconditioner, a fixed linear map r -> y; the
-study driver picks it by the mesh's dimension.
+The caller passes the preconditioner, any fixed linear map r -> y; the
+study driver picks it by the mesh's dimension
+(``assembly.preconditioner``). Two are built here:
 
-* ``order``, a fill-reducing order of the unknowns: a single-precision
-  SuperLU factor (X. S. Li, ACM TOMS 31, 2005) of the matrix in that
-  order. The study driver uses it for every 2d system, with a
-  nested-dissection order (``assembly.nested_dissection``; A. George,
-  SIAM J. Numer. Anal. 10, 1973): BiCGStab then needs one or two
-  iterations, and the float32 factor takes half the memory of a
-  float64 one.
-* ``coarse``, the coarse levels of a geometric multigrid hierarchy
-  (``assembly.coarse_levels``): one V-cycle with damped Jacobi smoothing
-  and a float64 SuperLU factor of the coarsest matrix. The study driver
-  uses it for every 3d system, where the LU factor fills too much; the
-  iteration count then stays flat as the mesh is refined (S. C.
-  Brenner, Math. Comp. 52, 1989; S. Turek, *Efficient Solvers for
-  Incompressible Flow Problems*, Springer, 1999). A system small enough
-  to need no coarse level is solved by the factor alone.
-* neither: Jacobi.
+* ``lu_preconditioner(A, order)``, with order a fill-reducing order of
+  the unknowns: a single-precision SuperLU factor (X. S. Li, ACM TOMS
+  31, 2005) of the matrix in that order. The study driver uses it for
+  every 2d system, with a nested-dissection order
+  (``assembly.nested_dissection``; A. George, SIAM J. Numer. Anal. 10,
+  1973): BiCGStab then needs one or two iterations, and the float32
+  factor takes half the memory of a float64 one.
+* ``multigrid(A, coarse)``, with coarse the coarse levels of a geometric
+  multigrid hierarchy (``assembly.coarse_levels``): one V-cycle with
+  damped Jacobi smoothing and a float64 SuperLU factor of the coarsest
+  matrix. The study driver uses it for every 3d system, where the LU
+  factor fills too much; the iteration count then stays flat as the
+  mesh is refined (S. C. Brenner, Math. Comp. 52, 1989; S. Turek,
+  *Efficient Solvers for Incompressible Flow Problems*, Springer, 1999).
+  A system small enough to need no coarse level is solved by the factor
+  alone.
 
 Convergence is judged on the true residual. Each pass of the outer loop
 starts from the true residual of the iterate with a fresh shadow vector
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -78,7 +78,7 @@ def _inverse_diagonal(A):
     return 1.0 / diag
 
 
-def _lu_preconditioner(A, order):
+def lu_preconditioner(A, order):
     """Inverse of A by a float32 SuperLU factor of A[order][:, order].
 
     The order is taken as fill-reducing, so SuperLU keeps it (NATURAL
@@ -106,7 +106,7 @@ SMOOTH_SWEEPS = 2
 SMOOTH_OMEGA = 0.8
 
 
-def _multigrid(A, coarse):
+def multigrid(A, coarse):
     """One V-cycle on A x = r from x = 0, as a fixed linear map.
 
     coarse lists (P, A_c) from the finest level down: P maps the
@@ -150,22 +150,16 @@ def _multigrid(A, coarse):
     return apply
 
 
-def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
+def solve(A, b, tol, precondition):
     """Solve A x = b by BiCGStab; returns (x, SolveReport).
 
-    Convergence means the true relative residual |b - A x| / |b| is at
-    most tol within 20 * dim iterations, summed over the passes; an
-    iteration counts once it applies the preconditioner. Otherwise
-    SolverError is raised, carrying the report.
-
-    The preconditioner, freed before solve returns, is Jacobi, a float32
-    sparse LU factor in the order given (see _lu_preconditioner), or one
-    V-cycle over the coarse levels (P, A_c) given, possibly none (see
-    _multigrid). ValueError is raised when both order and coarse are
-    given, or when A or b holds a non-finite entry.
+    precondition is a fixed linear map r -> y, such as
+    lu_preconditioner or multigrid. Convergence means the true relative
+    residual |b - A x| / |b| is at most tol within 20 * dim iterations,
+    summed over the passes; an iteration counts once it applies the
+    preconditioner. Otherwise SolverError is raised, carrying the report.
+    ValueError is raised when A or b holds a non-finite entry.
     """
-    if order is not None and coarse is not None:
-        raise ValueError("solve takes order or coarse, not both")
     b = np.asarray(b, dtype=float)
     for name, values in (("right-hand side b", b), ("matrix A", A.data)):
         if not np.isfinite(values).all():
@@ -175,16 +169,10 @@ def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
     if n == 0 or bnorm == 0.0:
         return np.zeros(n), SolveReport(method="bicgstab", converged=True,
                                         iterations=0, residual=0.0, dim=n)
-    if order is not None:
-        M = _lu_preconditioner(A, order)
-    elif coarse is not None:
-        M = _multigrid(A, coarse)
-    else:
-        M = partial(np.multiply, _inverse_diagonal(A))
     # scipy's bicgstab thresholds: a breakdown, and the recurrence stop
     tiny, atol = np.finfo(float).eps ** 2, tol * bnorm
     budget = 20 * n
-    x, r = np.zeros(n), b.copy()    # after M, whose factor sets the peak
+    x, r = np.zeros(n), b.copy()
     count, prev, res = 0, math.inf, 1.0
     while res > tol and res < prev and count < budget:
         # one pass from the true residual r, with a fresh shadow vector
@@ -196,7 +184,7 @@ def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
             if abs(rho) < tiny or abs(omega) < tiny:
                 break
             p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
-            phat = M(p)
+            phat = precondition(p)
             count += 1
             v = A @ phat
             rv = _dot(shadow, v)
@@ -207,7 +195,7 @@ def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
             x += alpha * phat
             if _norm(r) < atol:
                 break
-            shat = M(r)
+            shat = precondition(r)
             t = A @ shat
             tt = _dot(t, t)
             omega = _dot(t, r) / tt if tt else 0.0  # t = 0: a breakdown
@@ -216,7 +204,6 @@ def solve(A, b, tol: float = 1e-10, order=None, coarse=None):
             rho_prev = rho
         r = b - A @ x
         prev, res = res, _norm(r) / bnorm
-    del M                       # frees the LU factors, if any
     report = SolveReport(method="bicgstab", converged=res <= tol,
                          iterations=count, residual=res, dim=n)
     if not report.converged:

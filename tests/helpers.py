@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from ncflux.assembly import ND_LEAF, NcrtField, assemble, reconstruct_field
+from ncflux.assembly import (ND_LEAF, NcrtField, assemble, preconditioner,
+                             reconstruct_field)
 from ncflux.cr import CRField, EdgeMidpointField, VertexField, assemble_cr
 from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
                              nc_basis, span_size)
@@ -420,11 +421,13 @@ def tri_meshes(draw, max_cells=16):
 
 def solve_tensor(mesh, problem, tol=1e-12):
     system = assemble(mesh, problem)
-    x, _ = solve(system.matrix, system.rhs, tol=tol)
+    x, _ = solve(system.matrix, system.rhs, tol,
+                 preconditioner(system, problem))
     return reconstruct_field(mesh, system.full_dofs(x))
 
 
 def solve_cr(trimesh, problem, tol=1e-12):
     system = assemble_cr(trimesh, problem)
-    x, _ = solve(system.matrix, system.rhs, tol=tol)
+    x, _ = solve(system.matrix, system.rhs, tol,
+                 preconditioner(system, problem))
     return CRField(trimesh, system.full_dofs(x))

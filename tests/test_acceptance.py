@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from ncflux.analysis import (COLUMNS, StudyConfig, _solve_system,
-                             emit_report, fit_order, l2_error, run_study)
-from ncflux.assembly import assemble
+from ncflux.analysis import (COLUMNS, StudyConfig, emit_report, fit_order,
+                             l2_error, run_study)
+from ncflux.assembly import assemble, preconditioner
 from ncflux.cr import (assemble_cr, corrected_flux_cr, edge_midpoint_average,
                        vertex_average)
 from ncflux.elements import BrokenRT, RawFlux, cell_quadrature
@@ -305,30 +305,34 @@ def test_triangular_recovery_orders():
 # -- criterion: iterative and direct sparse solvers agree -----------------------
 
 def collect_systems():
+    """(system, problem) pairs of box systems in 2d and 3d and of
+    triangular systems."""
     systems = []
     prob1 = problem1()
     mesh = build_tensor_mesh(*prob1.initial_gridlines)
     for level in range(5):
         if level:
             mesh = perturb(refine_midpoint(mesh), 0.2, seed=level)
-        systems.append(assemble(mesh, prob1))
+        systems.append((assemble(mesh, prob1), prob1))
     prob2 = problem2()
     mesh3 = build_tensor_mesh(*prob2.initial_gridlines)
     for level in range(3):
         if level:
             mesh3 = perturb(refine_midpoint(mesh3), 0.2, seed=level)
-        systems.append(assemble(mesh3, prob2))
+        systems.append((assemble(mesh3, prob2), prob2))
     tri_prob = oscillatory_problem()
     for n in (8, 16):
-        systems.append(assemble_cr(build_uniform_parallel(n, n), tri_prob))
+        systems.append((assemble_cr(build_uniform_parallel(n, n), tri_prob),
+                        tri_prob))
     return systems
 
 
 def test_iterative_and_dense_solutions_agree():
-    for system in collect_systems():
+    for system, problem in collect_systems():
         n = system.matrix.shape[0]
         assert n <= 3000
-        x_it, report = solve(system.matrix, system.rhs, tol=1e-12)
+        x_it, report = solve(system.matrix, system.rhs, 1e-12,
+                             preconditioner(system, problem))
         x_lu = spsolve(system.matrix, system.rhs)
         rel = np.linalg.norm(x_it - x_lu) / np.linalg.norm(x_lu)
         assert rel <= 1e-8, f"dim {n}: relative gap {rel:.3e}"
@@ -340,7 +344,8 @@ def test_large_triangular_system_converges_at_once():
     # a relative residual of 6.4e-10
     problem = oscillatory_problem()
     system = assemble_cr(build_uniform_parallel(256, 256), problem)
-    _, report = _solve_system(system, problem, StudyConfig(element="cr"))
+    _, report = solve(system.matrix, system.rhs, StudyConfig().tol,
+                      preconditioner(system, problem))
     assert report.converged and report.iterations <= 2
 
 

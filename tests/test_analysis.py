@@ -543,14 +543,14 @@ def test_solver_error_ends_the_study(monkeypatch):
     # a small level's breakdown is not hidden behind another solver
     solve, calls, seen = analysis.solve, [], []
 
-    def breaks_on_level_1(matrix, rhs, **kwargs):
+    def breaks_on_level_1(matrix, rhs, *args):
         calls.append(matrix.shape[0])
         if len(calls) == 2:
             report = SolveReport(method="bicgstab", converged=False,
                                  iterations=0, residual=1.0,
                                  dim=matrix.shape[0])
             raise SolverError("injected breakdown", report)
-        return solve(matrix, rhs, **kwargs)
+        return solve(matrix, rhs, *args)
 
     monkeypatch.setattr(analysis, "solve", breaks_on_level_1)
     with pytest.raises(SolverError, match="injected breakdown"):
@@ -670,27 +670,35 @@ def test_study_calls_every_stage_through_its_global(monkeypatch, element,
     ("cr", ("assemble_cr", "corrected_flux_cr"))])
 def test_a_level_frees_its_matrix_before_the_correction(monkeypatch, element,
                                                         stages):
-    # the matrix is the level's largest array, and nothing after the solve
-    # reads it
+    # the matrix and the preconditioner (the 2d LU factor, or the 3d
+    # hierarchy) are the level's largest arrays, and nothing after the
+    # solve reads them
     assemble_name, correct_name = stages
     assemble, correct = (getattr(analysis, name) for name in stages)
-    matrices, alive = [], []
+    precondition = analysis.preconditioner
+    matrices, maps, alive = [], [], []
 
     def assembling(*args):
         system = assemble(*args)
         matrices.append(weakref.ref(system.matrix))
         return system
 
+    def preconditioning(*args):
+        out = precondition(*args)
+        maps.append(weakref.ref(out))
+        return out
+
     def correcting(*args):
-        alive.append(matrices[-1]() is not None)
+        alive.append((matrices[-1]() is not None, maps[-1]() is not None))
         return correct(*args)
 
     monkeypatch.setattr(analysis, assemble_name, assembling)
+    monkeypatch.setattr(analysis, "preconditioner", preconditioning)
     monkeypatch.setattr(analysis, correct_name, correcting)
     run_study(StudyConfig(problem="p2" if element == "ncrt3d" else "p1",
                           element=element, levels=2,
                           perturb=0.0 if element == "cr" else 0.2))
-    assert alive == [False, False]
+    assert alive == [(False, False), (False, False)]
 
 
 def nan_gradient_problem():

@@ -59,6 +59,37 @@ def one_interval():
         initial_gridlines=((0.0, 1.0), (0.0, 0.5, 1.0)))
 
 
+def _wave(x):
+    return np.sin(np.pi * x[..., 0]) * x[..., 1]
+
+
+def _wave_grad(x):
+    return np.stack([np.pi * np.cos(np.pi * x[..., 0]) * x[..., 1],
+                     np.sin(np.pi * x[..., 0])], axis=-1)
+
+
+def _wave_lap(x):
+    return -np.pi ** 2 * _wave(x)
+
+
+def wave(a=_one, grad_u=_wave_grad):
+    return custom_problem(
+        2, _wave, grad_u, _wave_lap, a=a,
+        initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+
+
+def scalar_a():
+    return wave(a=lambda x: 1.0)
+
+
+def wide_gradient():
+    return wave(grad_u=lambda x: np.zeros(x.shape[:-1] + (3,)))
+
+
+def nonpositive_a():
+    return wave(a=lambda x: 0.75 - x[..., 0])
+
+
 INSTANCE = make()
 NOT_A_PROBLEM = 42
 '''
@@ -352,6 +383,41 @@ def test_zero_error_column_exits_two_naming_it(problem_module, capsys):
     assert errors == ["error: cannot fit the order of err_u: it is 0.0 on "
                       "level 1 of 2 (ne=4), not positive"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("element", ["ncrt2d", "cr"])
+def test_constant_coefficient_gives_the_bytes_of_an_array(problem_module,
+                                                          capsys, element):
+    # a = lambda x: 1.0 is broadcast to the points' shape
+
+    def report(attr):
+        assert main(["study", "--problem", "custom", "--custom-spec",
+                     f"{problem_module}:{attr}", "--element", element,
+                     "--levels", "3", "--cr-initial", "2"]) == 0
+        return capsys.readouterr().out.encode()
+
+    assert report("scalar_a") == report("wave")
+
+
+# custom problems with one bad leaf, and the start of their one error line
+BAD_DATA = {
+    "wide_gradient": r"error: problem data grad_u has shape \(\d+, \d+, 3\), "
+                     r"expected \(\d+, \d+, 2\) at points",
+    "nonpositive_a": r"error: problem data a is not positive at x = "}
+
+
+@pytest.mark.parametrize("element", ["ncrt2d", "cr"])
+@pytest.mark.parametrize("attr", sorted(BAD_DATA))
+def test_bad_problem_data_exits_two_naming_it(problem_module, capsys,
+                                              element, attr):
+    code = main(["study", "--problem", "custom", "--custom-spec",
+                 f"{problem_module}:{attr}", "--element", element,
+                 "--levels", "2", "--cr-initial", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and re.match(BAD_DATA[attr], errors[0]), err
+    assert "Traceback" not in err and "ne=" not in err
 
 
 def test_unknown_problem_exits_two(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -434,3 +435,59 @@ def test_sample_leaves_out_absent_data_and_rejects_unknown_names():
     assert list(problem2().sample(x, ("a", "b", "c", "f"))) == ["a", "f"]
     with pytest.raises(ValueError, match="unknown problem data .'lap_u'."):
         problem2().sample(x, ("lap_u",))
+
+
+@pytest.mark.parametrize("constant", [1.5, np.float64(1.5), np.array(1.5), 2])
+def test_sample_broadcasts_a_constant_leaf(constant):
+    # a constant coefficient is the commonest custom problem
+    x = np.random.default_rng(26).uniform(size=(4, 5, 2))
+    value = float(constant)
+    base = dataclasses.replace(leaf_problem(), grad_a=None)
+    flat = dataclasses.replace(base, a=lambda x: constant,
+                               b=lambda x: constant, c=lambda x: constant)
+    arrays = dataclasses.replace(
+        base, a=lambda x: np.full(x.shape[:-1], value),
+        b=lambda x: np.full(x.shape, value),
+        c=lambda x: np.full(x.shape[:-1], value))
+    got, expected = flat.sample(x, SAMPLED), arrays.sample(x, SAMPLED)
+    assert list(got) == list(expected)
+    for name, values in expected.items():
+        assert got[name].tobytes() == values.tobytes()
+
+
+# a leaf of the wrong shape, and the shape expected at points (4, 5, 2)
+WRONG_SHAPES = {
+    "grad_u": (lambda x: np.zeros(x.shape[:-1] + (3,)), (4, 5, 2)),
+    "b": (lambda x: np.ones(x.shape[:-1]), (4, 5, 2)),
+    "a": (lambda x: np.ones(x.shape), (4, 5)),
+    "u": (lambda x: np.ones(x.shape[0]), (4, 5)),
+    "source": (lambda x: np.ones(x.shape), (4, 5))}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_sample_names_a_leaf_of_the_wrong_shape(name):
+    leaf, expected = WRONG_SHAPES[name]
+    x = np.random.default_rng(27).uniform(size=(4, 5, 2))
+    problem = dataclasses.replace(leaf_problem(), **{name: leaf})
+    datum = "f" if name == "source" else name
+    with pytest.raises(ValueError, match=re.escape(
+            f"problem data {datum} has shape {np.shape(leaf(x))}, "
+            f"expected {expected}")):
+        problem.sample(x, SAMPLED)
+
+
+def test_sample_names_the_first_point_where_a_is_not_positive():
+    x = np.array([[0.2, 0.3], [0.52, 0.7], [0.9, 0.1]])
+    base = dataclasses.replace(leaf_problem(), grad_a=None)
+    problem = dataclasses.replace(base, a=lambda x: 0.5 - x[..., 0])
+    assert (problem.sample(x[:1], ("a",))["a"] > 0.0).all()
+    # every datum that reads a, so every pass, stops at its first
+    # point that is not positive
+    for names in (("a",), ("f",), ("flux",), SAMPLED):
+        with pytest.raises(ValueError, match=r"problem data a is not "
+                                             r"positive at x = \[0\.52 0\.7 \]"):
+            problem.sample(x, names)
+    zero = dataclasses.replace(base, a=lambda x: 0.0)
+    with pytest.raises(ValueError, match=r"a is not positive at "
+                                         r"x = \[0\.2 0\.3\]: 0\.0"):
+        zero.sample(x, ("a",))
