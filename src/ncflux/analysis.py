@@ -53,7 +53,8 @@ from .sparse_solve import solve
 
 COLUMNS = ("err_u", "err_flux_raw", "err_superclose", "err_recovered")
 
-_AUTO_SKIP = {"ncrt2d": 3, "ncrt3d": 2, "cr": 0}
+# each element's problem dimension and default skip
+ELEMENTS = {"ncrt2d": (2, 3), "ncrt3d": (3, 2), "cr": (2, 0)}
 
 
 def l2_error(mesh, exact, approx=None) -> float | tuple[float, ...]:
@@ -224,9 +225,9 @@ def _resolve_problem(config: StudyConfig) -> Problem:
 
 
 def _check_config(config: StudyConfig, problem: Problem) -> int:
-    need_dim = {"ncrt2d": 2, "ncrt3d": 3, "cr": 2}.get(config.element)
-    if need_dim is None:
+    if config.element not in ELEMENTS:
         raise ValueError(f"unknown element {config.element!r}")
+    need_dim, auto_skip = ELEMENTS[config.element]
     if problem.dim != need_dim:
         raise ValueError(f"element {config.element} needs a {need_dim}d "
                          f"problem, got {problem.dim}d")
@@ -240,7 +241,7 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
         raise ValueError(f"seed must be >= 0, got {config.seed}")
     if config.cr_initial < 1:
         raise ValueError(f"cr_initial must be >= 1, got {config.cr_initial}")
-    skip = _AUTO_SKIP[config.element] if config.skip is None else config.skip
+    skip = auto_skip if config.skip is None else config.skip
     if skip < 0:
         raise ValueError("skip must be nonnegative")
     if config.skip is not None and config.levels - skip < 2:

@@ -19,12 +19,12 @@ time, so the per-point arrays stay the same size whatever the mesh and
 its dimension. The basis tables (``nc_basis``) are built for each block
 too and not kept, and ``recovery`` and the box error norms of
 ``analysis`` take their blocks from the same budget. Each block asks
-for its data in one ``Problem.sample`` call, which checks them to be
-finite. The element kernel never forms basis functions or gradients at
-the points: the stiffness, convection, reaction and load are the cells'
-moments of the data (``elements.cell_moments``) against fixed product
-tensors of the span's monomials, and the basis tables map them to the
-dof basis as
+for its data, the boundary data g included, in one ``Problem.sample``
+call, which checks them. The element kernel never forms basis
+functions or gradients at the points: the stiffness, convection,
+reaction and load are the cells' moments of the data
+(``elements.cell_moments``) against fixed product tensors of the
+span's monomials, and the basis tables map them to the dof basis as
 coeff^T S coeff, all in matmuls per cell (Kirby, Knepley, Logg and
 Scott, SIAM J. Sci. Comput. 27, 2005). All of these integrals, and the
 boundary means, use the data rule ``elements.DATA_RULE``.
@@ -56,7 +56,7 @@ from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
                        nc_basis, reference_coeffs, row_blocks,
                        span_polynomials, span_size)
 from .mesh import TensorMesh, TriMesh, _by_columns, _cached, coarsen
-from .problems import Problem, finite
+from .problems import Problem
 from .quadrature import monomial_exponents
 from .sparse_solve import lu_preconditioner, multigrid
 
@@ -126,15 +126,18 @@ def nested_dissection(mesh: TensorMesh | TriMesh) -> np.ndarray:
                       kind="stable")
 
 
-def boundary_means(mesh: TensorMesh | TriMesh, g) -> np.ndarray:
-    """Facet means of g on the boundary facets of either mesh family,
-    ordered like boundary_facets, by the data rule (``facet_quadrature``),
-    sampled a block of ``facet_blocks`` at a time."""
+def boundary_means(mesh: TensorMesh | TriMesh,
+                   problem: Problem) -> np.ndarray:
+    """Facet means of the problem's boundary data g on the boundary
+    facets of either mesh family, ordered like boundary_facets, by the
+    data rule (``facet_quadrature``). g is sampled like every other
+    datum, one ``Problem.sample`` call per block of ``facet_blocks``, so
+    a constant g or u is broadcast and a wrong shape is named."""
     b = mesh.boundary_facets
     out = np.empty(b.size)
     for rows in facet_blocks(mesh, b.size):
         pts, wts = facet_quadrature(mesh, b[rows])
-        vals = finite("g", g(pts), pts)
+        vals = problem.sample(pts, ("g",))["g"]
         out[rows] = (np.einsum("fq,fq->f", wts, vals)
                      / mesh.facet_measure[b[rows]])
     return out
@@ -239,7 +242,7 @@ def assemble(mesh: TensorMesh, problem: Problem) -> LinearSystem:
     if problem.dim != mesh.dim:
         raise ValueError(
             f"problem dimension {problem.dim} != mesh dimension {mesh.dim}")
-    return lift_and_scatter(mesh, boundary_means(mesh, problem.boundary),
+    return lift_and_scatter(mesh, boundary_means(mesh, problem),
                             _local_blocks(mesh, problem))
 
 

@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import fields
 
-from .analysis import StudyConfig, emit_report, run_study
+from .analysis import ELEMENTS, StudyConfig, emit_report, run_study
 from .problems import Problem
 from .sparse_solve import SolverError
 
@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--problem", default=None,
                     help="built-in problem name (p1, p2) or 'custom'")
     st.add_argument("--element", default=None,
-                    choices=["ncrt2d", "ncrt3d", "cr"])
+                    choices=list(ELEMENTS))
     st.add_argument("--levels", type=int, default=None,
                     help="number of refinement levels")
     st.add_argument("--perturb", type=float, default=None,

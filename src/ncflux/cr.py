@@ -49,15 +49,14 @@ def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
     """Assemble the triangular nonconforming system with Dirichlet lifting."""
     if problem.dim != 2:
         raise ValueError("triangular meshes are two-dimensional")
-    return lift_and_scatter(trimesh,
-                            boundary_means(trimesh, problem.boundary),
+    return lift_and_scatter(trimesh, boundary_means(trimesh, problem),
                             _local_blocks(trimesh, problem))
 
 
 def _local_blocks(trimesh: TriMesh, problem: Problem):
     table = cell_table(trimesh)                        # (3, nq)
     for rows in cell_blocks(trimesh):
-        gphi = cr_basis(trimesh, rows).grad            # (ne, 2, 3), constant
+        gphi = cr_basis(trimesh, rows)                 # (ne, 2, 3), constant
         pts, wts = cell_quadrature(trimesh, rows)
         data = problem.sample(pts, ("a", "b", "c", "f"))
 
@@ -100,7 +99,7 @@ class CRField:
             out = np.empty((tm.ne, 2))
             for rows in cell_blocks(tm):
                 local = self.dofs[tm.elem_facets[rows]]
-                grad = cr_basis(tm, rows).grad
+                grad = cr_basis(tm, rows)
                 out[rows] = (grad @ local[:, :, None])[:, :, 0]
             self._gradient = BrokenRT(tm, _frozen(out),
                                       _frozen(np.zeros_like(out)))

@@ -16,9 +16,9 @@ This is the rotated element of Rannacher and Turek (Numer. Methods PDE
 xi = x - x_K (x_K = ``elem_center``). Both dual bases are closed forms,
 with no matrix inverted per element: the box tables depend only on each
 cell's half-extents h = elem_ext / 2 (``nc_basis``), and the triangle
-tables are barycentric coordinates from edge cofactors over 2|T|
-(``cr_basis``). Both are built for the rows asked for (all by default)
-and not kept, so a block pass holds only its own block's tables.
+basis gradients are edge cofactors over |T| (``cr_basis``). Both are
+built for the rows asked for (all by default) and not kept, so a block
+pass holds only its own block's tables.
 
 Box rules are named by purpose: ``DATA_RULE`` (3 Gauss points per axis)
 for integrals of problem data, ``NORM_RULE`` (4 points) for the error
@@ -268,38 +268,24 @@ class RawFlux:
     grad: BrokenRT | Callable
 
 
-@dataclass(frozen=True)
-class CRTables:
-    """Barycentric data for the midpoint-linear triangular element.
+def cr_basis(trimesh: TriMesh, rows=slice(None)) -> np.ndarray:
+    """Constant gradients (b, 2, 3) of the basis of the triangles
+    ``rows`` (all by default).
 
-    bary[t] holds the coefficients of the barycentric coordinates:
-    lambda_j(x, y) = bary[t, 0, j] + bary[t, 1, j] x + bary[t, 2, j] y.
-    Basis function j (attached to the edge opposite vertex j) is
-    1 - 2 lambda_j; grad[t] are its constant gradients, shape (2, 3).
-    """
-
-    bary: np.ndarray
-    grad: np.ndarray
-
-
-def cr_basis(trimesh: TriMesh, rows=slice(None)) -> CRTables:
-    """Tables of the triangles ``rows`` (all by default).
-
-    Barycentric coordinates in closed form: with vertices (x_j, y_j) and
-    j+1, j+2 taken cyclically, lambda_j is
-    (x_{j+1} y_{j+2} - x_{j+2} y_{j+1} + (y_{j+1} - y_{j+2}) x
-    + (x_{j+2} - x_{j+1}) y) / det, where det = 2|T| > 0 for the
-    counterclockwise triangles that TriMesh stores.
+    Basis function j, attached to the edge opposite vertex j, is
+    1 - 2 lambda_j. With vertices (x_j, y_j), j+1 and j+2 taken
+    cyclically, and 2|T| > 0 for the counterclockwise triangles that
+    TriMesh stores, its gradient is
+    -(y_{j+1} - y_{j+2}, x_{j+2} - x_{j+1}) / |T|.
     """
     v = trimesh.vertices[trimesh.triangles[rows]]  # (ne, 3, 2)
     x, y = v[..., 0], v[..., 1]
     nxt, prv = [1, 2, 0], [2, 0, 1]
-    bary = np.empty(v.shape[:1] + (3, 3))
-    bary[:, 0, :] = x[:, nxt] * y[:, prv] - x[:, prv] * y[:, nxt]
-    bary[:, 1, :] = y[:, nxt] - y[:, prv]
-    bary[:, 2, :] = x[:, prv] - x[:, nxt]
-    bary /= 2.0 * trimesh.elem_measure[rows, None, None]
-    return CRTables(bary=bary, grad=-2.0 * bary[:, 1:, :])
+    grad = np.empty(v.shape[:1] + (2, 3))
+    grad[:, 0, :] = y[:, prv] - y[:, nxt]
+    grad[:, 1, :] = x[:, nxt] - x[:, prv]
+    grad /= trimesh.elem_measure[rows, None, None]
+    return grad
 
 
 @lru_cache(maxsize=None)

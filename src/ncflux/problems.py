@@ -11,17 +11,19 @@ directly. All evaluators are vectorized: they take points of shape
 (..., dim) and return (...) for scalars or (..., dim) for vectors.
 
 A pass asks for the data it needs at one point set with
-``Problem.sample(pts, names)``, which returns fresh arrays. It
-broadcasts a constant leaf, such as ``a = lambda x: 1.0``, to the
-points' shape, and raises ValueError for a leaf of the wrong shape, a
-value that is not finite (``finite``) and an a that is not positive,
-naming the datum and, for a value, the point. By
-default it calls each leaf at most once and synthesizes f from those
-same arrays. The built-in problems have one terms function each, which
-computes every exponential, bump and half-angle pair once for all the
-names asked; their leaves read single names from it. Nothing is kept
-between calls. A problem whose leaves were replaced, say with
-``dataclasses.replace``, samples through its leaves.
+``Problem.sample(pts, names)``, which returns fresh arrays. Boundary
+data is one more name, g: the problem's g, or else u's values from the
+same evaluation. Any datum may be a constant, such as
+``a = lambda x: 1.0``, and is broadcast to the points' shape; a leaf of
+the wrong shape, a value that is not finite and an a that is not
+positive raise ValueError naming the datum and, for a value, the point
+(``_checked``). By default it calls each leaf at most once and
+synthesizes f from those same arrays. The built-in problems have one
+terms function each, which computes every exponential, bump and
+half-angle pair once for all the names asked; their leaves read single
+names from it. Nothing is kept between calls. A problem whose leaves
+were replaced, say with ``dataclasses.replace``, samples through its
+leaves.
 
 p2 takes each sine and cosine pair from one tangent, t = tan(theta / 2),
 as sin = 2t / (1 + t^2) and cos = (1 - t^2) / (1 + t^2) (``_sin_cos``).
@@ -42,36 +44,23 @@ import numpy as np
 Scalar = Callable[[np.ndarray], np.ndarray]
 Vector = Callable[[np.ndarray], np.ndarray]
 
-# the names Problem.sample returns: the data, the load f and the exact
-# flux a grad u
-SAMPLED = ("u", "grad_u", "a", "b", "c", "f", "flux")
+# the names Problem.sample returns: the data, the load f, the exact
+# flux a grad u and the boundary data g
+SAMPLED = ("u", "grad_u", "a", "b", "c", "f", "flux", "g")
 # the leaves sample evaluates, in evaluation order
-_LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c")
-# the leaves whose values carry a trailing axis of length dim
-_VECTORS = ("grad_u", "grad_a", "b")
-
-
-def finite(name: str, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """values, the samples of problem data name at pts, if all are finite.
-
-    Raises ValueError naming the data and the first point with a NaN or
-    infinite sample, so bad input stops a pass instead of reaching a
-    report.
-    """
-    ok = np.isfinite(values)
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        raise ValueError(f"problem data {name} is not finite at "
-                         f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
-    return values
+_LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c", "g")
+# the data whose values carry a trailing axis of length dim
+_VECTORS = ("grad_u", "grad_a", "b", "flux")
 
 
 def _checked(name: str, values, pts: np.ndarray) -> np.ndarray:
-    """values, the samples of leaf name at pts, in the shape of the
-    points: (...) for a scalar datum, (..., dim) for grad_u, grad_a and
-    b. A Python or numpy scalar is broadcast to that shape; any other
-    shape raises ValueError naming the datum. The values are checked by
-    ``finite``, and a must be positive at every point (ellipticity).
+    """values, the samples of datum name at pts, in the shape of the
+    points: (...) for a scalar datum, (..., dim) for grad_u, grad_a, b
+    and the flux. A Python or numpy scalar is broadcast to that shape;
+    any other shape raises ValueError naming the datum. So does a value
+    that is not finite, or an a that is not positive (ellipticity),
+    naming the first such point, so bad input stops a pass instead of
+    reaching a report.
     """
     shape = pts.shape if name in _VECTORS else pts.shape[:-1]
     if np.ndim(values) == 0:
@@ -80,13 +69,13 @@ def _checked(name: str, values, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"problem data {name} has shape "
                          f"{np.shape(values)}, expected {shape} at points "
                          f"of shape {pts.shape}")
-    finite(name, values, pts)
-    if name == "a":
-        ok = values > 0.0
-        if not ok.all():
-            i = np.unravel_index(np.argmin(ok), ok.shape)
-            raise ValueError(f"problem data a is not positive at "
-                             f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
+    ok, what = np.isfinite(values), "finite"
+    if name == "a" and ok.all():
+        ok, what = values > 0.0, "positive"
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(f"problem data {name} is not {what} at "
+                         f"x = {pts[i[:pts.ndim - 1]]}: {values[i]}")
     return values
 
 
@@ -116,26 +105,29 @@ class Problem:
     def sample(self, pts: np.ndarray, names) -> dict:
         """The data names at the points pts (..., dim), from one evaluation.
 
-        names are among ``SAMPLED``: u, grad_u, a, b, c, f and the exact
-        flux a grad u. Returns {name: array}, each array fresh; b and c
-        are left out when the problem has none (they are identically
-        zero then). Every leaf the names need, f's closed forms
-        included, is evaluated once: in one call of the terms function
-        all of them read (the built-in problems), or else leaf by leaf.
-        f and the flux are formed from those same arrays. Each leaf
-        value, then f and the flux, is checked by ``finite``, so a
-        non-finite datum is named by the leaf it comes from. A leaf
-        value or a prescribed source is first brought to the points'
-        shape, and a must be positive (``_checked``).
+        names are among ``SAMPLED``: u, grad_u, a, b, c, f, the exact
+        flux a grad u and the boundary data g, which is the problem's g
+        or else u's values. Returns {name: array}, each array fresh; b
+        and c are left out when the problem has none (they are
+        identically zero then). Every leaf the names need, f's closed
+        forms included, is evaluated once: in one call of the terms
+        function all of them read (the built-in problems), or else leaf
+        by leaf. f and the flux are formed from those same arrays. Each
+        leaf value and a prescribed source, then f and the flux, pass
+        ``_checked``, so a constant is broadcast and a datum of the
+        wrong shape, not finite, or an a that is not positive is named
+        by the leaf it comes from.
         """
         names = [n for n in names
                  if n not in ("b", "c") or getattr(self, n) is not None]
         unknown = set(names) - set(SAMPLED)
         if unknown:
             raise ValueError(f"unknown problem data {sorted(unknown)}")
-        need = set(names) - {"f", "flux"}
+        need = set(names) - {"f", "flux", "g"}
         if "flux" in names:
             need |= {"a", "grad_u"}
+        if "g" in names:
+            need.add("u" if self.g is None else "g")
         synthesize = "f" in names and self.source is None
         if synthesize:
             need |= {"a", "lap_u"}
@@ -157,17 +149,17 @@ class Problem:
         out = {}
         for name in names:
             if name == "f":
-                out[name] = (finite(name, _source(vals), pts) if synthesize
-                             else _checked(name, self.source(pts), pts))
+                out[name] = _checked(name, _source(vals) if synthesize
+                                     else self.source(pts), pts)
             elif name == "flux":
-                out[name] = finite(name, vals["a"][..., None]
-                                   * vals["grad_u"], pts)
+                out[name] = _checked(name, vals["a"][..., None]
+                                     * vals["grad_u"], pts)
+            elif name == "g" and self.g is None:
+                # u's values, copied if u is returned too
+                out[name] = vals["u"].copy() if "u" in names else vals["u"]
             else:
                 out[name] = vals[name]
         return out
-
-    def boundary(self, x: np.ndarray) -> np.ndarray:
-        return self.u(x) if self.g is None else self.g(x)
 
 
 class Term:
@@ -262,7 +254,7 @@ def problem1() -> Problem:
 
     return Problem(
         name="p1", dim=2,
-        **{n: _Leaf(terms, n) for n in _LEAVES},
+        **{n: _Leaf(terms, n) for n in _LEAVES if n != "g"},
         initial_gridlines=((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))
 
 

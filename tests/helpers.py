@@ -81,17 +81,13 @@ def parallel_locator(nx, ny):
 
 def tri_locator(trimesh):
     """Brute-force barycentric locator for points of any triangulation."""
-    from ncflux.elements import cr_basis
-
-    bary = cr_basis(trimesh).bary
 
     def locate(x):
         flat = x.reshape(-1, 2)
-        aug = np.concatenate([np.ones((flat.shape[0], 1)), flat], axis=1)
-        lam = np.einsum("pc,tcv->ptv", aug, bary)
+        lam = barycentrics(trimesh, flat[None])       # (ne, points, 3)
         inside = (lam >= -1e-12).all(axis=2)
-        assert inside.any(axis=1).all(), "point outside the mesh"
-        return inside.argmax(axis=1).reshape(x.shape[:-1])
+        assert inside.any(axis=0).all(), "point outside the mesh"
+        return inside.argmax(axis=0).reshape(x.shape[:-1])
 
     return locate
 
@@ -260,8 +256,9 @@ def cell_means(trimesh, func):
 
 
 def cr_bary_by_inverse(trimesh):
-    """Barycentric tables (ne, 3, 3) of cr_basis as the inverses of the
-    vertex matrices [1, x_j, y_j]."""
+    """Barycentric coefficient tables (ne, 3, 3), lambda_j(x, y) =
+    t[0, j] + t[1, j] x + t[2, j] y, as the inverses of the vertex
+    matrices [1, x_j, y_j]."""
     v = trimesh.vertices[trimesh.triangles]
     return np.linalg.inv(np.concatenate([np.ones(v.shape[:2] + (1,)), v],
                                         axis=2))

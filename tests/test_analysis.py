@@ -757,6 +757,63 @@ def test_level_errors_sample_a_problem_once_per_block(monkeypatch, kind):
     assert got == expected
 
 
+def guarded_problem(dim, inside):
+    """A custom problem with every leaf, g included, whose leaves raise
+    unless inside() is true: u = |x|^2 + sin(x_0), a = 1 + x_0^2,
+    b = x / 2, c = 1 + x_1 and g = u."""
+    def unit(x):
+        e = np.zeros(x.shape)
+        e[..., 0] = 1.0
+        return e
+
+    forms = dict(
+        u=lambda x: (x * x).sum(axis=-1) + np.sin(x[..., 0]),
+        grad_u=lambda x: 2.0 * x + np.cos(x[..., 0])[..., None] * unit(x),
+        lap_u=lambda x: 2.0 * dim - np.sin(x[..., 0]),
+        a=lambda x: 1.0 + x[..., 0] ** 2,
+        grad_a=lambda x: 2.0 * x[..., 0][..., None] * unit(x),
+        b=lambda x: 0.5 * x,
+        c=lambda x: 1.0 + x[..., 1],
+        g=lambda x: (x * x).sum(axis=-1) + np.sin(x[..., 0]),
+    )
+
+    def guarded(name, fn):
+        def leaf(x):
+            if not inside():
+                raise AssertionError(f"leaf {name} called outside "
+                                     "Problem.sample")
+            return fn(x)
+        return leaf
+
+    return custom_problem(
+        dim, **{name: guarded(name, fn) for name, fn in forms.items()},
+        initial_gridlines=((0.0, 0.5, 1.0),) * dim)
+
+
+@pytest.mark.parametrize("element, dim", [("ncrt2d", 2), ("ncrt3d", 3),
+                                          ("cr", 2)])
+def test_a_study_reads_problem_data_only_through_sample(monkeypatch, element,
+                                                       dim):
+    # one door: the boundary data too goes through Problem.sample
+    depth = []
+    sample = Problem.sample
+
+    def entered(self, pts, names):
+        depth.append(names)
+        try:
+            return sample(self, pts, names)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(Problem, "sample", entered)
+    result = run_study(StudyConfig(
+        problem="custom", element=element, levels=2, perturb=0.0,
+        cr_initial=2, custom=guarded_problem(dim, lambda: bool(depth))))
+    assert len(result.records) == 2
+    assert all(np.isfinite(getattr(r, c)) for r in result.records
+               for c in COLUMNS)
+
+
 def test_custom_problem_without_gridlines_rejected():
     prob = linear_problem(2)
     cfg = StudyConfig(problem="custom", element="ncrt2d", levels=2,

@@ -1,18 +1,22 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncflux.analysis import StudyConfig
+from ncflux.analysis import COLUMNS, StudyConfig, run_study
 from ncflux.cli import build_parser, load_custom, main, read_config_file
-from ncflux.problems import Problem
+from ncflux.problems import Problem, custom_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
@@ -72,14 +76,38 @@ def _wave_lap(x):
     return -np.pi ** 2 * _wave(x)
 
 
-def wave(a=_one, grad_u=_wave_grad):
+def wave(a=_one, grad_u=_wave_grad, g=None):
     return custom_problem(
-        2, _wave, grad_u, _wave_lap, a=a,
+        2, _wave, grad_u, _wave_lap, a=a, g=g,
         initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
 
 
 def scalar_a():
     return wave(a=lambda x: 1.0)
+
+
+def scalar_g():
+    return wave(g=lambda x: 0.0)
+
+
+def zeros_g():
+    return wave(g=_zero)
+
+
+def wide_g():
+    return wave(g=lambda x: np.zeros(x.shape))
+
+
+def constant_u(u=lambda x: 1.0):
+    # the load is not u's, so u_h differs from u and every error is positive
+    return custom_problem(
+        2, u, lambda x: np.zeros(x.shape), _zero, a=_one,
+        source=lambda x: 1.0 + x[..., 0],
+        initial_gridlines=((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
+
+
+def ones_u():
+    return constant_u(_one)
 
 
 def wide_gradient():
@@ -399,11 +427,30 @@ def test_constant_coefficient_gives_the_bytes_of_an_array(problem_module,
     assert report("scalar_a") == report("wave")
 
 
+@pytest.mark.parametrize("element", ["ncrt2d", "cr"])
+@pytest.mark.parametrize("scalar, array", [("constant_u", "ones_u"),
+                                           ("scalar_g", "zeros_g")])
+def test_constant_boundary_data_gives_the_bytes_of_an_array(
+        problem_module, capsys, element, scalar, array):
+    # u = lambda x: 1.0 without g, and g = lambda x: 0.0, are sampled
+    # like any datum: broadcast to the points' shape
+
+    def report(attr):
+        assert main(["study", "--problem", "custom", "--custom-spec",
+                     f"{problem_module}:{attr}", "--element", element,
+                     "--levels", "3", "--cr-initial", "2"]) == 0
+        return capsys.readouterr().out.encode()
+
+    assert report(scalar) == report(array)
+
+
 # custom problems with one bad leaf, and the start of their one error line
 BAD_DATA = {
     "wide_gradient": r"error: problem data grad_u has shape \(\d+, \d+, 3\), "
                      r"expected \(\d+, \d+, 2\) at points",
-    "nonpositive_a": r"error: problem data a is not positive at x = "}
+    "nonpositive_a": r"error: problem data a is not positive at x = ",
+    "wide_g": r"error: problem data g has shape \(\d+, 3, 2\), "
+              r"expected \(\d+, 3\) at points"}
 
 
 @pytest.mark.parametrize("element", ["ncrt2d", "cr"])
@@ -418,6 +465,98 @@ def test_bad_problem_data_exits_two_naming_it(problem_module, capsys,
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and re.match(BAD_DATA[attr], errors[0]), err
     assert "Traceback" not in err and "ne=" not in err
+
+
+# -- one bad leaf, drawn ------------------------------------------------------
+
+# the leaves of a drawn problem: wave with every coefficient
+DRAWN_FORMS = dict(
+    u=lambda x: np.sin(np.pi * x[..., 0]) * x[..., 1],
+    grad_u=lambda x: np.stack([np.pi * np.cos(np.pi * x[..., 0]) * x[..., 1],
+                               np.sin(np.pi * x[..., 0])], axis=-1),
+    lap_u=lambda x: -np.pi ** 2 * np.sin(np.pi * x[..., 0]) * x[..., 1],
+    a=lambda x: 1.0 + x[..., 0] ** 2,
+    grad_a=lambda x: np.stack([2.0 * x[..., 0], 0.0 * x[..., 1]], axis=-1),
+    b=lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1),
+    c=lambda x: 1.0 + x[..., 1],
+)
+# leaves a drawn problem carries only when they are the bad one
+EXTRA_FORMS = dict(g=DRAWN_FORMS["u"], source=lambda x: 1.0 + x[..., 0])
+VECTOR_LEAVES = ("grad_u", "grad_a", "b")
+
+
+def spoiled(fn, kind, vector, value, t):
+    """fn with one fault: the Python scalar value, a trailing axis of the
+    wrong length, NaN where x_0 > t, or its sign flipped there."""
+    if kind == "scalar":
+        return lambda x: value
+
+    def leaf(x):
+        v = fn(x)
+        if kind == "shape":
+            return (np.concatenate([v, v[..., :1]], axis=-1) if vector
+                    else np.stack([v, v], axis=-1))
+        where = x[..., 0] > t
+        return np.where(where[..., None] if vector else where,
+                        np.nan if kind == "nan" else -v, v)
+    return leaf
+
+
+@st.composite
+def bad_problems(draw):
+    """(problem, the datum its errors name, kind) for a custom problem
+    with one bad leaf, u and the boundary data g included."""
+    leaf = draw(st.sampled_from(sorted(DRAWN_FORMS) + sorted(EXTRA_FORMS)))
+    kind = draw(st.sampled_from(["scalar", "shape", "nan"]
+                                + (["nonpositive"] if leaf == "a" else [])))
+    forms = dict(DRAWN_FORMS)
+    forms[leaf] = spoiled({**forms, **EXTRA_FORMS}[leaf], kind,
+                          leaf in VECTOR_LEAVES,
+                          draw(st.floats(0.25, 4.0)), draw(st.floats(0.1, 0.9)))
+    problem = custom_problem(2, **forms,
+                             initial_gridlines=((0.0, 0.5, 1.0),) * 2)
+    return problem, "f" if leaf == "source" else leaf, kind
+
+
+@settings(max_examples=60)
+@given(bad_problems())
+def test_one_bad_leaf_completes_or_is_named(drawn):
+    # a scalar is broadcast; any other fault stops the study naming the
+    # datum, and the CLI exits 2 with that one line
+    problem, name, kind = drawn
+    expected = {"shape": f"problem data {name} has shape ",
+                "nan": f"problem data {name} is not finite at x = ",
+                "nonpositive": "problem data a is not positive at x = "
+                }.get(kind)
+    module = types.ModuleType("drawn_problem_fixture")
+    module.PROBLEM = problem
+    sys.modules[module.__name__] = module
+    try:
+        for element in ("ncrt2d", "cr"):
+            config = StudyConfig(problem="custom", element=element, levels=2,
+                                 perturb=0.0, cr_initial=2, custom=problem)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["study", "--problem", "custom", "--custom-spec",
+                             f"{module.__name__}:PROBLEM", "--element",
+                             element, "--levels", "2", "--perturb", "0",
+                             "--cr-initial", "2"])
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith("error:")]
+            assert "Traceback" not in err.getvalue()
+            if expected is None:
+                records = run_study(config).records
+                assert all(np.isfinite(getattr(r, c)) for r in records
+                           for c in COLUMNS)
+                assert code == 0 and errors == []
+            else:
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    run_study(config)
+                assert code == 2 and len(errors) == 1
+                assert errors[0].startswith(f"error: {expected}")
+    finally:
+        del sys.modules[module.__name__]
 
 
 def test_unknown_problem_exits_two(capsys):

@@ -14,7 +14,7 @@ from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import Term, custom_problem, problem1, problem2
 from ncflux.recovery import correction_field, max_normal_jump
 
-from helpers import (cell_means, cr_values, divergence,
+from helpers import (cell_means, cr_bary_by_inverse, cr_values, divergence,
                      edge_midpoint_average_loop, eval_at, jittered_parallel,
                      linear_problem, ones_scalar, solve_cr,
                      source_problem, tri_locator, tri_meshes, zeros_scalar,
@@ -76,13 +76,13 @@ def test_galerkin_residual_recomputed_without_matrix():
     )
     field = solve_cr(mesh, prob, tol=1e-13)
 
-    tables = cr_basis(mesh)
+    gphi = cr_basis(mesh)
     pts, wts = cell_quadrature(mesh)
     phi = cr_values(mesh, pts)
     grads = field.gradient_rt().alpha
     vals = eval_at(field, pts)
     integrand = np.einsum("tq,td,tdi->ti", wts * prob.a(pts),
-                          grads, tables.grad)
+                          grads, gphi)
     load = Term(prob, "f")(pts)
     integrand += np.einsum("tq,tqi->ti", wts * (prob.c(pts) * vals - load),
                            phi)
@@ -457,7 +457,7 @@ def test_fields_evaluate_one_block_of_rows():
                               fld.reference_coeffs()[rows])
     block_pts, block_wts = cell_quadrature(mesh, rows)
     assert np.array_equal(block_pts, pts[rows])
-    assert np.array_equal(cr_basis(mesh, rows).bary, cr_basis(mesh).bary[rows])
+    assert np.array_equal(cr_basis(mesh, rows), cr_basis(mesh)[rows])
     edge_pts, _ = facet_quadrature(mesh)
     assert np.array_equal(facet_quadrature(mesh, mesh.boundary_facets)[0],
                           edge_pts[mesh.boundary_facets])
@@ -499,11 +499,11 @@ def test_a_level_computes_the_field_gradients_once(monkeypatch):
 @settings(max_examples=25)
 @given(tri_meshes())
 def test_rule_table_is_the_basis_at_the_mapped_rule(mesh):
-    tables = cr_basis(mesh)
+    bary = cr_bary_by_inverse(mesh)
     expected = cr_values(mesh, cell_quadrature(mesh)[0])
     # the bound scales with the barycentric coefficients, up to 2 |bary|
     # (x and y lie in [0, 1]), which grow as 1 / h
-    size = 2.0 * np.abs(tables.bary).sum(axis=1).max()
+    size = 2.0 * np.abs(bary).sum(axis=1).max()
     assert np.abs(cr_rule_table().T - expected).max() <= 1e-15 * size
     assert not cr_rule_table().flags.writeable
 

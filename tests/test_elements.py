@@ -289,12 +289,20 @@ def thin_triangles(n, height=0.05, seed=8):
                                   thin_triangles(64)],
                          ids=["jittered", "thin"])
 def test_closed_form_barycentrics_match_the_vertex_matrix_inverse(mesh):
+    # cr_basis gives -2 grad lambda_j, the gradient rows of the tables
     got = cr_basis(mesh)
-    ref = cr_bary_by_inverse(mesh)
-    rel = np.abs(got.bary - ref).max(axis=(1, 2)) / np.abs(ref).max(
+    ref = -2.0 * cr_bary_by_inverse(mesh)[:, 1:, :]
+    rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(
         axis=(1, 2))
     assert rel.max() <= 1e-14
-    assert np.array_equal(got.grad, -2.0 * got.bary[:, 1:, :])
+    # -2 times the cofactors over 2|T|, bit for bit
+    v = mesh.vertices[mesh.triangles]
+    x, y = v[..., 0], v[..., 1]
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    cofactors = np.stack([y[:, nxt] - y[:, prv], x[:, prv] - x[:, nxt]],
+                         axis=1)
+    assert np.array_equal(
+        got, -2.0 * (cofactors / (2.0 * mesh.elem_measure[:, None, None])))
 
 
 def test_unknown_dof_kind_rejected():
@@ -388,42 +396,43 @@ def test_constant_representation_has_zero_gradient():
 
 # -- CR basis ----------------------------------------------------------------
 
-def table_values(tables, pts):
-    """The basis 1 - 2 lambda_j of cr_basis's barycentric tables at pts
-    (ne, nq, 2) of its triangles, (ne, nq, 3)."""
-    ones = np.ones(pts.shape[:-1] + (1,))
-    return 1.0 - 2.0 * np.concatenate([ones, pts], axis=-1) @ tables.bary
+def table_values(mesh, grad, pts):
+    """The basis at pts (ne, nq, 2) of the triangles of mesh, (ne, nq, 3),
+    from cr_basis's gradients grad: each basis function is affine and
+    1 - 2/3 at the centroid, where every lambda_j is 1/3."""
+    rel = pts - mesh.elem_center[:, None, :]
+    return 1.0 / 3.0 + rel @ grad
 
 
 def test_cr_basis_is_one_minus_twice_barycentric():
     mesh = build_uniform_parallel(2, 2)
-    tables = cr_basis(mesh)
+    grad = cr_basis(mesh)
     rng = np.random.default_rng(2)
     lam = rng.dirichlet((1.0, 1.0, 1.0), size=(mesh.ne, 4))
     pts = np.einsum("tqv,tvc->tqc", lam, mesh.vertices[mesh.triangles])
-    vals = table_values(tables, pts)
+    vals = table_values(mesh, grad, pts)
     assert np.allclose(vals, 1.0 - 2.0 * lam, atol=1e-12)
     assert np.allclose(vals.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_cr_basis_value_at_own_edge_midpoint():
     mesh = build_uniform_parallel(1, 1)
-    tables = cr_basis(mesh)
+    grad = cr_basis(mesh)
     mids = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
-    vals = table_values(tables, mids)
+    vals = table_values(mesh, grad, mids)
     assert np.allclose(vals, np.eye(3), atol=1e-13)
 
 
 def test_cr_gradients_are_constant():
     mesh = build_uniform_parallel(2, 2)
-    tables = cr_basis(mesh)
+    grad = cr_basis(mesh)
     # values must be affine: second differences along any direction vanish
     rng = np.random.default_rng(3)
     base = mesh.elem_center[:, None, :]
     d = rng.uniform(-0.1, 0.1, size=(1, 5, 2))
-    v0 = table_values(tables, base - d)
-    v1 = table_values(tables, base)
-    v2 = table_values(tables, base + d)
+    v0 = table_values(mesh, grad, base - d)
+    v1 = table_values(mesh, grad, base)
+    v2 = table_values(mesh, grad, base + d)
     assert np.abs(v0 - 2 * v1 + v2).max() < 1e-12
 
 

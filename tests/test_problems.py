@@ -58,7 +58,7 @@ def test_p1_vanishes_on_the_boundary():
                  np.stack([np.zeros_like(t), t], axis=-1),
                  np.stack([np.ones_like(t), t], axis=-1)):
         assert np.allclose(prob.u(edge), 0.0, atol=1e-15)
-        assert np.allclose(prob.boundary(edge), 0.0, atol=1e-15)
+        assert np.allclose(prob.sample(edge, ("g",))["g"], 0.0, atol=1e-15)
 
 
 def test_half_angle_sin_cos_matches_libm():
@@ -189,7 +189,7 @@ def test_boundary_defaults_to_solution_trace():
         a=lambda x: np.ones(x.shape[:-1]),
     )
     pts = interior_points(2, 10, seed=7)
-    assert np.allclose(prob.boundary(pts), prob.u(pts))
+    assert np.allclose(prob.sample(pts, ("g",))["g"], prob.u(pts))
 
 
 def test_explicit_boundary_data_wins():
@@ -202,7 +202,7 @@ def test_explicit_boundary_data_wins():
         g=lambda x: np.full(x.shape[:-1], -3.0),
     )
     pts = interior_points(2, 10, seed=8)
-    assert np.allclose(prob.boundary(pts), -3.0)
+    assert np.allclose(prob.sample(pts, ("g",))["g"], -3.0)
 
 
 def test_dimension_below_two_rejected():
@@ -234,12 +234,14 @@ def test_initial_gridlines_span_the_unit_box(factory):
         assert all(b > a for a, b in zip(gl, gl[1:]))
 
 
-LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c", "f", "boundary")
+LEAVES = ("u", "grad_u", "lap_u", "a", "grad_a", "b", "c", "f", "g")
 
 
 def leaf(problem, name):
-    """The callable of a leaf; the load f is its Term."""
-    return Term(problem, "f") if name == "f" else getattr(problem, name)
+    """The callable of a leaf; the load f and the boundary data g are
+    their Terms."""
+    return (Term(problem, name) if name in ("f", "g")
+            else getattr(problem, name))
 
 
 def leaves(problem):
@@ -305,9 +307,11 @@ def leaf_problem(counts=None):
 
 def from_leaves(problem, name, x):
     """The datum name at x from the problem's leaves, one at a time, with
-    f in the order of its formula."""
+    f in the order of its formula and g, without its own leaf, as u."""
     if name == "flux":
         return problem.a(x)[..., None] * problem.grad_u(x)
+    if name == "g" and problem.g is None:
+        return problem.u(x)
     if name != "f":
         return getattr(problem, name)(x)
     out = -problem.a(x) * problem.lap_u(x)
