@@ -16,8 +16,8 @@ from .cr import (CRField, EdgeMidpointField, VertexField, assemble_cr,
                  corrected_flux_cr, edge_midpoint_average,
                  rt_interpolate_tri, vertex_average)
 from .elements import BrokenRT
-from .mesh import (TensorMesh, TriMesh, build_tensor_mesh,
-                   build_uniform_parallel, perturb, refine_midpoint)
+from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
+                   refine_midpoint)
 from .problems import (REGISTRY, Problem, custom_problem, problem1, problem2)
 from .recovery import (MidpointFlux, corrected_flux, correction_field,
                        max_normal_jump, midpoint_average, rt_interpolate)
@@ -30,7 +30,7 @@ __all__ = [
     "LinearSystem", "MidpointFlux", "NcrtField", "Problem", "REGISTRY",
     "SolveReport", "SolverError", "StudyConfig", "StudyResult", "TensorMesh",
     "TriMesh", "VertexField", "assemble", "assemble_cr",
-    "build_tensor_mesh", "build_uniform_parallel", "corrected_flux",
+    "build_uniform_parallel", "corrected_flux",
     "corrected_flux_cr", "correction_field", "custom_problem",
     "edge_midpoint_average", "emit_report", "fit_order", "l2_error",
     "max_normal_jump", "midpoint_average", "perturb",

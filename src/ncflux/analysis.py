@@ -160,6 +160,8 @@ def fit_order(h, err) -> float:
     err = np.asarray(err, dtype=float)
     if h.shape != err.shape or h.size < 2:
         raise ValueError("need two or more (h, err) pairs")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(err))):
+        raise ValueError("h and err must be finite")
     if np.any(h <= 0) or np.any(err <= 0):
         raise ValueError("h and err must be positive")
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
@@ -231,6 +233,12 @@ def _check_config(config: StudyConfig, problem: Problem) -> int:
     if problem.dim != need_dim:
         raise ValueError(f"element {config.element} needs a {need_dim}d "
                          f"problem, got {problem.dim}d")
+    for name in ("levels", "seed", "cr_initial", "skip"):
+        value = getattr(config, name)
+        whole = (isinstance(value, (int, np.integer))
+                 and not isinstance(value, bool))
+        if not (whole or name == "skip" and value is None):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if config.levels < 1:
         raise ValueError("need at least one level")
     if not 0.0 < config.tol < 1.0:
@@ -261,13 +269,13 @@ def _tensor_meshes(problem: Problem, config: StudyConfig):
                 f"initial_gridlines of problem {problem.name!r} need >= 3 "
                 f"gridlines (2 elements) per axis; axis {k} has {len(lines)}")
     seeds = np.random.SeedSequence(config.seed).generate_state(config.levels)
-    mesh = TensorMesh(problem.initial_gridlines)
-    yield mesh
-    for k in range(1, config.levels):
-        mesh = refine_midpoint(mesh)
-        if config.perturb > 0.0:
-            mesh = perturb(mesh, config.perturb, int(seeds[k]))
-        yield mesh
+    gridlines = problem.initial_gridlines
+    for k in range(config.levels):
+        if k:
+            gridlines = refine_midpoint(gridlines)
+            if config.perturb > 0.0:
+                gridlines = perturb(gridlines, config.perturb, int(seeds[k]))
+        yield TensorMesh(gridlines)
 
 
 def _level(mesh, problem: Problem, config: StudyConfig, stages):

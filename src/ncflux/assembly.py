@@ -261,7 +261,7 @@ def coarse_levels(mesh: TensorMesh, problem: Problem) -> list:
     """
     levels = []
     while mesh.interior_facets.size > COARSEST_UNKNOWNS:
-        fine, mesh = mesh, coarsen(mesh)
+        fine, mesh = mesh, TensorMesh(coarsen(mesh.gridlines))
         matrix = scatter(mesh, _local_blocks(mesh, problem, load=False))
         levels.append((prolongation(mesh, fine), matrix))
     return levels
@@ -281,7 +281,7 @@ def preconditioner(system: LinearSystem, problem: Problem):
 
 
 def prolongation(coarse: TensorMesh, fine: TensorMesh) -> sp.csr_matrix:
-    """Coarse unknowns to fine unknowns, for a coarse = coarsen(fine).
+    """Coarse unknowns to fine unknowns, coarse on coarsen(fine.gridlines).
 
     A fine facet dof is the facet mean of the coarse cell's polynomial:
     of the coarse cell that holds both of the fine facet's cells, or half

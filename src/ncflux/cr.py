@@ -20,9 +20,8 @@ interpolant are all BrokenRT, so ``recovery.correction_field`` and
 the interpolant matches the edge fluxes of ``recovery.facet_fluxes``.
 
 So are the cell passes: they loop over ``elements.cell_blocks`` and
-map ``elements.cell_quadrature``, as the box passes do; evaluators take
-the points of one block and its ``rows`` (all triangles by default).
-At the triangle rule's points the basis values are one constant table
+map ``elements.cell_quadrature``, as the box passes do. At the
+triangle rule's points the basis values are one constant table
 (``elements.cell_table``): assembly, the correction's load and the
 error norms (through ``reference_coeffs``) read it, and only the
 constant gradients come from ``cr_basis``. Every field here gives its

@@ -376,14 +376,14 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     """Moments int_K v xi^alpha, |alpha| <= degree, of data v on the cells
     rows, in monomial_exponents(dim, degree) order.
 
-    samples (b, nq) or (b, m, nq) hold v (or m data) at the points of
+    samples (b, m, nq) hold m data at the points of
     cell_quadrature(mesh, rows, rule). Since xi = h tau with
     h = elem_ext / 2, a moment is the samples times moment_table,
     a matmul per cell, scaled by |K| h^alpha. The factor h^alpha is built
     from the powers h_k^p, p <= degree, by repeated multiplication and
     multiplied over the axes in axis order, so it is within a few ulp of
     the power formula and the same bits for any split of the rows.
-    Returns (b, n) or (b, m, n).
+    Returns (b, m, n).
     """
     d = mesh.dim
     table = moment_table(d, degree, rule)
@@ -398,9 +398,7 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
     for k in range(1, d):
         factor *= powers[:, k, exps[:, k]]
     factor *= mesh.elem_measure[rows, None]
-    if samples.ndim == 2:
-        # one matmul per cell keeps the bits independent of the block size
-        return (samples[:, None, :] @ table)[:, 0] * factor
+    # one matmul per cell keeps the bits independent of the block size
     return (samples @ table) * factor[:, None, :]
 
 

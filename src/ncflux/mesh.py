@@ -12,7 +12,8 @@ order inside its leaves, so the 2d preconditioner, and through it the
 reports' bytes, depend on it.
 
 Meshes are immutable: all derived arrays are computed once and write-
-protected. Refinement and perturbation return new meshes.
+protected. Refinement, coarsening and perturbation return new gridlines,
+and ``TensorMesh(gridlines)`` builds and checks every box mesh.
 """
 
 from __future__ import annotations
@@ -203,59 +204,49 @@ class TensorMesh:
         return self.elem_ext ** 2 / 12.0
 
 
-def build_tensor_mesh(*gridlines) -> TensorMesh:
-    """Construct a TensorMesh from per-axis gridline sequences."""
-    return TensorMesh(gridlines)
-
-
-def refine_midpoint(mesh: TensorMesh) -> TensorMesh:
-    """Halve every interval by inserting gridline midpoints."""
+def refine_midpoint(gridlines) -> tuple:
+    """Halve every interval: each axis's gridlines with their midpoints
+    inserted, as new float arrays."""
     fine = []
-    for g in mesh.gridlines:
-        out = np.empty(2 * g.size - 1)
-        out[::2] = g
-        out[1::2] = 0.5 * (g[:-1] + g[1:])
-        fine.append(out)
-    return TensorMesh(fine)
+    for g in gridlines:
+        g = np.asarray(g, dtype=float)
+        fine.append(np.insert(g, np.arange(1, g.size), 0.5 * (g[:-1] + g[1:])))
+    return tuple(fine)
 
 
-def coarsen(mesh: TensorMesh) -> TensorMesh:
+def coarsen(gridlines) -> tuple:
     """Keep every other gridline of each axis, and always the last one.
 
     Coarse cell j of an axis holds fine cells 2j and 2j + 1 (only 2j for
     the last coarse cell of an axis with an odd cell count), so the
     coarse mesh is nested in the fine one whatever its cell counts.
     """
-    coarse = []
-    for g in mesh.gridlines:
-        keep = g[::2]
-        if g.size % 2 == 0:         # odd cell count: the last line too
-            keep = np.append(keep, g[-1])
-        coarse.append(keep)
-    return TensorMesh(coarse)
+    # lines 0, 2, 4, ... before the last, then the last
+    return tuple(np.append(np.asarray(g, dtype=float)[:-1:2], g[-1])
+                 for g in gridlines)
 
 
-def perturb(mesh: TensorMesh, fraction: float, seed: int) -> TensorMesh:
+def perturb(gridlines, fraction: float, seed: int) -> tuple:
     """Randomly shift interior gridlines; boundary gridlines stay put.
 
     Each interior gridline of axis k moves by an independent uniform draw
     from [-fraction*s_k, fraction*s_k], where s_k is the smallest interval
     of axis k before perturbation. Draws consume one seeded PCG64 stream
     in axis order, then gridline order, so results are reproducible given
-    (mesh, fraction, seed). fraction must lie in [0, 0.5) to keep the
-    gridlines strictly increasing.
+    (gridlines, fraction, seed). fraction must lie in [0, 0.5) to keep
+    the gridlines strictly increasing. Returns new float arrays.
     """
     if not 0.0 <= fraction < 0.5:
         raise ValueError(f"fraction must be in [0, 0.5), got {fraction}")
     rng = np.random.default_rng(seed)
     moved = []
-    for g in mesh.gridlines:
-        g = g.copy()
+    for g in gridlines:
+        g = np.array(g, dtype=float)
         if g.size > 2:
             s = np.diff(g).min()
             g[1:-1] += rng.uniform(-fraction * s, fraction * s, g.size - 2)
         moved.append(g)
-    return TensorMesh(moved)
+    return tuple(moved)
 
 
 class TriMesh:

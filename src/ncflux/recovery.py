@@ -124,8 +124,8 @@ def corrected_flux(field: NcrtField, problem: Problem) -> BrokenRT:
     def rhs():
         for blk in cell_blocks(mesh, DATA_RULE):
             pts, _ = cell_quadrature(mesh, blk, DATA_RULE)
-            moments = cell_moments(mesh, problem.sample(pts, ("a",))["a"],
-                                   blk, rule=DATA_RULE)
+            a = problem.sample(pts, ("a",))["a"][:, None, :]
+            moments = cell_moments(mesh, a, blk, rule=DATA_RULE)[:, 0]
             first = moments[:, 1:d + 1]
             yield (blk, g0[blk] * moments[:, :1] + g1[blk] * first,
                    g0[blk] * first + g1[blk] * moments[:, square])

@@ -12,7 +12,7 @@ from ncflux.assembly import (ND_LEAF, NcrtField, assemble, preconditioner,
 from ncflux.cr import CRField, EdgeMidpointField, VertexField, assemble_cr
 from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
                              nc_basis, span_size)
-from ncflux.mesh import build_tensor_mesh, perturb, refine_midpoint
+from ncflux.mesh import TensorMesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
 from ncflux.recovery import MidpointFlux, _projection
@@ -307,10 +307,50 @@ def edge_midpoint_average_loop(trimesh, cellvals):
 def refined_box_mesh(problem, min_cells):
     """problem's initial box mesh, refined and perturbed (seeded by the cell
     count) until it has min_cells cells or more."""
-    mesh = build_tensor_mesh(*problem.initial_gridlines)
+    mesh = TensorMesh(problem.initial_gridlines)
     while mesh.ne < min_cells:
-        mesh = perturb(refine_midpoint(mesh), 0.2, seed=mesh.ne)
+        mesh = TensorMesh(perturb(refine_midpoint(mesh.gridlines), 0.2,
+                                  seed=mesh.ne))
     return mesh
+
+
+def midpoints_inserted(gridlines):
+    """Each axis's lines with the midpoint of every interval between
+    them, one Python float at a time."""
+    out = []
+    for g in gridlines:
+        g = [float(x) for x in g]
+        fine = []
+        for lo, hi in zip(g, g[1:]):
+            fine += [lo, 0.5 * (lo + hi)]
+        out.append(np.array(fine + [g[-1]]))
+    return out
+
+
+def every_other_line(gridlines):
+    """Lines 0, 2, 4, ... of each axis, plus the last line when the cell
+    count is odd."""
+    out = []
+    for g in gridlines:
+        g = [float(x) for x in g]
+        keep = g[::2] + ([g[-1]] if (len(g) - 1) % 2 else [])
+        out.append(np.array(keep))
+    return out
+
+
+def seeded_shifts(gridlines, fraction, seed):
+    """Each interior line moved by its own draw from one PCG64 stream,
+    axis by axis and line by line, uniform on +-fraction times the
+    smallest interval of its axis."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for g in gridlines:
+        g = [float(x) for x in g]
+        s = min(hi - lo for lo, hi in zip(g, g[1:]))
+        inner = [x + rng.uniform(-fraction * s, fraction * s)
+                 for x in g[1:-1]]
+        out.append(np.array(g[:1] + inner + g[-1:]))
+    return out
 
 
 def cell_block_bytes(mesh):
@@ -395,9 +435,9 @@ def perturbed_2d_meshes(draw, max_cells=24):
     ny = draw(st.integers(max(2, nx // 2), min(max_cells, 2 * nx)))
     fraction = draw(st.floats(0.0, 0.25))
     seed = draw(st.integers(0, 2**16))
-    return perturb(build_tensor_mesh(np.linspace(0.0, 1.0, nx + 1),
-                                     np.linspace(0.0, 1.0, ny + 1)),
-                   fraction, seed)
+    return TensorMesh(perturb((np.linspace(0.0, 1.0, nx + 1),
+                               np.linspace(0.0, 1.0, ny + 1)),
+                              fraction, seed))
 
 
 @st.composite

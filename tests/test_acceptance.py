@@ -20,7 +20,7 @@ from ncflux.assembly import assemble, preconditioner
 from ncflux.cr import (assemble_cr, corrected_flux_cr, edge_midpoint_average,
                        vertex_average)
 from ncflux.elements import BrokenRT, RawFlux, cell_quadrature
-from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
+from ncflux.mesh import (TensorMesh, TriMesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import custom_problem, problem1, problem2
 from ncflux.recovery import (correction_field, corrected_flux,
@@ -60,12 +60,12 @@ def study_3d():
 
 def perturbed_square(n=4, seed=1):
     gl = np.linspace(0.0, 1.0, n + 1)
-    return perturb(build_tensor_mesh(gl, gl), 0.2, seed=seed)
+    return TensorMesh(perturb((gl, gl), 0.2, seed=seed))
 
 
 def perturbed_cube(n=4, seed=2):
     gl = np.linspace(0.0, 1.0, n + 1)
-    return perturb(build_tensor_mesh(gl, gl, gl), 0.2, seed=seed)
+    return TensorMesh(perturb((gl, gl, gl), 0.2, seed=seed))
 
 
 def oscillatory_problem():
@@ -246,9 +246,8 @@ def test_averaged_interpolant_reproduces_multilinear_fields_3d():
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_interpolation_commutes_with_divergence(n):
-    mesh = perturb(build_tensor_mesh(np.linspace(0.0, 1.0, n + 1),
-                                     np.linspace(0.0, 1.0, n + 1)),
-                   0.2, seed=8)
+    gl = np.linspace(0.0, 1.0, n + 1)
+    mesh = TensorMesh(perturb((gl, gl), 0.2, seed=8))
 
     def tau(x):
         return np.stack([np.sin(x[..., 1]) + x[..., 0] ** 2,
@@ -309,17 +308,17 @@ def collect_systems():
     triangular systems."""
     systems = []
     prob1 = problem1()
-    mesh = build_tensor_mesh(*prob1.initial_gridlines)
+    lines = prob1.initial_gridlines
     for level in range(5):
         if level:
-            mesh = perturb(refine_midpoint(mesh), 0.2, seed=level)
-        systems.append((assemble(mesh, prob1), prob1))
+            lines = perturb(refine_midpoint(lines), 0.2, seed=level)
+        systems.append((assemble(TensorMesh(lines), prob1), prob1))
     prob2 = problem2()
-    mesh3 = build_tensor_mesh(*prob2.initial_gridlines)
+    lines3 = prob2.initial_gridlines
     for level in range(3):
         if level:
-            mesh3 = perturb(refine_midpoint(mesh3), 0.2, seed=level)
-        systems.append((assemble(mesh3, prob2), prob2))
+            lines3 = perturb(refine_midpoint(lines3), 0.2, seed=level)
+        systems.append((assemble(TensorMesh(lines3), prob2), prob2))
     tri_prob = oscillatory_problem()
     for n in (8, 16):
         systems.append((assemble_cr(build_uniform_parallel(n, n), tri_prob),

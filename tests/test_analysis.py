@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+import re
 import sys
 import weakref
 from pathlib import Path
@@ -17,7 +18,7 @@ from ncflux.cr import CRField, edge_midpoint_average
 from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, RawFlux,
                              cell_blocks, cell_quadrature, cell_table,
                              reference_values)
-from ncflux.mesh import TriMesh, build_tensor_mesh, build_uniform_parallel
+from ncflux.mesh import TensorMesh, TriMesh, build_uniform_parallel
 from ncflux.problems import Problem, Term, custom_problem, problem1, problem2
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
@@ -29,19 +30,19 @@ from helpers import (cell_block_bytes, eval_at, jittered_parallel,
 # -- error norms ----------------------------------------------------------------
 
 def test_norm_of_constant_one():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
     assert l2_error(mesh, lambda x: np.ones(x.shape[:-1])) \
         == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norm_of_quadratic_monomial():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
     got = l2_error(mesh, lambda x: x[..., 0] ** 2)
     assert got == pytest.approx(np.sqrt(0.2), abs=1e-14)
 
 
 def test_norm_of_constant_vector_offset():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 1.0)))
     got = l2_error(mesh, lambda x: np.broadcast_to([3.0, 4.0],
                                                    x.shape).copy(),
                    lambda x: np.zeros(x.shape))
@@ -55,7 +56,7 @@ def test_norm_on_triangulation():
 
 
 def test_error_of_reconstructed_linear_field_is_tiny():
-    mesh = build_tensor_mesh((0.0, 0.4, 1.0), (0.0, 0.7, 1.0))
+    mesh = TensorMesh(((0.0, 0.4, 1.0), (0.0, 0.7, 1.0)))
 
     def u(x):
         return 1.0 + x[..., 0] - 0.5 * x[..., 1]
@@ -65,7 +66,7 @@ def test_error_of_reconstructed_linear_field_is_tiny():
 
 
 def test_error_is_symmetric_in_sign():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0)))
     a = l2_error(mesh, lambda x: x[..., 0], lambda x: x[..., 1])
     b = l2_error(mesh, lambda x: x[..., 1], lambda x: x[..., 0])
     assert a == pytest.approx(b, abs=1e-15)
@@ -82,7 +83,7 @@ class PointField:
 @pytest.mark.parametrize("approx", [PointField(), np.zeros(3), 1.0],
                          ids=["point_field", "array", "float"])
 @pytest.mark.parametrize("mesh", [
-    build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 1.0)),
+    TensorMesh(((0.0, 0.5, 1.0), (0.0, 1.0))),
     build_uniform_parallel(2, 2)], ids=["box", "tri"])
 def test_unusable_field_is_a_type_error(mesh, approx):
     # l2_error reads a table field's reference coefficients or calls a
@@ -323,7 +324,7 @@ def test_triangle_flux_norm_reads_the_rule_table(monkeypatch):
 
 
 def test_box_norms_keep_the_four_point_rule():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
 
     def cube(x):
         return x[..., 0] ** 3
@@ -337,7 +338,7 @@ def test_box_norms_keep_the_four_point_rule():
 
 
 def test_error_sequences_of_unequal_length_rejected():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
     with pytest.raises(ValueError, match="2 exact fields but 1"):
         l2_error(mesh, (lambda x: x[..., 0], lambda x: x[..., 1]),
                  (lambda x: x[..., 1],))
@@ -385,6 +386,18 @@ def test_fit_rejects_bad_input():
         fit_order([0.1, 0.05, 0.025], [1.0, 0.5])
 
 
+@pytest.mark.parametrize("h, err", [
+    ([0.1, np.nan, 0.025], [1.0, 0.5, 0.25]),
+    ([0.1, np.inf, 0.025], [1.0, 0.5, 0.25]),
+    ([0.1, 0.05, 0.025], [1.0, np.inf, 0.25]),
+    ([0.1, 0.05, 0.025], [np.nan, 0.5, 0.25]),
+], ids=["nan_h", "inf_h", "inf_err", "nan_err"])
+def test_fit_rejects_non_finite_input(h, err):
+    # LAPACK would fail on a NaN, or return nan for an infinite err
+    with pytest.raises(ValueError, match="h and err must be finite"):
+        fit_order(h, err)
+
+
 # -- study driver ----------------------------------------------------------------
 
 def linear_config(levels=3, **kw):
@@ -414,6 +427,22 @@ def test_study_errors_decay_monotonically():
     assert result.records[0].ne == 6
     assert all(b.ne == 4 * a.ne
                for a, b in zip(result.records, result.records[1:]))
+
+
+def test_a_box_study_builds_each_level_once(monkeypatch):
+    # refine_midpoint and perturb map gridlines; only TensorMesh builds
+    built = []
+    init = TensorMesh.__init__
+
+    def counted(self, gridlines):
+        built.append(tuple(len(g) for g in gridlines))
+        init(self, gridlines)
+
+    monkeypatch.setattr(TensorMesh, "__init__", counted)
+    result = run_study(StudyConfig(problem="p1", element="ncrt2d", levels=4,
+                                   perturb=0.2, seed=0))
+    assert [r.ne for r in result.records] == [6, 24, 96, 384]
+    assert built == [(4, 3), (7, 5), (13, 9), (25, 17)]
 
 
 def test_study_is_deterministic():
@@ -536,6 +565,31 @@ def test_bad_configuration_rejected(kw, match, monkeypatch):
     monkeypatch.setattr(analysis, "TensorMesh", no_mesh)
     monkeypatch.setattr(analysis, "build_uniform_parallel", no_mesh)
     with pytest.raises(ValueError, match=match):
+        run_study(cfg)
+
+
+@pytest.mark.parametrize("name", ["levels", "seed", "cr_initial", "skip"])
+@pytest.mark.parametrize("value, whole", [
+    (1, True), (np.int64(1), True), (np.int32(1), True), (1.0, False),
+    (np.float64(1.0), False), (True, False), (False, False), ("1", False),
+], ids=["int", "int64", "int32", "float", "float64", "True", "False",
+        "str"])
+def test_integer_fields_take_python_and_numpy_ints(name, value, whole,
+                                                   monkeypatch):
+    # a float or a bool would reach numpy's SeedSequence or a range
+    cfg = StudyConfig(**{"problem": "p1", "element": "ncrt2d", "levels": 3,
+                         "seed": 0, name: value})
+    if whole:
+        skip = analysis._check_config(cfg, problem1())
+        assert skip == (value if name == "skip" else 3)
+        return
+
+    def no_mesh(*args):
+        raise AssertionError("a mesh was built before the check")
+
+    monkeypatch.setattr(analysis, "TensorMesh", no_mesh)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, "
+                                         f"got {re.escape(repr(value))}$"):
         run_study(cfg)
 
 

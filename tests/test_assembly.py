@@ -13,8 +13,8 @@ from ncflux.elements import (DATA_RULE, BrokenRT, RawFlux, cell_blocks,
                              cell_quadrature, facet_blocks, facet_quadrature,
                              nc_basis, reference_coeffs)
 from ncflux.mesh import (NONDEGENERACY_LIMIT, TensorMesh, TriMesh,
-                         build_tensor_mesh, build_uniform_parallel, coarsen,
-                         perturb, refine_midpoint)
+                         build_uniform_parallel, coarsen, perturb,
+                         refine_midpoint)
 from ncflux.recovery import (MidpointFlux, corrected_flux, midpoint_average,
                              rt_interpolate)
 from ncflux.problems import Term, custom_problem, problem1, problem2
@@ -56,8 +56,7 @@ def dense_reference_system(mesh, problem, npts=5):
         px, py = np.meshgrid(x1, x2, indexing="ij")
         pts = np.stack([px.ravel(), py.ravel()], axis=-1)[None]
         wts = (np.outer(gw, gw).ravel() * ext[0] * ext[1] / 4.0)[None]
-        sub = build_tensor_mesh((lo[0], lo[0] + ext[0]),
-                                (lo[1], lo[1] + ext[1]))
+        sub = TensorMesh(((lo[0], lo[0] + ext[0]), (lo[1], lo[1] + ext[1])))
         sub_tables = nc_basis(sub, "mean")
         phi = basis_values(sub, sub_tables, pts)[0]        # (nq, 4)
         gphi = basis_gradients(sub, sub_tables, pts)[0]    # (nq, 2, 4)
@@ -76,7 +75,7 @@ def dense_reference_system(mesh, problem, npts=5):
 
 
 def test_assembled_matrix_matches_dense_reference():
-    mesh = build_tensor_mesh((0.0, 0.4, 1.0), (0.0, 0.3, 1.0))
+    mesh = TensorMesh(((0.0, 0.4, 1.0), (0.0, 0.3, 1.0)))
     problem = polynomial_problem()
     system = assemble(mesh, problem)
     amat, load = dense_reference_system(mesh, problem)
@@ -91,8 +90,8 @@ def test_assembled_matrix_matches_dense_reference():
 
 
 def test_matrix_symmetric_without_advection():
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=3)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * 2), 0.2,
+                              seed=3))
     prob = custom_problem(
         dim=2,
         u=lambda x: np.zeros(x.shape[:-1]),
@@ -109,7 +108,7 @@ def test_matrix_symmetric_without_advection():
 
 
 def test_advection_breaks_symmetry():
-    mesh = refine_midpoint(build_tensor_mesh((0.0, 1.0), (0.0, 1.0)))
+    mesh = TensorMesh(refine_midpoint(((0.0, 1.0), (0.0, 1.0))))
     mat = assemble(mesh, polynomial_problem()).matrix
     asym = np.abs((mat - mat.T).toarray()).max()
     assert asym > 1e-6
@@ -117,8 +116,8 @@ def test_advection_breaks_symmetry():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_linear_solution_is_reproduced_exactly(dim):
-    base = build_tensor_mesh(*(((0.0, 0.5, 1.0),) * dim))
-    mesh = perturb(refine_midpoint(base), 0.2, seed=11)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * dim), 0.2,
+                              seed=11))
     prob = linear_problem(dim, coef=tuple(range(1, dim + 1)), const=0.3)
     exact_dofs = prob.u(mesh.facet_midpoint)
 
@@ -131,8 +130,8 @@ def test_linear_solution_is_reproduced_exactly(dim):
 
 
 def test_linear_exactness_with_advection_and_reaction():
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=12)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * 2), 0.2,
+                              seed=12))
     prob = custom_problem(
         dim=2,
         u=lambda x: 2.0 * x[..., 0] - x[..., 1] + 0.5,
@@ -155,13 +154,13 @@ def carrying(g):
 
 
 def test_boundary_means_of_constant():
-    mesh = build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0))
+    mesh = TensorMesh(((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))
     bm = boundary_means(mesh, carrying(lambda x: np.ones(x.shape[:-1])))
     assert np.allclose(bm, 1.0, atol=1e-14)
 
 
 def test_boundary_means_of_coordinate_on_known_facet():
-    mesh = build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0))
+    mesh = TensorMesh(((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))
     bm = boundary_means(mesh, carrying(lambda x: x[..., 0]))
     mids = mesh.facet_midpoint[mesh.boundary_facets]
     sel = np.isclose(mids[:, 0], 0.2) & np.isclose(mids[:, 1], 0.0)
@@ -170,8 +169,7 @@ def test_boundary_means_of_coordinate_on_known_facet():
 
 
 @pytest.mark.parametrize("mesh_factory", [
-    lambda: perturb(build_tensor_mesh(*([np.linspace(0.0, 1.0, 4)] * 2)),
-                    0.2, seed=7),
+    lambda: TensorMesh(perturb([np.linspace(0.0, 1.0, 4)] * 2, 0.2, seed=7)),
     lambda: jittered_parallel(3, 3, seed=7),
 ], ids=["box", "tri"])
 def test_boundary_means_of_linear_data(mesh_factory):
@@ -207,8 +205,8 @@ def test_boundary_means_on_edges_take_three_points_exact_to_degree_5():
 
 
 def test_boundary_means_against_antiderivative():
-    mesh = refine_midpoint(
-        build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))
+    mesh = TensorMesh(refine_midpoint(((0.0, 0.4, 0.8, 1.0),
+                                       (0.0, 0.7, 1.0))))
 
     def g(x):
         return x[..., 0] ** 3 - 2.0 * x[..., 0] ** 2
@@ -232,7 +230,7 @@ def test_boundary_means_against_antiderivative():
 
 
 def test_reconstruct_zero_field():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))
     field = reconstruct_field(mesh, np.zeros(mesh.nf))
     pts, _ = cell_quadrature(mesh)
     assert np.allclose(eval_at(field, pts), 0.0)
@@ -240,8 +238,8 @@ def test_reconstruct_zero_field():
 
 
 def test_reconstruct_linear_field_reproduces_it():
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.15, seed=4)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * 2), 0.15,
+                              seed=4))
 
     def u(x):
         return 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
@@ -260,8 +258,8 @@ def test_reconstruct_linear_field_reproduces_it():
 def test_gradient_rt_agrees_with_pointwise_gradients():
     # the closed affine form against the dof-weighted basis gradients
     rng = np.random.default_rng(9)
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=5)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * 2), 0.2,
+                              seed=5))
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
     pts, _ = cell_quadrature(mesh)
     gphi = basis_gradients(mesh, nc_basis(mesh), pts)
@@ -272,15 +270,15 @@ def test_gradient_rt_agrees_with_pointwise_gradients():
 
 
 def test_reconstruct_rejects_wrong_dof_count():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         reconstruct_field(mesh, np.zeros(mesh.nf + 1))
 
 
 def test_galerkin_residual_recomputed_without_matrix():
     prob = problem1()
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh(*prob.initial_gridlines)), 0.2, seed=8)
+    mesh = TensorMesh(perturb(refine_midpoint(prob.initial_gridlines), 0.2,
+                              seed=8))
     field = solve_tensor(mesh, prob, tol=1e-13)
 
     tables = nc_basis(mesh, "mean")
@@ -302,8 +300,8 @@ def test_galerkin_residual_recomputed_without_matrix():
 
 
 def test_boundary_lift_shifts_solution_by_constant():
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))), 0.2, seed=6)
+    mesh = TensorMesh(perturb(refine_midpoint(((0.0, 0.5, 1.0),) * 2), 0.2,
+                              seed=6))
 
     def harmonic(shift):
         return custom_problem(
@@ -323,13 +321,13 @@ def test_boundary_lift_shifts_solution_by_constant():
 
 
 def test_dimension_mismatch_rejected():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         assemble(mesh, problem2())
 
 
 @pytest.mark.parametrize("mesh_factory, assembler", [
-    (lambda: build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)),
+    (lambda: TensorMesh(((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0))),
      assemble),
     (lambda: build_uniform_parallel(3, 2), assemble_cr),
 ], ids=["box", "tri"])
@@ -373,10 +371,10 @@ def chunked_level(mesh, prob):
 
 
 @pytest.mark.parametrize("mesh_factory, prob", [
-    (lambda: perturb(refine_midpoint(refine_midpoint(build_tensor_mesh(
-        *problem1().initial_gridlines))), 0.2, seed=31), problem1()),
-    (lambda: perturb(refine_midpoint(build_tensor_mesh(
-        *problem2().initial_gridlines)), 0.2, seed=32), problem2()),
+    (lambda: TensorMesh(perturb(refine_midpoint(refine_midpoint(
+        problem1().initial_gridlines)), 0.2, seed=31)), problem1()),
+    (lambda: TensorMesh(perturb(refine_midpoint(
+        problem2().initial_gridlines), 0.2, seed=32)), problem2()),
 ], ids=["2d", "3d"])
 def test_chunks_give_the_single_chunk_results(monkeypatch, mesh_factory,
                                               prob):
@@ -435,10 +433,10 @@ def test_assembly_allocates_one_block_at_a_time(monkeypatch):
 # -- moment kernels against their per-point einsum form -----------------------
 
 def perturbed_level(prob, refinements, seed):
-    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    lines = prob.initial_gridlines
     for _ in range(refinements):
-        mesh = refine_midpoint(mesh)
-    return perturb(mesh, 0.2, seed=seed)
+        lines = refine_midpoint(lines)
+    return TensorMesh(perturb(lines, 0.2, seed=seed))
 
 
 def einsum_local_blocks(mesh, problem):
@@ -523,7 +521,7 @@ def test_assembled_matrix_holds_only_its_nonzeros(kind):
 def test_box_fields_evaluate_one_block_of_rows(dim):
     rng = np.random.default_rng(43 + dim)
     gl = np.linspace(0.0, 1.0, 4)
-    mesh = perturb(build_tensor_mesh(*([gl] * dim)), 0.2, seed=44)
+    mesh = TensorMesh(perturb([gl] * dim, 0.2, seed=44))
     pts, _ = cell_quadrature(mesh)
     rows = slice(5, 17)
     field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
@@ -670,7 +668,7 @@ ND_FILL = {"box": 314_944, "tri": 354_624}
 def test_nested_dissection_factor_fill_stays_bounded(monkeypatch, kind):
     if kind == "box":
         gl = np.linspace(0.0, 1.0, 65)
-        mesh = perturb(build_tensor_mesh(gl, gl), 0.2, seed=7)
+        mesh = TensorMesh(perturb((gl, gl), 0.2, seed=7))
         system = assemble(mesh, problem1())
     else:
         mesh = build_uniform_parallel(64, 64)
@@ -691,7 +689,7 @@ def test_nested_dissection_factor_fill_stays_bounded(monkeypatch, kind):
 
 def test_nested_dissection_of_a_3d_box_mesh_is_the_cell_index_order():
     gl = np.linspace(0.0, 1.0, 9)
-    mesh = perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45)
+    mesh = TensorMesh(perturb((gl, gl[:6], gl), 0.2, seed=45))
     assert np.array_equal(nested_dissection(mesh),
                           cell_index_dissection(mesh))
 
@@ -705,14 +703,14 @@ def test_nested_dissection_is_the_stack_order(mesh):
 def test_nested_dissection_is_the_stack_order_on_fixed_meshes():
     gl = np.linspace(0.0, 1.0, 9)
     with pytest.warns(UserWarning, match="nondegeneracy"):
-        strip = perturb(build_tensor_mesh(np.linspace(0.0, 1.0, 4),
-                                          np.linspace(0.0, 1.0, 201)),
-                        0.2, seed=46)
+        strip = TensorMesh(perturb((np.linspace(0.0, 1.0, 4),
+                                    np.linspace(0.0, 1.0, 201)),
+                                   0.2, seed=46))
     meshes = [
-        perturb(build_tensor_mesh(gl, gl[:6], gl), 0.2, seed=45),
+        TensorMesh(perturb((gl, gl[:6], gl), 0.2, seed=45)),
         build_uniform_parallel(5, 37),
         strip,
-        perturb(build_tensor_mesh(gl[::2], gl[::2]), 0.2, seed=47),
+        TensorMesh(perturb((gl[::2], gl[::2]), 0.2, seed=47)),
         build_uniform_parallel(1, 1),
     ]
     assert meshes[3].ne <= assembly.ND_LEAF
@@ -753,11 +751,9 @@ def test_column_wise_reductions_keep_the_reductions_bits():
     the columns; they must give the bits of numpy's own reductions."""
     gl = np.linspace(0.0, 1.0, 5)
     meshes = [
-        perturb(refine_midpoint(refine_midpoint(
-            build_tensor_mesh((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))),
-            0.2, seed=11),
-        perturb(refine_midpoint(build_tensor_mesh(gl, gl[:4], gl)),
-                0.2, seed=12),
+        TensorMesh(perturb(refine_midpoint(refine_midpoint(
+            ((0.0, 0.4, 0.8, 1.0), (0.0, 0.7, 1.0)))), 0.2, seed=11)),
+        TensorMesh(perturb(refine_midpoint((gl, gl[:4], gl)), 0.2, seed=12)),
         TensorMesh([np.array([0.0, 0.1, 0.15, 0.6, 1.0])]),
     ]
     rng = np.random.default_rng(13)
@@ -819,8 +815,7 @@ def test_column_wise_reductions_keep_the_reductions_bits():
     assert bits_equal(got.alpha, value - slope[:, None] * tri.elem_center)
     # the warning still fires past the limit
     with pytest.warns(UserWarning, match="nondegeneracy"):
-        thin = build_tensor_mesh(gl, gl,
-                                 [0.0, 0.9 / NONDEGENERACY_LIMIT, 1.0])
+        thin = TensorMesh((gl, gl, [0.0, 0.9 / NONDEGENERACY_LIMIT, 1.0]))
     assert thin.nondegeneracy > NONDEGENERACY_LIMIT
 
 
@@ -854,7 +849,7 @@ def poisoned_problem(name=None):
 
 @pytest.mark.parametrize("name", ["a", "b", "c", "f", "g"])
 @pytest.mark.parametrize("mesh, assembler", [
-    (refine_midpoint(build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))),
+    (TensorMesh(refine_midpoint(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))),
      assemble),
     (build_uniform_parallel(4, 4), assemble_cr)], ids=["box", "tri"])
 def test_non_finite_problem_data_is_named(mesh, assembler, name):
@@ -869,8 +864,8 @@ def test_non_finite_problem_data_is_named(mesh, assembler, name):
 def odd_perturbed_cube():
     """10 x 9 x 8 perturbed cells: axis 1 has an odd count, so its last
     coarse cell holds a single fine cell."""
-    return perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
-                                       for n in (10, 9, 8))), 0.2, seed=5)
+    return TensorMesh(perturb([np.linspace(0.0, 1.0, n + 1)
+                               for n in (10, 9, 8)], 0.2, seed=5))
 
 
 def facet_means(mesh, q):
@@ -899,7 +894,7 @@ SPAN_POLYNOMIALS = {
 def test_prolongation_reproduces_the_span_polynomials(name):
     q = SPAN_POLYNOMIALS[name]
     fine = odd_perturbed_cube()
-    coarse = coarsen(fine)
+    coarse = TensorMesh(coarsen(fine.gridlines))
     got = prolongation(coarse, fine) @ facet_means(coarse, q)[
         coarse.interior_facets]
     want = facet_means(fine, q)[fine.interior_facets]
@@ -919,7 +914,7 @@ def test_prolongation_takes_facet_means_of_the_parent_polynomials():
     # quadrature mean over its facet of the coarse field on each parent
     # cell, averaged over the (one or two) parents
     fine = odd_perturbed_cube()
-    coarse = coarsen(fine)
+    coarse = TensorMesh(coarsen(fine.gridlines))
     inter = fine.interior_facets
     v = np.random.default_rng(2).normal(size=coarse.interior_facets.size)
     dofs = np.zeros(coarse.nf)

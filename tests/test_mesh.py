@@ -3,37 +3,39 @@ import warnings
 import numpy as np
 import pytest
 
-from ncflux.mesh import (TensorMesh, TriMesh, build_tensor_mesh,
-                         build_uniform_parallel, coarsen, perturb,
-                         refine_midpoint)
+from ncflux.mesh import (TensorMesh, TriMesh, build_uniform_parallel,
+                         coarsen, perturb, refine_midpoint)
 
-from helpers import jittered_parallel
+from ncflux.problems import problem1
+
+from helpers import (every_other_line, jittered_parallel, midpoints_inserted,
+                     seeded_shifts)
 
 GRID_X = (0.0, 0.4, 0.8, 1.0)
 GRID_Y = (0.0, 0.7, 1.0)
 
 
 def test_six_element_mesh_counts():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     assert mesh.ne == 6
     assert mesh.nf == 17
 
 
 def test_single_element_mesh_all_boundary():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0)))
     assert mesh.ne == 1
     assert mesh.nf == 4
     assert mesh.facet_boundary.all()
 
 
 def test_three_dim_mesh_counts():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.6, 1.0), (0.0, 0.4, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.6, 1.0), (0.0, 0.4, 1.0)))
     assert mesh.dim == 3
     assert mesh.ne == 8
 
 
 def test_interior_facets_have_two_elements_boundary_one():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     inter = mesh.facet_elems[mesh.interior_facets]
     assert (inter >= 0).all()
     bnd = mesh.facet_elems[mesh.boundary_facets]
@@ -41,7 +43,7 @@ def test_interior_facets_have_two_elements_boundary_one():
 
 
 def test_element_facet_table_is_consistent():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     for e in range(mesh.ne):
         for f in mesh.elem_facets[e]:
             assert e in mesh.facet_elems[f]
@@ -57,8 +59,8 @@ def test_facet_numbering():
     # facet ids run by normal axis, then gridline position along it, then
     # the cell of the other axes in C order; nested dissection keeps this
     # order inside its leaves, so the reports depend on it
-    meshes = [perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
-                                          for n in shape)), 0.3, seed=3)
+    meshes = [TensorMesh(perturb([np.linspace(0.0, 1.0, n + 1)
+                                  for n in shape], 0.3, seed=3))
               for shape in [(3,), (3, 2), (2, 3, 4)]]
     for mesh in meshes:
         d, shape = mesh.dim, mesh.shape
@@ -94,7 +96,7 @@ def facet_patch(mesh, facet_id):
 
 
 def test_patch_of_facets():
-    mesh = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 0.5, 1.0), (0.0, 1.0)))
     fid = int(mesh.interior_facets[0])
     assert facet_patch(mesh, fid) == {0, 1}
     bid = int(mesh.boundary_facets[0])
@@ -102,7 +104,7 @@ def test_patch_of_facets():
 
 
 def test_patch_union_covers_axis_neighbors():
-    mesh = build_tensor_mesh((0, 1, 2, 3), (0, 1, 2, 3))
+    mesh = TensorMesh(((0, 1, 2, 3), (0, 1, 2, 3)))
     for e in range(mesh.ne):
         union = set()
         for f in mesh.elem_facets[e]:
@@ -119,32 +121,29 @@ def test_patch_union_covers_axis_neighbors():
 
 
 def test_refine_multiplies_element_count():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
-    assert refine_midpoint(mesh).ne == 24
-    cube = build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.6, 1.0),
-                             (0.0, 0.4, 1.0))
-    assert refine_midpoint(cube).ne == 64
+    mesh = TensorMesh((GRID_X, GRID_Y))
+    assert TensorMesh(refine_midpoint(mesh.gridlines)).ne == 24
+    cube = ((0.0, 0.5, 1.0), (0.0, 0.6, 1.0), (0.0, 0.4, 1.0))
+    assert TensorMesh(refine_midpoint(cube)).ne == 64
 
 
 def test_refine_single_element_inserts_midpoint():
-    fine = refine_midpoint(build_tensor_mesh((0.0, 1.0), (0.0, 1.0)))
+    fine = TensorMesh(refine_midpoint(((0.0, 1.0), (0.0, 1.0))))
     assert fine.ne == 4
     assert np.allclose(fine.gridlines[0], (0.0, 0.5, 1.0))
 
 
 def test_refine_halves_intervals_exactly():
-    mesh = build_tensor_mesh((0.0, 0.25, 1.0), (0.0, 1.0))
-    fine = refine_midpoint(mesh)
-    assert np.array_equal(fine.gridlines[0],
-                          np.array([0.0, 0.125, 0.25, 0.625, 1.0]))
+    fine = refine_midpoint(((0.0, 0.25, 1.0), (0.0, 1.0)))
+    assert np.array_equal(fine[0], np.array([0.0, 0.125, 0.25, 0.625, 1.0]))
 
 
 @pytest.mark.parametrize("cells", [(4, 4), (5, 2), (3, 7, 2), (1, 6, 4)])
 def test_coarsen_nests_the_coarse_cells(cells):
-    mesh = perturb(build_tensor_mesh(*(np.linspace(0.0, 1.0, n + 1)
-                                       for n in cells)), 0.2, seed=sum(cells))
-    coarse = coarsen(mesh)
-    for g, c in zip(mesh.gridlines, coarse.gridlines):
+    lines = perturb([np.linspace(0.0, 1.0, n + 1) for n in cells], 0.2,
+                    seed=sum(cells))
+    coarse = coarsen(lines)
+    for g, c in zip(lines, coarse):
         n = g.size - 1
         # every other gridline, and always the last one
         assert np.array_equal(c, np.unique(np.append(g[::2], g[-1])))
@@ -155,16 +154,16 @@ def test_coarsen_nests_the_coarse_cells(cells):
 
 
 def test_perturb_zero_is_identity():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
-    out = perturb(mesh, 0.0, seed=5)
-    for g0, g1 in zip(mesh.gridlines, out.gridlines):
+    mesh = TensorMesh((GRID_X, GRID_Y))
+    out = perturb(mesh.gridlines, 0.0, seed=5)
+    for g0, g1 in zip(mesh.gridlines, out):
         assert np.array_equal(g0, g1)
 
 
 def test_perturb_keeps_mesh_valid():
-    mesh = refine_midpoint(refine_midpoint(
-        build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))))
-    out = perturb(mesh, 0.2, seed=3)
+    lines = refine_midpoint(refine_midpoint(((0.0, 0.5, 1.0),
+                                             (0.0, 0.5, 1.0))))
+    out = TensorMesh(perturb(lines, 0.2, seed=3))
     for g in out.gridlines:
         assert np.all(np.diff(g) > 0)
         assert g[0] == 0.0 and g[-1] == 1.0
@@ -172,49 +171,91 @@ def test_perturb_keeps_mesh_valid():
 
 
 def test_perturb_is_deterministic_and_pure():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     before = [g.copy() for g in mesh.gridlines]
-    a = perturb(mesh, 0.2, seed=42)
-    b = perturb(mesh, 0.2, seed=42)
-    for ga, gb in zip(a.gridlines, b.gridlines):
+    a = perturb(mesh.gridlines, 0.2, seed=42)
+    b = perturb(mesh.gridlines, 0.2, seed=42)
+    for ga, gb in zip(a, b):
         assert np.array_equal(ga, gb)
     for g0, g1 in zip(before, mesh.gridlines):
         assert np.array_equal(g0, g1)
-    c = perturb(mesh, 0.2, seed=43)
-    assert any(not np.array_equal(ga, gc)
-               for ga, gc in zip(a.gridlines, c.gridlines))
+    c = perturb(mesh.gridlines, 0.2, seed=43)
+    assert any(not np.array_equal(ga, gc) for ga, gc in zip(a, c))
 
 
 def test_perturb_rejects_half_or_more():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
     with pytest.raises(ValueError):
-        perturb(mesh, 0.5, seed=0)
+        perturb((GRID_X, GRID_Y), 0.5, seed=0)
 
 
 def test_measures_sum_to_domain_measure():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     assert abs(mesh.elem_measure.sum() - 1.0) < 1e-12
-    out = perturb(refine_midpoint(mesh), 0.2, seed=9)
+    out = TensorMesh(perturb(refine_midpoint(mesh.gridlines), 0.2, seed=9))
     assert abs(out.elem_measure.sum() - 1.0) < 1e-12
 
 
+def hierarchy_inputs():
+    """The same kinds of gridlines a study passes: a problem's tuples, a
+    perturbed mesh's read-only arrays, and writable arrays."""
+    mesh = TensorMesh(perturb(refine_midpoint(problem1().initial_gridlines),
+                              0.2, seed=7))
+    return {"problem_tuples": problem1().initial_gridlines,
+            "mesh_gridlines": mesh.gridlines,
+            "writable_arrays": [np.array(g) for g in mesh.gridlines]}
+
+
+@pytest.mark.parametrize("source", ["problem_tuples", "mesh_gridlines",
+                                    "writable_arrays"])
+@pytest.mark.parametrize("operation, expected", [
+    (refine_midpoint, midpoints_inserted),
+    (coarsen, every_other_line),
+    (lambda g: perturb(g, 0.3, seed=11),
+     lambda g: seeded_shifts(g, 0.3, seed=11)),
+], ids=["refine_midpoint", "coarsen", "perturb"])
+def test_hierarchy_maps_gridlines_to_new_gridlines(source, operation,
+                                                   expected, monkeypatch):
+    lines = hierarchy_inputs()[source]
+    before = [np.array(g) for g in lines]
+
+    def no_mesh(self, gridlines):
+        raise AssertionError("a TensorMesh was built")
+
+    monkeypatch.setattr(TensorMesh, "__init__", no_mesh)
+    out = operation(lines)
+    assert isinstance(out, tuple) and len(out) == len(lines)
+    for g, new, want, old in zip(lines, out, expected(before), before):
+        assert isinstance(new, np.ndarray) and new.dtype == np.float64
+        # the same bits as the first-principles values, in a new array
+        assert new.tobytes() == want.tobytes()
+        assert not np.shares_memory(new, np.asarray(g))
+        assert np.asarray(g).tobytes() == old.tobytes()
+
+
+def test_nondegeneracy_warning_names_the_caller():
+    lines = ((0.0, 0.001, 1.0), (0.0, 0.5, 1.0))
+    with pytest.warns(UserWarning, match="nondegeneracy") as caught:
+        TensorMesh(perturb(refine_midpoint(lines), 0.2, seed=0))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_h_is_largest_interval():
-    mesh = build_tensor_mesh(GRID_X, GRID_Y)
+    mesh = TensorMesh((GRID_X, GRID_Y))
     assert mesh.h == pytest.approx(0.7)
 
 
 def test_nondegeneracy_warning():
     with pytest.warns(UserWarning, match="nondegeneracy"):
-        build_tensor_mesh((0.0, 0.001, 1.0), (0.0, 0.5, 1.0))
+        TensorMesh(((0.0, 0.001, 1.0), (0.0, 0.5, 1.0)))
 
 
 def test_gridlines_must_increase():
     with pytest.raises(ValueError, match="axis 0: .* strictly increase"):
-        build_tensor_mesh((0.0, 0.5, 0.5, 1.0), (0.0, 1.0))
+        TensorMesh(((0.0, 0.5, 0.5, 1.0), (0.0, 1.0)))
     # an infinite line would give an infinite element measure
     for lines in ((0.0, np.inf), (0.0, np.nan, 1.0), (-np.inf, 0.0, 1.0)):
         with pytest.raises(ValueError, match="axis 1: .* must be finite"):
-            build_tensor_mesh((0.0, 1.0), lines)
+            TensorMesh(((0.0, 1.0), lines))
 
 
 def test_triangle_mesh_counts():
@@ -257,7 +298,7 @@ def test_meshes_leave_the_caller_arrays_alone():
     assert np.array_equal(again.triangles, base.triangles)
     assert np.array_equal(again.edges, base.edges)
     grid = np.array(GRID_X)
-    build_tensor_mesh(grid, GRID_Y)
+    TensorMesh((grid, GRID_Y))
     assert grid.flags.writeable
 
 
@@ -349,10 +390,10 @@ def test_triangle_facet_names_are_the_edge_arrays():
 
 
 @pytest.mark.parametrize("factory, k, measure", [
-    (lambda: perturb(refine_midpoint(build_tensor_mesh(GRID_X, GRID_Y)),
-                     0.2, seed=3), 4, 1.0),
-    (lambda: perturb(build_tensor_mesh(GRID_X, GRID_Y, (0.0, 0.5, 2.0)),
-                     0.2, seed=5), 6, 2.0),
+    (lambda: TensorMesh(perturb(refine_midpoint((GRID_X, GRID_Y)), 0.2,
+                                seed=3)), 4, 1.0),
+    (lambda: TensorMesh(perturb((GRID_X, GRID_Y, (0.0, 0.5, 2.0)), 0.2,
+                                seed=5)), 6, 2.0),
     (lambda: build_uniform_parallel(3, 2), 3, 1.0),
     (lambda: jittered_parallel(4, 3), 3, 1.0),
 ], ids=["box2d", "box3d", "tri", "jittered_tri"])
@@ -382,8 +423,7 @@ def test_facet_normals_are_unit_and_orthogonal():
     tri = jittered_parallel(2, 3, seed=10)
     evec = tri.vertices[tri.edges[:, 1]] - tri.vertices[tri.edges[:, 0]]
     assert np.abs(np.einsum("ed,ed->e", tri.facet_normal, evec)).max() < 1e-12
-    box = perturb(build_tensor_mesh(GRID_X, GRID_Y, (0.0, 0.5, 2.0)), 0.2,
-                  seed=5)
+    box = TensorMesh(perturb((GRID_X, GRID_Y, (0.0, 0.5, 2.0)), 0.2, seed=5))
     assert np.array_equal(box.facet_normal, np.eye(3)[box.facet_axis])
     for mesh in (tri, box):
         n = mesh.facet_normal

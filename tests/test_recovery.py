@@ -7,7 +7,7 @@ from ncflux import elements
 from ncflux.analysis import fit_order, l2_error
 from ncflux.assembly import assemble, reconstruct_field
 from ncflux.elements import BrokenRT, cell_quadrature
-from ncflux.mesh import build_tensor_mesh, perturb
+from ncflux.mesh import TensorMesh, perturb
 from ncflux.problems import custom_problem, problem2
 from ncflux.recovery import (MidpointFlux, correction_field, corrected_flux,
                              max_normal_jump, midpoint_average,
@@ -21,14 +21,13 @@ from helpers import (cell_block_bytes, divergence, eval_at,
 
 
 def perturbed_square(n=4, fraction=0.2, seed=1):
-    mesh = build_tensor_mesh(np.linspace(0.0, 1.0, n + 1),
-                             np.linspace(0.0, 1.0, n + 1))
-    return perturb(mesh, fraction, seed=seed)
+    gl = np.linspace(0.0, 1.0, n + 1)
+    return TensorMesh(perturb((gl, gl), fraction, seed=seed))
 
 
 def perturbed_cube(n=3, fraction=0.2, seed=2):
     gl = np.linspace(0.0, 1.0, n + 1)
-    return perturb(build_tensor_mesh(gl, gl, gl), fraction, seed=seed)
+    return TensorMesh(perturb((gl, gl, gl), fraction, seed=seed))
 
 
 def random_divergence_free(mesh, rng):
@@ -42,20 +41,20 @@ def random_divergence_free(mesh, rng):
 # -- correction field ---------------------------------------------------------
 
 def test_correction_weights_on_unit_square():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0)))
     r = correction_field(mesh)
     assert np.allclose(r.beta, 0.5)
 
 
 def test_correction_weights_on_unit_cube():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
     r = correction_field(mesh)
     assert np.allclose(r.beta, 1.0 / 3.0)
 
 
 def test_correction_weights_on_anisotropic_element():
     # extents (0.4, 0.7): weights (0.49, 0.16) / 0.65
-    mesh = build_tensor_mesh((0.0, 0.4), (0.0, 0.7))
+    mesh = TensorMesh(((0.0, 0.4), (0.0, 0.7)))
     r = correction_field(mesh)
     assert r.beta[0, 0] == pytest.approx(0.7538461538461538, abs=1e-15)
     assert r.beta[0, 1] == pytest.approx(0.24615384615384617, abs=1e-15)
@@ -215,8 +214,8 @@ def test_corrected_flux_is_normally_continuous_property(mesh, a, seed):
 
 def test_corrected_flux_is_normally_continuous_in_3d():
     gl = np.linspace(0.0, 1.0, 5)
-    mesh = perturb(build_tensor_mesh(gl, np.linspace(0.0, 1.0, 4), gl), 0.2,
-                   seed=24)
+    mesh = TensorMesh(perturb((gl, np.linspace(0.0, 1.0, 4), gl), 0.2,
+                              seed=24))
     fbar = np.random.default_rng(25).uniform(-2.0, 2.0, size=mesh.ne)
     locate = tensor_locator(mesh)
     assert np.array_equal(locate(mesh.elem_center), np.arange(mesh.ne))
@@ -294,7 +293,7 @@ def test_rt_interpolant_has_continuous_normal_components():
 
 
 def test_single_cell_has_no_normal_jump():
-    mesh = build_tensor_mesh(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    mesh = TensorMesh((np.array([0.0, 1.0]), np.array([0.0, 1.0])))
     tau = rt_interpolate(
         mesh, lambda x: np.stack([x[..., 0], -x[..., 1]], axis=-1))
     assert mesh.interior_facets.size == 0
@@ -303,9 +302,8 @@ def test_single_cell_has_no_normal_jump():
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_interpolation_commutes_with_divergence(n):
-    mesh = perturb(build_tensor_mesh(np.linspace(0.0, 1.0, n + 1),
-                                     np.linspace(0.0, 1.0, n + 1)),
-                   0.2, seed=17)
+    gl = np.linspace(0.0, 1.0, n + 1)
+    mesh = TensorMesh(perturb((gl, gl), 0.2, seed=17))
 
     def tau(x):
         return np.stack([np.sin(x[..., 1]) + x[..., 0] ** 2,
@@ -327,7 +325,7 @@ def test_interpolation_commutes_with_divergence(n):
 @pytest.mark.parametrize("mesh_factory", [
     perturbed_square,
     perturbed_cube,
-    lambda: build_tensor_mesh((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)),
+    lambda: TensorMesh(((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))),
 ])
 def test_averaging_preserves_constants_everywhere(mesh_factory):
     mesh = mesh_factory()
@@ -339,8 +337,7 @@ def test_averaging_preserves_constants_everywhere(mesh_factory):
 
 
 def test_averaging_is_plain_mean_on_uniform_meshes():
-    mesh = build_tensor_mesh(np.linspace(0.0, 1.0, 5),
-                             np.linspace(0.0, 1.0, 5))
+    mesh = TensorMesh((np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)))
     rng = np.random.default_rng(3)
     flux = BrokenRT(mesh, rng.normal(size=(mesh.ne, 2)),
                     rng.normal(size=(mesh.ne, 2)))
@@ -387,7 +384,7 @@ def test_averaged_interpolant_second_order_for_smooth_fields():
     hs, errs = [], []
     for n in (4, 8, 16, 32):
         gl = np.linspace(0.0, 1.0, n + 1)
-        mesh = build_tensor_mesh(gl, gl)
+        mesh = TensorMesh((gl, gl))
         avg = midpoint_average(rt_interpolate(mesh, tau))
         errs.append(l2_error(mesh, tau, avg))
         hs.append(mesh.h)
@@ -395,7 +392,7 @@ def test_averaged_interpolant_second_order_for_smooth_fields():
 
 
 def test_averaging_needs_two_elements_per_axis():
-    mesh = build_tensor_mesh((0.0, 1.0), (0.0, 0.5, 1.0))
+    mesh = TensorMesh(((0.0, 1.0), (0.0, 0.5, 1.0)))
     flux = BrokenRT(mesh, np.zeros((mesh.ne, 2)), np.zeros((mesh.ne, 2)))
     with pytest.raises(ValueError):
         midpoint_average(flux)

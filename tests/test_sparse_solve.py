@@ -12,7 +12,7 @@ from ncflux import assembly
 from ncflux.analysis import StudyConfig, _tensor_meshes
 from ncflux.assembly import assemble, coarse_levels, preconditioner
 from ncflux.cr import assemble_cr
-from ncflux.mesh import (TriMesh, build_tensor_mesh, build_uniform_parallel,
+from ncflux.mesh import (TensorMesh, TriMesh, build_uniform_parallel,
                          perturb, refine_midpoint)
 from ncflux.problems import problem1, problem2
 from ncflux.sparse_solve import (SolveReport, SolverError,
@@ -29,8 +29,8 @@ def jacobi(A):
 
 def p1_system():
     prob = problem1()
-    mesh = perturb(refine_midpoint(
-        build_tensor_mesh(*prob.initial_gridlines)), 0.2, seed=2)
+    mesh = TensorMesh(perturb(refine_midpoint(prob.initial_gridlines), 0.2,
+                              seed=2))
     return assemble(mesh, prob), prob
 
 
@@ -214,9 +214,10 @@ def multigrid_hierarchy(monkeypatch):
     levels deep, coarsened down to 12 unknowns under a lowered floor."""
     monkeypatch.setattr(assembly, "COARSEST_UNKNOWNS", 50)
     prob = problem2()
-    mesh = build_tensor_mesh(*prob.initial_gridlines)
+    lines = prob.initial_gridlines
     for seed in (3, 4):
-        mesh = perturb(refine_midpoint(mesh), 0.2, seed=seed)
+        lines = perturb(refine_midpoint(lines), 0.2, seed=seed)
+    mesh = TensorMesh(lines)
     system = assemble(mesh, prob)
     levels = coarse_levels(mesh, prob)
     assert [A_c.shape[0] for _, A_c in levels] == [144, 12]
