@@ -12,9 +12,8 @@ convergence studies from the command line.
 from .analysis import (LevelRecord, StudyConfig, StudyResult, emit_report,
                        fit_order, l2_error, run_study)
 from .assembly import LinearSystem, NcrtField, assemble, reconstruct_field
-from .cr import (CRField, EdgeMidpointField, VertexField, assemble_cr,
-                 corrected_flux_cr, edge_midpoint_average,
-                 rt_interpolate_tri, vertex_average)
+from .cr import (CRField, VertexField, assemble_cr, corrected_flux_cr,
+                 edge_midpoint_average, rt_interpolate_tri, vertex_average)
 from .elements import BrokenRT
 from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
                    refine_midpoint)
@@ -26,15 +25,13 @@ from .sparse_solve import SolveReport, SolverError, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrokenRT", "CRField", "EdgeMidpointField", "LevelRecord",
-    "LinearSystem", "MidpointFlux", "NcrtField", "Problem", "REGISTRY",
-    "SolveReport", "SolverError", "StudyConfig", "StudyResult", "TensorMesh",
-    "TriMesh", "VertexField", "assemble", "assemble_cr",
-    "build_uniform_parallel", "corrected_flux",
+    "BrokenRT", "CRField", "LevelRecord", "LinearSystem", "MidpointFlux",
+    "NcrtField", "Problem", "REGISTRY", "SolveReport", "SolverError",
+    "StudyConfig", "StudyResult", "TensorMesh", "TriMesh", "VertexField",
+    "assemble", "assemble_cr", "build_uniform_parallel", "corrected_flux",
     "corrected_flux_cr", "correction_field", "custom_problem",
     "edge_midpoint_average", "emit_report", "fit_order", "l2_error",
-    "max_normal_jump", "midpoint_average", "perturb",
-    "problem1", "problem2", "reconstruct_field", "refine_midpoint",
-    "rt_interpolate", "rt_interpolate_tri", "run_study", "solve",
-    "vertex_average",
+    "max_normal_jump", "midpoint_average", "perturb", "problem1",
+    "problem2", "reconstruct_field", "refine_midpoint", "rt_interpolate",
+    "rt_interpolate_tri", "run_study", "solve", "vertex_average",
 ]

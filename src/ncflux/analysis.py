@@ -9,9 +9,10 @@ slopes in log-log, fitted after dropping the preasymptotic levels.
 
 Boxes and triangles share one ``_level``. The mesh families differ only
 in its five stages (assemble, field from dofs, correct, interpolate,
-average), which ``run_study`` reads from this module's namespace. Every
-level is solved with the map ``assembly.preconditioner`` picks by the
-mesh's dimension.
+average), which ``run_study`` reads from this module's namespace. Each
+stage has one signature in both families: both average the corrected
+flux into a ``recovery.MidpointFlux``. Every level is solved with the
+map ``assembly.preconditioner`` picks by the mesh's dimension.
 
 The error norms use the 4-point Gauss rule per axis on boxes
 (``elements.NORM_RULE``); the problem data were integrated with the
@@ -315,8 +316,7 @@ def run_study(config: StudyConfig,
         sides = (config.cr_initial * 2 ** k for k in range(config.levels))
         meshes = (build_uniform_parallel(n, n) for n in sides)
         stages = (assemble_cr, CRField, corrected_flux_cr, rt_interpolate_tri,
-                  lambda sigma: edge_midpoint_average(
-                      sigma.mesh, sigma.values_at_centers()))
+                  edge_midpoint_average)
     else:
         meshes = _tensor_meshes(problem, config)
         stages = (assemble, reconstruct_field, corrected_flux, rt_interpolate,
@@ -361,9 +361,12 @@ def emit_report(result: StudyResult, format: str = "csv") -> str:
         return "\n".join(lines) + "\n"
     if format == "structured":
         cfg = result.config
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                  if f.name != "custom"}
         doc = {
-            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                       if f.name != "custom"},
+            # a numpy scalar, which _check_config accepts, as a Python one
+            "config": {name: value.item() if isinstance(value, np.generic)
+                       else value for name, value in config.items()},
             "levels": [
                 {"ne": r.ne, "h": r.h,
                  **{col: getattr(r, col) for col in COLUMNS}}

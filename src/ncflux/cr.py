@@ -18,15 +18,17 @@ beta = (b, b) (Raviart and Thomas, LNM 606, 1977): the broken gradient
 interpolant are all BrokenRT, so ``recovery.correction_field`` and
 ``recovery.max_normal_jump`` serve triangles as they serve boxes, and
 the interpolant matches the edge fluxes of ``recovery.facet_fluxes``.
+Both averages take the corrected flux, as ``recovery.midpoint_average``
+does, and the edge average returns the same ``recovery.MidpointFlux``.
 
 So are the cell passes: they loop over ``elements.cell_blocks`` and
 map ``elements.cell_quadrature``, as the box passes do. At the
 triangle rule's points the basis values are one constant table
 (``elements.cell_table``): assembly, the correction's load and the
 error norms (through ``reference_coeffs``) read it, and only the
-constant gradients come from ``cr_basis``. Every field here gives its
-values at each triangle's edge midpoints as its reference coefficients,
-and none is evaluated at arbitrary points.
+constant gradients come from ``cr_basis``. Every field on triangles
+gives its values at each triangle's edge midpoints as its reference
+coefficients, and none is evaluated at arbitrary points.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .elements import (BrokenRT, cell_blocks, cell_quadrature, cell_table,
                        cr_basis, reference_values)
 from .mesh import TriMesh, _by_columns, _frozen
 from .problems import Problem
-from .recovery import correction_field, facet_fluxes
+from .recovery import MidpointFlux, correction_field, facet_fluxes
 
 
 def assemble_cr(trimesh: TriMesh, problem: Problem) -> LinearSystem:
@@ -157,23 +159,6 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
 
 
 @dataclass
-class EdgeMidpointField:
-    """Vector field with one value per edge midpoint.
-
-    Componentwise it lives in the midpoint-linear space, so its values
-    are the triangle's three edge basis functions times the local dofs.
-    """
-
-    trimesh: TriMesh
-    values: np.ndarray           # (nf, 2)
-
-    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
-        """The components' local dofs on the triangles rows, (b, 2, 3),
-        for ``elements.cell_table``."""
-        return self.values[self.trimesh.elem_facets[rows]].transpose(0, 2, 1)
-
-
-@dataclass
 class VertexField:
     """Continuous piecewise-linear vector field stored by vertex values."""
 
@@ -189,15 +174,14 @@ class VertexField:
         return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]]).transpose(0, 2, 1)
 
 
-def edge_midpoint_average(trimesh: TriMesh,
-                          cellvals: np.ndarray) -> EdgeMidpointField:
-    """Average per-triangle values (ne, 2) into edge-midpoint values.
+def edge_midpoint_average(flux: BrokenRT) -> MidpointFlux:
+    """Average a corrected triangle flux into edge-midpoint values.
 
-    A corrected flux enters through its centroid values
-    (``BrokenRT.values_at_centers``): on parallel neighbors the two
-    traces of its radial part cancel at the shared midpoint. Interior
-    midpoints take the plain mean of the two triangles' values. Each
-    boundary midpoint m is filled by extrapolation,
+    It reads the flux's centroid values (``BrokenRT.values_at_centers``),
+    not its midpoint traces: on parallel neighbors the two traces of its
+    radial part cancel at the shared midpoint. Interior midpoints take
+    the plain mean of the two triangles' values. Each boundary midpoint
+    m is filled by extrapolation,
 
         value(m) = 2 value(m') - value(m''),
 
@@ -208,7 +192,8 @@ def edge_midpoint_average(trimesh: TriMesh,
     boundary the value of K' substitutes for value(m''), and a triangle
     with no candidate at all falls back to its own value.
     """
-    cellvals = np.asarray(cellvals, dtype=float)
+    trimesh = flux.mesh
+    cellvals = flux.values_at_centers()
     vals = np.empty((trimesh.nf, 2))
     inter = trimesh.interior_facets
     sides = cellvals[trimesh.facet_elems[inter]]
@@ -247,16 +232,18 @@ def edge_midpoint_average(trimesh: TriMesh,
                   vals[epp])
     vals[e] = cellvals[tri]
     vals[e[found]] = 2.0 * vals[ep] - m2
-    return EdgeMidpointField(trimesh, vals)
+    return MidpointFlux(trimesh, vals)
 
 
-def vertex_average(trimesh: TriMesh, cellvals: np.ndarray) -> VertexField:
-    """Area-weighted average of per-triangle values onto vertices.
+def vertex_average(flux: BrokenRT) -> VertexField:
+    """Area-weighted average of a triangle flux onto vertices.
 
     Each vertex takes sum_K |K| value_K / sum_K |K| over the triangles
-    of its patch; the result is a continuous piecewise-linear field.
+    of its patch, value_K the flux's centroid value; the result is a
+    continuous piecewise-linear field.
     """
-    cellvals = np.asarray(cellvals, dtype=float)
+    trimesh = flux.mesh
+    cellvals = flux.values_at_centers()
     flat = trimesh.triangles.ravel()
     weighted = np.repeat(cellvals * trimesh.elem_measure[:, None], 3, axis=0)
     num = np.stack([np.bincount(flat, weights=weighted[:, k],

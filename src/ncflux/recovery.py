@@ -25,7 +25,8 @@ Every broken flux is an ``elements.BrokenRT``, on boxes and on
 triangles, so the correction field, the interpolants' facet fluxes
 (``facet_fluxes``) and the jump check (``max_normal_jump``) serve both
 mesh types; the projection, the interpolant and the averaging here are
-the box ones, and ``ncflux.cr`` holds their triangle counterparts.
+the box ones, and ``ncflux.cr`` holds their triangle counterparts. Both
+families average the corrected flux into a ``MidpointFlux``.
 """
 
 from __future__ import annotations
@@ -196,21 +197,27 @@ def max_normal_jump(flux: BrokenRT) -> float:
 
 @dataclass
 class MidpointFlux:
-    """Vector field with one value per facet midpoint.
+    """Vector field with one value per facet midpoint: the recovered
+    flux on boxes and on triangles.
 
-    Componentwise it lives in the midpoint-dof nonconforming space, so
-    the midpoint-dual basis of each element gives its span coefficients.
+    Componentwise it lives in the midpoint-dof nonconforming space: on
+    a box the span of ``elements.nc_basis``, on a triangle ``ncflux.cr``'s
+    midpoint-linear space.
     """
 
-    mesh: TensorMesh
+    mesh: TensorMesh | TriMesh
     values: np.ndarray           # (nf, d)
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
-        """Coefficients of the components in the reference monomials of
-        the cells rows: (b, d, 2d + 1), see ``elements.reference_coeffs``."""
+        """Reference coefficients of the components on the cells rows,
+        for ``elements.cell_table``: on a box, through the midpoint-dual
+        basis, in the reference monomials, (b, d, 2d + 1); on a triangle,
+        whose table is the midpoint basis, the midpoint values, (b, 2, 3)."""
         mesh = self.mesh
-        span = (nc_basis(mesh, "midpoint", rows)
-                @ self.values[mesh.elem_facets[rows]])      # (b, 2d, d)
+        local = self.values[mesh.elem_facets[rows]]   # (b, facets, d)
+        if isinstance(mesh, TriMesh):
+            return local.transpose(0, 2, 1)
+        span = nc_basis(mesh, "midpoint", rows) @ local     # (b, 2d, d)
         return reference_coeffs(mesh, span.transpose(0, 2, 1), rows)
 
 

@@ -204,7 +204,8 @@ def solve(A, b, tol, precondition):
             rho_prev = rho
         r = b - A @ x
         prev, res = res, _norm(r) / bnorm
-    report = SolveReport(method="bicgstab", converged=res <= tol,
+    # bool: a numpy tol would make the comparison a numpy bool
+    report = SolveReport(method="bicgstab", converged=bool(res <= tol),
                          iterations=count, residual=res, dim=n)
     if not report.converged:
         raise SolverError(

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import (ND_LEAF, NcrtField, assemble, preconditioner,
                              reconstruct_field)
-from ncflux.cr import CRField, EdgeMidpointField, VertexField, assemble_cr
+from ncflux.cr import CRField, VertexField, assemble_cr
 from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
                              nc_basis, span_size)
-from ncflux.mesh import TensorMesh, perturb, refine_midpoint
+from ncflux.mesh import TensorMesh, TriMesh, perturb, refine_midpoint
 from ncflux.problems import custom_problem
 from ncflux.quadrature import tensor_rule
 from ncflux.recovery import MidpointFlux, _projection
@@ -164,6 +164,9 @@ def eval_at(obj, pts, rows=slice(None)):
     if isinstance(obj, NcrtField):
         xi = pts - obj.mesh.elem_center[rows, None, :]
         return (span_values(xi) @ obj.coeffs[rows, :, None])[..., 0]
+    if isinstance(obj, MidpointFlux) and isinstance(obj.mesh, TriMesh):
+        tm = obj.mesh
+        return cr_values(tm, pts, rows) @ obj.values[tm.elem_facets[rows]]
     if isinstance(obj, MidpointFlux):
         mesh = obj.mesh
         coeff = nc_basis(mesh, "midpoint", rows)
@@ -173,8 +176,6 @@ def eval_at(obj, pts, rows=slice(None)):
     if isinstance(obj, CRField):
         local = obj.dofs[tm.elem_facets[rows]]
         return (cr_values(tm, pts, rows) @ local[:, :, None])[..., 0]
-    if isinstance(obj, EdgeMidpointField):
-        return cr_values(tm, pts, rows) @ obj.values[tm.elem_facets[rows]]
     if isinstance(obj, VertexField):
         return barycentrics(tm, pts, rows) @ obj.values[tm.triangles[rows]]
     raise TypeError(f"no point evaluator for {type(obj).__name__}")
@@ -264,6 +265,12 @@ def cr_bary_by_inverse(trimesh):
                                         axis=2))
 
 
+def cell_flux(mesh, cellvals):
+    """The flux with the per-cell values cellvals (ne, d), a BrokenRT with
+    beta = 0: per-cell values in the form the averaging stages take."""
+    return BrokenRT(mesh, cellvals, np.zeros_like(cellvals))
+
+
 def edge_midpoint_average_loop(trimesh, cellvals):
     """cr.edge_midpoint_average of per-triangle values as a loop over the
     boundary edges: the reference for its vectorized candidate search and
@@ -301,7 +308,7 @@ def edge_midpoint_average_loop(trimesh, cellvals):
         # a boundary parallel edge takes the value of its one triangle nb
         m2 = cellvals[nb] if trimesh.facet_boundary[epp] else vals[epp]
         vals[e] = 2.0 * vals[ep] - m2
-    return EdgeMidpointField(trimesh, vals)
+    return MidpointFlux(trimesh, vals)
 
 
 def refined_box_mesh(problem, min_cells):

@@ -103,7 +103,7 @@ def level_error_pairs(prob, mesh, seed):
     if isinstance(mesh, TriMesh):
         field = CRField(mesh, rng.normal(size=mesh.nf))
         grad = field.gradient_rt()
-        recovered = edge_midpoint_average(mesh, grad.values_at_centers())
+        recovered = edge_midpoint_average(grad)
     else:
         field = reconstruct_field(mesh, rng.normal(size=mesh.nf))
         grad = field.gradient_rt()
@@ -686,6 +686,23 @@ def test_every_traced_stage_is_a_module_global(monkeypatch):
     assert missing <= DEAD_HOOKS
 
 
+@pytest.mark.parametrize("element, problem", [
+    ("ncrt2d", "p1"), ("ncrt3d", "p2"), ("cr", "p1")])
+def test_every_family_averages_the_corrected_flux(monkeypatch, element,
+                                                  problem):
+    # one averaging contract: the corrected flux in, a MidpointFlux out
+    seen = []
+    for name in ("midpoint_average", "edge_midpoint_average"):
+        def recording(*args, _fn=getattr(analysis, name)):
+            out = _fn(*args)
+            seen.append((type(args[0]), type(out)))
+            return out
+        monkeypatch.setattr(analysis, name, recording)
+    run_study(StudyConfig(problem=problem, element=element, levels=2,
+                          perturb=0.0 if element == "cr" else 0.2))
+    assert seen == [(BrokenRT, MidpointFlux)] * 2
+
+
 TRI_STAGES = {"assemble_cr", "build_uniform_parallel", "cell_quadrature",
               "corrected_flux_cr", "edge_midpoint_average", "l2_error",
               "rt_interpolate_tri", "solve"}
@@ -915,6 +932,24 @@ def test_structured_report_parses_and_carries_everything():
     assert set(doc["orders"]) == set(COLUMNS)
     assert len(doc["solver"]) == 2
     assert doc["solver"][0]["converged"] is True
+
+
+def test_structured_report_renders_numpy_config_scalars():
+    # _check_config takes numpy ints, and tol and perturb may be numpy
+    # floats: the report renders them as the Python numbers they equal
+    plain = StudyConfig(problem="p1", element="cr", levels=2, seed=3,
+                        skip=0, cr_initial=4, perturb=0.0, tol=1e-8)
+    typed = dataclasses.replace(
+        plain, levels=np.int64(2), seed=np.int32(3), skip=np.int64(0),
+        cr_initial=np.int32(4), perturb=np.float64(0.0),
+        tol=np.float64(1e-8))
+    expected = emit_report(run_study(plain), format="structured")
+    assert emit_report(run_study(typed), format="structured") == expected
+
+    single = dataclasses.replace(plain, tol=np.float32(1e-8))
+    doc = json.loads(emit_report(run_study(single), format="structured"))
+    assert doc["config"]["tol"] == float(np.float32(1e-8))
+    assert [rep["converged"] for rep in doc["solver"]] == [True, True]
 
 
 def test_empty_study_report_is_header_only():

@@ -5,20 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from ncflux import analysis, assembly, cr, elements, recovery
 from ncflux.analysis import StudyConfig, l2_error, run_study
-from ncflux.cr import (CRField, EdgeMidpointField, assemble_cr,
-                       corrected_flux_cr, edge_midpoint_average,
-                       rt_interpolate_tri, vertex_average)
+from ncflux.cr import (CRField, assemble_cr, corrected_flux_cr,
+                       edge_midpoint_average, rt_interpolate_tri,
+                       vertex_average)
 from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
                              cr_basis, cr_rule_table, facet_quadrature)
 from ncflux.mesh import TriMesh, build_uniform_parallel
 from ncflux.problems import Term, custom_problem, problem1, problem2
-from ncflux.recovery import correction_field, max_normal_jump
+from ncflux.recovery import MidpointFlux, correction_field, max_normal_jump
 
-from helpers import (cell_means, cr_bary_by_inverse, cr_values, divergence,
-                     edge_midpoint_average_loop, eval_at, jittered_parallel,
-                     linear_problem, ones_scalar, solve_cr,
-                     source_problem, tri_locator, tri_meshes, zeros_scalar,
-                     zeros_vector)
+from helpers import (cell_flux, cell_means, cr_bary_by_inverse, cr_values,
+                     divergence, edge_midpoint_average_loop, eval_at,
+                     jittered_parallel, linear_problem, ones_scalar,
+                     solve_cr, source_problem, tri_locator, tri_meshes,
+                     zeros_scalar, zeros_vector)
 
 
 def random_tri_rt(mesh, rng):
@@ -291,7 +291,7 @@ def test_interpolation_reproduces_member_fields():
 def test_edge_averaging_preserves_constants_everywhere():
     mesh = jittered_parallel(3, 3, seed=15)
     cellvals = np.tile([1.5, -0.5], (mesh.ne, 1))
-    avg = edge_midpoint_average(mesh, cellvals)
+    avg = edge_midpoint_average(cell_flux(mesh, cellvals))
     assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-13
 
 
@@ -300,13 +300,14 @@ def test_edge_averaging_preserves_constants_from_boundary_parallel_edges():
     # so its one-sided trace stands in for the midpoint value
     mesh = build_uniform_parallel(1, 1)
     cellvals = np.tile([1.5, -0.5], (mesh.ne, 1))
-    avg = edge_midpoint_average(mesh, cellvals)
+    avg = edge_midpoint_average(cell_flux(mesh, cellvals))
     assert np.abs(avg.values - np.array([1.5, -0.5])).max() < 1e-14
 
 
 def test_edge_averaging_reproduces_linear_fields_on_parallel_mesh():
     mesh = build_uniform_parallel(4, 4)
-    avg = edge_midpoint_average(mesh, linear_tau(mesh.elem_center))
+    avg = edge_midpoint_average(cell_flux(mesh,
+                                          linear_tau(mesh.elem_center)))
     assert np.abs(avg.values - linear_tau(mesh.facet_midpoint)).max() < 1e-12
 
 
@@ -322,7 +323,7 @@ def test_edge_averaging_own_trace_fallback_on_single_triangle():
     mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                    np.array([[0, 1, 2]]))
     cellvals = np.array([[2.0, -1.0]])
-    avg = edge_midpoint_average(mesh, cellvals)
+    avg = edge_midpoint_average(cell_flux(mesh, cellvals))
     assert np.abs(avg.values - np.array([2.0, -1.0])).max() < 1e-14
 
 
@@ -337,19 +338,19 @@ def test_edge_averaging_own_trace_fallback_on_single_triangle():
 ], ids=["1x1", "5x3", "1x4", "jittered4x4", "jittered7x3", "single"])
 def test_edge_averaging_matches_the_boundary_loop_exactly(mesh):
     rng = np.random.default_rng(mesh.ne)
-    for cellvals in (rng.normal(size=(mesh.ne, 2)),
-                     random_tri_rt(mesh, rng).values_at_centers()):
-        assert np.array_equal(
-            edge_midpoint_average(mesh, cellvals).values,
-            edge_midpoint_average_loop(mesh, cellvals).values)
+    for flux in (cell_flux(mesh, rng.normal(size=(mesh.ne, 2))),
+                 random_tri_rt(mesh, rng)):
+        avg = edge_midpoint_average(flux)
+        loop = edge_midpoint_average_loop(mesh, flux.values_at_centers())
+        assert type(avg) is type(loop) is MidpointFlux
+        assert np.array_equal(avg.values, loop.values)
 
 
 def test_edge_field_evaluation_matches_stored_values():
     mesh = jittered_parallel(2, 2, seed=16)
     rng = np.random.default_rng(17)
     vals = rng.normal(size=(mesh.nf, 2))
-    from ncflux.cr import EdgeMidpointField
-    fld = EdgeMidpointField(mesh, vals)
+    fld = MidpointFlux(mesh, vals)
     mids = mesh.facet_midpoint[mesh.elem_facets]
     # the basis at the midpoints times the field's reference coefficients
     got = cr_values(mesh, mids) @ fld.reference_coeffs().transpose(0, 2, 1)
@@ -359,7 +360,7 @@ def test_edge_field_evaluation_matches_stored_values():
 def test_vertex_averaging_preserves_constants():
     mesh = jittered_parallel(3, 3, seed=18)
     cellvals = np.tile([0.25, 4.0], (mesh.ne, 1))
-    fld = vertex_average(mesh, cellvals)
+    fld = vertex_average(cell_flux(mesh, cellvals))
     assert np.abs(fld.values - np.array([0.25, 4.0])).max() < 1e-13
     pts, _ = cell_quadrature(mesh)
     assert np.abs(eval_at(fld, pts) - np.array([0.25, 4.0])).max() < 1e-13
@@ -369,7 +370,7 @@ def test_vertex_averaging_matches_direct_accumulation():
     mesh = jittered_parallel(3, 2, seed=19)
     rng = np.random.default_rng(20)
     cellvals = rng.normal(size=(mesh.ne, 2))
-    fld = vertex_average(mesh, cellvals)
+    fld = vertex_average(cell_flux(mesh, cellvals))
     for vid in range(mesh.nv):
         rows = np.nonzero((mesh.triangles == vid).any(axis=1))[0]
         w = mesh.elem_measure[rows]
@@ -380,7 +381,7 @@ def test_vertex_averaging_matches_direct_accumulation():
 def test_vertex_field_is_continuous_across_edges():
     mesh = jittered_parallel(3, 3, seed=21)
     rng = np.random.default_rng(22)
-    fld = vertex_average(mesh, rng.normal(size=(mesh.ne, 2)))
+    fld = vertex_average(cell_flux(mesh, rng.normal(size=(mesh.ne, 2))))
     # evaluate at interior edge midpoints from both adjacent triangles
     inter = mesh.interior_facets
     pts = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
@@ -404,7 +405,7 @@ def blocked_level(mesh, prob):
     sigma = corrected_flux_cr(field, prob)
     interp = rt_interpolate_tri(mesh, prob.grad_u)
     grad = field.gradient_rt()
-    recovered = edge_midpoint_average(mesh, sigma.values_at_centers())
+    recovered = edge_midpoint_average(sigma)
     errs = [l2_error(mesh, prob.u, field),
             l2_error(mesh, prob.grad_u, RawFlux(prob.a, grad)),
             l2_error(mesh, sigma - interp),
@@ -445,8 +446,8 @@ def test_fields_evaluate_one_block_of_rows():
     fields = [
         CRField(mesh, rng.normal(size=mesh.nf)),
         random_tri_rt(mesh, rng),
-        EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2))),
-        vertex_average(mesh, rng.normal(size=(mesh.ne, 2))),
+        MidpointFlux(mesh, rng.normal(size=(mesh.nf, 2))),
+        vertex_average(cell_flux(mesh, rng.normal(size=(mesh.ne, 2)))),
         RawFlux(ones_scalar,
                 CRField(mesh, rng.normal(size=mesh.nf)).gradient_rt()),
     ]
@@ -514,8 +515,9 @@ def test_table_norms_of_tri_fields_match_eval_at(mesh, seed):
     rng = np.random.default_rng(seed)
     pts, wts = cell_quadrature(mesh)
     for field in (CRField(mesh, rng.normal(size=mesh.nf)),
-                  EdgeMidpointField(mesh, rng.normal(size=(mesh.nf, 2))),
-                  vertex_average(mesh, rng.normal(size=(mesh.ne, 2)))):
+                  MidpointFlux(mesh, rng.normal(size=(mesh.nf, 2))),
+                  vertex_average(cell_flux(mesh,
+                                           rng.normal(size=(mesh.ne, 2))))):
         vals = eval_at(field, pts)
         spec = "bq,bq,bq->" if vals.ndim == 2 else "bq,bqd,bqd->"
         expected = np.sqrt(np.einsum(spec, wts, vals, vals))
@@ -530,7 +532,7 @@ def test_a_cr_study_evaluates_no_basis_at_mapped_points(monkeypatch):
               for name in ("cr_values", "cr_barycentrics", "eval_at")
               if hasattr(module, name)]
     called += [f"{cls.__name__}.eval_at" for cls in (
-        CRField, EdgeMidpointField, cr.VertexField, BrokenRT, RawFlux)
+        CRField, MidpointFlux, cr.VertexField, BrokenRT, RawFlux)
         if hasattr(cls, "eval_at")]
     assert called == []
     for module in (analysis, cr):

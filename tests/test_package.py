@@ -31,6 +31,8 @@ def test_every_exported_name_resolves():
     assert [n for n in ncflux.__all__ if n.endswith("RT")] == ["BrokenRT"]
     assert [n for n in ncflux.__all__
             if n.startswith("max_normal_jump")] == ["max_normal_jump"]
+    # and one midpoint type holds both families' recovered flux
+    assert [n for n in ncflux.__all__ if "Midpoint" in n] == ["MidpointFlux"]
 
 
 def test_readme_has_box_and_triangle_examples():
