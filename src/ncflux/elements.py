@@ -87,17 +87,21 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean",
 
     The tables are closed forms in the half-extents h = elem_ext / 2
     of each cell, whose facets lie at xi_k = -h_k (dof 2k) and xi_k = +h_k
-    (dof 2k + 1). The dofs of facet k take xi_k to +-h_k, every other xi_j
-    to 0, and xi_j^2 to h_j^2 if j = k and mu h_j^2 otherwise, with
-    mu = 1/3 for means and 0 for midpoints. So the xi_k rows are
-    +-1/(2 h_k). With y_k the half-sum of facet k's two dofs, c_0 the
-    coefficient of 1 and c the coefficients of xi_0^2 - xi_m^2
-    (m = 1..d-1), facet k's equation minus facet 0's is
-    (1 - mu) M c = y_0 - y_k with M = h_0^2 11^T + diag(h_1^2, ..,
-    h_{d-1}^2), whose inverse is a closed form (``_quadratic_inverse``),
-    and facet 0's equation then gives c_0. Built for the rows asked for
-    and not kept, like ``cr_basis``'s; every row is computed on its own,
-    so its bits do not depend on the other rows asked for.
+    (dof 2k + 1). Write the span's quadratic part as sum_k q_k xi_k^2: its
+    members xi_0^2 - xi_m^2 are exactly the q with sum_k q_k = 0. The dofs
+    of facet k take xi_k to +-h_k, every other xi_j to 0, and xi_j^2 to
+    h_j^2 if j = k and mu h_j^2 otherwise, with mu = 1/3 for means and 0
+    for midpoints. So the xi_k rows are +-1/(2 h_k), and the half-sum y_k
+    of facet k's two dofs is c_0 + mu S + (1 - mu) q_k h_k^2, with c_0
+    the coefficient of 1 and S = sum_j q_j h_j^2. The mean of the y_k
+    weighted by w_k = h_k^-2 / sum_j h_j^-2 drops the q_k terms, since
+    sum_k q_k = 0: mean = c_0 + mu S. Hence the coefficient of
+    xi_0^2 - xi_m^2, which is -q_m, is (mean - y_m) / ((1 - mu) h_m^2);
+    and, with S = (sum_k y_k - d mean) / (1 - mu), where sum_k y_k weighs
+    every dof by 1/2, c_0 = mean - mu / (1 - mu) (sum_k y_k - d mean). No
+    matrix is inverted. Built for the rows asked for and not kept, like
+    ``cr_basis``'s; every row is computed on its own, so its bits do not
+    depend on the other rows asked for.
     """
     if kind not in ("mean", "midpoint"):
         raise ValueError(f"unknown dof kind {kind!r}")
@@ -106,46 +110,24 @@ def nc_basis(mesh: TensorMesh, kind: str = "mean",
         raise ValueError("element requires dimension 2 or 3")
     mu = 1.0 / 3.0 if kind == "mean" else 0.0
     h = 0.5 * mesh.elem_ext[rows]
-    sq = h * h
-    # dual[:, i, k]: the coefficient of y_k in c_0 (i = 0) or c_i
-    inv = _quadratic_inverse(sq) / (1.0 - mu)
-    dual = np.empty((sq.shape[0], d, d))
-    dual[:, 1:, 0] = _by_columns(np.add, inv)
-    dual[:, 1:, 1:] = -inv
-    # c_0 = y_0 - sum_m (facet 0's dof of xi_0^2 - xi_m^2) c_m
-    facet0 = sq[:, :1] - mu * sq[:, 1:]
-    dual[:, 0, :] = -_by_columns(
-        np.add, facet0[:, None, :] * dual[:, 1:, :].transpose(0, 2, 1))
-    dual[:, 0, 0] += 1.0
-    coeff = np.zeros((sq.shape[0], span_size(d), 2 * d))
+    inv = 1.0 / (h * h)
+    # each of facet k's two dofs weighs w_k / 2 in the weighted mean
+    half = inv / (2.0 * _by_columns(np.add, inv))[:, None]
+    coeff = np.zeros(h.shape[:1] + (span_size(d), 2 * d))
+    coeff[:, 0, 0::2] = half - mu / (1.0 - mu) * (0.5 - d * half)
+    coeff[:, 0, 1::2] = coeff[:, 0, 0::2]
     for k in range(d):
         coeff[:, 1 + k, 2 * k] = -0.5 / h[:, k]
         coeff[:, 1 + k, 2 * k + 1] = 0.5 / h[:, k]
-    # each of facet k's two dofs weighs half of y_k in 1, xi_0^2 - xi_m^2
-    dual *= 0.5
-    coeff[:, 0, 0::2] = coeff[:, 0, 1::2] = dual[:, 0]
-    coeff[:, d + 1:, 0::2] = coeff[:, d + 1:, 1::2] = dual[:, 1:]
+    for m in range(1, d):
+        scale = inv[:, m] / (1.0 - mu)
+        row = half * scale[:, None]
+        # mean - y_m weighs facet m's dofs by -(1 - w_m) / 2, summed over
+        # the other, positive weights: 1 - w_m loses digits on thin cells
+        row[:, m] = -_by_columns(np.add, half[:, np.arange(d) != m]) * scale
+        coeff[:, d + m, 0::2] = row
+        coeff[:, d + m, 1::2] = row
     return coeff
-
-
-def _quadratic_inverse(sq: np.ndarray) -> np.ndarray:
-    """M^-1 (b, d-1, d-1) for cells with squared half-extents sq (b, d),
-    where M = h_0^2 11^T + diag(h_1^2, .., h_{d-1}^2) pairs the span's
-    quadratic members in ``nc_basis`` and in the flux projection.
-
-    M is diagonal plus rank one, so its inverse is Sherman and Morrison's
-    closed form: with a = h_0^2, b_k = h_k^2 and c = 1/a + sum_m 1/b_m,
-    entry (k, l) is -1/(b_k b_l c) off the diagonal and
-    (1/a + sum_{m != k} 1/b_m) / (b_k c) on it. The diagonal sums only
-    positive terms: c - 1/b_k would lose digits on long thin cells.
-    """
-    inv = 1.0 / sq
-    c = _by_columns(np.add, inv)
-    out = -inv[:, 1:, None] * inv[:, None, 1:] / c[:, None, None]
-    for k in range(1, sq.shape[1]):
-        others = _by_columns(np.add, inv[:, np.arange(inv.shape[1]) != k])
-        out[:, k - 1, k - 1] = others * inv[:, k] / c
-    return out
 
 
 def reference_coeffs(mesh: TensorMesh, coeffs: np.ndarray,

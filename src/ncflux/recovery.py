@@ -14,12 +14,13 @@ facets. Three ingredients repair it:
   facets.
 
 The projection never samples basis functions at points: every cell is
-symmetric about its center, so its Gram matrix is a closed form in the
-cell's half-extents, whose quadratic block is the matrix M that
-``elements.nc_basis`` inverts too, and in ``corrected_flux`` its
-right-hand side is the affine gradient times the moments of a up to
-degree 2 (``elements.cell_moments``). The same code paths serve 2d
-(edges) and 3d (faces).
+symmetric about its center, so it is a least-squares fit with a
+diagonal Gram matrix, |K| on the constants and int_K xi_k^2 on the
+linear terms, under the one constraint that the linear coefficients sum
+to zero; and in ``corrected_flux`` its right-hand side is the affine
+gradient times the moments of a up to degree 2
+(``elements.cell_moments``). The same code paths serve 2d (edges) and 3d
+(faces).
 
 Every broken flux is an ``elements.BrokenRT``, on boxes and on
 triangles, so the correction field, the interpolants' facet fluxes
@@ -36,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import NcrtField
-from .elements import (DATA_RULE, BrokenRT, _quadratic_inverse,
-                       cell_blocks, cell_moments, cell_quadrature,
-                       facet_blocks, facet_quadrature, nc_basis,
-                       reference_coeffs)
+from .elements import (DATA_RULE, BrokenRT, cell_blocks, cell_moments,
+                       cell_quadrature, facet_blocks, facet_quadrature,
+                       nc_basis, reference_coeffs)
 from .mesh import TensorMesh, TriMesh, _by_columns
 from .problems import Problem
 from .quadrature import monomial_exponents
@@ -74,29 +74,26 @@ def _projection(mesh: TensorMesh, blocks) -> BrokenRT:
     xi = x - elem_center.
 
     blocks yields (rows, v0, v1) covering the elements once, with
-    v0[:, j] = int_K v_j and v1[:, j] = int_K v_j xi_j, both (b, d): the
-    right-hand side is v0 and v1_0 - v1_k. Every cell is symmetric about
-    its center, so the Gram matrix is |K| on the e_j, zero between them
-    and the quadratic members (the first moments of xi vanish), and
-    (|K| / 3) M on the quadratic members, since int_K xi_j^2 =
-    |K| h_j^2 / 3 with h = elem_ext / 2; M^-1 is the closed form
-    ``elements._quadratic_inverse``.
+    v0[:, j] = int_K v_j and v1[:, j] = int_K v_j xi_j, both (b, d). The
+    span is exactly {alpha + beta o xi : sum_k beta_k = 0}, so this is a
+    least-squares fit under one constraint. Every cell is symmetric about
+    its center, so the first moments of xi vanish: alpha = v0 / |K|, and
+    beta minimizes sum_k (G_k beta_k^2 - 2 v1_k beta_k) with
+    G_k = int_K xi_k^2 = |K| h_k^2 / 3, h = elem_ext / 2. Its Lagrange
+    condition gives beta_k = (v1_k - lambda) / G_k, and sum_k beta_k = 0
+    gives lambda = sum_k (v1_k / G_k) / sum_k (1 / G_k).
     """
     d = mesh.dim
-    coef = np.empty((mesh.ne, 2 * d - 1))
-    for blk, v0, v1 in blocks:
-        h = 0.5 * mesh.elem_ext[blk]
-        inv = _quadratic_inverse(h * h)
-        rhs = v1[:, :1] - v1[:, 1:]
-        measure = mesh.elem_measure[blk, None]
-        coef[blk, :d] = v0 / measure
-        coef[blk, d:] = (3.0 * _by_columns(np.add, inv * rhs[:, None, :])
-                         / measure)
+    mean = np.empty((mesh.ne, d))
     beta = np.empty((mesh.ne, d))
-    beta[:, 0] = _by_columns(np.add, coef[:, d:])
-    beta[:, 1:] = -coef[:, d:]
-    alpha = coef[:, :d] - beta * mesh.elem_center
-    return BrokenRT(mesh, alpha, beta)
+    for blk, v0, v1 in blocks:
+        measure = mesh.elem_measure[blk, None]
+        h = 0.5 * mesh.elem_ext[blk]
+        inv = 3.0 / (measure * h * h)             # 1 / G_k
+        lam = _by_columns(np.add, v1 * inv) / _by_columns(np.add, inv)
+        mean[blk] = v0 / measure
+        beta[blk] = (v1 - lam[:, None]) * inv
+    return BrokenRT(mesh, mean - beta * mesh.elem_center, beta)
 
 
 def _squares(d: int) -> np.ndarray:

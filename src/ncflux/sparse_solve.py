@@ -157,7 +157,9 @@ def solve(A, b, tol, precondition):
     lu_preconditioner or multigrid. Convergence means the true relative
     residual |b - A x| / |b| is at most tol within 20 * dim iterations,
     summed over the passes; an iteration counts once it applies the
-    preconditioner. Otherwise SolverError is raised, carrying the report.
+    preconditioner. Otherwise SolverError is raised, carrying the report;
+    its message names tol, the residual reached, and whether the true
+    residual stopped falling or the budget ran out.
     ValueError is raised when A or b holds a non-finite entry.
     """
     b = np.asarray(b, dtype=float)
@@ -208,7 +210,9 @@ def solve(A, b, tol, precondition):
     report = SolveReport(method="bicgstab", converged=bool(res <= tol),
                          iterations=count, residual=res, dim=n)
     if not report.converged:
+        why = ("the iteration budget ran out" if count >= budget
+               else "the true residual stopped falling")
         raise SolverError(
-            f"bicgstab did not converge (relative residual {res:.3e})",
-            report)
+            f"bicgstab did not reach tol {tol:.3e}: the relative residual "
+            f"is {res:.3e} after {count} iterations, and {why}", report)
     return x, report

@@ -8,12 +8,14 @@ config in its file and compares the numbers, not the bytes.
 
 A change that moves a study's numbers on purpose regenerates the files:
 
-    PYTHONPATH=src python tests/study_references.py
+    PYTHONPATH=src python tests/study_references.py [name ...]
 
-and records old -> new for each moved column.
+(all of them when no name is given) and records old -> new for each
+moved column.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from ncflux.analysis import StudyConfig, emit_report, run_study
@@ -38,13 +40,13 @@ def load(name: str) -> dict:
     return json.loads(path(name).read_text(encoding="utf-8"))
 
 
-def regenerate() -> None:
+def regenerate(names) -> None:
     FOLDER.mkdir(exist_ok=True)
-    for name, config in STUDIES.items():
-        text = emit_report(run_study(config), format="structured")
+    for name in names:
+        text = emit_report(run_study(STUDIES[name]), format="structured")
         path(name).write_text(text, encoding="utf-8")
         print(f"wrote {path(name)}")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or list(STUDIES))

@@ -613,6 +613,21 @@ def test_solver_error_ends_the_study(monkeypatch):
     assert len(seen) == 1 and len(calls) == 2
 
 
+def test_unreachable_tol_names_the_tol_and_the_residual():
+    # 1e-15 is below the float64 floor of the true residual: its last
+    # pass leaves it at 2.4e-15, no lower than the pass before
+    cfg = StudyConfig(problem="p1", element="cr", levels=1, perturb=0.0,
+                      tol=1e-15)
+    with pytest.raises(SolverError) as exc:
+        run_study(cfg)
+    report = exc.value.report
+    assert report.residual > cfg.tol
+    message = str(exc.value)
+    assert f"tol {cfg.tol:.3e}" in message
+    assert f"residual is {report.residual:.3e}" in message
+    assert "the true residual stopped falling" in message
+
+
 @pytest.mark.parametrize("element, problem, fraction", [
     ("cr", "p1", 0.0), ("ncrt2d", "p1", 0.2), ("ncrt3d", "p2", 0.2)])
 def test_study_leaves_no_reference_cycles(element, problem, fraction):
