@@ -12,7 +12,7 @@ convergence studies from the command line.
 from .analysis import (LevelRecord, StudyConfig, StudyResult, emit_report,
                        fit_order, l2_error, run_study)
 from .assembly import LinearSystem, NcrtField, assemble, reconstruct_field
-from .cr import (CRField, VertexField, assemble_cr, corrected_flux_cr,
+from .cr import (CRField, assemble_cr, corrected_flux_cr,
                  edge_midpoint_average, rt_interpolate_tri, vertex_average)
 from .elements import BrokenRT
 from .mesh import (TensorMesh, TriMesh, build_uniform_parallel, perturb,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrokenRT", "CRField", "LevelRecord", "LinearSystem", "MidpointFlux",
     "NcrtField", "Problem", "REGISTRY", "SolveReport", "SolverError",
-    "StudyConfig", "StudyResult", "TensorMesh", "TriMesh", "VertexField",
+    "StudyConfig", "StudyResult", "TensorMesh", "TriMesh",
     "assemble", "assemble_cr", "build_uniform_parallel", "corrected_flux",
     "corrected_flux_cr", "correction_field", "custom_problem",
     "edge_midpoint_average", "emit_report", "fit_order", "l2_error",

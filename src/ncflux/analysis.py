@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -367,19 +367,10 @@ def emit_report(result: StudyResult, format: str = "csv") -> str:
             # a numpy scalar, which _check_config accepts, as a Python one
             "config": {name: value.item() if isinstance(value, np.generic)
                        else value for name, value in config.items()},
-            "levels": [
-                {"ne": r.ne, "h": r.h,
-                 **{col: getattr(r, col) for col in COLUMNS}}
-                for r in result.records
-            ],
-            "orders": {col: result.orders.get(col)
+            "levels": [asdict(r) for r in result.records],
+            "orders": {col: result.orders[col]
                        for col in COLUMNS if col in result.orders},
-            "solver": [
-                {"method": rep.method, "converged": rep.converged,
-                 "iterations": rep.iterations, "residual": rep.residual,
-                 "dim": rep.dim}
-                for rep in result.solver_reports
-            ],
+            "solver": [asdict(rep) for rep in result.solver_reports],
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown format {format!r}")

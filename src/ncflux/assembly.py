@@ -167,34 +167,24 @@ def lift_and_scatter(mesh: TensorMesh | TriMesh, bc_values: np.ndarray,
     blocks yields (facets, local, load) for consecutive blocks of
     elements: their facet ids (b, ndof), element matrices (b, ndof, ndof)
     and element loads (b, ndof). bc_values are ordered like
-    boundary_facets. Right-hand-side entries are kept in element order,
-    and the right-hand side is summed from zero in that order, so the
-    result does not depend on the block size.
+    boundary_facets. ``np.add.at`` adds the right-hand-side entries to
+    zeros in element order, so the result does not depend on the block
+    size.
     """
     unknown = unknown_index(mesh)
     g_full = np.zeros(mesh.nf)
     g_full[mesh.boundary_facets] = bc_values
-
-    ne, ndof = mesh.elem_facets.shape
-    load_ids = np.empty(ndof * ne, dtype=np.int32)
-    load_vals = np.empty(ndof * ne)
-    nload = 0
+    rhs = np.zeros(mesh.interior_facets.size)
 
     def lifted():
-        nonlocal nload
         for facets, local, load in blocks:
             load -= np.einsum("bij,bj->bi", local, g_full[facets])
             unk = unknown[facets].ravel()
             keep = unk >= 0
-            end = nload + np.count_nonzero(keep)
-            load_ids[nload:end] = unk[keep]
-            load_vals[nload:end] = load.ravel()[keep]
-            nload = end
+            np.add.at(rhs, unk[keep], load.ravel()[keep])
             yield facets, local
 
     matrix = scatter(mesh, lifted())
-    rhs = np.bincount(load_ids[:nload], weights=load_vals[:nload],
-                      minlength=mesh.interior_facets.size)
     return LinearSystem(mesh=mesh, matrix=matrix, rhs=rhs,
                         bc_values=bc_values)
 
@@ -477,11 +467,18 @@ class NcrtField:
         return BrokenRT(mesh, alpha, beta)
 
 
-def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray) -> NcrtField:
-    """Build the element-wise polynomial representation from facet dofs."""
+def _dof_vector(mesh: TensorMesh | TriMesh, dofs) -> np.ndarray:
+    """dofs as a float array of one value per facet of mesh; any other
+    shape raises ValueError."""
     dofs = np.asarray(dofs, dtype=float)
     if dofs.shape != (mesh.nf,):
         raise ValueError(f"expected {mesh.nf} dof values, got {dofs.shape}")
+    return dofs
+
+
+def reconstruct_field(mesh: TensorMesh, dofs: np.ndarray) -> NcrtField:
+    """Build the element-wise polynomial representation from facet dofs."""
+    dofs = _dof_vector(mesh, dofs)
     coeffs = np.empty((mesh.ne, span_size(mesh.dim)))
     for blk in cell_blocks(mesh):
         coeffs[blk] = np.einsum("emj,ej->em", nc_basis(mesh, "mean", blk),

@@ -18,8 +18,8 @@ beta = (b, b) (Raviart and Thomas, LNM 606, 1977): the broken gradient
 interpolant are all BrokenRT, so ``recovery.correction_field`` and
 ``recovery.max_normal_jump`` serve triangles as they serve boxes, and
 the interpolant matches the edge fluxes of ``recovery.facet_fluxes``.
-Both averages take the corrected flux, as ``recovery.midpoint_average``
-does, and the edge average returns the same ``recovery.MidpointFlux``.
+Both averages take the corrected flux and return a
+``recovery.MidpointFlux``, as ``recovery.midpoint_average`` does.
 
 So are the cell passes: they loop over ``elements.cell_blocks`` and
 map ``elements.cell_quadrature``, as the box passes do. At the
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LinearSystem, boundary_means, lift_and_scatter
+from .assembly import (LinearSystem, _dof_vector, boundary_means,
+                       lift_and_scatter)
 from .elements import (BrokenRT, cell_blocks, cell_quadrature, cell_table,
                        cr_basis, reference_values)
 from .mesh import TriMesh, _by_columns, _frozen
@@ -77,16 +78,19 @@ def _local_blocks(trimesh: TriMesh, problem: Problem):
 class CRField:
     """Scalar field in the triangular nonconforming space, one dof per edge."""
 
-    trimesh: TriMesh
+    mesh: TriMesh
     dofs: np.ndarray             # (nf,)
     _gradient: BrokenRT | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.dofs = _dof_vector(self.mesh, self.dofs)
 
     def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
         """The local dofs of the triangles rows, (b, 3): times
         ``elements.cell_table`` they are the values at the mapped
         triangle rule."""
-        return self.dofs[self.trimesh.elem_facets[rows]]
+        return self.dofs[self.mesh.elem_facets[rows]]
 
     def gradient_rt(self) -> BrokenRT:
         """The broken gradient, constant per triangle: a BrokenRT with
@@ -96,7 +100,7 @@ class CRField:
         raw flux and again for the correction.
         """
         if self._gradient is None:
-            tm = self.trimesh
+            tm = self.mesh
             out = np.empty((tm.ne, 2))
             for rows in cell_blocks(tm):
                 local = self.dofs[tm.elem_facets[rows]]
@@ -114,7 +118,7 @@ def corrected_flux_cr(field: CRField, problem: Problem) -> BrokenRT:
     correction field (x - x_K)/2 times the mean residual load restores
     normal continuity across edges.
     """
-    tm = field.trimesh
+    tm = field.mesh
     grad = field.gradient_rt()
     table = cell_table(tm)
     abar, pbar = np.empty(tm.ne), np.empty(tm.ne)
@@ -156,22 +160,6 @@ def rt_interpolate_tri(trimesh: TriMesh, vec) -> BrokenRT:
     value = _by_columns(np.add, F[:, None, :] * rel) / twice[:, None]
     return BrokenRT(trimesh, alpha=value - slope[:, None] * center,
                     beta=np.repeat(slope[:, None], 2, axis=1))
-
-
-@dataclass
-class VertexField:
-    """Continuous piecewise-linear vector field stored by vertex values."""
-
-    trimesh: TriMesh
-    values: np.ndarray           # (nv, 2)
-
-    def reference_coeffs(self, rows=slice(None)) -> np.ndarray:
-        """The components' values at the edge midpoints of the triangles
-        rows, (b, 2, 3), for ``elements.cell_table``: a linear field lies
-        in the midpoint-linear space, and at the midpoint of the edge
-        opposite vertex j it is the mean of the other two vertex values."""
-        v = self.values[self.trimesh.triangles[rows]]       # (b, 3, 2)
-        return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]]).transpose(0, 2, 1)
 
 
 def edge_midpoint_average(flux: BrokenRT) -> MidpointFlux:
@@ -235,12 +223,13 @@ def edge_midpoint_average(flux: BrokenRT) -> MidpointFlux:
     return MidpointFlux(trimesh, vals)
 
 
-def vertex_average(flux: BrokenRT) -> VertexField:
+def vertex_average(flux: BrokenRT) -> MidpointFlux:
     """Area-weighted average of a triangle flux onto vertices.
 
     Each vertex takes sum_K |K| value_K / sum_K |K| over the triangles
-    of its patch, value_K the flux's centroid value; the result is a
-    continuous piecewise-linear field.
+    of its patch, value_K the flux's centroid value. The continuous
+    piecewise-linear field of these values is midpoint-linear: it is the
+    MidpointFlux whose edge values are the means of their vertex values.
     """
     trimesh = flux.mesh
     cellvals = flux.values_at_centers()
@@ -251,4 +240,5 @@ def vertex_average(flux: BrokenRT) -> VertexField:
                    axis=1)
     den = np.bincount(flat, weights=np.repeat(trimesh.elem_measure, 3),
                       minlength=trimesh.nv)
-    return VertexField(trimesh, num / den[:, None])
+    ends = (num / den[:, None])[trimesh.edges]          # (nf, 2, 2)
+    return MidpointFlux(trimesh, 0.5 * (ends[:, 0] + ends[:, 1]))

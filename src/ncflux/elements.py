@@ -386,9 +386,10 @@ def cell_moments(mesh: TensorMesh, samples, rows=slice(None),
 
 def facet_quadrature(mesh: TensorMesh | TriMesh, rows=slice(None)):
     """The data rule mapped onto the facets ``rows`` (all by default):
-    the tensor rule over a box facet, the Gauss rule along a triangle edge
-    from its low vertex to its high one. Returns (pts (nf, nq, d),
-    wts (nf, nq)) for the facets asked for."""
+    the tensor rule by ``map_to_box`` on a box facet's in-plane axes,
+    the Gauss rule along a triangle edge from its low vertex to its high
+    one. Returns (pts (nf, nq, d), wts (nf, nq)) for the facets asked
+    for."""
     d = mesh.dim
     ref = tensor_rule(d - 1, DATA_RULE)
     if isinstance(mesh, TriMesh):
@@ -404,11 +405,10 @@ def facet_quadrature(mesh: TensorMesh | TriMesh, rows=slice(None)):
     for k in range(d):
         sel = np.flatnonzero(axis == k)
         other = [j for j in range(d) if j != k]
-        lo = mesh.elem_lo[inside[sel]][:, other]
-        ext = mesh.elem_ext[inside[sel]][:, other]
+        cells = inside[sel, None]
         pts[sel, :, k] = mesh.facet_midpoint[ids[sel], k][:, None]
-        for c, j in enumerate(other):
-            pts[sel, :, j] = (lo[:, None, c]
-                              + ext[:, None, c] * ref.points[:, c])
-        wts[sel] = _by_columns(np.multiply, ext)[:, None] * ref.weights
+        inplane, wts[sel] = map_to_box(ref, mesh.elem_lo[cells, other],
+                                       mesh.elem_ext[cells, other])
+        # the slice between sel and other puts the points axis last
+        pts[sel[:, None], :, other] = inplane.transpose(0, 2, 1)
     return pts, wts

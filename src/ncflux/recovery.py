@@ -195,11 +195,12 @@ def max_normal_jump(flux: BrokenRT) -> float:
 @dataclass
 class MidpointFlux:
     """Vector field with one value per facet midpoint: the recovered
-    flux on boxes and on triangles.
+    flux of every average, on boxes and on triangles.
 
     Componentwise it lives in the midpoint-dof nonconforming space: on
     a box the span of ``elements.nc_basis``, on a triangle ``ncflux.cr``'s
-    midpoint-linear space.
+    midpoint-linear space, which holds the continuous piecewise-linear
+    fields of ``cr.vertex_average``.
     """
 
     mesh: TensorMesh | TriMesh

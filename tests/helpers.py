@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncflux.assembly import (ND_LEAF, NcrtField, assemble, preconditioner,
                              reconstruct_field)
-from ncflux.cr import CRField, VertexField, assemble_cr
+from ncflux.cr import CRField, assemble_cr
 from ncflux.elements import (BrokenRT, RawFlux, cell_blocks, cell_quadrature,
                              nc_basis, span_size)
 from ncflux.mesh import TensorMesh, TriMesh, perturb, refine_midpoint
@@ -172,12 +172,10 @@ def eval_at(obj, pts, rows=slice(None)):
         coeff = nc_basis(mesh, "midpoint", rows)
         return (basis_values(mesh, coeff, pts, rows)
                 @ obj.values[mesh.elem_facets[rows]])
-    tm = getattr(obj, "trimesh", None)
     if isinstance(obj, CRField):
+        tm = obj.mesh
         local = obj.dofs[tm.elem_facets[rows]]
         return (cr_values(tm, pts, rows) @ local[:, :, None])[..., 0]
-    if isinstance(obj, VertexField):
-        return barycentrics(tm, pts, rows) @ obj.values[tm.triangles[rows]]
     raise TypeError(f"no point evaluator for {type(obj).__name__}")
 
 

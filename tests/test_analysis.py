@@ -19,7 +19,8 @@ from ncflux.elements import (DATA_RULE, NORM_RULE, BrokenRT, RawFlux,
                              cell_blocks, cell_quadrature, cell_table,
                              reference_values)
 from ncflux.mesh import TensorMesh, TriMesh, build_uniform_parallel
-from ncflux.problems import Problem, Term, custom_problem, problem1, problem2
+from ncflux.problems import (REGISTRY, Problem, Term, custom_problem, problem1,
+                             problem2)
 from ncflux.recovery import MidpointFlux, midpoint_average
 from ncflux.sparse_solve import SolveReport, SolverError
 
@@ -898,6 +899,41 @@ def test_a_study_reads_problem_data_only_through_sample(monkeypatch, element,
     assert len(result.records) == 2
     assert all(np.isfinite(getattr(r, c)) for r in result.records
                for c in COLUMNS)
+
+
+def coefficients_times(prob, s):
+    """prob with a, grad_a, b and c times s, as a custom problem."""
+    def times(leaf):
+        return None if leaf is None else (lambda x: s * leaf(x))
+
+    return custom_problem(prob.dim, prob.u, prob.grad_u, prob.lap_u,
+                          a=times(prob.a), grad_a=times(prob.grad_a),
+                          b=times(prob.b), c=times(prob.c),
+                          initial_gridlines=prob.initial_gridlines)
+
+
+@pytest.mark.parametrize("element, problem, levels, kw", [
+    ("ncrt2d", "p1", 5, {}),
+    ("ncrt3d", "p2", 4, {}),           # level 4 is the first V-cycle
+    ("cr", "p1", 3, {"cr_initial": 4, "perturb": 0.0}),
+])
+def test_doubling_the_coefficients_doubles_the_flux_columns(element, problem,
+                                                            levels, kw):
+    # times 2 is exact, so the matrix, the load, the preconditioner and
+    # every solver step scale exactly and u_h keeps its bits
+    config = StudyConfig(problem=problem, element=element, levels=levels,
+                         seed=0, **kw)
+    base = run_study(config)
+    doubled = run_study(dataclasses.replace(
+        config, problem="custom",
+        custom=coefficients_times(REGISTRY[problem](), 2.0)))
+    assert len(doubled.records) == levels
+    for got, ref in zip(doubled.records, base.records):
+        assert (got.ne, got.h, got.err_u) == (ref.ne, ref.h, ref.err_u)
+        for col in ("err_flux_raw", "err_superclose", "err_recovered"):
+            assert getattr(got, col) == 2.0 * getattr(ref, col), col
+    assert ([rep.iterations for rep in doubled.solver_reports]
+            == [rep.iterations for rep in base.solver_reports])
 
 
 def test_custom_problem_without_gridlines_rejected():

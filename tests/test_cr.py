@@ -125,6 +125,24 @@ def test_field_values_and_gradients_for_linear_dofs():
     assert not grad.beta.any()
 
 
+@pytest.mark.parametrize("extra", [5, -1])
+def test_a_field_needs_one_dof_per_edge(extra):
+    mesh = build_uniform_parallel(4, 4)
+    with pytest.raises(ValueError, match=rf"expected {mesh.nf} dof values, "
+                       rf"got \({mesh.nf + extra},\)"):
+        CRField(mesh, np.zeros(mesh.nf + extra))
+
+
+def test_a_field_takes_its_dofs_as_a_list():
+    mesh = build_uniform_parallel(4, 4)
+    prob = problem1()
+    dofs = np.random.default_rng(10).normal(size=mesh.nf)
+    field = CRField(mesh, dofs.tolist())
+    assert (l2_error(mesh, prob.u, field)
+            == l2_error(mesh, prob.u, CRField(mesh, dofs)))
+    assert field.dofs.dtype == float
+
+
 def test_cell_means_of_linear_function_hit_centroids():
     mesh = jittered_parallel(3, 3, seed=9)
     means = cell_means(mesh, lambda x: x[..., 0] + x[..., 1])
@@ -371,28 +389,34 @@ def test_vertex_averaging_matches_direct_accumulation():
     rng = np.random.default_rng(20)
     cellvals = rng.normal(size=(mesh.ne, 2))
     fld = vertex_average(cell_flux(mesh, cellvals))
+    assert type(fld) is MidpointFlux
+    vertex = np.empty((mesh.nv, 2))
     for vid in range(mesh.nv):
         rows = np.nonzero((mesh.triangles == vid).any(axis=1))[0]
         w = mesh.elem_measure[rows]
-        expected = (cellvals[rows] * w[:, None]).sum(axis=0) / w.sum()
-        assert np.abs(fld.values[vid] - expected).max() < 1e-13
+        vertex[vid] = (cellvals[rows] * w[:, None]).sum(axis=0) / w.sum()
+    # the linear field of the vertex values, at each edge's midpoint
+    for e, (a, b) in enumerate(mesh.edges):
+        expected = 0.5 * (vertex[a] + vertex[b])
+        assert np.abs(fld.values[e] - expected).max() < 1e-13
 
 
 def test_vertex_field_is_continuous_across_edges():
     mesh = jittered_parallel(3, 3, seed=21)
     rng = np.random.default_rng(22)
     fld = vertex_average(cell_flux(mesh, rng.normal(size=(mesh.ne, 2))))
-    # evaluate at interior edge midpoints from both adjacent triangles
+    # evaluate along each interior edge from both adjacent triangles; at
+    # the midpoints alone any MidpointFlux would pass
     inter = mesh.interior_facets
-    pts = mesh.facet_midpoint[mesh.elem_facets]  # (ne, 3, 2)
-    vals = eval_at(fld, pts)
-    acc = np.full((mesh.nf, 2, 2), np.nan)
-    for t in range(mesh.ne):
-        for j, e in enumerate(mesh.elem_facets[t]):
-            side = 0 if mesh.facet_elems[e, 0] == t else 1
-            acc[e, side] = vals[t, j]
-    gap = np.abs(acc[inter, 0] - acc[inter, 1]).max()
-    assert gap < 1e-12
+    pts, _ = facet_quadrature(mesh, inter)       # (interior edges, nq, 2)
+    sides = mesh.facet_elems[inter]
+
+    def gap(field):
+        lo, hi = (eval_at(field, pts, sides[:, k]) for k in (0, 1))
+        return np.abs(lo - hi).max()
+
+    assert gap(fld) < 1e-12
+    assert gap(MidpointFlux(mesh, rng.normal(size=(mesh.nf, 2)))) > 0.1
 
 
 # -- blocked evaluation -------------------------------------------------------
@@ -532,7 +556,7 @@ def test_a_cr_study_evaluates_no_basis_at_mapped_points(monkeypatch):
               for name in ("cr_values", "cr_barycentrics", "eval_at")
               if hasattr(module, name)]
     called += [f"{cls.__name__}.eval_at" for cls in (
-        CRField, MidpointFlux, cr.VertexField, BrokenRT, RawFlux)
+        CRField, MidpointFlux, BrokenRT, RawFlux)
         if hasattr(cls, "eval_at")]
     assert called == []
     for module in (analysis, cr):
